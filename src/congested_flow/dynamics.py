@@ -288,6 +288,11 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     left to right with cascade re-checking (a merge may put an adjacent pair
     into closing contact at the same instant).  Every connected group that
     coalesces yields one MergeEvent.
+
+    Cost: O(log n) heap work per candidate contact plus O(k log k) amortised
+    for a cascade of k blocks (union-find with path compression, absorbed
+    lists merged smaller into larger), so an n-way tie is near-linear.  The
+    jump profile of each event costs O(merged range).
     """
     if horizon < 0.0:
         raise InputDomainError(f"horizon must be nonnegative, got {horizon}")
@@ -304,6 +309,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             return float(u0[a])
         return float((prefix_u0[b + 1] - prefix_u0[a]) / (b + 1 - a))
 
+    jump_floor = -1e-12 * _scale(u0)
     cl = _Clusters(x0, blocks, cone.two_r)
     for k in range(len(blocks)):
         cl.v[k] = range_mean(cl.start[k], cl.end[k])
@@ -343,9 +349,12 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
         absorbed: dict[int, list[int]] = {}
 
         def find(k):
-            while not cl.alive[k]:
-                k = parent[k]
-            return k
+            root = k
+            while not cl.alive[root]:
+                root = parent[root]
+            while k != root:
+                parent[k], k = root, parent[k]
+            return root
 
         new_roots: list[int] = []
         worklist = deque(sorted(pairs, key=lambda p: cl.start[p[0]]))
@@ -364,7 +373,11 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                 cl.next[cl.prev[c]] = m
             if cl.next[d] >= 0:
                 cl.prev[cl.next[d]] = m
-            absorbed[m] = absorbed.pop(c, [c]) + absorbed.pop(d, [d])
+            ids, other = absorbed.pop(c, [c]), absorbed.pop(d, [d])
+            if len(ids) < len(other):
+                ids, other = other, ids
+            ids.extend(other)
+            absorbed[m] = ids
             new_roots.append(m)
             # a merge can trigger an immediate further contact at this instant
             for left, right in ((cl.prev[m], m), (m, cl.next[m])):
@@ -383,7 +396,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             for k in pre_ids:
                 u_pre[cl.start[k] - a:cl.end[k] + 1 - a] = cl.v[k]
             jump = -np.cumsum(v_bar - u_pre)[:-1] / n
-            if jump.size and jump.min() < -1e-12 * _scale(u0):
+            if jump.size and jump.min() < jump_floor:
                 raise InvariantViolationError("negative multiplier jump at a merge")
             events.append(MergeEvent(
                 time=float(t_e),
@@ -431,49 +444,55 @@ class EventTimeline:
         return list(self.iter_states(times))
 
     def iter_states(self, times):
-        """Generator form of states_at; one incremental pass over the events."""
+        """Generator form of states_at; one incremental pass over the events.
+
+        The blocks live in arrays of length n: a block-start mask plus the
+        left edge, reference time and velocity stored at each block start.
+        Cost: O(merged range) per event and O(n) per state.  Raises
+        InvariantViolationError if an event does not cover whole current
+        blocks.
+        """
         times = [float(t) for t in times]
         hi_t = self.horizon * (1.0 + 1e-12)
         if any(t < 0.0 or t > hi_t for t in times):
             raise InputDomainError("query times must lie in [0, horizon]")
         if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
             raise InputDomainError("query times must be ascending")
-        # block registry keyed by start index: start -> [end, x_left, t_ref, v]
-        starts0 = np.array([a for a, _ in self.initial_blocks])
-        means0 = _block_means(self.u0, starts0)
-        reg = {a: [b, float(self.x0[a]), 0.0, float(v)]
-               for (a, b), v in zip(self.initial_blocks, means0)}
-        ev = 0
         n = self.n
         two_r = self.cone.two_r
+        starts0 = np.array([a for a, _ in self.initial_blocks])
+        # is_start[n] is a sentinel, so block ends are the indices before a start
+        is_start = np.zeros(n + 1, dtype=bool)
+        is_start[starts0] = True
+        is_start[n] = True
+        x_left = np.zeros(n)
+        t_ref = np.zeros(n)
+        v = np.zeros(n)
+        x_left[starts0] = self.x0[starts0]
+        v[starts0] = _block_means(self.u0, starts0)
+        offsets = np.arange(n)
+        ev = 0
         for t in times:
             while ev < len(self.events) and self.events[ev].time <= t:
                 e = self.events[ev]
                 lo, hi = e.index_range
-                a = lo
-                while a <= hi:
-                    a = reg.pop(a)[0] + 1
-                reg[lo] = [hi, e.x_left, e.time, e.post_velocity]
+                if not (0 <= lo <= hi < n and is_start[lo] and is_start[hi + 1]):
+                    raise InvariantViolationError(
+                        f"event at t={e.time} merges {lo}..{hi}, which is not a union "
+                        "of current blocks")
+                is_start[lo + 1:hi + 1] = False
+                x_left[lo] = e.x_left
+                t_ref[lo] = e.time
+                v[lo] = e.post_velocity
                 ev += 1
-            x = np.empty(n)
-            u = np.empty(n)
-            blocks = []
-            for a in sorted(reg):
-                b, xl, tr, v = reg[a]
-                x[a:b + 1] = xl + v * (t - tr) + two_r * np.arange(b + 1 - a)
-                u[a:b + 1] = v
-                blocks.append((a, b))
-            yield MicroState(t, x, u, ClusterPartition(tuple(blocks)), self.cone)
-
-    def lambdas_at(self, t: float) -> MultiplierVector:
-        """Multipliers at time t accumulated from the event jumps."""
-        lam = np.zeros(self.n + 1)
-        for e in self.events:
-            if e.time > t:
-                break
-            lo, _ = e.index_range
-            lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
-        return MultiplierVector(lam)
+            starts = np.flatnonzero(is_start[:n])
+            ends = np.flatnonzero(is_start[1:])
+            sizes = ends + 1 - starts
+            x = (np.repeat(x_left[starts] + v[starts] * (t - t_ref[starts]), sizes)
+                 + two_r * (offsets - np.repeat(starts, sizes)))
+            u = np.repeat(v[starts], sizes)
+            blocks = tuple(zip(starts.tolist(), ends.tolist()))
+            yield MicroState(t, x, u, ClusterPartition(blocks), self.cone)
 
 
 def multipliers_at(state: MicroState, u0: np.ndarray) -> MultiplierVector:
@@ -496,8 +515,9 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> MultiplierVector:
 def pressure_measure(timeline: EventTimeline) -> PressureMeasure:
     """Atomic pressure: one atom per event carrying the multiplier jump."""
     atoms = []
+    jump_floor = -1e-12 * _scale(timeline.u0)
     for e in timeline.events:
-        if e.jump_values.size and e.jump_values.min() < -1e-12 * _scale(timeline.u0):
+        if e.jump_values.size and e.jump_values.min() < jump_floor:
             raise InvariantViolationError("negative pressure atom profile")
         atoms.append((e.time, e.dense_jump(timeline.n)))
     return PressureMeasure(timeline.n, tuple(atoms))

@@ -5,6 +5,7 @@ import pytest
 
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import (
+    _block_means,
     ClusterPartition,
     EventTimeline,
     MicroState,
@@ -98,6 +99,83 @@ def test_evolve_matches_projection_formula(contacts):
     for t, st in zip(times, tl.iter_states(times)):
         ref = trajectory_at(x0, u0, cone, float(t))
         assert np.max(np.abs(ref.positions - st.positions)) <= 1e-9
+
+
+def dict_registry_states(tl, times):
+    """Reference reconstruction: a block registry keyed by start index.
+
+    This is the per-block Python loop that ``iter_states`` replaced; it yields
+    (positions, velocities, blocks) per query time.
+    """
+    starts0 = np.array([a for a, _ in tl.initial_blocks])
+    means0 = _block_means(tl.u0, starts0)
+    # start -> [end, x_left, t_ref, v]
+    reg = {a: [b, float(tl.x0[a]), 0.0, float(v)]
+           for (a, b), v in zip(tl.initial_blocks, means0)}
+    ev = 0
+    n = tl.n
+    two_r = tl.cone.two_r
+    for t in times:
+        t = float(t)
+        while ev < len(tl.events) and tl.events[ev].time <= t:
+            e = tl.events[ev]
+            lo, hi = e.index_range
+            a = lo
+            while a <= hi:
+                a = reg.pop(a)[0] + 1
+            reg[lo] = [hi, e.x_left, e.time, e.post_velocity]
+            ev += 1
+        x = np.empty(n)
+        u = np.empty(n)
+        blocks = []
+        for a in sorted(reg):
+            b, xl, tr, v = reg[a]
+            x[a:b + 1] = xl + v * (t - tr) + two_r * np.arange(b + 1 - a)
+            u[a:b + 1] = v
+            blocks.append((a, b))
+        yield x, u, tuple(blocks)
+
+
+def _random_contacts_case():
+    rng = np.random.default_rng(22)
+    x0, u0, cone = random_admissible_datum(80, rng, contacts=True)
+    return evolve(x0, u0, cone, 3.0), np.sort(rng.uniform(0.0, 3.0, 60))
+
+
+def _cascade_case():
+    # u = -x with spacing 2 and two_r = 1: every gap closes at t = 1
+    n = 64
+    x0 = 2.0 * np.arange(n)
+    tl = evolve(x0, -x0, SpacingCone(n, 1.0), 2.0)
+    assert len(tl.events) == 1 and len(tl.events[0].merged_blocks) == n
+    return tl, np.array([0.5, 1.0, 1.5, 2.0])
+
+
+def _event_times_case():
+    tl, _ = _random_contacts_case()
+    te = tl.event_times()
+    assert te.size > 5
+    return tl, np.sort(np.concatenate((te, np.nextafter(te, -np.inf))))
+
+
+def _edge_times_case():
+    tl, _ = _random_contacts_case()
+    te = tl.event_times()
+    h = tl.horizon
+    return tl, np.array([0.0, 0.0, te[0], te[0], te[3], te[3], te[3], h, h])
+
+
+@pytest.mark.parametrize("case", [_random_contacts_case, _cascade_case,
+                                  _event_times_case, _edge_times_case])
+def test_iter_states_matches_dict_registry(case):
+    tl, times = case()
+    states = tl.states_at(times)
+    refs = list(dict_registry_states(tl, times))
+    assert len(states) == len(refs) == len(times)
+    for st, (x, u, blocks) in zip(states, refs):
+        np.testing.assert_array_equal(st.positions, x)
+        np.testing.assert_array_equal(st.velocities, u)
+        assert st.partition.blocks == blocks
 
 
 def test_multipliers_zero_before_any_collision():
@@ -222,9 +300,15 @@ def test_active_set_monotone_valid_and_corrupted():
     lo, hi = tl.events[0].index_range
     fake = type(tl.events[0])(tl.horizon, ((lo + 1, hi),), 0.0, 0.0,
                               np.zeros(hi - lo - 1))
-    bad = EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tl.initial_blocks,
-                        tl.events + (fake,), tl.initial)
-    assert not active_set_monotone(bad)
+    # and one ending inside it drops the block's tail
+    short = type(tl.events[0])(tl.horizon, ((lo, hi - 1),), 0.0, 0.0,
+                               np.zeros(hi - lo - 1))
+    for event in (fake, short):
+        bad = EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tl.initial_blocks,
+                            tl.events + (event,), tl.initial)
+        assert not active_set_monotone(bad)
+        with pytest.raises(InvariantViolationError):
+            bad.states_at([tl.horizon])
 
 
 def test_momentum_conservation_exact():

@@ -1,9 +1,15 @@
 """Crafted simultaneous-contact scenarios for the instant resolver."""
 
+from pathlib import Path
+
 import numpy as np
 
+from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import active_set_monotone, evolve, trajectory_at
+from congested_flow.initdata import quantile_sample
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def cross_validate(x0, u0, cone, horizon, nt=200):
@@ -59,6 +65,22 @@ def test_fast_particle_absorbs_resting_chain_in_one_cascade():
     assert tl.events[0].index_range == (0, 5)
     assert abs(tl.events[0].post_velocity - 2.0 / 6.0) <= 1e-14
     assert worst <= 1e-12
+    # the smooth-compression datum closes all n - 1 gaps at t = 0.5: one
+    # 16384-way cascade, which is quadratic without path compression
+    n = 16384
+    datum = load_config(str(CONFIGS / "smooth_compression.json"))["_datum"]
+    x0, u0, cone = quantile_sample(datum, n)
+    tl = evolve(x0, u0, cone, 1.0)
+    assert len(tl.events) == 1
+    e = tl.events[0]
+    assert e.time == 0.5
+    assert e.merged_blocks == tuple((k, k) for k in range(n))
+    assert abs(e.post_velocity - float(np.mean(u0))) <= 1e-14
+    times = [0.25, 0.5, 1.0]
+    for t, st in zip(times, tl.iter_states(times)):
+        ref = trajectory_at(x0, u0, cone, t)
+        bound = 1e-9 * (1.0 + float(np.max(np.abs(ref.positions))))
+        assert np.max(np.abs(ref.positions - st.positions)) <= bound
 
 
 def test_middle_cluster_squeezed_from_both_sides_at_same_instant():
