@@ -24,12 +24,12 @@ from .dynamics import (
     multipliers_at,
     pressure_measure,
     trajectory_at,
+    validate_initial,
 )
 from .initdata import (
     MacroscopicDatum,
     quantile_sample,
     rearrangement_from_density,
-    validate_initial,
 )
 
 __version__ = "0.1.0"

@@ -169,15 +169,30 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _apply_toggles(checks: dict, toggles: dict) -> dict:
-    """Disable configured checks; all_passed ranges over the enabled ones."""
-    for name, enabled in toggles.items():
+def _write_verification(cfg: dict, trace, out: Path, inject: str | None,
+                        oracle_n: int | None = None) -> tuple[dict, list[str]]:
+    """Run the battery, apply the config toggles and write verification.json.
+
+    A disabled check is reported as passed and marked skipped.  With
+    ``oracle_n`` the KKT-oracle sweep at that n is added after the toggles.
+    Returns the report and the names of the failed checks; ``all_passed``
+    holds when there are none.
+    """
+    checks = {r.name: {"passed": r.passed, "value": r.value, "tolerance": r.tolerance,
+                       "detail": r.detail}
+              for r in run_battery(trace, np.random.default_rng(cfg["_seed"]), inject=inject)}
+    for name, enabled in cfg["_checks"].items():
         if name in checks and not enabled:
-            checks[name] = dict(checks[name], passed=True, detail="disabled by config",
-                                skipped=True)
-    checks["all_passed"]["passed"] = all(
-        v["passed"] for k, v in checks.items() if k != "all_passed")
-    return checks
+            checks[name].update(passed=True, detail="disabled by config", skipped=True)
+    if oracle_n is not None:
+        checks["cone_oracle"] = cone_oracle_sweep(
+            [oracle_n], 50, np.random.default_rng(cfg["_seed"]))
+    failed = [k for k, v in checks.items() if not v["passed"]]
+    checks["all_passed"] = {"passed": not failed, "value": 0.0, "tolerance": 0.0,
+                            "detail": "conjunction of all checks"}
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "verification.json").write_text(json.dumps(checks, indent=2, sort_keys=True) + "\n")
+    return checks, failed
 
 
 def _pipeline(cfg: dict, n: int):
@@ -188,7 +203,7 @@ def _pipeline(cfg: dict, n: int):
     return x0, u0, cone, timeline, trace
 
 
-def cmd_simulate(cfg: dict, out: Path, strict: bool, inject: str | None) -> int:
+def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     n = cfg.get("n") or cfg["n_list"][0]
     x0, u0, cone, timeline, trace = _pipeline(cfg, n)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,12 +238,8 @@ def cmd_simulate(cfg: dict, out: Path, strict: bool, inject: str | None) -> int:
                               float(atom.x_right[k]), float(atom.lineal_density[k])))
     _write_csv(out / "pressure_atoms.csv",
                ["t_event", "x_left", "x_right", "pressure_lineal_density"], atom_rows)
-    checks = _apply_toggles(
-        run_battery(trace, np.random.default_rng(cfg["_seed"]), inject=inject),
-        cfg["_checks"])
-    (out / "verification.json").write_text(json.dumps(checks, indent=2, sort_keys=True) + "\n")
-    if not checks["all_passed"]["passed"]:
-        failed = [k for k, v in checks.items() if not v["passed"] and k != "all_passed"]
+    checks, failed = _write_verification(cfg, trace, out, inject)
+    if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         for k in failed:
             print(f"  {k}: value={checks[k]['value']:.3e} "
@@ -269,23 +280,10 @@ def cmd_converge(cfg: dict, out: Path, strict: bool, threads: int) -> int:
 
 def cmd_verify(cfg: dict, out: Path, inject: str | None) -> int:
     n = cfg.get("n") or cfg["n_list"][0]
-    _, _, cone, timeline, trace = _pipeline(cfg, n)
-    checks = _apply_toggles(
-        run_battery(trace, np.random.default_rng(cfg["_seed"]), inject=inject),
-        cfg["_checks"])
-    if n <= 12:
-        checks["cone_oracle"] = dict(
-            cone_oracle_sweep([n], 50, np.random.default_rng(cfg["_seed"])),
-        )
-        checks["all_passed"]["passed"] = (checks["all_passed"]["passed"]
-                                          and checks["cone_oracle"]["passed"])
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "verification.json"
-    report_path.write_text(json.dumps(checks, indent=2, sort_keys=True) + "\n")
-    ok = checks["all_passed"]["passed"]
-    failed = [k for k, v in checks.items() if not v["passed"] and k != "all_passed"]
-    print(f"verify: n={n}, {'all checks passed' if ok else 'FAILED: ' + ', '.join(failed)}")
-    return 0 if ok else 2
+    *_, trace = _pipeline(cfg, n)
+    _, failed = _write_verification(cfg, trace, out, inject, n if n <= 12 else None)
+    print(f"verify: n={n}, {'FAILED: ' + ', '.join(failed) if failed else 'all checks passed'}")
+    return 2 if failed else 0
 
 
 def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | None) -> int:
@@ -389,21 +387,21 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON scenario file")
+    for name, text in (("simulate", "run one n and export artifacts"),
+                       ("converge", "self-convergence sweep over n_list"),
+                       ("verify", "run the full invariant battery")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="JSON scenario file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--strict", action="store_true",
-                       help="turn warnings into verification failures")
-        p.add_argument("--inject", choices=FAULTS, default=None,
-                       help="corrupt one check input (negative control)")
         p.add_argument("--threads", type=int,
                        default=int(os.environ.get("CONGESTED_FLOW_THREADS", "1")),
-                       help="worker threads for per-n pipelines")
-
-    add_common(sub.add_parser("simulate", help="run one n and export artifacts"))
-    add_common(sub.add_parser("converge", help="self-convergence sweep over n_list"))
-    add_common(sub.add_parser("verify", help="run the full invariant battery"))
+                       help="worker threads for the per-n pipelines of converge")
+        if name == "converge":
+            p.add_argument("--strict", action="store_true",
+                           help="exit 2 if the sup distances are not decreasing")
+        else:
+            p.add_argument("--inject", choices=FAULTS, default=None,
+                           help="corrupt one check input (negative control)")
     pc = sub.add_parser("selection", help="two-block collision: both closed-form branches and the particle-selected one")
     pc.add_argument("--eta", type=float, default=0.5)
     pc.add_argument("--n", type=int, nargs="+", default=[64])
@@ -417,7 +415,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             cfg = load_config(args.config)
-            return cmd_simulate(cfg, Path(args.out), args.strict, args.inject)
+            return cmd_simulate(cfg, Path(args.out), args.inject)
         if args.command == "converge":
             cfg = load_config(args.config)
             return cmd_converge(cfg, Path(args.out), args.strict, max(1, args.threads))

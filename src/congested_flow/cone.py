@@ -207,88 +207,73 @@ def _blocks_from_mask(n: int, mask: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def qp_oracle_project(cone: SpacingCone, y: np.ndarray, tol: float = 1e-9):
-    """Projection by exhaustive KKT active-set enumeration (ground truth).
+def _kkt_enumerate(cone: SpacingCone, ys: np.ndarray, tol: float):
+    """Exhaustive KKT active-set enumeration for every row of ``ys`` (m, n).
 
-    Solves every equality-constrained candidate (2^(n-1) active sets), keeps
-    the ones that are primal and dual feasible, and returns the optimum with
-    its certificate.  Multipliers satisfy the unscaled stationarity
-    x - y + sum_j lambda_j (e_j - e_{j+1}) = 0.  Intended as an independent
-    check of the PAVA route; n is capped because of the enumeration.
+    Solves every equality-constrained candidate (2^(n-1) active sets) for all
+    rows at once and keeps, per row, the primal and dual feasible candidate of
+    least objective.  Returns the projections (m, n) and their unscaled
+    stationarity multipliers (m, n-1).
     """
     if cone.n > 20:
         raise CapacityError(f"active-set enumeration capped at n=20, got n={cone.n}")
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != cone.n:
+        raise InputDomainError("row length does not match the cone dimension")
+    m, n = ys.shape
+    yts = ys - cone.two_r * np.arange(n)
+    best_x = np.full((m, n), np.nan)
+    best_lam = np.full((m, n - 1), np.nan)
+    best_obj = np.full(m, np.inf)
+    for mask in range(1 << (n - 1)):
+        xts = np.empty_like(yts)
+        for a, b in _blocks_from_mask(n, mask):
+            xts[:, a:b + 1] = yts[:, a:b + 1].mean(axis=1, keepdims=True)
+        # multipliers vanish off the active set by construction (block means);
+        # dual feasibility requires them nonnegative on it
+        lam = -np.cumsum(xts - yts, axis=1)[:, :-1]
+        ok = np.all(xts[:, 1:] - xts[:, :-1] >= -tol, axis=1) & np.all(lam >= -tol, axis=1)
+        if not ok.any():
+            continue
+        obj = np.sum((xts - yts) ** 2, axis=1)
+        better = ok & (obj < best_obj - 1e-15)
+        best_x[better] = xts[better]
+        best_lam[better] = lam[better]
+        best_obj[better] = obj[better]
+    if not np.all(np.isfinite(best_obj)):
+        raise InvariantViolationError("no KKT point found; this cannot happen for a projection")
+    return best_x + cone.two_r * np.arange(n), best_lam
+
+
+def qp_oracle_project(cone: SpacingCone, y: np.ndarray, tol: float = 1e-9):
+    """Projection by exhaustive KKT active-set enumeration (ground truth).
+
+    The batched enumeration on one row, returned with its certificate.
+    Multipliers satisfy the unscaled stationarity
+    x - y + sum_j lambda_j (e_j - e_{j+1}) = 0.  Intended as an independent
+    check of the PAVA route; n is capped because of the enumeration.
+    """
     y = np.asarray(y, dtype=float)
     if y.shape != (cone.n,):
         raise InputDomainError(f"expected shape ({cone.n},), got {y.shape}")
-    n = cone.n
-    yt = cone.translate(y)
-    best = None
-    best_obj = np.inf
-    for mask in range(1 << (n - 1)):
-        blocks = _blocks_from_mask(n, mask)
-        xt = np.empty(n)
-        for a, b in blocks:
-            xt[a:b + 1] = yt[a:b + 1].mean()
-        # primal feasibility on the inactive constraints
-        if np.any(xt[1:] - xt[:-1] < -tol):
-            continue
-        lam = -np.cumsum(xt - yt)[:-1]
-        # multipliers vanish off the active set by construction (block means);
-        # dual feasibility requires them nonnegative on it
-        if lam.size and lam.min() < -tol:
-            continue
-        obj = float(np.sum((xt - yt) ** 2))
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best = (xt, lam, mask)
-    if best is None:
-        raise InvariantViolationError("no KKT point found; this cannot happen for a projection")
-    xt, lam, mask = best
-    x = cone.untranslate(xt)
+    xs, lams = _kkt_enumerate(cone, y[None, :], tol)
+    x, lam = xs[0], lams[0]
     gaps = cone.gaps(x)
     active = np.flatnonzero(np.abs(gaps - cone.two_r) <= tol * (1.0 + np.abs(y).max()))
-    compl = float(np.max(np.abs(lam) * np.abs(gaps - cone.two_r))) if lam.size else 0.0
+    compl = float(np.max(np.abs(lam) * np.abs(gaps - cone.two_r)))
     cert = ConeCertificate(
         lambdas=lam,
         active_set=active,
         max_complementarity_violation=compl,
-        min_lambda=float(lam.min()) if lam.size else 0.0,
+        min_lambda=float(lam.min()),
     )
     return x, cert
 
 
 def qp_oracle_project_many(cone: SpacingCone, ys: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized oracle sweep: project every row of ``ys`` (m, n).
-
-    Same enumeration as qp_oracle_project but batched across instances per
-    active set, for the large randomized equivalence sweeps.
-    """
-    if cone.n > 20:
-        raise CapacityError(f"active-set enumeration capped at n=20, got n={cone.n}")
-    ys = np.asarray(ys, dtype=float)
-    m, n = ys.shape
-    if n != cone.n:
-        raise InputDomainError("row length does not match the cone dimension")
-    yts = ys - cone.two_r * np.arange(n)
-    out = np.full((m, n), np.nan)
-    done = np.zeros(m, dtype=bool)
-    for mask in range(1 << (n - 1)):
-        blocks = _blocks_from_mask(n, mask)
-        xts = np.empty_like(yts)
-        for a, b in blocks:
-            xts[:, a:b + 1] = yts[:, a:b + 1].mean(axis=1, keepdims=True)
-        ok = np.all(xts[:, 1:] - xts[:, :-1] >= -tol, axis=1)
-        lam = -np.cumsum(xts - yts, axis=1)[:, :-1]
-        if lam.shape[1]:
-            ok &= lam.min(axis=1) >= -tol
-        newly = ok & ~done
-        if np.any(newly):
-            out[newly] = xts[newly]
-            done |= newly
-    if not done.all():
-        raise InvariantViolationError("oracle sweep failed to certify some instance")
-    return out + cone.two_r * np.arange(n)
+    """Oracle projection of every row of ``ys`` (m, n), for randomized sweeps."""
+    xs, _ = _kkt_enumerate(cone, ys, tol)
+    return xs
 
 
 def normal_cone_check(cone: SpacingCone, x: np.ndarray, xi: np.ndarray, tol: float = 1e-10) -> ConeCertificate:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import SpacingCone, project_onto_cone, projection_blocks
+from .cone import SpacingCone, project_onto_cone
 from .errors import (
+    AdmissibilityError,
     InputDomainError,
     InvariantViolationError,
     PreconditionError,
@@ -38,6 +39,7 @@ __all__ = [
     "MultiplierVector",
     "PressureMeasure",
     "CheckReport",
+    "validate_initial",
     "trajectory_at",
     "evolve",
     "multipliers_at",
@@ -144,6 +146,17 @@ class PressureMeasure:
         return sum(float(prof.lambdas.sum()) / self.n for _, prof in self.atoms)
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of a single invariant check."""
+
+    name: str
+    passed: bool
+    value: float
+    tolerance: float
+    detail: str = ""
+
+
 def _block_means(u0: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Mean of u0 over each block given block start indices (last block to end).
 
@@ -159,54 +172,55 @@ def _block_means(u0: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _contact_blocks(x: np.ndarray, two_r: float, tol: float) -> list[tuple[int, int]]:
-    """Maximal runs of particles whose adjacent gaps sit at two_r within tol."""
-    gaps = x[1:] - x[:-1]
-    blocks = []
-    a = 0
-    for j in range(gaps.size):
-        if gaps[j] - two_r > tol:
-            blocks.append((a, j))
-            a = j + 1
-    blocks.append((a, x.size - 1))
-    return blocks
+def _contact_starts(x: np.ndarray, two_r: float, tol: float) -> np.ndarray:
+    """First indices of the maximal runs whose adjacent gaps sit at two_r within tol."""
+    return np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] - two_r > tol)))
 
 
-def _merge_touching(x: np.ndarray, starts: np.ndarray, two_r: float, tol: float) -> np.ndarray:
-    """Coalesce adjacent pooled blocks whose boundary gap equals two_r within tol.
+def _cluster_state(t: float, x: np.ndarray, u0: np.ndarray, starts: np.ndarray,
+                   cone: SpacingCone) -> MicroState:
+    """State with clusters beginning at ``starts``, each moving with its mean of u0."""
+    bounds = np.append(starts, cone.n)
+    blocks = tuple(zip(starts.tolist(), (bounds[1:] - 1).tolist()))
+    u = np.repeat(_block_means(u0, starts), np.diff(bounds))
+    return MicroState(float(t), x, u, ClusterPartition(blocks), cone)
 
-    Keeps the projection state right-continuous at collision instants, where
-    the pooled structure touches without yet overlapping.
+
+def validate_initial(x0, u0, cone: SpacingCone, tol: float = CONTACT_RTOL) -> CheckReport:
+    """Feasibility and contact/velocity compatibility of a discrete datum.
+
+    A gap within tol * (1 + max|x0|) of two_r is a contact, and the pair it
+    joins must move with velocities equal within tol * (1 + max|u0|).
+    Raises InputDomainError unless x0 and u0 have the cone dimension.
     """
-    keep = [0]
-    for k in range(1, starts.size):
-        j = starts[k]
-        if x[j] - x[j - 1] - two_r > tol:
-            keep.append(k)
-    return starts[keep]
-
-
-def validate_datum(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone,
-                   tol: float | None = None) -> None:
-    """Raise unless (x0, u0) is an admissible initial datum for the cone."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     if x0.shape != (cone.n,) or u0.shape != (cone.n,):
         raise InputDomainError("x0 and u0 must have the cone dimension")
-    rtol = tol if tol is not None else CONTACT_RTOL
-    postol = rtol * _scale(x0)
-    veltol = rtol * _scale(u0)
-    if cone.feasibility_violation(x0) > postol:
-        raise PreconditionError("x0 violates the minimal spacing constraint")
-    gaps = x0[1:] - x0[:-1]
-    contact = gaps - cone.two_r <= postol
-    dv = np.abs(u0[1:] - u0[:-1])
-    bad = contact & (dv > veltol)
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        raise PreconditionError(
-            f"contacting pair ({j}, {j + 1}) has velocity mismatch {dv[j]:.3e}"
-        )
+    postol = tol * _scale(x0)
+    slack = x0[1:] - x0[:-1] - cone.two_r
+    worst_gap = float(np.min(slack))
+    contact = slack <= postol
+    worst_shear = float(np.max(np.where(contact, np.abs(u0[1:] - u0[:-1]), 0.0)))
+    feasible = worst_gap >= -postol
+    compatible = worst_shear <= tol * _scale(u0)
+    return CheckReport(
+        "initial_datum",
+        feasible and compatible,
+        max(-worst_gap, worst_shear),
+        tol,
+        f"min gap slack={worst_gap:.3e}, max contact shear={worst_shear:.3e}",
+    )
+
+
+def _admissible(x0, u0, cone: SpacingCone) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, u0) as float arrays; raises AdmissibilityError if validate_initial fails."""
+    x0 = np.asarray(x0, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
+    report = validate_initial(x0, u0, cone)
+    if not report.passed:
+        raise AdmissibilityError(f"inadmissible initial datum: {report.detail}")
+    return x0, u0
 
 
 def trajectory_at(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, t: float) -> MicroState:
@@ -219,18 +233,10 @@ def trajectory_at(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, t: float) -
     """
     if t < 0.0:
         raise InputDomainError(f"time must be nonnegative, got {t}")
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    validate_datum(x0, u0, cone)
-    y = x0 + t * u0
-    x, starts = projection_blocks(cone, y)
-    tol = CONTACT_RTOL * _scale(x)
-    starts = _merge_touching(x, starts, cone.two_r, tol)
-    means = _block_means(u0, starts)
-    bounds = np.append(starts, cone.n)
-    u = np.repeat(means, np.diff(bounds))
-    blocks = tuple((int(bounds[k]), int(bounds[k + 1] - 1)) for k in range(starts.size))
-    return MicroState(float(t), x, u, ClusterPartition(blocks), cone)
+    x0, u0 = _admissible(x0, u0, cone)
+    x = project_onto_cone(cone, x0 + t * u0)
+    starts = _contact_starts(x, cone.two_r, CONTACT_RTOL * _scale(x))
+    return _cluster_state(t, x, u0, starts, cone)
 
 
 class _Clusters:
@@ -296,12 +302,12 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     """
     if horizon < 0.0:
         raise InputDomainError(f"horizon must be nonnegative, got {horizon}")
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    validate_datum(x0, u0, cone)
+    x0, u0 = _admissible(x0, u0, cone)
     n = cone.n
     tol_gap = CONTACT_RTOL * _scale(x0)
-    blocks = _contact_blocks(x0, cone.two_r, tol_gap)
+    starts = _contact_starts(x0, cone.two_r, tol_gap)
+    initial = _cluster_state(0.0, x0.copy(), u0, starts, cone)
+    blocks = initial.partition.blocks
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
 
     def range_mean(a, b):
@@ -311,8 +317,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
 
     jump_floor = -1e-12 * _scale(u0)
     cl = _Clusters(x0, blocks, cone.two_r)
-    for k in range(len(blocks)):
-        cl.v[k] = range_mean(cl.start[k], cl.end[k])
+    cl.v = initial.velocities[starts].tolist()
 
     heap: list[tuple[float, int, int, int]] = []
     counter = 0
@@ -408,12 +413,8 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             push_candidate(cl.prev[m], m, t_e)
             push_candidate(m, cl.next[m], t_e)
 
-    block_tuple = tuple((int(a), int(b)) for a, b in blocks)
-    u_init = np.repeat([range_mean(a, b) for a, b in blocks],
-                       [b - a + 1 for a, b in blocks])
-    initial = MicroState(0.0, x0.copy(), u_init, ClusterPartition(block_tuple), cone)
     return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(),
-                         block_tuple, tuple(events), initial)
+                         blocks, tuple(events), initial)
 
 
 @dataclass(frozen=True)
@@ -521,17 +522,6 @@ def pressure_measure(timeline: EventTimeline) -> PressureMeasure:
             raise InvariantViolationError("negative pressure atom profile")
         atoms.append((e.time, e.dense_jump(timeline.n)))
     return PressureMeasure(timeline.n, tuple(atoms))
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a single invariant check."""
-
-    name: str
-    passed: bool
-    value: float
-    tolerance: float
-    detail: str = ""
 
 
 def verify_complementarity(state: MicroState, mult: MultiplierVector,

@@ -27,8 +27,6 @@ __all__ = [
     "DeltaPadding",
     "FieldTrace",
     "build_fields",
-    "field_norm",
-    "field_distance",
     "verify_discrete_pde",
     "oleinik_field_check",
     "pressure_mass_bound",
@@ -137,25 +135,10 @@ class FieldTrace:
             return PiecewiseField.constant(self.w_grid, snap.lam[:-1])
         raise InputDomainError(f"unknown kind {kind!r}")
 
-    def atom_profile_field(self, k: int) -> PiecewiseField:
-        """Affine interpolant of the k-th pressure atom's nodal jumps."""
-        _, dlam = self.atoms[k]
-        return PiecewiseField.from_nodes(self.w_grid, dlam)
-
 
 def build_fields(timeline: EventTimeline, padding: DeltaPadding = DeltaPadding()) -> FieldTrace:
     """Lift a timeline to its Lagrangian interpolations (lazy views)."""
     return FieldTrace(timeline, padding)
-
-
-def field_norm(field: PiecewiseField, which: str) -> float:
-    """Exact per-cell norm of a piecewise field: 'L1', 'L2', 'Linf' or 'BV'."""
-    return field.norm(which)
-
-
-def field_distance(field_a: PiecewiseField, field_b: PiecewiseField, which: str) -> float:
-    """Exact norm of the difference evaluated on the merged breakpoint grid."""
-    return field_a.distance(field_b, which)
 
 
 def verify_discrete_pde(trace: FieldTrace, tol: float = 1e-10) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import SpacingCone
-from .dynamics import CheckReport
+from .dynamics import validate_initial
 from .errors import AdmissibilityError, InputDomainError
 from .piecewise import PiecewiseField, merge_breaks
 
@@ -27,7 +27,6 @@ __all__ = [
     "cdf_from_density",
     "datum_from_eulerian",
     "quantile_sample",
-    "validate_initial",
     "discretization_convergence",
 ]
 
@@ -189,31 +188,10 @@ def quantile_sample(datum: MacroscopicDatum, n: int):
     x0 = datum.x0_map(w, side="left")
     u0 = datum.u0_map(w, side="left")
     cone = SpacingCone.canonical(n)
-    report = validate_initial(x0, u0, cone, tol=1e-12)
+    report = validate_initial(x0, u0, cone)
     if not report.passed:
         raise AdmissibilityError(f"sampled datum is inadmissible: {report.detail}")
     return x0, u0, cone
-
-
-def validate_initial(x0, u0, cone: SpacingCone, tol: float = 1e-12) -> CheckReport:
-    """Feasibility and contact/velocity compatibility of a discrete datum."""
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    scale_x = 1.0 + float(np.max(np.abs(x0)))
-    gaps = x0[1:] - x0[:-1]
-    worst_gap = float(np.min(gaps - cone.two_r)) if gaps.size else 0.0
-    contact = gaps - cone.two_r <= tol * scale_x
-    dv = np.abs(u0[1:] - u0[:-1])
-    worst_shear = float(np.max(np.where(contact, dv, 0.0))) if gaps.size else 0.0
-    feasible = worst_gap >= -tol * scale_x
-    compatible = worst_shear <= tol * (1.0 + float(np.max(np.abs(u0))))
-    return CheckReport(
-        "initial_datum",
-        feasible and compatible,
-        max(-worst_gap, worst_shear),
-        tol,
-        f"min gap slack={worst_gap:.3e}, max contact shear={worst_shear:.3e}",
-    )
 
 
 def discretization_convergence(datum: MacroscopicDatum, n_list) -> list[dict]:

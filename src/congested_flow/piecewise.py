@@ -68,9 +68,6 @@ class PiecewiseField:
         """Discontinuities across the interior breakpoints (length npieces-1)."""
         return self.left[1:] - self.right[:-1]
 
-    def is_continuous(self, tol: float = 0.0) -> bool:
-        return self.npieces == 1 or bool(np.all(np.abs(self.jumps()) <= tol))
-
     # -- evaluation --------------------------------------------------------
 
     def _piece_index(self, w: np.ndarray, side: str) -> np.ndarray:

@@ -104,12 +104,6 @@ class AnalyticSolution:
             out = np.where(mask, np.polyval(coeffs, w), out)
         return out
 
-    def atom_profile_field(self, nodes: int = 512) -> PiecewiseField:
-        """Piecewise-affine sampling of the profile (exact for the sticky tent)."""
-        w = np.linspace(0.0, 1.0, nodes + 1)
-        w = np.unique(np.concatenate((w, [0.5])))
-        return PiecewiseField.from_nodes(w, self.atom_profile(w))
-
     def profile_min(self) -> float:
         w = np.linspace(0.0, 1.0, 4097)
         return float(np.min(self.atom_profile(w)))

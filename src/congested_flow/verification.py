@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cone import SpacingCone, project_onto_cone, qp_oracle_project
+from .cone import SpacingCone, project_onto_cone, qp_oracle_project, qp_oracle_project_many
 from .dynamics import (
+    CheckReport,
     active_set_monotone,
     multipliers_at,
     pressure_measure,
@@ -39,11 +40,13 @@ TOL_MIN_LAMBDA = 1e-12
 TOL_SEMIGROUP = 1e-9
 TOL_MOMENTUM_PER_N = 1e-12
 TOL_WEAK_RESIDUAL = 1e-8
+# instants, strictly inside (0, horizon), at which the state checks run
+SAMPLE_COUNT = 12
 
 
-def _sample_times(horizon: float, count: int, events: np.ndarray) -> np.ndarray:
-    """Sample instants avoiding the event times themselves."""
-    ts = np.linspace(0.0, horizon, count + 2)[1:-1]
+def _sample_times(horizon: float, events: np.ndarray) -> np.ndarray:
+    """SAMPLE_COUNT instants avoiding the event times themselves."""
+    ts = np.linspace(0.0, horizon, SAMPLE_COUNT + 2)[1:-1]
     if events.size:
         near = np.min(np.abs(ts[:, None] - events[None, :]), axis=1)
         ts = ts + np.where(near < 1e-9, 3e-9, 0.0)
@@ -51,9 +54,8 @@ def _sample_times(horizon: float, count: int, events: np.ndarray) -> np.ndarray:
 
 
 def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
-                sample_count: int = 12, weak_residuals: bool = True,
-                inject: str | None = None) -> dict:
-    """Run every check on a simulated trace; returns {check: report-dict}.
+                inject: str | None = None) -> list[CheckReport]:
+    """Run every check on a simulated trace; returns one report per check, in order.
 
     ``inject`` corrupts the input of exactly one check (negative control):
     "negative-lambda", "energy-bump" or "stale-density".
@@ -63,8 +65,8 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     cone = timeline.cone
     horizon = timeline.horizon
     events = timeline.event_times()
-    ts = _sample_times(horizon, sample_count, events)
-    checks: dict[str, dict] = {}
+    ts = _sample_times(horizon, events)
+    reports: list[CheckReport] = []
 
     compl_worst = None
     oleinik_worst = None
@@ -84,32 +86,23 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             if oleinik_worst is None or rep_o.value > oleinik_worst.value:
                 oleinik_worst = rep_o
         momentum_err = max(momentum_err, abs(float(np.sum(st.velocities)) - sum_u0))
-    checks["complementarity"] = {
-        "passed": compl_worst.passed, "value": compl_worst.value,
-        "tolerance": TOL_COMPLEMENTARITY, "detail": compl_worst.detail,
-    }
-    checks["oleinik"] = {
-        "passed": oleinik_worst is None or oleinik_worst.passed,
-        "value": 0.0 if oleinik_worst is None else oleinik_worst.value,
-        "tolerance": 1.0,
-        "detail": "strict one-sided slope bound at sampled times",
-    }
-    checks["momentum_conservation"] = {
-        "passed": momentum_err <= TOL_MOMENTUM_PER_N * timeline.n,
-        "value": momentum_err, "tolerance": TOL_MOMENTUM_PER_N * timeline.n,
-        "detail": "max |sum u(t) - sum u0| over sampled times",
-    }
+    reports.append(compl_worst)
+    reports.append(CheckReport(
+        "oleinik", oleinik_worst is None or oleinik_worst.passed,
+        0.0 if oleinik_worst is None else oleinik_worst.value, 1.0,
+        "strict one-sided slope bound at sampled times"))
+    tol_momentum = TOL_MOMENTUM_PER_N * timeline.n
+    reports.append(CheckReport(
+        "momentum_conservation", momentum_err <= tol_momentum, momentum_err, tol_momentum,
+        "max |sum u(t) - sum u0| over sampled times"))
 
     est = verify_estimates(timeline)
+    passed = est["passed"]
     if inject == "energy-bump":
-        est = dict(est)
-        est["passed"] = est["final_energy"] + 1.0 <= est["initial_energy"]
-    checks["energy_dissipation"] = {
-        "passed": est["passed"],
-        "value": est["final_energy"] - est["initial_energy"],
-        "tolerance": 0.0,
-        "detail": f"energy {est['initial_energy']:.6g} -> {est['final_energy']:.6g}",
-    }
+        passed = est["final_energy"] + 1.0 <= est["initial_energy"]
+    reports.append(CheckReport(
+        "energy_dissipation", passed, est["final_energy"] - est["initial_energy"], 0.0,
+        f"energy {est['initial_energy']:.6g} -> {est['final_energy']:.6g}"))
 
     worst_sg = None
     if horizon > 0.0:
@@ -120,26 +113,21 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             rep = verify_semigroup(timeline, float(s), float(t), TOL_SEMIGROUP)
             if worst_sg is None or rep.value > worst_sg.value:
                 worst_sg = rep
-    checks["semigroup"] = {
-        "passed": worst_sg is None or worst_sg.passed,
-        "value": 0.0 if worst_sg is None else worst_sg.value,
-        "tolerance": TOL_SEMIGROUP,
-        "detail": "restart identity on 20 random (s, t) pairs",
-    }
+    reports.append(CheckReport(
+        "semigroup", worst_sg is None or worst_sg.passed,
+        0.0 if worst_sg is None else worst_sg.value, TOL_SEMIGROUP,
+        "restart identity on 20 random (s, t) pairs"))
 
-    checks["active_set_monotone"] = {
-        "passed": active_set_monotone(timeline), "value": float(len(timeline.events)),
-        "tolerance": 0.0, "detail": "contact set nondecreasing along events",
-    }
+    reports.append(CheckReport(
+        "active_set_monotone", active_set_monotone(timeline), float(len(timeline.events)),
+        0.0, "contact set nondecreasing along events"))
 
     pde = verify_discrete_pde(trace)
-    checks["discrete_pde"] = {
-        "passed": pde["passed"],
-        "value": max(pde["order1_max_residual"], pde["order2_max_residual"],
-                     pde["multiplier_exclusion_max"], pde["atom_exclusion_max"]),
-        "tolerance": pde["tolerance"],
-        "detail": "interpolated order-1/order-2 systems and exclusion relations",
-    }
+    reports.append(CheckReport(
+        "discrete_pde", pde["passed"],
+        max(pde["order1_max_residual"], pde["order2_max_residual"],
+            pde["multiplier_exclusion_max"], pde["atom_exclusion_max"]),
+        pde["tolerance"], "interpolated order-1/order-2 systems and exclusion relations"))
 
     field_ole_ok = True
     field_ole_val = 0.0
@@ -149,10 +137,9 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
         rep = oleinik_field_check(trace, float(t))
         field_ole_ok &= rep["passed"]
         field_ole_val = max(field_ole_val, rep["max_ratio"])
-    checks["oleinik_field"] = {
-        "passed": bool(field_ole_ok), "value": field_ole_val, "tolerance": 1.0,
-        "detail": "field-level slope bound and L1 gradient bound",
-    }
+    reports.append(CheckReport(
+        "oleinik_field", bool(field_ole_ok), field_ole_val, 1.0,
+        "field-level slope bound and L1 gradient bound"))
 
     # Eulerian reconstruction
     measure = pressure_measure(timeline)
@@ -188,21 +175,18 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             compl_e_ok &= rep.passed
         if st.time > 0.0:
             ole_e_ok &= oleinik_eulerian(snap).passed
-    checks["eulerian_reconstruction"] = {
-        "passed": bool(mass_err <= 1e-12 and density_excess <= density_tol
-                       and contact_density_err <= density_tol),
-        "value": max(mass_err, density_excess, contact_density_err),
-        "tolerance": density_tol,
-        "detail": "mass 1, density <= 1, contact cells at density 1",
-    }
-    checks["eulerian_complementarity"] = {
-        "passed": bool(compl_e_ok), "value": 0.0 if compl_e_ok else 1.0,
-        "tolerance": 1e-10, "detail": "pressure atoms supported in saturated cells",
-    }
-    checks["eulerian_oleinik"] = {
-        "passed": bool(ole_e_ok), "value": 0.0 if ole_e_ok else 1.0,
-        "tolerance": 1.0, "detail": "Eulerian slope bound at sampled times",
-    }
+    reports.append(CheckReport(
+        "eulerian_reconstruction",
+        bool(mass_err <= 1e-12 and density_excess <= density_tol
+             and contact_density_err <= density_tol),
+        max(mass_err, density_excess, contact_density_err), density_tol,
+        "mass 1, density <= 1, contact cells at density 1"))
+    reports.append(CheckReport(
+        "eulerian_complementarity", bool(compl_e_ok), 0.0 if compl_e_ok else 1.0, 1e-10,
+        "pressure atoms supported in saturated cells"))
+    reports.append(CheckReport(
+        "eulerian_oleinik", bool(ole_e_ok), 0.0 if ole_e_ok else 1.0, 1.0,
+        "Eulerian slope bound at sampled times"))
 
     w2_ok = True
     w2_val = 0.0
@@ -212,31 +196,20 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             rep = wasserstein_time_modulus(trace, float(s), float(t))
             w2_ok &= rep["passed"]
             w2_val = max(w2_val, rep["modulus"])
-    checks["wasserstein_modulus"] = {
-        "passed": bool(w2_ok), "value": w2_val, "tolerance": 0.0,
-        "detail": "W2 time modulus below the velocity-integral bound",
-    }
+    reports.append(CheckReport(
+        "wasserstein_modulus", bool(w2_ok), w2_val, 0.0,
+        "W2 time modulus below the velocity-integral bound"))
 
-    if weak_residuals:
-        suite = weak_residual_suite(trace, tol=TOL_WEAK_RESIDUAL)
-        checks["weak_residuals"] = {
-            "passed": suite["passed"], "value": suite["max_abs_residual"],
-            "tolerance": suite["tolerance"],
-            "detail": f"mass/momentum residuals over {suite['count']} test functions",
-        }
-
-    checks["all_passed"] = {
-        "passed": all(v["passed"] for k, v in checks.items()),
-        "value": 0.0, "tolerance": 0.0, "detail": "conjunction of all checks",
-    }
-    return checks
+    suite = weak_residual_suite(trace, tol=TOL_WEAK_RESIDUAL)
+    reports.append(CheckReport(
+        "weak_residuals", suite["passed"], suite["max_abs_residual"], suite["tolerance"],
+        f"mass/momentum residuals over {suite['count']} test functions"))
+    return reports
 
 
 def cone_oracle_sweep(n_values, instances: int, rng: np.random.Generator,
                       tol: float = 1e-9) -> dict:
     """Randomized equivalence of the PAVA projection and the KKT oracle."""
-    from .cone import qp_oracle_project_many
-
     worst = 0.0
     worst_cert = 0.0
     total = 0

@@ -110,8 +110,9 @@ def test_criterion_3_invariant_battery():
     assert TOL_SEMIGROUP == 1e-9
     assert TOL_MOMENTUM_PER_N == 1e-12
     for name, trace in battery_runs():
-        checks = run_battery(trace, np.random.default_rng(5))
-        failed = [k for k, v in checks.items() if not v["passed"]]
+        reports = run_battery(trace, np.random.default_rng(5))
+        assert len(reports) == 13
+        failed = [r.name for r in reports if not r.passed]
         assert not failed, f"{name}: {failed}"
         # lambda_n == 0 and min lambda >= -1e-12 at sampled states
         tl = trace.timeline
@@ -246,9 +247,9 @@ def test_criterion_9_performance():
     datum = two_block_datum(0.5)
     x0, u0, cone = quantile_sample(datum, 10_000)
     trace = build_fields(evolve(x0, u0, cone, 1.0))
-    checks = run_battery(trace, np.random.default_rng(0))
+    reports = run_battery(trace, np.random.default_rng(0))
     pipeline = time.perf_counter() - t0
-    assert checks["all_passed"]["passed"]
+    assert all(r.passed for r in reports)
     assert pipeline < 5.0
     print(PASS.format(k=9, msg=f"projection {[f'{n}:{p:.3f}s' for n, p in timings]}, "
                                f"pipeline n=1e4 in {pipeline:.2f}s"))

@@ -141,6 +141,17 @@ def test_selection_command(tmp_path):
     assert profiles[0] == "n,w,simulated_jump,analytic_profile"
 
 
+def test_flags_a_command_ignored_are_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for argv in (["simulate", "--strict"], ["verify", "--strict"],
+                 ["converge", "--inject", "negative-lambda"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_selection_rejects_bad_eta(capsys):
     assert main(["selection", "--eta", "1.5", "--n", "16"]) == 1
 

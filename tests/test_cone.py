@@ -191,6 +191,9 @@ def test_oracle_equivalence_sweep_small():
         for row in range(ys.shape[0]):
             x = project_onto_cone(cone, ys[row])
             assert np.max(np.abs(x - ref[row])) <= 1e-9
+            # the single-row oracle is the batched enumeration on that row
+            x_one, _ = qp_oracle_project(cone, ys[row])
+            np.testing.assert_array_equal(x_one, ref[row])
 
 
 def test_normal_cone_zero_vector_passes():

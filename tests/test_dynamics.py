@@ -21,6 +21,7 @@ from congested_flow.dynamics import (
     verify_semigroup,
 )
 from congested_flow.errors import (
+    AdmissibilityError,
     InputDomainError,
     InvariantViolationError,
     PreconditionError,
@@ -64,8 +65,15 @@ def test_trajectory_preconditions():
         trajectory_at(X2, U2, TWO, -0.1)
     with pytest.raises(PreconditionError):
         trajectory_at(np.array([0.0, 0.5]), U2, TWO, 0.1)  # infeasible
-    with pytest.raises(PreconditionError):
+    with pytest.raises(AdmissibilityError):
         trajectory_at(np.array([0.0, 1.0]), U2, TWO, 0.1)  # shear at contact
+    with pytest.raises(AdmissibilityError):
+        evolve(np.array([0.0, 1.0]), U2, TWO, 1.0)
+    with pytest.raises(AdmissibilityError):  # shear across a contact at a large offset
+        evolve(np.array([0.0, 1.0, 3.0]) + 1e6, np.array([0.5, 0.5 + 1e-3, 0.0]),
+               SpacingCone(3, 1.0), 1.0)
+    with pytest.raises(InputDomainError):
+        evolve(X2, np.zeros(3), TWO, 1.0)
 
 
 def test_evolve_single_event():
@@ -99,6 +107,32 @@ def test_evolve_matches_projection_formula(contacts):
     for t, st in zip(times, tl.iter_states(times)):
         ref = trajectory_at(x0, u0, cone, float(t))
         assert np.max(np.abs(ref.positions - st.positions)) <= 1e-9
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_routes_agree_on_partitions_at_and_before_events(offset):
+    rng = np.random.default_rng(22)
+    x0, u0, cone = random_admissible_datum(80, rng, contacts=True)
+    x0 = x0 + offset
+    tl = evolve(x0, u0, cone, 3.0)
+    te = tl.event_times()
+    assert te.size > 5
+    before = np.nextafter(te, -np.inf)
+    times = np.sort(np.concatenate((np.linspace(0.0, 3.0, 17), te, before)))
+    post = dict(zip(te.tolist(), tl.states_at(te)))
+    for t, st in zip(times, tl.iter_states(times)):
+        ref = trajectory_at(x0, u0, cone, float(t))
+        scale = 1.0 + np.max(np.abs(ref.positions))
+        assert np.max(np.abs(ref.positions - st.positions)) <= 1e-12 * scale
+        if t in before and t not in post:
+            # a gap within CONTACT_RTOL of two_r already counts as a contact on
+            # the projection route, so one ulp early it shows the merged blocks
+            after = post[float(te[np.searchsorted(before, t)])]
+            assert ref.partition.blocks == after.partition.blocks
+            assert st.partition.blocks != after.partition.blocks
+        else:
+            assert ref.partition.blocks == st.partition.blocks
+            np.testing.assert_array_equal(ref.velocities, st.velocities)
 
 
 def dict_registry_states(tl, times):

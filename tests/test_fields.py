@@ -10,8 +10,6 @@ from congested_flow.fields import (
     DeltaPadding,
     build_fields,
     convergence_study,
-    field_distance,
-    field_norm,
     oleinik_field_check,
     pressure_mass_bound,
     verify_discrete_pde,
@@ -72,10 +70,10 @@ def test_padding_must_be_positive():
 
 def test_field_norms_trivial_cases():
     const = PiecewiseField.constant(np.array([0.0, 1.0]), np.array([-3.0]))
-    assert field_norm(const, "L2") == 3.0
-    assert field_norm(const, "BV") == 0.0
+    assert const.norm("L2") == 3.0
+    assert const.norm("BV") == 0.0
     ident = PiecewiseField.from_nodes(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    assert field_norm(ident, "BV") == 1.0
+    assert ident.norm("BV") == 1.0
 
 
 def test_field_norms_against_riemann_oracle():
@@ -105,8 +103,7 @@ def test_pc_vs_affine_l1_identity():
     trace = build_fields(evolve(x0, u0, cone, 1.5))
     for t in (0.0, 0.8, 1.5):
         snap = trace.snapshot(t)
-        d = field_distance(trace.position_field(t, "pc"),
-                           trace.position_field(t, "affine"), "L1")
+        d = trace.position_field(t, "pc").distance(trace.position_field(t, "affine"), "L1")
         expected = (snap.x_nodes[-1] - snap.x_nodes[0]) / (2.0 * trace.n)
         assert d == pytest.approx(expected, rel=1e-12)
 
@@ -115,8 +112,8 @@ def test_pc_vs_affine_multiplier_sup_bound():
     trace = two_particle_trace()
     for t in (0.6, 1.2):
         snap = trace.snapshot(t)
-        d = field_distance(trace.multiplier_field(t, "pc"),
-                           trace.multiplier_field(t, "affine"), "Linf")
+        d = trace.multiplier_field(t, "pc").distance(trace.multiplier_field(t, "affine"),
+                                                     "Linf")
         assert d <= np.max(np.abs(np.diff(snap.lam))) + 1e-15
 
 
@@ -171,7 +168,7 @@ def test_fictitious_particle_gap_constant():
 def test_field_distance_identical_traces_zero():
     trace = two_particle_trace()
     f = trace.position_field(0.7, "affine")
-    assert field_distance(f, f, "L2") == 0.0
+    assert f.distance(f, "L2") == 0.0
 
 
 def test_convergence_study_two_block_monotone():

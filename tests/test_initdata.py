@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from congested_flow.cone import SpacingCone
+from congested_flow.dynamics import validate_initial
 from congested_flow.errors import AdmissibilityError, InputDomainError
 from congested_flow.initdata import (
     MacroscopicDatum,
@@ -12,7 +13,6 @@ from congested_flow.initdata import (
     discretization_convergence,
     quantile_sample,
     rearrangement_from_density,
-    validate_initial,
 )
 from congested_flow.piecewise import PiecewiseField
 
@@ -121,6 +121,10 @@ def test_validate_initial_reports():
     assert dense.passed
     shear = validate_initial(np.array([0.0, 1 / 3, 2 / 3]), np.array([0.2, 0.3, 0.2]), cone)
     assert not shear.passed
+    with pytest.raises(InputDomainError):
+        validate_initial(np.array([0.0, 0.5]), np.zeros(2), cone)
+    with pytest.raises(InputDomainError):
+        validate_initial(np.array([0.0, 0.5, 1.0]), np.zeros(4), cone)
 
 
 def test_discretization_convergence_identity_exact_on_grid():
