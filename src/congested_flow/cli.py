@@ -31,7 +31,7 @@ from .piecewise import PiecewiseField
 from .random_data import random_admissible_datum, random_projection_input
 from .scenarios import selection_test, sticky_solution, rebound_solution, two_block_datum
 from .testfunctions import build_test_family
-from .verification import cone_oracle_sweep, run_battery
+from .verification import CHECK_NAMES, cone_oracle_sweep, run_battery
 
 __all__ = ["main", "load_config"]
 
@@ -165,6 +165,9 @@ def load_config(path: str) -> dict:
     toggles = cfg.get("checks", {})
     if not isinstance(toggles, dict) or any(not isinstance(v, bool) for v in toggles.values()):
         raise ConfigError("checks: need a {check_name: bool} object")
+    for name in toggles:
+        if name not in CHECK_NAMES and name != "cone_oracle":
+            raise ConfigError(f"checks.{name}: unknown check")
     cfg["_checks"] = toggles
     return cfg
 
@@ -173,20 +176,20 @@ def _write_verification(cfg: dict, trace, out: Path, inject: str | None,
                         oracle_n: int | None = None) -> tuple[dict, list[str]]:
     """Run the battery, apply the config toggles and write verification.json.
 
-    A disabled check is reported as passed and marked skipped.  With
-    ``oracle_n`` the KKT-oracle sweep at that n is added after the toggles.
-    Returns the report and the names of the failed checks; ``all_passed``
-    holds when there are none.
+    With ``oracle_n`` the KKT-oracle sweep at that n is added as
+    ``cone_oracle``.  A disabled check, the oracle included, is reported as
+    passed and marked skipped.  Returns the report and the names of the
+    failed checks; ``all_passed`` holds when there are none.
     """
     checks = {r.name: {"passed": r.passed, "value": r.value, "tolerance": r.tolerance,
                        "detail": r.detail}
               for r in run_battery(trace, np.random.default_rng(cfg["_seed"]), inject=inject)}
-    for name, enabled in cfg["_checks"].items():
-        if name in checks and not enabled:
-            checks[name].update(passed=True, detail="disabled by config", skipped=True)
     if oracle_n is not None:
         checks["cone_oracle"] = cone_oracle_sweep(
             [oracle_n], 50, np.random.default_rng(cfg["_seed"]))
+    for name, enabled in cfg["_checks"].items():
+        if name in checks and not enabled:
+            checks[name].update(passed=True, detail="disabled by config", skipped=True)
     failed = [k for k, v in checks.items() if not v["passed"]]
     checks["all_passed"] = {"passed": not failed, "value": 0.0, "tolerance": 0.0,
                             "detail": "conjunction of all checks"}
@@ -299,9 +302,8 @@ def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | Non
     fns = build_test_family(fam_lo, fam_hi, horizon)
     branch_rows = []
     for sol in (sticky, rebound):
-        form = sol.weak_form(horizon)
-        worst = max(max(abs(form.mass_residual(f)) for f in fns),
-                    max(abs(form.momentum_residual(f)) for f in fns))
+        mass, mom = sol.weak_form(horizon).family_residuals(fns)
+        worst = max(max(abs(r) for r in mass), max(abs(r) for r in mom))
         branch_rows.append({
             "branch": sol.branch,
             "max_weak_residual": worst,

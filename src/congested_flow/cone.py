@@ -76,9 +76,6 @@ class SpacingCone:
         g = self.gaps(x)
         return float(max(0.0, np.max(self.two_r - g))) if g.size else 0.0
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return self.feasibility_violation(x) <= tol
-
 
 @dataclass
 class ConeCertificate:
@@ -157,10 +154,7 @@ def isotonic_blocks(y: np.ndarray, weights: np.ndarray | None = None):
     """
     y, w = _check_isotonic_input(y, weights)
     starts, means = _pava(y, w)
-    x = np.empty_like(y)
-    bounds = np.append(starts, y.size)
-    for k in range(starts.size):
-        x[bounds[k]:bounds[k + 1]] = means[k]
+    x = np.repeat(means, np.diff(np.append(starts, y.size)))
     return x, starts, means
 
 

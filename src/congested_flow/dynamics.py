@@ -45,6 +45,7 @@ __all__ = [
     "multipliers_at",
     "pressure_measure",
     "verify_complementarity",
+    "max_slope_ratio",
     "verify_oleinik",
     "verify_semigroup",
     "verify_estimates",
@@ -537,13 +538,18 @@ def verify_complementarity(state: MicroState, mult: MultiplierVector,
                        f"max lam*slack={compl:.3e}, min lam={min_lam:.3e}")
 
 
+def max_slope_ratio(t: float, x: np.ndarray, u: np.ndarray) -> float:
+    """Largest t * (u_i - u_{i-1}) / (x_i - x_{i-1}) over adjacent nodes; 0 for one node."""
+    du = u[1:] - u[:-1]
+    dx = x[1:] - x[:-1]
+    return float(np.max(t * du / dx)) if du.size else 0.0
+
+
 def verify_oleinik(state: MicroState) -> CheckReport:
     """One-sided slope bound t * (u_i - u_{i-1}) / (x_i - x_{i-1}) < 1, strictly."""
     if state.time <= 0.0:
         raise PreconditionError("the Oleinik estimate is vacuous at t = 0")
-    du = state.velocities[1:] - state.velocities[:-1]
-    dx = state.positions[1:] - state.positions[:-1]
-    ratio = float(np.max(state.time * du / dx)) if du.size else 0.0
+    ratio = max_slope_ratio(state.time, state.positions, state.velocities)
     return CheckReport("oleinik", ratio < 1.0, ratio, 1.0,
                        f"max t*du/dx = {ratio:.6f}")
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CheckReport, MicroState, PressureMeasure
+from .dynamics import CheckReport, MicroState, PressureMeasure, max_slope_ratio
 from .cone import SpacingCone
 from .errors import InputDomainError
 from .fields import DeltaPadding, FieldTrace
-from .testfunctions import TestFunction, build_test_family
+from .piecewise import PiecewiseField
+from .testfunctions import build_test_family
 from .weakform import weak_form_of_trace
 
 __all__ = [
@@ -28,8 +29,6 @@ __all__ = [
     "EulerianPressure",
     "snapshot",
     "pressure_pushforward",
-    "weak_residual_mass",
-    "weak_residual_momentum",
     "weak_residual_suite",
     "complementarity_eulerian",
     "oleinik_eulerian",
@@ -87,8 +86,7 @@ def snapshot(state: MicroState, cone: SpacingCone,
     the first particle's mass; each cell's velocity is the velocity of the
     particle at its right edge.
     """
-    x = state.positions
-    edges = np.concatenate(([x[0] - cone.two_r - padding.delta], x))
+    edges = padding.pad(state.positions, cone.two_r)
     widths = np.diff(edges)
     return EulerianSnapshot(
         time=state.time,
@@ -122,16 +120,6 @@ def pressure_pushforward(measure: PressureMeasure, trace: FieldTrace) -> Euleria
             lineal_density=dlam[j],
         ))
     return EulerianPressure(tuple(atoms))
-
-
-def weak_residual_mass(trace: FieldTrace, test_fn: TestFunction) -> float:
-    """Residual of the weak continuity equation for one test function."""
-    return weak_form_of_trace(trace).mass_residual(test_fn)
-
-
-def weak_residual_momentum(trace: FieldTrace, test_fn: TestFunction) -> float:
-    """Residual of the weak momentum balance (with atomic pressure)."""
-    return weak_form_of_trace(trace).momentum_residual(test_fn)
 
 
 def weak_residual_suite(trace: FieldTrace, test_fns=None, tol: float = 1e-8) -> dict:
@@ -171,18 +159,9 @@ def oleinik_eulerian(snap: EulerianSnapshot) -> CheckReport:
     """Eulerian one-sided slope bound t * du/dx < 1 across adjacent particles."""
     if snap.time <= 0.0:
         raise InputDomainError("the estimate is vacuous at t = 0")
-    x = snap.edges[1:]
-    du = snap.velocity[1:] - snap.velocity[:-1]
-    dx = x[1:] - x[:-1]
-    ratio = float(np.max(snap.time * du / dx)) if du.size else 0.0
+    ratio = max_slope_ratio(snap.time, snap.edges[1:], snap.velocity)
     return CheckReport("oleinik_eulerian", ratio < 1.0, ratio, 1.0,
                        f"max t*du/dx = {ratio:.6f}")
-
-
-def _affine_l2(nodes_w: np.ndarray, nodes_v: np.ndarray) -> float:
-    a, b = nodes_v[:-1], nodes_v[1:]
-    h = np.diff(nodes_w)
-    return float(np.sqrt(np.sum(h * (a * a + a * b + b * b) / 3.0)))
 
 
 def wasserstein_time_modulus(trace: FieldTrace, s: float, t: float) -> dict:
@@ -199,8 +178,8 @@ def wasserstein_time_modulus(trace: FieldTrace, s: float, t: float) -> dict:
         return {"passed": True, "modulus": 0.0, "bound": 0.0}
     ev = [float(te) for te in trace.timeline.event_times() if s < te <= t]
     snaps = trace.snapshots([s] + ev + [t])
-    modulus = _affine_l2(w, snaps[-1].x_nodes - snaps[0].x_nodes)
-    sup_u = max(_affine_l2(w, np.concatenate(([sn.u[0]], sn.u))) for sn in snaps[:-1])
+    modulus = PiecewiseField.from_nodes(w, snaps[-1].x_nodes - snaps[0].x_nodes).l2_norm()
+    sup_u = max(sn.velocity_field(w).l2_norm() for sn in snaps[:-1])
     bound = (t - s) * sup_u
     return {
         "passed": bool(modulus <= bound * (1.0 + 1e-12) + 1e-15),

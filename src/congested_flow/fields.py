@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EventTimeline, pressure_measure
+from .dynamics import EventTimeline, max_slope_ratio, pressure_measure
 from .errors import InputDomainError, InvariantViolationError
 from .initdata import MacroscopicDatum, quantile_sample
 from .piecewise import PiecewiseField
@@ -44,6 +44,19 @@ class DeltaPadding:
         if not self.delta > 0.0:
             raise InputDomainError("padding gap must be positive")
 
+    def pad(self, positions: np.ndarray, two_r: float) -> np.ndarray:
+        """Prepend the fictitious particle, two_r + delta left of the first one."""
+        return np.concatenate(([positions[0] - two_r - self.delta], positions))
+
+
+def _interpolant(w_grid: np.ndarray, nodes: np.ndarray, cells: np.ndarray,
+                 kind: str) -> PiecewiseField:
+    if kind == "affine":
+        return PiecewiseField.from_nodes(w_grid, nodes)
+    if kind == "pc":
+        return PiecewiseField.constant(w_grid, cells)
+    raise InputDomainError(f"unknown kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class TraceSnapshot:
@@ -53,6 +66,22 @@ class TraceSnapshot:
     x_nodes: np.ndarray   # length n+1, node 0 = fictitious particle
     u: np.ndarray         # length n, cluster velocities
     lam: np.ndarray       # length n+1, lam[0] = lam[n] = 0
+
+    @property
+    def u_nodes(self) -> np.ndarray:
+        """Affine velocity nodes, length n+1: the fictitious particle moves with the first."""
+        return np.concatenate(([self.u[0]], self.u))
+
+    # -- interpolated fields on the mass grid w_grid (length n+1) ------------
+
+    def position_field(self, w_grid: np.ndarray, kind: str = "affine") -> PiecewiseField:
+        return _interpolant(w_grid, self.x_nodes, self.x_nodes[1:], kind)
+
+    def velocity_field(self, w_grid: np.ndarray, kind: str = "affine") -> PiecewiseField:
+        return _interpolant(w_grid, self.u_nodes, self.u, kind)
+
+    def multiplier_field(self, w_grid: np.ndarray, kind: str = "affine") -> PiecewiseField:
+        return _interpolant(w_grid, self.lam, self.lam[:-1], kind)
 
 
 class FieldTrace:
@@ -82,10 +111,6 @@ class FieldTrace:
         """Lower bound two_r * n for the affine position slope (1 canonically)."""
         return self.two_r * self.n
 
-    def _pad(self, positions: np.ndarray) -> np.ndarray:
-        x0_f = positions[0] - self.two_r - self.padding.delta
-        return np.concatenate(([x0_f], positions))
-
     def snapshots(self, times) -> list[TraceSnapshot]:
         return list(self.iter_snapshots(times))
 
@@ -101,7 +126,7 @@ class FieldTrace:
                 lo, _ = e.index_range
                 lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
                 ev += 1
-            yield TraceSnapshot(state.time, self._pad(state.positions),
+            yield TraceSnapshot(state.time, self.padding.pad(state.positions, self.two_r),
                                 state.velocities.copy(), lam.copy())
 
     def snapshot(self, t: float) -> TraceSnapshot:
@@ -111,29 +136,13 @@ class FieldTrace:
     # -- interpolated fields at a time instant ------------------------------
 
     def position_field(self, t: float, kind: str = "affine") -> PiecewiseField:
-        snap = self.snapshot(t)
-        if kind == "affine":
-            return PiecewiseField.from_nodes(self.w_grid, snap.x_nodes)
-        if kind == "pc":
-            return PiecewiseField.constant(self.w_grid, snap.x_nodes[1:])
-        raise InputDomainError(f"unknown kind {kind!r}")
+        return self.snapshot(t).position_field(self.w_grid, kind)
 
     def velocity_field(self, t: float, kind: str = "affine") -> PiecewiseField:
-        snap = self.snapshot(t)
-        if kind == "affine":
-            return PiecewiseField.from_nodes(
-                self.w_grid, np.concatenate(([snap.u[0]], snap.u)))
-        if kind == "pc":
-            return PiecewiseField.constant(self.w_grid, snap.u)
-        raise InputDomainError(f"unknown kind {kind!r}")
+        return self.snapshot(t).velocity_field(self.w_grid, kind)
 
     def multiplier_field(self, t: float, kind: str = "affine") -> PiecewiseField:
-        snap = self.snapshot(t)
-        if kind == "affine":
-            return PiecewiseField.from_nodes(self.w_grid, snap.lam)
-        if kind == "pc":
-            return PiecewiseField.constant(self.w_grid, snap.lam[:-1])
-        raise InputDomainError(f"unknown kind {kind!r}")
+        return self.snapshot(t).multiplier_field(self.w_grid, kind)
 
 
 def build_fields(timeline: EventTimeline, padding: DeltaPadding = DeltaPadding()) -> FieldTrace:
@@ -175,7 +184,7 @@ def verify_discrete_pde(trace: FieldTrace, tol: float = 1e-10) -> dict:
             dlam = e.dense_jump(n).lambdas
             resid = du + n * np.diff(dlam)
             order2 = max(order2, float(np.max(np.abs(resid))))
-            slopes = n * np.diff(trace._pad(post.positions))
+            slopes = n * np.diff(trace.padding.pad(post.positions, trace.two_r))
             atom_compl = max(atom_compl, float(
                 np.max(np.abs((slopes[1:] - slope_min) * dlam[1:-1]))))
     passed = max(order1, compl, order2, atom_compl) <= tol
@@ -194,10 +203,9 @@ def oleinik_field_check(trace: FieldTrace, t: float) -> dict:
     if t <= 0.0:
         raise InputDomainError("the estimate is vacuous at t = 0")
     snap = trace.snapshot(t)
-    dx = np.diff(snap.x_nodes)
-    du = np.diff(np.concatenate(([snap.u[0]], snap.u)))
-    ratio = float(np.max(t * du / dx))
-    l1 = float(np.sum(np.abs(du)))
+    u_nodes = snap.u_nodes
+    ratio = max_slope_ratio(t, snap.x_nodes, u_nodes)
+    l1 = float(np.sum(np.abs(np.diff(u_nodes))))
     spread = float(snap.x_nodes[-1] - snap.x_nodes[0])
     bound = 2.0 * spread / t - float(snap.u[-1] - snap.u[0])
     return {
@@ -259,21 +267,14 @@ def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
         mass = pressure_mass_bound(tr)
         sup_x = sup_u = sup_lam = 0.0
         for snap, rsnap in zip(tr.snapshots(sample_times), ref_snaps):
-            fx = PiecewiseField.from_nodes(tr.w_grid, snap.x_nodes)
-            fu = PiecewiseField.from_nodes(tr.w_grid, np.concatenate(([snap.u[0]], snap.u)))
-            fl = PiecewiseField.from_nodes(tr.w_grid, snap.lam)
-            gx = PiecewiseField.from_nodes(ref.w_grid, rsnap.x_nodes)
-            gu = PiecewiseField.from_nodes(ref.w_grid, np.concatenate(([rsnap.u[0]], rsnap.u)))
-            gl = PiecewiseField.from_nodes(ref.w_grid, rsnap.lam)
-            dx = fx.distance(gx, "L2")
-            du = fu.distance(gu, "L2")
-            dl = fl.distance(gl, "L2")
+            fx = snap.position_field(tr.w_grid)
+            dx = fx.distance(rsnap.position_field(ref.w_grid), "L2")
+            du = snap.velocity_field(tr.w_grid).distance(rsnap.velocity_field(ref.w_grid), "L2")
+            dl = snap.multiplier_field(tr.w_grid).distance(
+                rsnap.multiplier_field(ref.w_grid), "L2")
             sup_x, sup_u, sup_lam = max(sup_x, dx), max(sup_u, du), max(sup_lam, dl)
-            if snap.time > 0.0:
-                dun = np.diff(np.concatenate(([snap.u[0]], snap.u)))
-                ole = float(np.max(snap.time * dun / np.diff(snap.x_nodes)))
-            else:
-                ole = 0.0
+            ole = (max_slope_ratio(snap.time, snap.x_nodes, snap.u_nodes)
+                   if snap.time > 0.0 else 0.0)
             rows.append({
                 "n": n,
                 "t": snap.time,

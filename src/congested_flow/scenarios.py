@@ -242,12 +242,12 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
     u0_pc = PiecewiseField.constant(w_grid, u0)
     for snap in trace.snapshots(times):
         max_speed = max(max_speed, float(np.max(np.abs(snap.u))))
-        u_pc = PiecewiseField.constant(w_grid, snap.u)
+        u_pc = snap.velocity_field(w_grid, "pc")
         min_rebound_dist = min(min_rebound_dist,
                                u_pc.distance(rebound.velocity_field(snap.time), "L2"))
         max_sticky_dist = max(max_sticky_dist,
                               u_pc.distance(sticky.velocity_field(snap.time), "L2"))
-        x_aff = PiecewiseField.from_nodes(w_grid, snap.x_nodes)
+        x_aff = snap.position_field(w_grid)
         proj = macroscopic_projection(x_aff, u0_pc, slope_min=trace.slope_min,
                                       cluster_closure=True)
         max_projection_err = max(max_projection_err,

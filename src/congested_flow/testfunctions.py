@@ -119,12 +119,11 @@ class TestFunction:
         return self.window.tau
 
 
-def build_test_family(x_lo: float, x_hi: float, horizon: float,
-                      count: int = 12) -> list[TestFunction]:
-    """Deterministic family covering [x_lo, x_hi] over [0, 0.9 * horizon].
+def build_test_family(x_lo: float, x_hi: float, horizon: float) -> list[TestFunction]:
+    """Deterministic 12-function family covering [x_lo, x_hi] over [0, 0.9 * horizon].
 
-    Two time windows (one active at t=0, one vanishing there), three monomial
-    factors and two spatial geometries; truncated to ``count``.
+    Two time windows (one active at t=0, one vanishing there), two spatial
+    geometries and three monomial factors.
     """
     if not (x_hi > x_lo) or horizon <= 0.0:
         raise InputDomainError("need a nonempty space interval and positive horizon")
@@ -141,4 +140,4 @@ def build_test_family(x_lo: float, x_hi: float, horizon: float,
         for geom in geoms:
             for power in (0, 1, 2):
                 fns.append(TestFunction(window, SpaceBump(geom.center, geom.halfwidth, power)))
-    return fns[:count]
+    return fns

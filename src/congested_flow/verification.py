@@ -33,7 +33,7 @@ from .eulerian import (
 )
 from .fields import FieldTrace, oleinik_field_check, verify_discrete_pde
 
-__all__ = ["run_battery", "cone_oracle_sweep"]
+__all__ = ["CHECK_NAMES", "run_battery", "cone_oracle_sweep"]
 
 TOL_COMPLEMENTARITY = 1e-10
 TOL_MIN_LAMBDA = 1e-12
@@ -42,6 +42,13 @@ TOL_MOMENTUM_PER_N = 1e-12
 TOL_WEAK_RESIDUAL = 1e-8
 # instants, strictly inside (0, horizon), at which the state checks run
 SAMPLE_COUNT = 12
+# names of run_battery's reports, in order
+CHECK_NAMES = (
+    "complementarity", "oleinik", "momentum_conservation", "energy_dissipation",
+    "semigroup", "active_set_monotone", "discrete_pde", "oleinik_field",
+    "eulerian_reconstruction", "eulerian_complementarity", "eulerian_oleinik",
+    "wasserstein_modulus", "weak_residuals",
+)
 
 
 def _sample_times(horizon: float, events: np.ndarray) -> np.ndarray:

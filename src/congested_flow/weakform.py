@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# equal subcells per affine piece between its split points
+_WSUB = 8
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def _affine_roots(w0, w1, f0, f1, target):
 class LagrangianWeakForm:
     """Residual evaluator over a sequence of segments plus pressure atoms."""
 
-    def __init__(self, segments, atoms=(), wsub: int = 8):
+    def __init__(self, segments, atoms=()):
         segments = list(segments)
         if not segments or segments[0].t0 != 0.0:
             raise InputDomainError("segments must start at t = 0")
@@ -94,7 +96,6 @@ class LagrangianWeakForm:
                 raise InputDomainError("segments must tile [0, horizon]")
         self.segments = segments
         self.atoms = list(atoms)
-        self.wsub = int(wsub)
         self.horizon = segments[-1].t1
 
     # -- geometry ----------------------------------------------------------
@@ -137,7 +138,7 @@ class LagrangianWeakForm:
                 splits.add(r)
             cuts = np.sort(np.fromiter(splits, dtype=float))
             fine = np.unique(np.concatenate(
-                [np.linspace(cuts[i], cuts[i + 1], self.wsub + 1) for i in range(cuts.size - 1)]))
+                [np.linspace(cuts[i], cuts[i + 1], _WSUB + 1) for i in range(cuts.size - 1)]))
             mid_h = (fine[1:] - fine[:-1]) / 2.0
             mid_c = (fine[1:] + fine[:-1]) / 2.0
             wn = (mid_c[:, None] + mid_h[:, None] * _GL_NODES).ravel()
@@ -172,14 +173,6 @@ class LagrangianWeakForm:
         xn = x_a[:, None] + (tn - a) * v[:, None]
         return tn, xn, qw
 
-    def _advect_window(self, phi: TestFunction, a: float, b: float,
-                       x_a: np.ndarray, v: np.ndarray, momentum: bool) -> np.ndarray:
-        tn, xn, qw = self._window_nodes(a, b, x_a, v, phi.x_knots)
-        g = phi.dt(tn, xn) + v[:, None] * phi.dx(tn, xn)
-        if momentum:
-            g = g * v[:, None]
-        return np.sum(g * qw, axis=1)
-
     # -- residual pieces -----------------------------------------------------
 
     def _initial_term(self, phi: TestFunction, momentum: bool) -> float:
@@ -194,16 +187,6 @@ class LagrangianWeakForm:
         if momentum:
             vals = vals * v
         return float(wts @ vals)
-
-    def _advect_term(self, phi: TestFunction, momentum: bool) -> float:
-        total = 0.0
-        for seg in self.segments:
-            cuts = sorted({seg.t0, seg.t1}
-                          | {k for k in phi.t_knots if seg.t0 < k < seg.t1})
-            for a, b in zip(cuts, cuts[1:]):
-                x_a, v, wts = self._nodes_for_segment(seg, a, b, phi.x_knots)
-                total += float(wts @ self._advect_window(phi, a, b, x_a, v, momentum))
-        return total
 
     def _pressure_term(self, phi: TestFunction) -> float:
         total = 0.0
@@ -242,36 +225,23 @@ class LagrangianWeakForm:
                     total += h * float(g @ _GL_WEIGHTS)
         return total
 
-    # -- public residuals ------------------------------------------------------
-
-    def _check_support(self, phi: TestFunction):
-        if phi.support_end > self.horizon:
-            raise InputDomainError(
-                "test function must vanish before the trace horizon")
-
-    def mass_residual(self, phi: TestFunction) -> float:
-        """Residual of the weak continuity equation against phi."""
-        self._check_support(phi)
-        return self._initial_term(phi, False) + self._advect_term(phi, False)
-
-    def momentum_residual(self, phi: TestFunction) -> float:
-        """Residual of the weak momentum balance (with pressure) against phi."""
-        self._check_support(phi)
-        return (self._initial_term(phi, True) + self._advect_term(phi, True)
-                + self._pressure_term(phi))
+    # -- residuals -----------------------------------------------------------
 
     def family_residuals(self, fns) -> tuple[list[float], list[float]]:
-        """Mass and momentum residuals of a whole family in one sweep.
+        """Mass and momentum residuals (the latter with pressure) of each phi.
 
-        Functions sharing a spatial bump geometry reuse the same quadrature
-        nodes; agrees with the per-function entry points to rounding (the
-        shared time cuts reorder the summation).
+        One sweep over the segments serves the whole family: time windows are
+        cut at every member's time knots, and functions sharing a spatial
+        bump geometry reuse the same quadrature nodes.  A member's residual
+        therefore depends on the others only through the time cuts, which
+        the members of ``build_test_family`` share.
         """
         fns = list(fns)
         mass = []
         mom = []
         for phi in fns:
-            self._check_support(phi)
+            if phi.support_end > self.horizon:
+                raise InputDomainError("test function must vanish before the trace horizon")
             mass.append(self._initial_term(phi, False))
             mom.append(self._initial_term(phi, True) + self._pressure_term(phi))
         groups: dict[tuple[float, float], list[int]] = {}

@@ -2,9 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from congested_flow.cli import main
+from congested_flow.cone import SpacingCone
+from congested_flow.dynamics import evolve
+from congested_flow.fields import build_fields
+from congested_flow.verification import CHECK_NAMES, run_battery
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -192,6 +197,23 @@ def test_check_toggles_disable_one_check(tmp_path):
     cfg2 = write_config(tmp_path, name="cfg2.json", checks={"complementarity": False})
     assert main(["verify", "--config", str(cfg2), "--out", str(out),
                  "--inject", "negative-lambda"]) == 0
+
+
+def test_unknown_check_toggle_rejected_before_any_artifact(tmp_path, capsys):
+    cfg = write_config(tmp_path, n=8, checks={"weak_residual": False, "cone_oracle": False})
+    out = tmp_path / "u"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: checks.weak_residual: unknown check" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write_config(tmp_path, n=8, checks={"cone_oracle": False})
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "verification.json").read_text())
+    assert report["cone_oracle"].get("skipped") is True
+
+
+def test_check_names_match_the_battery():
+    tl = evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), SpacingCone(2, 1.0), 2.0)
+    assert tuple(r.name for r in run_battery(build_fields(tl))) == CHECK_NAMES
 
 
 def test_converge_deterministic_across_runs(tmp_path):

@@ -13,8 +13,6 @@ from congested_flow.eulerian import (
     pressure_pushforward,
     snapshot,
     wasserstein_time_modulus,
-    weak_residual_mass,
-    weak_residual_momentum,
     weak_residual_suite,
 )
 from congested_flow.fields import build_fields
@@ -22,7 +20,10 @@ from congested_flow.initdata import MacroscopicDatum, quantile_sample, \
     rearrangement_from_density
 from congested_flow.piecewise import PiecewiseField
 from congested_flow.random_data import random_admissible_datum
-from congested_flow.testfunctions import SpaceBump, TestFunction, TimeWindow
+from congested_flow.scenarios import rebound_solution, sticky_solution
+from congested_flow.testfunctions import SpaceBump, TestFunction, TimeWindow, \
+    build_test_family
+from congested_flow.weakform import LagrangianWeakForm, weak_form_of_trace
 
 TWO = SpacingCone(2, 1.0)
 
@@ -104,8 +105,7 @@ def test_two_particle_atom_lands_on_contact_interval():
 def test_weak_residual_zero_test_function():
     trace = build_fields(evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 2.0))
     zero = TestFunction(TimeWindow(1.0), SpaceBump(50.0, 1.0))  # support misses everything
-    assert weak_residual_mass(trace, zero) == 0.0
-    assert weak_residual_momentum(trace, zero) == 0.0
+    assert weak_form_of_trace(trace).family_residuals([zero]) == ([0.0], [0.0])
 
 
 def test_weak_residual_rigid_translation():
@@ -127,8 +127,9 @@ def test_weak_momentum_dirac_cancellation_by_hand():
     # hand side 2: Dirac pressure with lineal density 0.5 on (0.5, 1.5)
     press_term = 0.5 * float(phi(tstar, 1.5) - phi(tstar, 0.5))
     assert jump_term + press_term == pytest.approx(0.0, abs=1e-15)
-    assert abs(weak_residual_momentum(trace, phi)) <= 1e-8
-    assert abs(weak_residual_mass(trace, phi)) <= 1e-8
+    (mass,), (mom,) = weak_form_of_trace(trace).family_residuals([phi])
+    assert abs(mom) <= 1e-8
+    assert abs(mass) <= 1e-8
 
 
 def test_weak_residual_suite_collision_scenarios():
@@ -162,7 +163,7 @@ def test_oleinik_eulerian_mirrors_microscopic():
         snap = snapshot(st, cone)
         rep_e = oleinik_eulerian(snap)
         rep_m = verify_oleinik(st)
-        assert rep_e.value == pytest.approx(rep_m.value, rel=1e-12, abs=1e-15)
+        assert rep_e.value == rep_m.value
         assert rep_e.passed
     with pytest.raises(InputDomainError):
         oleinik_eulerian(snapshot(tl.initial, cone))
@@ -189,27 +190,29 @@ def test_wasserstein_modulus_random_runs():
         assert rep["passed"]
 
 
-def test_family_residuals_match_per_function_entry_points():
-    from congested_flow.testfunctions import build_test_family
-    from congested_flow.weakform import weak_form_of_trace
-
+def _random_trace_form():
     rng = np.random.default_rng(6)
     x0, u0, cone = random_admissible_datum(40, rng, contacts=True)
-    trace = build_fields(evolve(x0, u0, cone, 2.0))
-    form = weak_form_of_trace(trace)
+    return weak_form_of_trace(build_fields(evolve(x0, u0, cone, 2.0)))
+
+
+@pytest.mark.parametrize("make_form", [
+    _random_trace_form,
+    lambda: sticky_solution(0.5).weak_form(1.0),
+    lambda: rebound_solution(0.5).weak_form(1.0),
+], ids=["discrete", "sticky", "rebound"])
+def test_family_residuals_subset_invariant(make_form):
+    """A member's residuals do not depend on the rest of the family, bitwise."""
+    form = make_form()
     lo, hi = form.spatial_extent()
     fns = build_test_family(lo - 0.1, hi + 0.1, form.horizon)
-    mass_b, mom_b = form.family_residuals(fns)
-    for phi, mb, ob in zip(fns, mass_b, mom_b):
-        assert abs(form.mass_residual(phi) - mb) <= 1e-14
-        assert abs(form.momentum_residual(phi) - ob) <= 1e-14
+    mass, mom = form.family_residuals(fns)
+    for phi, m, p in zip(fns, mass, mom):
+        assert form.family_residuals([phi]) == ([m], [p])
 
 
 def test_weak_residuals_detect_corrupted_dynamics():
     """Sensitivity control: a wrong velocity field must leave a visible residual."""
-    from congested_flow.testfunctions import build_test_family
-    from congested_flow.weakform import LagrangianWeakForm, weak_form_of_trace
-
     tl = evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 2.0)
     trace = build_fields(tl)
     form = weak_form_of_trace(trace)
@@ -220,12 +223,10 @@ def test_weak_residuals_detect_corrupted_dynamics():
                   seg.V0 * 1.1, seg.V1 * 1.1, seg.pc)
         for seg in form.segments
     ]
-    bad = LagrangianWeakForm(bad_segments, form.atoms)
-    worst_mass = max(abs(bad.mass_residual(f)) for f in fns)
-    worst_mom = max(abs(bad.momentum_residual(f)) for f in fns)
-    assert worst_mass > 1e-3
-    assert worst_mom > 1e-3
+    mass, mom = LagrangianWeakForm(bad_segments, form.atoms).family_residuals(fns)
+    assert max(abs(r) for r in mass) > 1e-3
+    assert max(abs(r) for r in mom) > 1e-3
     # and dropping the pressure atom breaks only the momentum balance
-    no_atom = LagrangianWeakForm(form.segments, [])
-    assert max(abs(no_atom.mass_residual(f)) for f in fns) <= 1e-12
-    assert max(abs(no_atom.momentum_residual(f)) for f in fns) > 1e-3
+    mass, mom = LagrangianWeakForm(form.segments, []).family_residuals(fns)
+    assert max(abs(r) for r in mass) <= 1e-12
+    assert max(abs(r) for r in mom) > 1e-3
