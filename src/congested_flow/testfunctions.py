@@ -4,8 +4,10 @@ Each function is a tensor product phi(t, x) = T(t) * S(x) of a time window
 supported in [0, tau] and a spatial bump q(xi) * (1 - xi^2)^3 with
 xi = (x - c) / s and q a low-degree monomial.  Both factors are polynomial
 inside their support and vanish to second order at its boundary, so phi is
-C^2 and piecewise polynomial: quadrature that respects the support knots
-integrates it exactly.
+C^2 and piecewise polynomial.  The weak residuals integrate it along
+characteristics in closed form (the time integrals are boundary terms) and
+in the mass variable by Gauss-Legendre cut at the spatial knots, which is
+exact where positions are affine in the mass variable.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class TimeWindow:
             val = -6.0 * s * (1.0 - s * s) ** 2 / self.tau
         return np.where(inside, val, 0.0)
 
-    @property
-    def knots(self) -> tuple[float, ...]:
-        return (0.0, self.tau)
-
 
 @dataclass(frozen=True)
 class SpaceBump:
@@ -90,7 +88,7 @@ class SpaceBump:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """phi(t, x) = T(t) * S(x); exposes phi, phi_t, phi_x and the knot sets."""
+    """phi(t, x) = T(t) * S(x); exposes phi, phi_t, phi_x and the spatial knots."""
 
     __test__ = False  # not a pytest collection target
 
@@ -105,10 +103,6 @@ class TestFunction:
 
     def dx(self, t, x):
         return self.window(t) * self.bump.d(x)
-
-    @property
-    def t_knots(self) -> tuple[float, ...]:
-        return self.window.knots
 
     @property
     def x_knots(self) -> tuple[float, float]:

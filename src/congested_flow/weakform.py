@@ -1,12 +1,20 @@
 """Weak-form residuals of the constrained dynamics in mass coordinates.
 
-The mass and momentum balances are tested against compactly supported
-functions by integrating along Lagrangian trajectories: between events every
-trajectory is linear in time, so after splitting the quadrature at the test
-function's support knots (and at the knot-crossing instants of each
-trajectory) the integrand is polynomial and Gauss-Legendre integrates it
-exactly.  The atomic pressure enters either through the exact telescoped sum
-over contacts (discrete runs) or through a piecewise-polynomial profile
+The mass and momentum balances are tested against compactly supported C^2
+functions along Lagrangian trajectories.  Between events every trajectory
+is affine in time, X(t, w) = A(w) + (t - t0) V(w), so by the chain rule
+
+    int_a^b (phi_t + V phi_x)(t, X(t, w)) dt = phi(b, X(b, w)) - phi(a, X(a, w))
+
+exactly, and the space-time integral of each balance telescopes into
+boundary terms along the characteristics: at every segment boundary t_k,
+the terms (1, V) phi(t_k, X) of the segment ending there minus those of the
+segment starting there.  No time quadrature is needed.  The integral in w
+is a sum over particles for piecewise-constant (discrete) data and
+Gauss-Legendre on affine (closed-form) data, split where X(t_k, .) crosses
+the test function's spatial knots so the integrand is polynomial between
+the cuts.  The atomic pressure enters either through the exact telescoped
+sum over contacts (discrete runs) or through a piecewise-polynomial profile
 (closed-form solutions).
 """
 
@@ -28,9 +36,8 @@ __all__ = [
     "weak_form_of_trace",
 ]
 
+# exact for the degree <= 9 integrands phi(t, X(w)) * V(w) between knot cuts
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-# equal subcells per affine piece between its split points
-_WSUB = 8
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class ExactAtom:
-    """Discrete pressure atom: multiplier jumps dlam over contacts at time t."""
+    """Discrete pressure atom at time t: positions x of a merged range and the
+    multiplier jumps dlam on its contacts (dlam[j] between x[j] and x[j + 1])."""
 
     t: float
     x: np.ndarray
@@ -84,6 +92,43 @@ def _affine_roots(w0, w1, f0, f1, target):
     return None
 
 
+def _gl_nodes(w0, w1, x0, x1, xknots):
+    """Gauss-Legendre nodes and weights on (w0, w1), cut where the affine map
+    through (w0, x0), (w1, x1) crosses a knot."""
+    cuts = np.unique([w0, w1] + [r for k in xknots
+                                 if (r := _affine_roots(w0, w1, x0, x1, k)) is not None])
+    h = np.diff(cuts)[:, None] / 2.0
+    mid = (cuts[1:] + cuts[:-1])[:, None] / 2.0
+    return (mid + h * _GL_NODES).ravel(), (h * _GL_WEIGHTS).ravel()
+
+
+def _side_nodes(seg: Segment, t: float, xknots):
+    """(x, v, weight) at time t with sum(weight * f(x, v)) = int f(X(t, w), V(w)) dw.
+
+    Exact for f = phi(t, .) * (1, V): one node per piece on piecewise-constant
+    data, knot-cut Gauss-Legendre on affine data.
+    """
+    dt = t - seg.t0
+    if seg.pc:
+        return seg.A0 + dt * seg.V0, seg.V0, np.diff(seg.wb)
+    xs, vs, ws = [], [], []
+    for j in range(seg.wb.size - 1):
+        w0, w1 = seg.wb[j], seg.wb[j + 1]
+        x0, x1 = seg.A0[j] + dt * seg.V0[j], seg.A1[j] + dt * seg.V1[j]
+        wn, wt = _gl_nodes(w0, w1, x0, x1, xknots)
+        lam = (wn - w0) / (w1 - w0)
+        xs.append(x0 + lam * (x1 - x0))
+        vs.append(seg.V0[j] + lam * (seg.V1[j] - seg.V0[j]))
+        ws.append(wt)
+    return np.concatenate(xs), np.concatenate(vs), np.concatenate(ws)
+
+
+def _compared(left: Segment, right: Segment | None) -> bool:
+    """Whether a boundary's two sides are compared entry by entry (same discrete grid)."""
+    return (right is not None and left.pc and right.pc
+            and np.array_equal(left.wb, right.wb))
+
+
 class LagrangianWeakForm:
     """Residual evaluator over a sequence of segments plus pressure atoms."""
 
@@ -109,94 +154,55 @@ class LagrangianWeakForm:
                 hi = max(hi, float(np.max(arr)))
         return lo, hi
 
-    # -- quadrature scaffolding ---------------------------------------------
+    # -- boundary terms ------------------------------------------------------
 
-    def _nodes_for_segment(self, seg: Segment, a: float, b: float, xknots):
-        """Per-trajectory (x at time a, v, w-weight) arrays for one window.
+    def _boundaries(self):
+        """(t_k, segment ending at t_k, segment starting at t_k or None) for k >= 1."""
+        segs = self.segments
+        return [(s.t1, s, nxt) for s, nxt in zip(segs, segs[1:] + [None])]
 
-        Affine pieces are split wherever the trajectory position at time a or
-        b crosses a knot (so knot-crossing instants enter or leave the window
-        only at subcell boundaries) and where the velocity changes sign.
+    def _compared_jumps(self):
+        """Entries whose (X, V) differ across a compared boundary.
+
+        Returns (t, x_left, v_left, x_right, v_right, mass) over all such
+        entries; an entry with equal data on both sides contributes exactly
+        zero to every boundary term and is left out.
         """
-        if seg.pc:
-            return seg.A0 + (a - seg.t0) * seg.V0, seg.V0, np.diff(seg.wb)
-        xs, vs, ws = [], [], []
-        dt_a = a - seg.t0
-        dt_b = b - seg.t0
-        for j in range(seg.wb.size - 1):
-            w0, w1 = seg.wb[j], seg.wb[j + 1]
-            pa0, pa1 = seg.A0[j] + dt_a * seg.V0[j], seg.A1[j] + dt_a * seg.V1[j]
-            pb0, pb1 = seg.A0[j] + dt_b * seg.V0[j], seg.A1[j] + dt_b * seg.V1[j]
-            splits = {w0, w1}
-            for k in xknots:
-                for f0, f1 in ((pa0, pa1), (pb0, pb1)):
-                    r = _affine_roots(w0, w1, f0, f1, k)
-                    if r is not None:
-                        splits.add(r)
-            r = _affine_roots(w0, w1, seg.V0[j], seg.V1[j], 0.0)
-            if r is not None:
-                splits.add(r)
-            cuts = np.sort(np.fromiter(splits, dtype=float))
-            fine = np.unique(np.concatenate(
-                [np.linspace(cuts[i], cuts[i + 1], _WSUB + 1) for i in range(cuts.size - 1)]))
-            mid_h = (fine[1:] - fine[:-1]) / 2.0
-            mid_c = (fine[1:] + fine[:-1]) / 2.0
-            wn = (mid_c[:, None] + mid_h[:, None] * _GL_NODES).ravel()
-            wt = (mid_h[:, None] * _GL_WEIGHTS).ravel()
-            lam = (wn - w0) / (w1 - w0)
-            xs.append(pa0 + lam * (pa1 - pa0))
-            vs.append(seg.V0[j] + lam * (seg.V1[j] - seg.V0[j]))
-            ws.append(wt)
-        return np.concatenate(xs), np.concatenate(vs), np.concatenate(ws)
+        parts = []
+        for t, left, right in self._boundaries():
+            if not _compared(left, right):
+                continue
+            xl, vl, m = _side_nodes(left, t, ())
+            xr, vr, _ = _side_nodes(right, t, ())
+            idx = np.flatnonzero((xl != xr) | (vl != vr))
+            parts.append((np.full(idx.size, t), xl[idx], vl[idx], xr[idx], vr[idx], m[idx]))
+        if not parts:
+            return tuple(np.zeros(0) for _ in range(6))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
-    @staticmethod
-    def _window_nodes(a: float, b: float, x_a: np.ndarray, v: np.ndarray, xknots):
-        """Quadrature nodes for the time integral along each trajectory.
+    def _side_terms(self, xknots):
+        """Nodes (t, x, v, signed weight) of every boundary side not compared
+        entry by entry: + for the segment ending at t_k, - for the one starting."""
+        parts = []
+        for t, left, right in self._boundaries():
+            if _compared(left, right):
+                continue
+            for seg, sign in ((left, 1.0), (right, -1.0)):
+                if seg is not None:
+                    x, v, w = _side_nodes(seg, t, xknots)
+                    parts.append((np.full(x.size, t), x, v, sign * w))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
-        Each trajectory's window is split at its crossings of the bump
-        support edges, so the integrand is polynomial on every subwindow;
-        returns (t_nodes, x_nodes, weights), all of shape (m, 30).
-        """
-        k_lo, k_hi = xknots
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c1 = np.where(v != 0.0, a + (k_lo - x_a) / v, a)
-            c2 = np.where(v != 0.0, a + (k_hi - x_a) / v, a)
-        c1 = np.clip(c1, a, b)
-        c2 = np.clip(c2, a, b)
-        lo = np.minimum(c1, c2)
-        hi = np.maximum(c1, c2)
-        bounds = np.stack([np.full_like(x_a, a), lo, hi, np.full_like(x_a, b)], axis=1)
-        ta = bounds[:, :3, None]
-        h = (bounds[:, 1:, None] - ta) / 2.0
-        tn = (ta + h * (_GL_NODES + 1.0)).reshape(x_a.size, -1)
-        qw = (h * _GL_WEIGHTS).reshape(x_a.size, -1)
-        xn = x_a[:, None] + (tn - a) * v[:, None]
-        return tn, xn, qw
-
-    # -- residual pieces -----------------------------------------------------
-
-    def _initial_term(self, phi: TestFunction, momentum: bool) -> float:
-        seg = self.segments[0]
-        if seg.pc:
-            vals = phi(0.0, seg.A0)
-            if momentum:
-                vals = vals * seg.V0
-            return float(np.sum(np.diff(seg.wb) * vals))
-        x_a, v, wts = self._nodes_for_segment(seg, 0.0, 0.0, phi.x_knots)
-        vals = phi(0.0, x_a)
-        if momentum:
-            vals = vals * v
-        return float(wts @ vals)
-
-    def _pressure_term(self, phi: TestFunction) -> float:
-        total = 0.0
-        for atom in self.atoms:
-            if isinstance(atom, ExactAtom):
-                vals = phi(atom.t, atom.x)
-                total += float(np.sum(atom.dlam[1:-1] * (vals[1:] - vals[:-1])))
-            else:
-                total += self._profile_atom_term(phi, atom)
-        return total
+    def _exact_atom_nodes(self):
+        """(t, x, dlam) over all exact atoms, concatenated; dlam pairs adjacent
+        x and is zero between consecutive atoms."""
+        atoms = [a for a in self.atoms if isinstance(a, ExactAtom)]
+        if not atoms:
+            return np.zeros(0), np.zeros(0), np.zeros(0)
+        t = np.concatenate([np.full(a.x.size, a.t) for a in atoms])
+        x = np.concatenate([a.x for a in atoms])
+        dlam = np.concatenate([np.append(a.dlam, 0.0) for a in atoms])[:-1]
+        return t, x, dlam
 
     def _profile_atom_term(self, phi: TestFunction, atom: ProfileAtom) -> float:
         total = 0.0
@@ -210,19 +216,9 @@ class LagrangianWeakForm:
                 # affine restriction of the position map on (w0, w1)
                 x0 = float(pos(np.array([w0]), side="right")[0])
                 x1 = float(pos(np.array([w1]), side="left")[0])
-                splits = {w0, w1}
-                for k in phi.x_knots:
-                    r = _affine_roots(w0, w1, x0, x1, k)
-                    if r is not None:
-                        splits.add(r)
-                cuts = np.sort(np.fromiter(splits, dtype=float))
-                for c0, c1 in zip(cuts, cuts[1:]):
-                    h = (c1 - c0) / 2.0
-                    wn = (c0 + c1) / 2.0 + h * _GL_NODES
-                    lam = (wn - w0) / (w1 - w0)
-                    xn = x0 + lam * (x1 - x0)
-                    g = phi.dx(atom.t, xn) * np.polyval(coeffs, wn)
-                    total += h * float(g @ _GL_WEIGHTS)
+                wn, wt = _gl_nodes(w0, w1, x0, x1, phi.x_knots)
+                xn = x0 + (wn - w0) / (w1 - w0) * (x1 - x0)
+                total += float(wt @ (phi.dx(atom.t, xn) * np.polyval(coeffs, wn)))
         return total
 
     # -- residuals -----------------------------------------------------------
@@ -230,53 +226,67 @@ class LagrangianWeakForm:
     def family_residuals(self, fns) -> tuple[list[float], list[float]]:
         """Mass and momentum residuals (the latter with pressure) of each phi.
 
-        One sweep over the segments serves the whole family: time windows are
-        cut at every member's time knots, and functions sharing a spatial
-        bump geometry reuse the same quadrature nodes.  A member's residual
-        therefore depends on the others only through the time cuts, which
-        the members of ``build_test_family`` share.
+        With T = horizon and t_1 < ... < t_K = T the segment ends, the mass
+        residual int phi(0, X(0)) dw + int int (phi_t + V phi_x)(t, X) dt dw
+        is sum_k int [phi(t_k, X_L) - phi(t_k, X_R)] dw, where L and R are
+        the segments ending and starting at t_k (no R at T); the initial
+        datum is the first segment at t = 0, so the initial term cancels its
+        start term.  The momentum residual weights the same terms by V and
+        adds the pressure atoms.  Boundaries between piecewise-constant
+        segments on one mass grid are compared entry by entry and phi is
+        evaluated only where X or V differ; on a valid discrete trace these
+        are the merged ranges of the events.  Each member's residuals are
+        computed from its own evaluations alone.
         """
         fns = list(fns)
-        mass = []
-        mom = []
         for phi in fns:
             if phi.support_end > self.horizon:
                 raise InputDomainError("test function must vanish before the trace horizon")
-            mass.append(self._initial_term(phi, False))
-            mom.append(self._initial_term(phi, True) + self._pressure_term(phi))
-        groups: dict[tuple[float, float], list[int]] = {}
-        for i, phi in enumerate(fns):
-            groups.setdefault(phi.x_knots, []).append(i)
-        t_knots = sorted({k for phi in fns for k in phi.t_knots})
-        for seg in self.segments:
-            cuts = sorted({seg.t0, seg.t1} | {k for k in t_knots if seg.t0 < k < seg.t1})
-            for a, b in zip(cuts, cuts[1:]):
-                for xknots, idxs in groups.items():
-                    x_a, v, wts = self._nodes_for_segment(seg, a, b, xknots)
-                    tn, xn, qw = self._window_nodes(a, b, x_a, v, xknots)
-                    for i in idxs:
-                        phi = fns[i]
-                        g = phi.dt(tn, xn) + v[:, None] * phi.dx(tn, xn)
-                        base = np.sum(g * qw, axis=1)
-                        mass[i] += float(wts @ base)
-                        mom[i] += float(wts @ (base * v))
+        jt, xl, vl, xr, vr, jm = self._compared_jumps()
+        at, ax, adlam = self._exact_atom_nodes()
+        profiles = [a for a in self.atoms if isinstance(a, ProfileAtom)]
+        sides = {}
+        mass = []
+        mom = []
+        for phi in fns:
+            if phi.x_knots not in sides:
+                sides[phi.x_knots] = self._side_terms(phi.x_knots)
+            st, sx, sv, sw = sides[phi.x_knots]
+            fl = phi(jt, xl)
+            fr = phi(jt, xr)
+            fs = phi(st, sx)
+            mass.append(float(jm @ (fl - fr)) + float(sw @ fs))
+            pressure = float(adlam @ np.diff(phi(at, ax)))
+            pressure += sum(self._profile_atom_term(phi, a) for a in profiles)
+            mom.append(float(jm @ (vl * fl - vr * fr)) + float((sw * sv) @ fs) + pressure)
         return mass, mom
 
 
 def weak_form_of_trace(trace) -> LagrangianWeakForm:
     """Weak form of a discrete run: piecewise-constant fields, exact atoms.
 
-    ``trace`` is a fields.FieldTrace; one segment per inter-event window with
-    the post-merge state at its left end, one exact atom per merge event.
+    ``trace`` is a fields.FieldTrace.  One segment per inter-event window:
+    its velocities are the previous window's, reset to ``post_velocity`` on
+    the merged range of each event at its start, and its positions are the
+    previous window's end positions as the segment evaluates them, so every
+    position is bitwise continuous in time.  One exact atom per merge event,
+    at the merged range's positions x_left + two_r * offset.
     """
-    times = trace.times
-    snaps = trace.snapshots(times[:-1])
+    tl = trace.timeline
+    events = tl.events
+    x, v = tl.initial.positions, tl.initial.velocities
     segments = []
-    for k, snap in enumerate(snaps):
-        x = snap.x_nodes[1:]
-        segments.append(Segment(float(times[k]), float(times[k + 1]), trace.w_grid,
-                                x, x, snap.u, snap.u, True))
-    atom_states = trace.timeline.states_at([t for t, _ in trace.atoms])
-    atoms = [ExactAtom(t, st.positions, dlam)
-             for (t, dlam), st in zip(trace.atoms, atom_states)]
+    ev = 0
+    for t0, t1 in zip(trace.times[:-1].tolist(), trace.times[1:].tolist()):
+        if ev < len(events) and events[ev].time <= t0:
+            v = v.copy()
+            while ev < len(events) and events[ev].time <= t0:
+                lo, hi = events[ev].index_range
+                v[lo:hi + 1] = events[ev].post_velocity
+                ev += 1
+        segments.append(Segment(t0, t1, trace.w_grid, x, x, v, v, True))
+        x = x + (t1 - t0) * v
+    atoms = [ExactAtom(e.time, e.x_left + trace.two_r * np.arange(e.jump_values.size + 1),
+                       e.jump_values)
+             for e in events]
     return LagrangianWeakForm(segments, atoms)

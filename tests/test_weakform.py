@@ -1,0 +1,263 @@
+"""Boundary-term weak residuals against a time quadrature, and what they detect."""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from congested_flow.cli import load_config
+from congested_flow.cone import SpacingCone
+from congested_flow.dynamics import evolve
+from congested_flow.fields import build_fields
+from congested_flow.initdata import quantile_sample
+from congested_flow.random_data import random_admissible_datum
+from congested_flow.scenarios import rebound_solution, sticky_solution
+from congested_flow.testfunctions import build_test_family
+from congested_flow.verification import TOL_WEAK_RESIDUAL
+from congested_flow.weakform import (
+    ExactAtom,
+    LagrangianWeakForm,
+    ProfileAtom,
+    weak_form_of_trace,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# -- reference: the space-time integrals by Gauss-Legendre quadrature in t ----
+#
+# Each trajectory's window is cut at the test functions' time knots and at its
+# crossings of the bump support edges, so the integrand is polynomial in t on
+# every subwindow; affine data are cut in w where the positions at either end
+# of the window cross a knot or the velocity changes sign.
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_WSUB = 8
+
+
+def _affine_root(w0, w1, f0, f1, target):
+    if f1 == f0:
+        return None
+    w = w0 + (target - f0) * (w1 - w0) / (f1 - f0)
+    return float(w) if w0 < w < w1 else None
+
+
+def _window_start_nodes(seg, a, b, xknots):
+    """Per-trajectory (x at time a, v, w-weight) arrays for the window [a, b]."""
+    if seg.pc:
+        return seg.A0 + (a - seg.t0) * seg.V0, seg.V0, np.diff(seg.wb)
+    xs, vs, ws = [], [], []
+    dt_a, dt_b = a - seg.t0, b - seg.t0
+    for j in range(seg.wb.size - 1):
+        w0, w1 = seg.wb[j], seg.wb[j + 1]
+        pa0, pa1 = seg.A0[j] + dt_a * seg.V0[j], seg.A1[j] + dt_a * seg.V1[j]
+        pb0, pb1 = seg.A0[j] + dt_b * seg.V0[j], seg.A1[j] + dt_b * seg.V1[j]
+        splits = {w0, w1}
+        for k in xknots:
+            for f0, f1 in ((pa0, pa1), (pb0, pb1)):
+                r = _affine_root(w0, w1, f0, f1, k)
+                if r is not None:
+                    splits.add(r)
+        r = _affine_root(w0, w1, seg.V0[j], seg.V1[j], 0.0)
+        if r is not None:
+            splits.add(r)
+        cuts = np.sort(np.fromiter(splits, dtype=float))
+        fine = np.unique(np.concatenate(
+            [np.linspace(cuts[i], cuts[i + 1], _WSUB + 1) for i in range(cuts.size - 1)]))
+        mid_h = (fine[1:] - fine[:-1]) / 2.0
+        mid_c = (fine[1:] + fine[:-1]) / 2.0
+        wn = (mid_c[:, None] + mid_h[:, None] * _GL_NODES).ravel()
+        wt = (mid_h[:, None] * _GL_WEIGHTS).ravel()
+        lam = (wn - w0) / (w1 - w0)
+        xs.append(pa0 + lam * (pa1 - pa0))
+        vs.append(seg.V0[j] + lam * (seg.V1[j] - seg.V0[j]))
+        ws.append(wt)
+    return np.concatenate(xs), np.concatenate(vs), np.concatenate(ws)
+
+
+def _time_nodes(a, b, x_a, v, xknots):
+    """(t, x, weight) nodes along each trajectory, cut at its knot crossings."""
+    k_lo, k_hi = xknots
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = np.where(v != 0.0, a + (k_lo - x_a) / v, a)
+        c2 = np.where(v != 0.0, a + (k_hi - x_a) / v, a)
+    c1, c2 = np.clip(c1, a, b), np.clip(c2, a, b)
+    bounds = np.stack([np.full_like(x_a, a), np.minimum(c1, c2), np.maximum(c1, c2),
+                       np.full_like(x_a, b)], axis=1)
+    ta = bounds[:, :3, None]
+    h = (bounds[:, 1:, None] - ta) / 2.0
+    tn = (ta + h * (_GL_NODES + 1.0)).reshape(x_a.size, -1)
+    qw = (h * _GL_WEIGHTS).reshape(x_a.size, -1)
+    return tn, x_a[:, None] + (tn - a) * v[:, None], qw
+
+
+def quadrature_residuals(form, phi):
+    """Mass and momentum residuals of one phi with the time integrals done by quadrature."""
+    x, v, w = _window_start_nodes(form.segments[0], 0.0, 0.0, phi.x_knots)
+    f0 = phi(0.0, x)
+    mass, mom = float(w @ f0), float(w @ (f0 * v))
+    t_knots = (0.0, phi.support_end)
+    for seg in form.segments:
+        cuts = sorted({seg.t0, seg.t1} | {k for k in t_knots if seg.t0 < k < seg.t1})
+        for a, b in zip(cuts, cuts[1:]):
+            x, v, w = _window_start_nodes(seg, a, b, phi.x_knots)
+            tn, xn, qw = _time_nodes(a, b, x, v, phi.x_knots)
+            g = np.sum((phi.dt(tn, xn) + v[:, None] * phi.dx(tn, xn)) * qw, axis=1)
+            mass += float(w @ g)
+            mom += float(w @ (g * v))
+    for atom in form.atoms:
+        if isinstance(atom, ExactAtom):
+            mom += float(np.sum(atom.dlam * np.diff(phi(atom.t, atom.x))))
+        else:
+            mom += form._profile_atom_term(phi, atom)
+    return mass, mom
+
+
+def _family(form, pad=0.1):
+    lo, hi = form.spatial_extent()
+    return build_test_family(lo - pad, hi + pad, form.horizon)
+
+
+# -- small discrete traces and both closed-form branches ----------------------
+
+def _random_contacts():
+    x0, u0, cone = random_admissible_datum(64, np.random.default_rng(7), contacts=True)
+    return evolve(x0, u0, cone, 1.0)
+
+
+def _cascade():
+    datum = load_config(str(CONFIGS / "smooth_compression.json"))["_datum"]
+    x0, u0, cone = quantile_sample(datum, 64)
+    return evolve(x0, u0, cone, 1.0)
+
+
+def _near_tie_pileup():
+    rng = np.random.default_rng(23)
+    n = 64
+    cone = SpacingCone.canonical(n)
+    gaps = cone.two_r * (2.0 + 1e-8 * rng.random(n - 1))
+    x0 = np.concatenate(([0.0], np.cumsum(gaps)))
+    u0 = 1.0 - 2.0 * np.arange(n) / n + 1e-9 * rng.normal(size=n)
+    return evolve(x0, u0, cone, 2.0)
+
+
+DISCRETE = {"random_contacts": _random_contacts, "cascade": _cascade,
+            "near_tie_pileup": _near_tie_pileup}
+
+
+@pytest.mark.parametrize("make", DISCRETE.values(), ids=DISCRETE.keys())
+def test_boundary_terms_match_time_quadrature_discrete(make):
+    tl = make()
+    assert tl.events
+    form = weak_form_of_trace(build_fields(tl))
+    fns = _family(form)
+    mass, mom = form.family_residuals(fns)
+    for phi, m, p in zip(fns, mass, mom):
+        ref_m, ref_p = quadrature_residuals(form, phi)
+        assert abs(m - ref_m) <= 1e-14
+        assert abs(p - ref_p) <= 1e-14
+
+
+@pytest.mark.parametrize("horizon", [1.0, 2.0])
+@pytest.mark.parametrize("eta", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("make", [sticky_solution, rebound_solution],
+                         ids=["sticky", "rebound"])
+def test_boundary_terms_match_time_quadrature_closed_form(make, eta, horizon):
+    form = make(eta).weak_form(horizon)
+    fns = _family(form)
+    mass, mom = form.family_residuals(fns)
+    for phi, m, p in zip(fns, mass, mom):
+        ref_m, ref_p = quadrature_residuals(form, phi)
+        assert abs(m - ref_m) <= 1e-14
+        assert abs(p - ref_p) <= 1e-14
+
+
+def test_closed_form_without_its_atom_fails_momentum():
+    form = sticky_solution(0.5).weak_form(1.0)
+    assert any(isinstance(a, ProfileAtom) for a in form.atoms)
+    _, mom = LagrangianWeakForm(form.segments, []).family_residuals(_family(form))
+    assert max(abs(r) for r in mom) > TOL_WEAK_RESIDUAL
+
+
+# -- negative controls ------------------------------------------------------
+
+@pytest.mark.parametrize("make", DISCRETE.values(), ids=DISCRETE.keys())
+def test_valid_discrete_trace_mass_residuals_exactly_zero(make):
+    form = weak_form_of_trace(build_fields(make()))
+    mass, _ = form.family_residuals(_family(form))
+    assert mass == [0.0] * 12
+
+
+def test_shifted_position_in_one_segment_fails_mass():
+    form = weak_form_of_trace(build_fields(_random_contacts()))
+    fns = _family(form)
+    k = int(np.argmax([s.t1 - s.t0 for s in form.segments[1:]])) + 1
+    seg = form.segments[k]
+    i = seg.A0.size // 2
+    x = seg.A0.copy()
+    x[i] += 1e-3
+    segments = list(form.segments)
+    segments[k] = dataclasses.replace(seg, A0=x, A1=x)
+    mass, _ = LagrangianWeakForm(segments, form.atoms).family_residuals(fns)
+    assert max(abs(r) for r in mass) > TOL_WEAK_RESIDUAL
+
+
+def test_perturbed_post_velocity_fails_momentum():
+    tl = _random_contacts()
+    # the widest merge well inside the test functions' time support
+    early = [j for j, e in enumerate(tl.events) if e.time < 0.5 * tl.horizon]
+    k = max(early, key=lambda j: np.ptp(tl.events[j].index_range))
+    e = tl.events[k]
+    events = list(tl.events)
+    events[k] = dataclasses.replace(e, post_velocity=e.post_velocity + 1e-3)
+    form = weak_form_of_trace(build_fields(dataclasses.replace(tl, events=tuple(events))))
+    mass, mom = form.family_residuals(_family(form))
+    assert mass == [0.0] * 12
+    assert max(abs(r) for r in mom) > TOL_WEAK_RESIDUAL
+
+
+# -- work: phi is evaluated only where an event changed the data ---------------
+
+@dataclasses.dataclass
+class CountingFunction:
+    """Test function wrapper counting the points it is evaluated at."""
+
+    phi: object
+    points: list
+
+    def _count(self, t, x):
+        self.points[0] += np.broadcast(t, x).size
+
+    def __call__(self, t, x):
+        self._count(t, x)
+        return self.phi(t, x)
+
+    def dt(self, t, x):
+        self._count(t, x)
+        return self.phi.dt(t, x)
+
+    def dx(self, t, x):
+        self._count(t, x)
+        return self.phi.dx(t, x)
+
+    @property
+    def x_knots(self):
+        return self.phi.x_knots
+
+    @property
+    def support_end(self):
+        return self.phi.support_end
+
+
+def test_evaluations_linear_in_particles_plus_merged_ranges():
+    n = 400
+    x0, u0, cone = random_admissible_datum(n, np.random.default_rng(0), contacts=True)
+    tl = evolve(x0, u0, cone, 1.0)
+    merged = sum(hi - lo + 1 for lo, hi in (e.index_range for e in tl.events))
+    form = weak_form_of_trace(build_fields(tl))
+    fns = _family(form)
+    points = [0]
+    counted = form.family_residuals([CountingFunction(phi, points) for phi in fns])
+    assert counted == form.family_residuals(fns)
+    assert len(tl.events) > n // 2
+    assert points[0] <= 12 * 4 * (n + merged)
