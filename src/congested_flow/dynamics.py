@@ -109,10 +109,6 @@ class MultiplierVector:
 
     lambdas: np.ndarray
 
-    @property
-    def interior(self) -> np.ndarray:
-        return self.lambdas[1:-1]
-
 
 @dataclass(frozen=True)
 class MergeEvent:
@@ -128,23 +124,25 @@ class MergeEvent:
     def index_range(self) -> tuple[int, int]:
         return self.merged_blocks[0][0], self.merged_blocks[-1][1]
 
-    def dense_jump(self, n: int) -> MultiplierVector:
-        lam = np.zeros(n + 1)
-        lo, _ = self.index_range
-        lam[lo + 1:lo + 1 + self.jump_values.size] = self.jump_values
-        return MultiplierVector(lam)
+    def positions(self, two_r: float) -> np.ndarray:
+        """Positions of the merged range lo..hi at the event instant."""
+        return self.x_left + two_r * np.arange(self.jump_values.size + 1)
 
 
 @dataclass(frozen=True)
 class PressureMeasure:
-    """Purely atomic congestion pressure: sum over events of delta_{t_e} x profile."""
+    """Purely atomic congestion pressure: sum over events of delta_{t_e} x profile.
+
+    Each atom is a MergeEvent, whose ``jump_values`` are the profile on contacts
+    lo+1..hi (zero elsewhere): O(sum of merged range sizes) floats in all.
+    """
 
     n: int
-    atoms: tuple[tuple[float, MultiplierVector], ...]
+    atoms: tuple[MergeEvent, ...]
 
     def total_mass(self) -> float:
         """Integral of the interpolated jump profiles over events and (0,1)."""
-        return sum(float(prof.lambdas.sum()) / self.n for _, prof in self.atoms)
+        return sum(float(e.jump_values.sum()) / self.n for e in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -516,13 +514,11 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> MultiplierVector:
 
 def pressure_measure(timeline: EventTimeline) -> PressureMeasure:
     """Atomic pressure: one atom per event carrying the multiplier jump."""
-    atoms = []
     jump_floor = -1e-12 * _scale(timeline.u0)
     for e in timeline.events:
         if e.jump_values.size and e.jump_values.min() < jump_floor:
             raise InvariantViolationError("negative pressure atom profile")
-        atoms.append((e.time, e.dense_jump(timeline.n)))
-    return PressureMeasure(timeline.n, tuple(atoms))
+    return PressureMeasure(timeline.n, timeline.events)
 
 
 def verify_complementarity(state: MicroState, mult: MultiplierVector,

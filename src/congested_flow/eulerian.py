@@ -103,21 +103,20 @@ def pressure_pushforward(measure: PressureMeasure, trace: FieldTrace) -> Euleria
     The lineal density on a contact interval equals the jump itself, which
     is the value making the Dirac pressure term balance the velocity jump in
     the weak momentum equation; supports land in saturated cells only.
+    Each atom is read off its event's merged range: O(sum of merged sizes).
     """
-    times = [t for t, _ in measure.atoms]
-    states = trace.timeline.states_at(times)
     atoms = []
-    for (t, prof), st in zip(measure.atoms, states):
-        dlam = prof.lambdas
-        j = np.flatnonzero(dlam[1:-1] != 0.0) + 1
-        if j.size == 0:
+    for e in measure.atoms:
+        k = np.flatnonzero(e.jump_values != 0.0)
+        if k.size == 0:
             continue
+        x = e.positions(trace.two_r)
         atoms.append(EulerianAtom(
-            time=t,
-            contacts=j,
-            x_left=st.positions[j - 1],
-            x_right=st.positions[j],
-            lineal_density=dlam[j],
+            time=e.time,
+            contacts=e.index_range[0] + 1 + k,
+            x_left=x[k],
+            x_right=x[k + 1],
+            lineal_density=e.jump_values[k],
         ))
     return EulerianPressure(tuple(atoms))
 

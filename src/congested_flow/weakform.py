@@ -286,7 +286,5 @@ def weak_form_of_trace(trace) -> LagrangianWeakForm:
                 ev += 1
         segments.append(Segment(t0, t1, trace.w_grid, x, x, v, v, True))
         x = x + (t1 - t0) * v
-    atoms = [ExactAtom(e.time, e.x_left + trace.two_r * np.arange(e.jump_values.size + 1),
-                       e.jump_values)
-             for e in events]
+    atoms = [ExactAtom(e.time, e.positions(trace.two_r), e.jump_values) for e in events]
     return LagrangianWeakForm(segments, atoms)

@@ -248,3 +248,23 @@ def test_converge_non_monotone_warns_and_strict_fails(tmp_path, capsys):
     assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
     assert "not monotonically decreasing" in capsys.readouterr().err
     assert main(["converge", "--config", str(cfg), "--out", str(out), "--strict"]) == 2
+
+
+def test_simulate_passes_with_disjoint_merges_at_one_instant(tmp_path):
+    # four saturated quarters, alternately moving right and left: the two
+    # pairs close their gaps at the same instant, in separate merges
+    cfg = write_config(
+        tmp_path, n=64,
+        scenario={
+            "name": "custom",
+            "density": [[0.0, 0.25, 1.0], [0.5, 0.75, 1.0], [1.0, 1.25, 1.0],
+                        [1.5, 1.75, 1.0]],
+            "velocity": {"kind": "lagrangian",
+                         "pieces": [[0.0, 0.25, 1.0, 1.0], [0.25, 0.5, -1.0, -1.0],
+                                    [0.5, 0.75, 1.0, 1.0], [0.75, 1.0, -1.0, -1.0]]},
+        },
+    )
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    events = (out / "events.csv").read_text().strip().splitlines()[1:]
+    assert len({line.split(",")[0] for line in events}) < len(events)

@@ -248,10 +248,10 @@ def test_pressure_measure_empty_without_events():
 def test_pressure_measure_single_atom():
     tl = evolve(X2, U2, TWO, 1.0)
     pm = pressure_measure(tl)
-    assert len(pm.atoms) == 1
-    t, prof = pm.atoms[0]
-    assert t == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(prof.lambdas, [0.0, 0.5, 0.0])
+    (atom,) = pm.atoms
+    assert atom.time == pytest.approx(0.5, abs=1e-15)
+    assert atom.index_range == (0, 1)
+    np.testing.assert_allclose(atom.jump_values, [0.5])
     assert pm.total_mass() == pytest.approx(0.25, abs=1e-15)
 
 

@@ -1,11 +1,14 @@
 """Lagrangian interpolations, exact norms, discrete-system residuals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import evolve
+from congested_flow.dynamics import evolve, pressure_measure
 from congested_flow.errors import InputDomainError
+from congested_flow.eulerian import pressure_pushforward
 from congested_flow.fields import (
     DeltaPadding,
     build_fields,
@@ -136,6 +139,41 @@ def test_discrete_pde_random_run():
     rep = verify_discrete_pde(build_fields(evolve(x0, u0, cone, 2.0)))
     assert rep["passed"]
     assert max(rep["order1_max_residual"], rep["order2_max_residual"]) <= 1e-10
+
+
+# bytes per particle and per merged-range entry that the pressure stages may hold
+BYTES_PER_UNIT = 256
+
+
+def random_contacts_run(n):
+    x0, u0, cone = random_admissible_datum(n, np.random.default_rng(0), contacts=True)
+    tl = evolve(x0, u0, cone, 1.0)
+    merged = sum(hi + 1 - lo for lo, hi in (e.index_range for e in tl.events))
+    return tl, n + merged
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pressure_storage_is_linear_in_n_plus_merged_size():
+    # storing n + 1 floats per event, or a full state per event, costs
+    # n * events and overshoots the bound by an order of magnitude here
+    def lift(tl):
+        pressure_pushforward(pressure_measure(tl), build_fields(tl))
+
+    lift(random_contacts_run(50)[0])  # one-time allocations stay unmeasured
+    tl, units = random_contacts_run(2000)
+    assert len(tl.events) > 1000
+    assert traced_peak(lambda: lift(tl)) <= BYTES_PER_UNIT * units
+    tl, units = random_contacts_run(500)
+    trace = build_fields(tl)
+    assert traced_peak(lambda: verify_discrete_pde(trace)) <= BYTES_PER_UNIT * units
 
 
 def test_oleinik_field_post_merge_and_l1_bound():

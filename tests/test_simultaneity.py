@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 
+from congested_flow import verification
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import active_set_monotone, evolve, trajectory_at
+from congested_flow.fields import build_fields, verify_discrete_pde
 from congested_flow.initdata import quantile_sample
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -104,3 +106,32 @@ def test_dense_near_simultaneous_pileup():
     tl, worst = cross_validate(x0, u0, cone, 2.0, nt=120)
     assert worst <= 1e-9
     assert active_set_monotone(tl)
+
+
+def two_pairs_meeting_at_once():
+    """Two disjoint pairs that touch at the same instant t = 1/8."""
+    cone = SpacingCone.canonical(4)
+    tl = evolve(np.array([0.0, 0.5, 2.5, 3.0]), np.array([1.0, -1.0, 1.0, -1.0]), cone, 1.0)
+    assert [(e.time, e.index_range) for e in tl.events] == [(0.125, (0, 1)), (0.125, (2, 3))]
+    return build_fields(tl)
+
+
+def test_disjoint_simultaneous_merges_balance_each_own_jump():
+    trace = two_pairs_meeting_at_once()
+    pde = verify_discrete_pde(trace)
+    assert pde["passed"]
+    assert pde["order2_max_residual"] <= 1e-15
+    assert all(r.passed for r in verification.run_battery(trace))
+
+
+def test_battery_checks_every_atom_of_a_shared_instant(monkeypatch):
+    seen = []
+    check = verification.complementarity_eulerian
+
+    def record(snap, atom, *args, **kwargs):
+        seen.append(set(atom.contacts.tolist()))
+        return check(snap, atom, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "complementarity_eulerian", record)
+    verification.run_battery(two_pairs_meeting_at_once())
+    assert seen == [{1}, {3}]
