@@ -38,15 +38,29 @@ __all__ = ["main", "load_config"]
 FAULTS = ("negative-lambda", "energy-bump", "stale-density")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# one printf conversion per numpy dtype kind; '%.17g' % x == format(x, ".17g")
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write row blocks as one CSV file, whole columns at a time.
+
+    Each block is a tuple of equal-length columns, one per header name;
+    blocks are stacked top to bottom.  Each column becomes one 1-d numpy
+    array, so all its values share one type: float columns are written as
+    ``%.17g`` and integer columns as ``%d``, by one format string per file.
+    """
+    columns = ([np.concatenate(col) for col in zip(*blocks)] if blocks
+               else [np.empty(0)] * len(header))
+    if len(columns) != len(header) or any(c.ndim != 1 or c.size != columns[0].size
+                                          for c in columns):
+        raise ValueError(f"{path.name}: need {len(header)} 1-d columns of one length")
+    bad = [c.dtype for c in columns if c.dtype.kind not in _CSV_FORMATS]
+    if bad:
+        raise TypeError(f"{path.name}: no CSV format for dtype {bad[0]}")
+    row = ",".join(_CSV_FORMATS[c.dtype.kind] for c in columns) + "\n"
+    body = "".join(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+    path.write_text(",".join(header) + "\n" + body)
 
 
 def _cfg_get(cfg: dict, path: str, typ, default=None, required=False):
@@ -210,37 +224,32 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     n = cfg.get("n") or cfg["n_list"][0]
     x0, u0, cone, timeline, trace = _pipeline(cfg, n)
     out.mkdir(parents=True, exist_ok=True)
+    events = timeline.events
     _write_csv(out / "events.csv",
                ["t_event", "merged_lo", "merged_hi", "post_velocity"],
-               [(float(e.time), e.index_range[0] + 1, e.index_range[1] + 1,
-                 float(e.post_velocity)) for e in timeline.events])
+               [([float(e.time) for e in events], [e.index_range[0] + 1 for e in events],
+                 [e.index_range[1] + 1 for e in events],
+                 [float(e.post_velocity) for e in events])])
     ts = cfg["_sample_times"]
-    state_rows, mult_rows, snap_rows = [], [], []
+    particles = np.arange(1, n + 1)
+    state_blocks, mult_blocks, snap_blocks = [], [], []
     for st in timeline.iter_states(ts):
-        mult = multipliers_at(st, u0)
+        lam = multipliers_at(st, u0).lambdas
         esnap = snapshot(st, cone, trace.padding)
-        for i in range(n):
-            state_rows.append((float(st.time), i + 1,
-                               float(st.positions[i]), float(st.velocities[i])))
-        for j, lam in enumerate(mult.lambdas):
-            mult_rows.append((float(st.time), j, float(lam)))
-        for i in range(esnap.density.size):
-            snap_rows.append((float(st.time), float(esnap.edges[i]),
-                              float(esnap.edges[i + 1]), float(esnap.density[i]),
-                              float(esnap.velocity[i])))
-    _write_csv(out / "states.csv", ["t", "particle", "x", "u"], state_rows)
-    _write_csv(out / "multipliers.csv", ["t", "contact", "lambda"], mult_rows)
-    _write_csv(out / "snapshots.csv",
-               ["t", "x_left", "x_right", "density", "velocity"], snap_rows)
-    measure = pressure_measure(timeline)
-    press = pressure_pushforward(measure, trace)
-    atom_rows = []
-    for atom in press.atoms:
-        for k in range(atom.contacts.size):
-            atom_rows.append((float(atom.time), float(atom.x_left[k]),
-                              float(atom.x_right[k]), float(atom.lineal_density[k])))
+        t = float(st.time)
+        state_blocks.append((np.full(n, t), particles, st.positions, st.velocities))
+        mult_blocks.append((np.full(lam.size, t), np.arange(lam.size), lam))
+        snap_blocks.append((np.full(esnap.density.size, t), esnap.edges[:-1],
+                            esnap.edges[1:], esnap.density, esnap.velocity))
+    _write_csv(out / "states.csv", ["t", "particle", "x", "u"], state_blocks)
+    _write_csv(out / "multipliers.csv", ["t", "contact", "lambda"], mult_blocks)
+    _write_csv(out / "snapshots.csv", ["t", "x_left", "x_right", "density", "velocity"],
+               snap_blocks)
+    press = pressure_pushforward(pressure_measure(timeline), trace)
+    atom_blocks = [(np.full(a.contacts.size, float(a.time)), a.x_left, a.x_right,
+                    a.lineal_density) for a in press.atoms]
     _write_csv(out / "pressure_atoms.csv",
-               ["t_event", "x_left", "x_right", "pressure_lineal_density"], atom_rows)
+               ["t_event", "x_left", "x_right", "pressure_lineal_density"], atom_blocks)
     checks, failed = _write_verification(cfg, trace, out, inject)
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -262,7 +271,7 @@ def cmd_converge(cfg: dict, out: Path, strict: bool, threads: int) -> int:
     header = ["n", "t", "dist_X_L2", "dist_U_L2", "dist_Lambda_L2",
               "pressure_mass", "bv_X", "oleinik_max"]
     _write_csv(out / "convergence.csv", header,
-               [tuple(row[k] for k in header) for row in study["rows"]])
+               [tuple([row[k] for row in study["rows"]] for k in header)])
     (out / "convergence_summary.json").write_text(json.dumps(
         {"sup": {str(k): v for k, v in study["sup"].items()},
          "reference_n": study["reference_n"], "rate_fit": study["rate_fit"]},
@@ -313,20 +322,19 @@ def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | Non
             "complementarity_max": sol.complementarity_max(),
         })
     reports = {}
-    profile_rows = []
+    profile_blocks = []
     for n in n_list:
         rep = selection_test(eta, n, horizon)
         trace = rep.pop("trace")
         rep.pop("timeline")
         reports[str(n)] = rep
-        if trace.atoms:
-            _, dlam = trace.atoms[-1]
+        atoms = trace.atoms  # the property rebuilds every dense profile on each read
+        if atoms:
+            _, dlam = atoms[-1]
             w = trace.w_grid
-            for j in range(w.size):
-                profile_rows.append((n, float(w[j]), float(dlam[j]),
-                                     float(sticky.atom_profile(w[j]))))
+            profile_blocks.append((np.full(w.size, n), w, dlam, sticky.atom_profile(w)))
     _write_csv(out / "selection_profiles.csv",
-               ["n", "w", "simulated_jump", "analytic_profile"], profile_rows)
+               ["n", "w", "simulated_jump", "analytic_profile"], profile_blocks)
     report = {
         "eta": eta, "tstar": tstar, "branches": branch_rows, "selection": reports,
     }
@@ -377,7 +385,8 @@ def cmd_bench(sizes: list[int], out: Path | None, repeats: int = 3) -> int:
                           f"n={n1}: {growth_ev:.2f}x n log n", file=sys.stderr)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "bench.csv", ["n", "project_seconds", "evolve_seconds"], rows)
+        _write_csv(out / "bench.csv", ["n", "project_seconds", "evolve_seconds"],
+                   [tuple([row[k] for row in rows] for k in range(3))])
     return 0 if ok else 2
 
 

@@ -1,15 +1,21 @@
 """Command-line contract: config validation, artifacts, exit codes, determinism."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from congested_flow import cli
 from congested_flow.cli import main
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import evolve
+from congested_flow.dynamics import evolve, multipliers_at, pressure_measure
+from congested_flow.eulerian import pressure_pushforward, snapshot
 from congested_flow.fields import build_fields
 from congested_flow.verification import CHECK_NAMES, run_battery
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -268,3 +274,98 @@ def test_simulate_passes_with_disjoint_merges_at_one_instant(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     events = (out / "events.csv").read_text().strip().splitlines()[1:]
     assert len({line.split(",")[0] for line in events}) < len(events)
+
+
+def test_csv_writer_matches_format_and_str_on_hostile_values(tmp_path):
+    bits = np.random.default_rng(0).integers(0, 2**63, 2000, dtype=np.uint64)
+    floats = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              1e16, 1e17, 9007199254740993.0, 0.1, 1 / 3, math.inf, -math.inf, math.nan,
+              -math.nan] + (bits | (bits & 1) << 63).view(np.float64).tolist()
+    ints = [(-1) ** k * (2**63 - 1 - k * 7919) for k in range(len(floats))]
+    uints = [2**64 - 1 - k for k in range(len(floats))]
+    path = tmp_path / "h.csv"
+    cli._write_csv(path, ["f", "i", "u"],
+                   [(floats[:9], ints[:9], np.array(uints[:9], dtype=np.uint64)),
+                    (floats[9:], ints[9:], np.array(uints[9:], dtype=np.uint64))])
+    expected = ["f,i,u"] + [f"{format(f, '.17g')},{i},{u}"
+                            for f, i, u in zip(floats, ints, uints)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    for empty in ([], [([], [])]):
+        cli._write_csv(path, ["f", "i"], empty)
+        assert path.read_text() == "f,i\n"
+    for bad in ([True, False], [None, 1.0], ["a", "b"], [2**64, 1]):
+        with pytest.raises(TypeError):
+            cli._write_csv(path, ["f", "x"], [([1.0, 2.0], bad)])
+    for ragged in ([([1.0, 2.0], [1])], [([1.0],)], [([[1.0]], [1])]):
+        with pytest.raises(ValueError):
+            cli._write_csv(path, ["f", "x"], ragged)
+
+
+def _per_row_csv(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
+                              for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _per_row_export(cfg, out):
+    """The simulate CSVs written one Python tuple per row: the reference."""
+    n = cfg.get("n") or cfg["n_list"][0]
+    _, u0, cone, timeline, trace = cli._pipeline(cfg, n)
+    out.mkdir(parents=True)
+    _per_row_csv(out / "events.csv", ["t_event", "merged_lo", "merged_hi", "post_velocity"],
+                 [(float(e.time), e.index_range[0] + 1, e.index_range[1] + 1,
+                   float(e.post_velocity)) for e in timeline.events])
+    state_rows, mult_rows, snap_rows = [], [], []
+    for st in timeline.iter_states(cfg["_sample_times"]):
+        mult = multipliers_at(st, u0)
+        esnap = snapshot(st, cone, trace.padding)
+        for i in range(n):
+            state_rows.append((float(st.time), i + 1,
+                               float(st.positions[i]), float(st.velocities[i])))
+        for j, lam in enumerate(mult.lambdas):
+            mult_rows.append((float(st.time), j, float(lam)))
+        for i in range(esnap.density.size):
+            snap_rows.append((float(st.time), float(esnap.edges[i]),
+                              float(esnap.edges[i + 1]), float(esnap.density[i]),
+                              float(esnap.velocity[i])))
+    _per_row_csv(out / "states.csv", ["t", "particle", "x", "u"], state_rows)
+    _per_row_csv(out / "multipliers.csv", ["t", "contact", "lambda"], mult_rows)
+    _per_row_csv(out / "snapshots.csv",
+                 ["t", "x_left", "x_right", "density", "velocity"], snap_rows)
+    atom_rows = []
+    for atom in pressure_pushforward(pressure_measure(timeline), trace).atoms:
+        for k in range(atom.contacts.size):
+            atom_rows.append((float(atom.time), float(atom.x_left[k]),
+                              float(atom.x_right[k]), float(atom.lineal_density[k])))
+    _per_row_csv(out / "pressure_atoms.csv",
+                 ["t_event", "x_left", "x_right", "pressure_lineal_density"], atom_rows)
+
+
+@pytest.mark.parametrize("case", ["two_block", "smooth_compression", "simultaneous",
+                                  "no_event"])
+def test_simulate_csvs_equal_the_per_row_export(tmp_path, monkeypatch, case):
+    if case in ("two_block", "smooth_compression"):
+        cfg_path = CONFIGS / f"{case}.json"
+    elif case == "simultaneous":
+        # two disjoint pairs touching at t = 1/8: two atoms at one instant
+        cone = SpacingCone.canonical(4)
+        x0, u0 = np.array([0.0, 0.5, 2.5, 3.0]), np.array([1.0, -1.0, 1.0, -1.0])
+        monkeypatch.setattr(cli, "quantile_sample", lambda datum, n: (x0, u0, cone))
+        cfg_path = write_config(tmp_path, n=4, sample_times=[0.0, 0.125, 0.5, 1.0])
+    else:
+        cfg_path = write_config(tmp_path, scenario={
+            "name": "custom", "density": [[0.0, 2.0, 0.5]],
+            "velocity": {"kind": "lagrangian", "pieces": [[0.0, 1.0, 0.7, 0.7]]}})
+    out, ref = tmp_path / "columns", tmp_path / "rows"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _per_row_export(cli.load_config(str(cfg_path)), ref)
+    for name in ("events.csv", "states.csv", "multipliers.csv", "snapshots.csv",
+                 "pressure_atoms.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    atoms = (out / "pressure_atoms.csv").read_text().splitlines()
+    if case == "no_event":
+        assert atoms == ["t_event,x_left,x_right,pressure_lineal_density"]
+    if case == "simultaneous":
+        assert [line.split(",")[0] for line in atoms[1:]] == ["0.125", "0.125"]

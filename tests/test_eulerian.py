@@ -190,6 +190,22 @@ def test_wasserstein_modulus_random_runs():
         assert rep["passed"]
 
 
+def test_wasserstein_modulus_equals_the_snapshot_list_formula():
+    rng = np.random.default_rng(7)
+    x0, u0, cone = random_admissible_datum(300, rng, contacts=True)
+    trace = build_fields(evolve(x0, u0, cone, 1.0))
+    w = trace.w_grid
+    ev = [float(te) for te in trace.timeline.event_times()]
+    pairs = [(0.0, 1.0), (0.0, ev[0]), (ev[3], ev[40]), (ev[-1], 1.0)]
+    pairs += [tuple(float(v) for v in np.sort(rng.uniform(0.0, 1.0, 2))) for _ in range(6)]
+    for s, t in pairs:
+        snaps = trace.snapshots([s] + [te for te in ev if s < te <= t] + [t])
+        modulus = PiecewiseField.from_nodes(w, snaps[-1].x_nodes - snaps[0].x_nodes).l2_norm()
+        sup_u = max(sn.velocity_field(w).l2_norm() for sn in snaps[:-1])
+        rep = wasserstein_time_modulus(trace, s, t)
+        assert (rep["modulus"], rep["bound"], rep["sup_velocity_l2"]) == \
+            (modulus, (t - s) * sup_u, sup_u)
+
 def _random_trace_form():
     rng = np.random.default_rng(6)
     x0, u0, cone = random_admissible_datum(40, rng, contacts=True)

@@ -8,7 +8,7 @@ import pytest
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import evolve, pressure_measure
 from congested_flow.errors import InputDomainError
-from congested_flow.eulerian import pressure_pushforward
+from congested_flow.eulerian import pressure_pushforward, wasserstein_time_modulus
 from congested_flow.fields import (
     DeltaPadding,
     build_fields,
@@ -175,6 +175,16 @@ def test_pressure_storage_is_linear_in_n_plus_merged_size():
     trace = build_fields(tl)
     assert traced_peak(lambda: verify_discrete_pde(trace)) <= BYTES_PER_UNIT * units
 
+
+def test_wasserstein_modulus_memory_is_linear_in_n_plus_merged_size():
+    # a list of full snapshots, one per event in (s, t], costs n * events; the
+    # window holds the last 300 events, whose list alone would be 3x the bound
+    wasserstein_time_modulus(build_fields(random_contacts_run(50)[0]), 0.0, 1.0)
+    tl, units = random_contacts_run(2000)
+    trace = build_fields(tl)
+    s = float(tl.events[-301].time)
+    assert traced_peak(lambda: wasserstein_time_modulus(trace, s, 1.0)) \
+        <= BYTES_PER_UNIT * units
 
 def test_oleinik_field_post_merge_and_l1_bound():
     trace = two_particle_trace()
