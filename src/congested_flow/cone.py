@@ -123,16 +123,20 @@ def _pava(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index is pushed once and merged at most once.
     """
     n = y.size
-    starts = np.empty(n, dtype=np.intp)
-    sums_wy = np.empty(n)
-    sums_w = np.empty(n)
-    means = np.empty(n)
+    # Python floats are IEEE doubles: the same operations in the same order as
+    # on numpy scalars, without their per-operation boxing cost
+    ys = y.tolist()
+    ws = w.tolist()
+    starts = [0] * n
+    sums_wy = [0.0] * n
+    sums_w = [0.0] * n
+    means = [0.0] * n
     m = 0
     for i in range(n):
         starts[m] = i
-        cw = w[i]
-        cwy = cw * y[i]
-        cmean = y[i]
+        cw = ws[i]
+        cwy = cw * ys[i]
+        cmean = ys[i]
         while m > 0 and means[m - 1] > cmean:
             m -= 1
             cw += sums_w[m]
@@ -142,7 +146,7 @@ def _pava(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sums_wy[m] = cwy
         means[m] = cmean
         m += 1
-    return starts[:m].copy(), means[:m].copy()
+    return np.array(starts[:m], dtype=np.intp), np.array(means[:m])
 
 
 def isotonic_blocks(y: np.ndarray, weights: np.ndarray | None = None):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputDomainError
 
-__all__ = ["PiecewiseField", "merge_breaks"]
+__all__ = ["PiecewiseField", "Resampling", "l2_norm_of_pieces", "merge_breaks"]
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ class PiecewiseField:
         return float(np.sum(h * per))
 
     def l2_norm(self) -> float:
-        a, b, h = self.left, self.right, self.widths
-        return float(np.sqrt(np.sum(h * (a * a + a * b + b * b) / 3.0)))
+        return l2_norm_of_pieces(self.widths, self.left, self.right)
 
     def linf_norm(self) -> float:
         return float(max(np.abs(self.left).max(), np.abs(self.right).max()))
@@ -123,18 +122,14 @@ class PiecewiseField:
     # -- algebra on a common grid ------------------------------------------
 
     def resampled(self, new_breaks: np.ndarray) -> "PiecewiseField":
-        """Same field on a refined grid; new breaks must contain the old ones."""
+        """Same field on a refined grid; new breaks must contain the old ones.
+
+        The piece lookup is a ``Resampling``, the helper that callers comparing
+        many fields on one pair of grids build once and reuse.
+        """
         nb = np.asarray(new_breaks, dtype=float)
-        mid = (nb[:-1] + nb[1:]) / 2.0
-        j = np.clip(np.searchsorted(self.breaks, mid, side="right") - 1, 0, self.npieces - 1)
-        h = self.breaks[j + 1] - self.breaks[j]
-        lam_l = (nb[:-1] - self.breaks[j]) / h
-        lam_r = (nb[1:] - self.breaks[j]) / h
-        return PiecewiseField(
-            nb,
-            self.left[j] * (1.0 - lam_l) + self.right[j] * lam_l,
-            self.left[j] * (1.0 - lam_r) + self.right[j] * lam_r,
-        )
+        left, right = Resampling.of(self.breaks, nb)(self.left, self.right)
+        return PiecewiseField(nb, left, right)
 
     def __sub__(self, other: "PiecewiseField") -> "PiecewiseField":
         grid = merge_breaks(self.breaks, other.breaks)
@@ -154,3 +149,35 @@ def merge_breaks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InputDomainError("fields live on different intervals")
     grid = np.union1d(a, b)
     return grid
+
+
+def l2_norm_of_pieces(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Exact L2 norm of the field with piece widths h and endpoint values a, b."""
+    return float(np.sqrt(np.sum(h * (a * a + a * b + b * b) / 3.0)))
+
+
+@dataclass(frozen=True)
+class Resampling:
+    """Where the pieces of a refinement sit in the pieces of a coarser grid.
+
+    New piece k lies in old piece ``j[k]``, from local coordinate ``lam_l[k]``
+    to ``lam_r[k]``.  It depends on the two grids only, so one lookup maps
+    every field on the old grid onto the new one at the cost of a gather.
+    """
+
+    j: np.ndarray
+    lam_l: np.ndarray
+    lam_r: np.ndarray
+
+    @classmethod
+    def of(cls, old_breaks: np.ndarray, new_breaks: np.ndarray) -> "Resampling":
+        """Lookup of ``new_breaks`` (which must contain ``old_breaks``) in ``old_breaks``."""
+        mid = (new_breaks[:-1] + new_breaks[1:]) / 2.0
+        j = np.clip(np.searchsorted(old_breaks, mid, side="right") - 1, 0, old_breaks.size - 2)
+        h = old_breaks[j + 1] - old_breaks[j]
+        return cls(j, (new_breaks[:-1] - old_breaks[j]) / h, (new_breaks[1:] - old_breaks[j]) / h)
+
+    def __call__(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint values on the new pieces of the field (old breaks, left, right)."""
+        a, b = left[self.j], right[self.j]
+        return a * (1.0 - self.lam_l) + b * self.lam_l, a * (1.0 - self.lam_r) + b * self.lam_r

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from congested_flow.cone import (
     SpacingCone,
+    _pava,
     isotonic_project,
     normal_cone_check,
     project_onto_cone,
@@ -112,6 +113,61 @@ def test_pooled_blocks_carry_weighted_means():
     bounds = np.append(starts, 12)
     for a, b in zip(bounds, bounds[1:]):
         np.testing.assert_allclose(xt[a:b], yt[a:b].mean(), atol=1e-12)
+
+
+def pava_numpy_scalars(y, w):
+    """The list-free kernel ``_pava`` replaced: numpy arrays indexed one scalar
+    at a time, the same operations in the same order."""
+    n = y.size
+    starts = np.empty(n, dtype=np.intp)
+    sums_wy = np.empty(n)
+    sums_w = np.empty(n)
+    means = np.empty(n)
+    m = 0
+    for i in range(n):
+        starts[m] = i
+        cw = w[i]
+        cwy = cw * y[i]
+        cmean = y[i]
+        while m > 0 and means[m - 1] > cmean:
+            m -= 1
+            cw += sums_w[m]
+            cwy += sums_wy[m]
+            cmean = cwy / cw
+        sums_w[m] = cw
+        sums_wy[m] = cwy
+        means[m] = cmean
+        m += 1
+    return starts[:m].copy(), means[:m].copy()
+
+
+_RNG = np.random.default_rng(11)
+PAVA_CASES = {
+    "unit_weights": (_RNG.normal(size=500), np.ones(500)),
+    "random_weights": (_RNG.normal(size=500), _RNG.uniform(0.1, 3.0, 500)),
+    # [2, 0] and [3, -1] pool to mean 1.0, equal to their neighbours, which stay apart
+    "exact_ties": (np.array([1.0, 2.0, 0.0, 1.0, 1.0, 3.0, -1.0, 1.0]), np.ones(8)),
+    "monotone": (np.cumsum(_RNG.uniform(0.0, 1.0, 300)), _RNG.uniform(0.5, 2.0, 300)),
+    "decreasing": (-np.cumsum(_RNG.uniform(0.1, 1.0, 300)), _RNG.uniform(0.5, 2.0, 300)),
+    "single": (np.array([0.3]), np.array([2.0])),
+    "offset_noise": (1e6 + 1e-9 * np.cumsum(_RNG.normal(size=2000)), np.ones(2000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAVA_CASES))
+def test_pava_bitwise_equals_numpy_scalar_kernel(case):
+    y, w = PAVA_CASES[case]
+    starts, means = _pava(y, w)
+    ref_starts, ref_means = pava_numpy_scalars(y, w)
+    assert starts.dtype == ref_starts.dtype and means.dtype == ref_means.dtype
+    assert np.array_equal(starts, ref_starts)
+    assert means.tobytes() == ref_means.tobytes()
+    if case == "exact_ties":
+        assert starts.tolist() == [0, 1, 3, 4, 5, 7] and means.tolist() == [1.0] * 6
+    if case == "monotone":
+        assert starts.size == y.size and means.tobytes() == y.tobytes()
+    if case == "decreasing":
+        assert starts.tolist() == [0]
 
 
 def test_projection_identity_on_feasible():

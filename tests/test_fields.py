@@ -1,12 +1,15 @@
 """Lagrangian interpolations, exact norms, discrete-system residuals."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from congested_flow import fields, piecewise
+from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import evolve, pressure_measure
+from congested_flow.dynamics import evolve, max_slope_ratio, pressure_measure
 from congested_flow.errors import InputDomainError
 from congested_flow.eulerian import pressure_pushforward, wasserstein_time_modulus
 from congested_flow.fields import (
@@ -18,11 +21,12 @@ from congested_flow.fields import (
     verify_discrete_pde,
 )
 from congested_flow.initdata import MacroscopicDatum, rearrangement_from_density
-from congested_flow.piecewise import PiecewiseField
+from congested_flow.piecewise import PiecewiseField, merge_breaks
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
 
 TWO = SpacingCone(2, 1.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def two_particle_trace(horizon=2.0):
@@ -246,6 +250,95 @@ def test_convergence_study_threads_deterministic():
     a = convergence_study(datum, [16, 32, 64], 1.0, [0.3, 0.6], threads=1)
     b = convergence_study(datum, [16, 32, 64], 1.0, [0.3, 0.6], threads=3)
     assert a["rows"] == b["rows"]
+
+
+def per_field_distance_study(datum, n_list, horizon, sample_times,
+                             padding=DeltaPadding()):
+    """The sweep as it was before the shared mass grid: one ``distance`` call,
+    with its own union grid and piece lookups, per (n, time, field)."""
+    n_list = sorted(set(int(n) for n in n_list))
+    sample_times = sorted(float(t) for t in sample_times)
+    traces = {n: fields._run_single(datum, n, horizon, padding) for n in n_list}
+    n_ref = n_list[-1]
+    ref = traces[n_ref]
+    ref_snaps = ref.snapshots(sample_times)
+    rows = []
+    sup_dist = {}
+    for n in n_list:
+        tr = traces[n]
+        mass = pressure_mass_bound(tr)
+        sup_x = sup_u = sup_lam = 0.0
+        for snap, rsnap in zip(tr.snapshots(sample_times), ref_snaps):
+            fx = snap.position_field(tr.w_grid)
+            dx = fx.distance(rsnap.position_field(ref.w_grid), "L2")
+            du = snap.velocity_field(tr.w_grid).distance(rsnap.velocity_field(ref.w_grid), "L2")
+            dl = snap.multiplier_field(tr.w_grid).distance(
+                rsnap.multiplier_field(ref.w_grid), "L2")
+            sup_x, sup_u, sup_lam = max(sup_x, dx), max(sup_u, du), max(sup_lam, dl)
+            ole = (max_slope_ratio(snap.time, snap.x_nodes, snap.u_nodes)
+                   if snap.time > 0.0 else 0.0)
+            rows.append({
+                "n": n,
+                "t": snap.time,
+                "dist_X_L2": dx,
+                "dist_U_L2": du,
+                "dist_Lambda_L2": dl,
+                "pressure_mass": mass,
+                "bv_X": fx.bv(),
+                "oleinik_max": ole,
+            })
+        sup_dist[n] = {"X": sup_x, "U": sup_u, "Lambda": sup_lam, "pressure_mass": mass}
+    return rows, sup_dist
+
+
+def float_bits(obj):
+    """Every float replaced by its exact hex form, so == compares bit patterns."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: float_bits(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [float_bits(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("config, n_list", [
+    ("two_block.json", None),
+    ("smooth_compression.json", None),
+    ("two_block.json", [6, 10, 15]),
+    ("smooth_compression.json", [6, 10, 15]),
+], ids=["two_block", "smooth_compression", "two_block_non_nested",
+        "smooth_compression_non_nested"])
+def test_shared_grid_sweep_equals_per_field_distances(config, n_list):
+    cfg = load_config(str(CONFIGS / config))
+    n_list = n_list or cfg["n_list"]
+    ref_w = np.arange(max(n_list) + 1) / max(n_list)
+    if n_list == [6, 10, 15]:
+        # the union grid of n = 6 and the reference differs from both sides' grids
+        assert merge_breaks(np.arange(7) / 6, ref_w).size > ref_w.size
+    args = (cfg["_datum"], n_list, cfg["_horizon"], cfg["_sample_times"],
+            DeltaPadding(cfg["_delta"]))
+    study = convergence_study(*args)
+    rows, sup = per_field_distance_study(*args)
+    assert float_bits(study["rows"]) == float_bits(rows)
+    assert float_bits(study["sup"]) == float_bits(sup)
+
+
+@pytest.mark.parametrize("n_times", [1, 5])
+def test_convergence_study_merges_one_grid_per_n(monkeypatch, n_times):
+    calls = []
+
+    def counting_merge_breaks(a, b):
+        calls.append(1)
+        return merge_breaks(a, b)
+
+    # patched where it is defined and where fields imported it, so that a
+    # return to per-field ``distance`` calls would be counted as well
+    monkeypatch.setattr(piecewise, "merge_breaks", counting_merge_breaks)
+    monkeypatch.setattr(fields, "merge_breaks", counting_merge_breaks)
+    n_list = [8, 12, 16]
+    convergence_study(two_block_datum(0.5), n_list, 1.0, np.linspace(0.2, 1.0, n_times))
+    assert len(calls) == len(n_list)
 
 
 def test_resampling_preserves_norms_exactly():
