@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -432,6 +433,11 @@ class EventTimeline:
     def n(self) -> int:
         return self.cone.n
 
+    @cached_property
+    def _initial_starts(self) -> np.ndarray:
+        """First particle of each initial block, ascending."""
+        return np.array([a for a, _ in self.initial_blocks])
+
     def event_times(self) -> np.ndarray:
         return np.array([e.time for e in self.events])
 
@@ -460,7 +466,7 @@ class EventTimeline:
             raise InputDomainError("query times must be ascending")
         n = self.n
         two_r = self.cone.two_r
-        starts0 = np.array([a for a, _ in self.initial_blocks])
+        starts0 = self._initial_starts
         # is_start[n] is a sentinel, so block ends are the indices before a start
         is_start = np.zeros(n + 1, dtype=bool)
         is_start[starts0] = True

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,70 @@ def _per_row_csv(path, header, rows):
         lines.append(",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
                               for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _repeated_hostile_columns(rows):
+    """Five columns drawn from small pools of hostile values, so most cells repeat."""
+    rng = np.random.default_rng(5)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0x7FF00000DEADBEEF, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    pool = np.concatenate(([0.0, -0.0, math.inf, -math.inf, 0.75, 1 / 3, 5e-324, 1e16],
+                           nans))
+    pool32 = np.concatenate((np.array([0.0, -0.0, math.inf, -math.inf, 0.75, 0.1, 1 / 3],
+                                      dtype=np.float32),
+                             np.array([0x7FC00000, 0xFFC00000, 0x7FC00001],
+                                      dtype=np.uint32).view(np.float32)))
+    a, b = pool[rng.integers(0, pool.size, rows)], pool[rng.integers(0, pool.size, rows)]
+    f32 = pool32[rng.integers(0, pool32.size, rows)]
+    a[::5] = b[::5] = f32[::5] = 0.75  # one value in every float column of a row
+    i64 = rng.choice(np.array([-2**63, -1, 0, 7, 2**63 - 1]), rows)
+    u64 = np.uint64(2**64 - 1) - rng.integers(0, 3, rows).astype(np.uint64)
+    return a, b, i64, u64, f32
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, cli._CSV_CHUNK_ROWS])
+def test_csv_writer_matches_per_row_export_on_repeated_hostile_values(tmp_path, monkeypatch,
+                                                                      chunk_rows):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    header = ["a", "b", "i", "u", "f32"]
+    columns = _repeated_hostile_columns(300)
+    for col in (columns[0], columns[1], columns[4]):
+        zero_signs = np.signbit(col[col == 0.0])
+        assert zero_signs.any() and not zero_signs.all() and np.isinf(col).any()
+        assert np.unique(col[np.isnan(col)].view(f"u{col.itemsize}")).size > 1
+    ref_rows = list(zip(*(c.tolist() for c in columns)))
+    whole = [columns]
+    single = [tuple(c[:1] for c in columns)]
+    one_row_blocks = [tuple(c[i:i + 1] for c in columns) for i in range(300)]
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    for blocks, rows in ((whole, ref_rows), (single, ref_rows[:1]),
+                         (one_row_blocks, ref_rows)):
+        cli._write_csv(got, header, blocks)
+        _per_row_csv(ref, header, rows)
+        assert got.read_bytes() == ref.read_bytes()
+
+
+def test_csv_writer_memory_is_bounded_by_the_text_it_writes(tmp_path):
+    # a snapshots.csv-shaped file: six times, shared cell edges, few densities
+    # and velocities; holding every row's text as Python objects at once, as
+    # a per-row writer does, peaks near 5x the file size
+    rng = np.random.default_rng(0)
+    blocks = []
+    for t in (0.1, 0.2, 0.4, 0.6, 0.8, 1.0):
+        edges = t + np.cumsum(rng.uniform(0.5, 1.5, 5001))
+        blocks.append((np.full(5000, t), edges[:-1], edges[1:],
+                       rng.choice([0.25, 0.5, 1.0], 5000),
+                       rng.choice(np.linspace(-1.0, 1.0, 8), 5000)))
+    path = tmp_path / "snapshots.csv"
+    header = ["t", "x_left", "x_right", "density", "velocity"]
+    cli._write_csv(path, header, blocks[:1])  # one-time allocations stay unmeasured
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, header, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * path.stat().st_size
 
 
 def _per_row_export(cfg, out):
