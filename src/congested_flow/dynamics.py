@@ -13,6 +13,11 @@ Multipliers follow the recursion lam[i] = lam[i-1] - (u_i - u0_i) / n with
 lam[0] = lam[n] = 0; they are piecewise constant in time, so the congestion
 pressure is a finite sum of time atoms carrying the multiplier jumps.
 States are right-continuous at event times.
+
+A cluster partition is always one ascending int array of block starts
+(first entry 0): block k is starts[k] .. starts[k+1] - 1, the last one runs
+to n - 1.  Inside an event loop it is a block-start mask of length n + 1 whose
+sentinel entry n is set, coarsened only by ``_merge``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ClusterPartition",
     "MicroState",
     "MergeEvent",
     "EventTimeline",
@@ -65,39 +68,25 @@ def _scale(x: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ClusterPartition:
-    """Ordered contiguous blocks (a, b), 0-based inclusive, covering 0..n-1."""
-
-    blocks: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prev = -1
-        for a, b in self.blocks:
-            if a != prev + 1 or b < a:
-                raise InputDomainError("blocks must be ordered, contiguous and covering")
-            prev = b
-
-    @property
-    def n(self) -> int:
-        return self.blocks[-1][1] + 1
-
-    def contact_set(self) -> frozenset[int]:
-        """Active contacts as lambda indices j (between 0-based particles j-1, j)."""
-        out = []
-        for a, b in self.blocks:
-            out.extend(range(a + 1, b + 1))
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
 class MicroState:
-    """Snapshot of the particle system at one instant (right-continuous)."""
+    """Snapshot of the particle system at one instant (right-continuous).
+
+    ``starts`` is the cluster partition: the first particle of each contact
+    cluster, a strictly ascending int array that begins at 0 and stays below
+    n.  Every construction checks that with one vectorised test.
+    """
 
     time: float
     positions: np.ndarray
     velocities: np.ndarray
-    partition: ClusterPartition
+    starts: np.ndarray
     cone: SpacingCone
+
+    def __post_init__(self):
+        s = self.starts
+        if not (s.ndim == 1 and s.size and s.dtype.kind in "iu" and s[0] == 0
+                and s[-1] < self.n and np.all(s[1:] > s[:-1])):
+            raise InputDomainError("block starts must ascend strictly from 0 and stay below n")
 
     @property
     def n(self) -> int:
@@ -177,13 +166,32 @@ def _contact_starts(x: np.ndarray, two_r: float, tol: float) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] - two_r > tol)))
 
 
+def _start_mask(starts: np.ndarray, n: int) -> np.ndarray:
+    """Block-start mask of length n + 1 with the sentinel entry n set."""
+    is_start = np.zeros(n + 1, dtype=bool)
+    is_start[starts] = True
+    is_start[n] = True
+    return is_start
+
+
+def _merge(is_start: np.ndarray, lo: int, hi: int) -> bool:
+    """Merge particles lo..hi into one block of the mask ``is_start``.
+
+    Returns False, leaving the mask unchanged, unless lo..hi is a union of
+    whole current blocks (lo and hi + 1 are starts, the sentinel counting);
+    otherwise clears the starts inside the range.
+    """
+    if not (0 <= lo <= hi < is_start.size - 1 and is_start[lo] and is_start[hi + 1]):
+        return False
+    is_start[lo + 1:hi + 1] = False
+    return True
+
+
 def _cluster_state(t: float, x: np.ndarray, u0: np.ndarray, starts: np.ndarray,
                    cone: SpacingCone) -> MicroState:
     """State with clusters beginning at ``starts``, each moving with its mean of u0."""
-    bounds = np.append(starts, cone.n)
-    blocks = tuple(zip(starts.tolist(), (bounds[1:] - 1).tolist()))
-    u = np.repeat(_block_means(u0, starts), np.diff(bounds))
-    return MicroState(float(t), x, u, ClusterPartition(blocks), cone)
+    u = np.repeat(_block_means(u0, starts), np.diff(np.append(starts, cone.n)))
+    return MicroState(float(t), x, u, starts, cone)
 
 
 def validate_initial(x0, u0, cone: SpacingCone, tol: float = CONTACT_RTOL) -> CheckReport:
@@ -246,14 +254,14 @@ class _Clusters:
     back after a merge.
     """
 
-    def __init__(self, x0, blocks, two_r):
-        m = len(blocks)
+    def __init__(self, x0, starts, v, two_r):
+        m = starts.size
         self.two_r = two_r
-        self.start = [a for a, _ in blocks]
-        self.end = [b for _, b in blocks]
-        self.xl = [float(x0[a]) for a, _ in blocks]
+        self.start = starts.tolist()
+        self.end = (np.append(starts[1:], x0.size) - 1).tolist()
+        self.xl = x0[starts].tolist()
         self.tr = [0.0] * m
-        self.v = [0.0] * m
+        self.v = v.tolist()
         self.alive = [True] * m
         self.prev = [k - 1 for k in range(m)]
         self.next = [k + 1 if k + 1 < m else -1 for k in range(m)]
@@ -307,7 +315,6 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     tol_gap = CONTACT_RTOL * _scale(x0)
     starts = _contact_starts(x0, cone.two_r, tol_gap)
     initial = _cluster_state(0.0, x0.copy(), u0, starts, cone)
-    blocks = initial.partition.blocks
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
 
     def range_mean(a, b):
@@ -316,8 +323,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
         return float((prefix_u0[b + 1] - prefix_u0[a]) / (b + 1 - a))
 
     jump_floor = -1e-12 * _scale(u0)
-    cl = _Clusters(x0, blocks, cone.two_r)
-    cl.v = initial.velocities[starts].tolist()
+    cl = _Clusters(x0, starts, initial.velocities[starts], cone.two_r)
 
     heap: list[tuple[float, int, int, int]] = []
     counter = 0
@@ -334,7 +340,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             heapq.heappush(heap, (t_hit, counter, c, d))
             counter += 1
 
-    for k in range(len(blocks) - 1):
+    for k in range(starts.size - 1):
         push_candidate(k, k + 1, 0.0)
 
     events: list[MergeEvent] = []
@@ -413,8 +419,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             push_candidate(cl.prev[m], m, t_e)
             push_candidate(m, cl.next[m], t_e)
 
-    return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(),
-                         blocks, tuple(events), initial)
+    return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(), tuple(events), initial)
 
 
 @dataclass(frozen=True)
@@ -425,18 +430,12 @@ class EventTimeline:
     horizon: float
     x0: np.ndarray
     u0: np.ndarray
-    initial_blocks: tuple[tuple[int, int], ...]
     events: tuple[MergeEvent, ...]
     initial: MicroState
 
     @property
     def n(self) -> int:
         return self.cone.n
-
-    @cached_property
-    def _initial_starts(self) -> np.ndarray:
-        """First particle of each initial block, ascending."""
-        return np.array([a for a, _ in self.initial_blocks])
 
     def event_times(self) -> np.ndarray:
         return np.array([e.time for e in self.events])
@@ -454,7 +453,9 @@ class EventTimeline:
 
         The blocks live in arrays of length n: a block-start mask plus the
         left edge, reference time and velocity stored at each block start.
-        Cost: O(merged range) per event and O(n) per state.  Raises
+        Each state reads its starts off the mask and takes them as its
+        partition; there is no per-block Python work.  Cost: O(merged range)
+        per event and O(n) vectorised work per state.  Raises
         InvariantViolationError if an event does not cover whole current
         blocks.
         """
@@ -466,39 +467,35 @@ class EventTimeline:
             raise InputDomainError("query times must be ascending")
         n = self.n
         two_r = self.cone.two_r
-        starts0 = self._initial_starts
-        # is_start[n] is a sentinel, so block ends are the indices before a start
-        is_start = np.zeros(n + 1, dtype=bool)
-        is_start[starts0] = True
-        is_start[n] = True
+        starts0 = self.initial.starts
+        is_start = _start_mask(starts0, n)
         x_left = np.zeros(n)
         t_ref = np.zeros(n)
         v = np.zeros(n)
         x_left[starts0] = self.x0[starts0]
-        v[starts0] = _block_means(self.u0, starts0)
+        v[starts0] = self.initial.velocities[starts0]
         offsets = np.arange(n)
         ev = 0
         for t in times:
             while ev < len(self.events) and self.events[ev].time <= t:
                 e = self.events[ev]
                 lo, hi = e.index_range
-                if not (0 <= lo <= hi < n and is_start[lo] and is_start[hi + 1]):
+                if not _merge(is_start, lo, hi):
                     raise InvariantViolationError(
                         f"event at t={e.time} merges {lo}..{hi}, which is not a union "
                         "of current blocks")
-                is_start[lo + 1:hi + 1] = False
                 x_left[lo] = e.x_left
                 t_ref[lo] = e.time
                 v[lo] = e.post_velocity
                 ev += 1
-            starts = np.flatnonzero(is_start[:n])
-            ends = np.flatnonzero(is_start[1:])
-            sizes = ends + 1 - starts
+            # the sentinel n closes the last block
+            bounds = np.flatnonzero(is_start)
+            starts = bounds[:-1]
+            sizes = np.diff(bounds)
             x = (np.repeat(x_left[starts] + v[starts] * (t - t_ref[starts]), sizes)
                  + two_r * (offsets - np.repeat(starts, sizes)))
             u = np.repeat(v[starts], sizes)
-            blocks = tuple(zip(starts.tolist(), ends.tolist()))
-            yield MicroState(t, x, u, ClusterPartition(blocks), self.cone)
+            yield MicroState(t, x, u, starts, self.cone)
 
 
 def multipliers_at(state: MicroState, u0: np.ndarray) -> MultiplierVector:
@@ -564,9 +561,9 @@ def verify_semigroup(timeline: EventTimeline, s: float, t: float,
     st_s, st_t = timeline.states_at([s, t])
     z = project_onto_cone(timeline.cone, st_s.positions + (t - s) * st_s.velocities)
     pos_err = float(np.max(np.abs(z - st_t.positions)))
-    starts = np.array([a for a, _ in st_t.partition.blocks])
+    starts = st_t.starts
     means = _block_means(st_s.velocities, starts)
-    u_expect = np.repeat(means, [b - a + 1 for a, b in st_t.partition.blocks])
+    u_expect = np.repeat(means, np.diff(np.append(starts, timeline.n)))
     vel_err = float(np.max(np.abs(u_expect - st_t.velocities)))
     err = max(pos_err, vel_err)
     return CheckReport("semigroup", err <= tol, err, tol,
@@ -623,22 +620,14 @@ def verify_estimates(timeline: EventTimeline) -> dict:
 def active_set_monotone(timeline: EventTimeline) -> bool:
     """Contacts never disappear: every event coarsens the current partition.
 
-    Each merged range must tile a set of whole current blocks, and event
-    times must be nondecreasing.
+    Replays the events on a block-start mask of the initial starts: each
+    merged range must be a union of whole current blocks (``_merge``, the
+    rule ``iter_states`` enforces), and event times must be nondecreasing.
     """
-    reg = {a: b for a, b in timeline.initial_blocks}
+    is_start = _start_mask(timeline.initial.starts, timeline.n)
     t_prev = 0.0
     for e in timeline.events:
-        if e.time < t_prev:
+        if e.time < t_prev or not _merge(is_start, *e.index_range):
             return False
         t_prev = e.time
-        lo, hi = e.index_range
-        a = lo
-        while a <= hi:
-            if a not in reg:
-                return False
-            a = reg.pop(a) + 1
-        if a != hi + 1:
-            return False
-        reg[lo] = hi
     return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import SpacingCone
-from .dynamics import validate_initial
+from .dynamics import _admissible
 from .errors import AdmissibilityError, InputDomainError
 from .piecewise import PiecewiseField, merge_breaks
 
@@ -188,9 +188,7 @@ def quantile_sample(datum: MacroscopicDatum, n: int):
     x0 = datum.x0_map(w, side="left")
     u0 = datum.u0_map(w, side="left")
     cone = SpacingCone.canonical(n)
-    report = validate_initial(x0, u0, cone)
-    if not report.passed:
-        raise AdmissibilityError(f"sampled datum is inadmissible: {report.detail}")
+    x0, u0 = _admissible(x0, u0, cone)
     return x0, u0, cone
 
 

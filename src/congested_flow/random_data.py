@@ -29,16 +29,9 @@ def random_admissible_datum(n: int, rng: np.random.Generator,
     x0 = np.cumsum(x0)
     u0 = rng.normal(0.0, 1.0, n)
     if contacts:
-        j = 0
-        while j < n - 1:
-            if gaps[j] == cone.two_r:
-                k = j
-                while k < n - 1 and gaps[k] == cone.two_r:
-                    k += 1
-                u0[j:k + 1] = u0[j]
-                j = k
-            else:
-                j += 1
+        # each contact run moves with the velocity drawn for its first particle
+        starts = np.flatnonzero(np.concatenate(([True], gaps != cone.two_r)))
+        u0 = np.repeat(u0[starts], np.diff(np.append(starts, n)))
     return x0, u0, cone
 
 

@@ -6,7 +6,8 @@ import pytest
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import (
     _block_means,
-    ClusterPartition,
+    _merge,
+    _start_mask,
     EventTimeline,
     MicroState,
     MultiplierVector,
@@ -37,7 +38,7 @@ def test_trajectory_free_flight():
     st = trajectory_at(X2, U2, TWO, 0.25)
     np.testing.assert_allclose(st.positions, [0.25, 1.75])
     np.testing.assert_array_equal(st.velocities, U2)
-    assert st.partition.blocks == ((0, 0), (1, 1))
+    np.testing.assert_array_equal(st.starts, [0, 1])
 
 
 def test_trajectory_post_collision_rest():
@@ -45,7 +46,7 @@ def test_trajectory_post_collision_rest():
     st = trajectory_at(X2, U2, TWO, 1.0)
     np.testing.assert_allclose(st.positions, [0.5, 1.5])
     np.testing.assert_array_equal(st.velocities, [0.0, 0.0])
-    assert st.partition.blocks == ((0, 1),)
+    np.testing.assert_array_equal(st.starts, [0])
 
 
 def test_trajectory_identity_at_zero():
@@ -128,10 +129,10 @@ def test_routes_agree_on_partitions_at_and_before_events(offset):
             # a gap within CONTACT_RTOL of two_r already counts as a contact on
             # the projection route, so one ulp early it shows the merged blocks
             after = post[float(te[np.searchsorted(before, t)])]
-            assert ref.partition.blocks == after.partition.blocks
-            assert st.partition.blocks != after.partition.blocks
+            np.testing.assert_array_equal(ref.starts, after.starts)
+            assert not np.array_equal(st.starts, after.starts)
         else:
-            assert ref.partition.blocks == st.partition.blocks
+            np.testing.assert_array_equal(ref.starts, st.starts)
             np.testing.assert_array_equal(ref.velocities, st.velocities)
 
 
@@ -139,13 +140,14 @@ def dict_registry_states(tl, times):
     """Reference reconstruction: a block registry keyed by start index.
 
     This is the per-block Python loop that ``iter_states`` replaced; it yields
-    (positions, velocities, blocks) per query time.
+    (positions, velocities, block starts) per query time.
     """
-    starts0 = np.array([a for a, _ in tl.initial_blocks])
+    starts0 = tl.initial.starts
+    ends0 = np.append(starts0[1:], tl.n) - 1
     means0 = _block_means(tl.u0, starts0)
     # start -> [end, x_left, t_ref, v]
     reg = {a: [b, float(tl.x0[a]), 0.0, float(v)]
-           for (a, b), v in zip(tl.initial_blocks, means0)}
+           for a, b, v in zip(starts0.tolist(), ends0.tolist(), means0)}
     ev = 0
     n = tl.n
     two_r = tl.cone.two_r
@@ -161,13 +163,11 @@ def dict_registry_states(tl, times):
             ev += 1
         x = np.empty(n)
         u = np.empty(n)
-        blocks = []
         for a in sorted(reg):
             b, xl, tr, v = reg[a]
             x[a:b + 1] = xl + v * (t - tr) + two_r * np.arange(b + 1 - a)
             u[a:b + 1] = v
-            blocks.append((a, b))
-        yield x, u, tuple(blocks)
+        yield x, u, sorted(reg)
 
 
 def _random_contacts_case():
@@ -206,10 +206,10 @@ def test_iter_states_matches_dict_registry(case):
     states = tl.states_at(times)
     refs = list(dict_registry_states(tl, times))
     assert len(states) == len(refs) == len(times)
-    for st, (x, u, blocks) in zip(states, refs):
+    for st, (x, u, starts) in zip(states, refs):
         np.testing.assert_array_equal(st.positions, x)
         np.testing.assert_array_equal(st.velocities, u)
-        assert st.partition.blocks == blocks
+        assert st.starts.tolist() == starts
 
 
 def test_multipliers_zero_before_any_collision():
@@ -235,7 +235,7 @@ def test_multipliers_telescoping_closure():
 
 def test_multipliers_detect_corrupted_state():
     st = trajectory_at(X2, U2, TWO, 1.0)
-    bad = MicroState(st.time, st.positions, st.velocities + 0.25, st.partition, st.cone)
+    bad = MicroState(st.time, st.positions, st.velocities + 0.25, st.starts, st.cone)
     with pytest.raises(InvariantViolationError):
         multipliers_at(bad, U2)
 
@@ -337,12 +337,25 @@ def test_active_set_monotone_valid_and_corrupted():
     # and one ending inside it drops the block's tail
     short = type(tl.events[0])(tl.horizon, ((lo, hi - 1),), 0.0, 0.0,
                                np.zeros(hi - lo - 1))
-    for event in (fake, short):
-        bad = EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tl.initial_blocks,
+    # and one whose range reaches past the last particle
+    beyond = type(tl.events[0])(tl.horizon, ((0, tl.n),), 0.0, 0.0, np.zeros(tl.n))
+    for event in (fake, short, beyond):
+        bad = EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0,
                             tl.events + (event,), tl.initial)
         assert not active_set_monotone(bad)
         with pytest.raises(InvariantViolationError):
             bad.states_at([tl.horizon])
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 4), (0, 3), (2, 6), (-1, 1), (3, 2)],
+                         ids=["starts_inside", "ends_inside", "reaches_n", "negative", "empty"])
+def test_merge_rejects_a_range_that_splits_a_block(lo, hi):
+    # blocks 0..1, 2..4, 5..5 of n = 6
+    mask = _start_mask(np.array([0, 2, 5]), 6)
+    assert not _merge(mask, lo, hi)
+    assert np.flatnonzero(mask).tolist() == [0, 2, 5, 6]
+    assert _merge(mask, 0, 4)
+    assert np.flatnonzero(mask).tolist() == [0, 5, 6]
 
 
 def test_momentum_conservation_exact():
@@ -358,7 +371,7 @@ def test_cluster_count_nonincreasing():
     rng = np.random.default_rng(15)
     x0, u0, cone = random_admissible_datum(80, rng)
     tl = evolve(x0, u0, cone, 5.0)
-    counts = [len(st.partition.blocks) for st in tl.iter_states(np.linspace(0, 5, 21))]
+    counts = [st.starts.size for st in tl.iter_states(np.linspace(0, 5, 21))]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
@@ -392,13 +405,13 @@ def test_perturbation_contraction_probe():
         assert d <= d0 + 1e-12
 
 
-def test_partition_validation():
+@pytest.mark.parametrize("starts", [[1, 3], [0, 2, 2], [0, 3, 1], [0, 4], []],
+                         ids=["no_zero", "repeat", "descending", "reaches_n", "empty"])
+def test_microstate_rejects_bad_starts(starts):
+    st = trajectory_at(np.array([0.0, 2.0, 4.0, 6.0]), np.zeros(4), SpacingCone(4, 1.0), 0.5)
+    MicroState(st.time, st.positions, st.velocities, np.array([0, 2]), st.cone)
     with pytest.raises(InputDomainError):
-        ClusterPartition(((0, 1), (3, 4)))  # gap in the covering
-    with pytest.raises(InputDomainError):
-        ClusterPartition(((0, 1), (1, 2)))  # overlap
-    part = ClusterPartition(((0, 2), (3, 3)))
-    assert part.contact_set() == frozenset({1, 2})
+        MicroState(st.time, st.positions, st.velocities, np.array(starts, dtype=int), st.cone)
 
 
 def test_velocity_maximum_principle():
@@ -424,3 +437,24 @@ def test_energy_strictly_decreases_at_heterogeneous_merges():
         if np.ptp(u[lo:hi + 1]) > 1e-12:
             assert e_post < e_pre
         u[lo:hi + 1] = e.post_velocity
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_velocity_scaling_halves_time(seed):
+    # doubling every velocity runs the same trajectory twice as fast; the
+    # factor 2 is exact in binary floating point, so the match is bitwise
+    x0, u0, cone = random_admissible_datum(300, np.random.default_rng(seed), contacts=True)
+    ref = evolve(x0, u0, cone, 1.0)
+    fast = evolve(x0, 2.0 * u0, cone, 0.5)
+    assert len(ref.events) > 100
+    assert len(fast.events) == len(ref.events)
+    for e, f in zip(ref.events, fast.events):
+        assert f.index_range == e.index_range
+        assert f.time == e.time / 2.0
+        assert f.post_velocity == 2.0 * e.post_velocity
+        np.testing.assert_array_equal(f.jump_values, 2.0 * e.jump_values)
+    times = np.linspace(0.0, 1.0, 11)
+    for st, sf in zip(ref.iter_states(times), fast.iter_states(times / 2.0)):
+        np.testing.assert_array_equal(sf.positions, st.positions)
+        np.testing.assert_array_equal(sf.velocities, 2.0 * st.velocities)
+        np.testing.assert_array_equal(sf.starts, st.starts)
