@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time as _time
 from pathlib import Path
@@ -318,11 +317,11 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     return 0
 
 
-def cmd_converge(cfg: dict, out: Path, strict: bool, threads: int) -> int:
+def cmd_converge(cfg: dict, out: Path, strict: bool) -> int:
     n_list = cfg.get("n_list") or [cfg["n"]]
     datum = cfg["_datum"]
     study = convergence_study(datum, n_list, cfg["_horizon"], cfg["_sample_times"],
-                              DeltaPadding(cfg["_delta"]), threads=threads)
+                              DeltaPadding(cfg["_delta"]))
     out.mkdir(parents=True, exist_ok=True)
     header = ["n", "t", "dist_X_L2", "dist_U_L2", "dist_Lambda_L2",
               "pressure_mass", "bv_X", "oleinik_max"]
@@ -460,9 +459,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON scenario file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("CONGESTED_FLOW_THREADS", "1")),
-                       help="worker threads for the per-n pipelines of converge")
+        p.add_argument("--threads", type=int, choices=[1], default=1,
+                       help="must be 1; accepted so that existing invocations still parse")
         if name == "converge":
             p.add_argument("--strict", action="store_true",
                            help="exit 2 if the sup distances are not decreasing")
@@ -485,7 +483,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, Path(args.out), args.inject)
         if args.command == "converge":
             cfg = load_config(args.config)
-            return cmd_converge(cfg, Path(args.out), args.strict, max(1, args.threads))
+            return cmd_converge(cfg, Path(args.out), args.strict)
         if args.command == "verify":
             cfg = load_config(args.config)
             return cmd_verify(cfg, Path(args.out), args.inject)

@@ -16,8 +16,10 @@ States are right-continuous at event times.
 
 A cluster partition is always one ascending int array of block starts
 (first entry 0): block k is starts[k] .. starts[k+1] - 1, the last one runs
-to n - 1.  Inside an event loop it is a block-start mask of length n + 1 whose
-sentinel entry n is set, coarsened only by ``_merge``.
+to n - 1.  Replaying events (``iter_states``, ``active_set_monotone``) it is a
+block-start mask of length n + 1 whose sentinel entry n is set, coarsened only
+by ``_merge``.  ``evolve`` keys its clusters by the same starts: each cluster's
+data sits at its first particle.
 """
 
 from __future__ import annotations
@@ -247,53 +249,6 @@ def trajectory_at(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, t: float) -
     return _cluster_state(t, x, u0, starts, cone)
 
 
-class _Clusters:
-    """Append-only cluster store for the event-driven loop (merge-only).
-
-    Dead clusters keep their data, so pre-event block records can be read
-    back after a merge.
-    """
-
-    def __init__(self, x0, starts, v, two_r):
-        m = starts.size
-        self.two_r = two_r
-        self.start = starts.tolist()
-        self.end = (np.append(starts[1:], x0.size) - 1).tolist()
-        self.xl = x0[starts].tolist()
-        self.tr = [0.0] * m
-        self.v = v.tolist()
-        self.alive = [True] * m
-        self.prev = [k - 1 for k in range(m)]
-        self.next = [k + 1 if k + 1 < m else -1 for k in range(m)]
-
-    def new_cluster(self, a, b, xl, t, v, prev_id, next_id):
-        self.start.append(a)
-        self.end.append(b)
-        self.xl.append(xl)
-        self.tr.append(t)
-        self.v.append(v)
-        self.alive.append(True)
-        self.prev.append(prev_id)
-        self.next.append(next_id)
-        return len(self.start) - 1
-
-    def left_edge(self, k, t):
-        return self.xl[k] + self.v[k] * (t - self.tr[k])
-
-    def right_edge(self, k, t):
-        return self.left_edge(k, t) + self.two_r * (self.end[k] - self.start[k])
-
-    def hit_time(self, c, d):
-        """Exact contact instant of neighbors c, d; None if not closing."""
-        rel = self.v[c] - self.v[d]
-        if rel <= 0.0:
-            return None
-        lead = (self.xl[d] - self.v[d] * self.tr[d]) \
-            - (self.xl[c] - self.v[c] * self.tr[c]) \
-            - self.two_r * (self.end[c] - self.start[c]) - self.two_r
-        return lead / rel
-
-
 def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) -> "EventTimeline":
     """Event-driven sticky evolution on [0, horizon].
 
@@ -303,17 +258,30 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     into closing contact at the same instant).  Every connected group that
     coalesces yields one MergeEvent.
 
-    Cost: O(log n) heap work per candidate contact plus O(k log k) amortised
-    for a cascade of k blocks (union-find with path compression, absorbed
-    lists merged smaller into larger), so an n-way tie is near-linear.  The
-    jump profile of each event costs O(merged range).
+    Each cluster is keyed by its first particle a, in lists of length n: its
+    last particle end[a], its left edge xl[a] at time tr[a] and its velocity
+    v[a] sit at a, and head[end[a]] = a sits at its last particle.  So the
+    right neighbour is end[a] + 1 and the left one head[a - 1].  A merge
+    rewrites the left cluster in place; an absorbed start keeps its old data,
+    and head[end[s]] leads from it towards the cluster that absorbed it.  A
+    heap candidate carries the stamps of both of its starts and counts only
+    if neither cluster has changed since it was pushed.
+
+    Cost: O(log n) heap work per candidate contact, and O(k log k) for
+    sorting the pairs and pre-merge records of an instant that touches k
+    blocks.  Resolving a worklist start walks head[end[.]] once per nesting
+    level of the merges it went through at that instant (there is no path
+    compression); in an n-way tie, hit from either end or closing everywhere
+    at once, that is at most one step per walk.  The jump profile of each
+    event costs O(merged range).  The lists cost O(n) to set up.
     """
     if horizon < 0.0:
         raise InputDomainError(f"horizon must be nonnegative, got {horizon}")
     x0, u0 = _admissible(x0, u0, cone)
     n = cone.n
+    two_r = cone.two_r
     tol_gap = CONTACT_RTOL * _scale(x0)
-    starts = _contact_starts(x0, cone.two_r, tol_gap)
+    starts = _contact_starts(x0, two_r, tol_gap)
     initial = _cluster_state(0.0, x0.copy(), u0, starts, cone)
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
 
@@ -323,101 +291,109 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
         return float((prefix_u0[b + 1] - prefix_u0[a]) / (b + 1 - a))
 
     jump_floor = -1e-12 * _scale(u0)
-    cl = _Clusters(x0, starts, initial.velocities[starts], cone.two_r)
+    end = np.zeros(n, dtype=np.intp)
+    head = np.zeros(n, dtype=np.intp)
+    end[starts] = np.append(starts[1:], n) - 1
+    head[end[starts]] = starts
+    end, head = end.tolist(), head.tolist()
+    xl = x0.tolist()
+    tr = [0.0] * n
+    v = initial.velocities.tolist()
+    stamp = [0] * n  # bumped whenever the cluster keyed at a start changes
 
-    heap: list[tuple[float, int, int, int]] = []
+    def left_edge(a, t):
+        return xl[a] + v[a] * (t - tr[a])
+
+    def live_start(a):
+        while head[end[a]] != a:
+            a = head[end[a]]
+        return a
+
+    heap: list[tuple[float, int, int, int, int, int]] = []
     counter = 0
 
-    def push_candidate(c, d, t_now):
+    def push_candidate(a, s, t_now):
+        """Queue the exact contact instant of neighbours a, s if they close."""
         nonlocal counter
-        if c < 0 or d < 0:
+        rel = v[a] - v[s]
+        if rel <= 0.0:
             return
-        t_hit = cl.hit_time(c, d)
-        if t_hit is None:
-            return
-        t_hit = max(t_hit, t_now)
+        lead = (xl[s] - v[s] * tr[s]) - (xl[a] - v[a] * tr[a]) \
+            - two_r * (end[a] - a) - two_r
+        t_hit = max(lead / rel, t_now)
         if t_hit <= horizon:
-            heapq.heappush(heap, (t_hit, counter, c, d))
+            heapq.heappush(heap, (t_hit, counter, a, s, stamp[a], stamp[s]))
             counter += 1
 
-    for k in range(starts.size - 1):
-        push_candidate(k, k + 1, 0.0)
+    start_list = starts.tolist()
+    for a, s in zip(start_list, start_list[1:]):
+        push_candidate(a, s, 0.0)
 
     events: list[MergeEvent] = []
 
     while heap:
-        t_e, _, c0, d0 = heapq.heappop(heap)
+        t_e, _, a, s, sa, ss = heapq.heappop(heap)
         if t_e > horizon:
             break
-        if not (cl.alive[c0] and cl.alive[d0]):
+        if stamp[a] != sa or stamp[s] != ss:
             continue
-        pairs = [(c0, d0)]
+        pairs = [(a, s)]
         while heap and heap[0][0] <= t_e + EVENT_TIE_TOL:
-            _, _, cc, dd = heapq.heappop(heap)
-            if cl.alive[cc] and cl.alive[dd]:
-                pairs.append((cc, dd))
-        parent: dict[int, int] = {}
-        absorbed: dict[int, list[int]] = {}
-
-        def find(k):
-            root = k
-            while not cl.alive[root]:
-                root = parent[root]
-            while k != root:
-                parent[k], k = root, parent[k]
-            return root
-
-        new_roots: list[int] = []
-        worklist = deque(sorted(pairs, key=lambda p: cl.start[p[0]]))
+            _, _, a, s, sa, ss = heapq.heappop(heap)
+            if stamp[a] == sa and stamp[s] == ss:
+                pairs.append((a, s))
+        pre: dict[int, tuple[int, float]] = {}  # touched start -> pre-instant (end, v)
+        worklist = deque(sorted(pairs))
         while worklist:
             c, d = worklist.popleft()
-            c = find(c)
-            d = find(d)
-            if c == d or cl.next[c] != d:
+            c = live_start(c)
+            d = live_start(d)
+            if c == d or end[c] + 1 != d:
                 continue
-            a, b = cl.start[c], cl.end[d]
-            m = cl.new_cluster(a, b, cl.left_edge(c, t_e), t_e, range_mean(a, b),
-                               cl.prev[c], cl.next[d])
-            cl.alive[c] = cl.alive[d] = False
-            parent[c] = parent[d] = m
-            if cl.prev[c] >= 0:
-                cl.next[cl.prev[c]] = m
-            if cl.next[d] >= 0:
-                cl.prev[cl.next[d]] = m
-            ids, other = absorbed.pop(c, [c]), absorbed.pop(d, [d])
-            if len(ids) < len(other):
-                ids, other = other, ids
-            ids.extend(other)
-            absorbed[m] = ids
-            new_roots.append(m)
+            pre.setdefault(c, (end[c], v[c]))
+            pre.setdefault(d, (end[d], v[d]))
+            b = end[d]
+            xl[c] = left_edge(c, t_e)
+            tr[c] = t_e
+            v[c] = range_mean(c, b)
+            end[c] = b
+            head[b] = c
+            stamp[c] += 1
+            stamp[d] += 1
             # a merge can trigger an immediate further contact at this instant
-            for left, right in ((cl.prev[m], m), (m, cl.next[m])):
-                if left < 0 or right < 0:
+            for left, right in ((head[c - 1], c), (c, b + 1)):
+                if not 0 < right < n:
                     continue
-                gap = cl.left_edge(right, t_e) - cl.right_edge(left, t_e) - cone.two_r
-                if gap <= tol_gap and cl.v[left] > cl.v[right]:
+                gap = left_edge(right, t_e) \
+                    - (left_edge(left, t_e) + two_r * (end[left] - left)) - two_r
+                if gap <= tol_gap and v[left] > v[right]:
                     worklist.append((left, right))
-        roots = sorted((m for m in new_roots if cl.alive[m]), key=lambda m: cl.start[m])
-        for m in roots:
-            pre_ids = sorted(absorbed[m], key=lambda k: cl.start[k])
-            pre_blocks = tuple((cl.start[k], cl.end[k]) for k in pre_ids)
-            a, b = cl.start[m], cl.end[m]
-            v_bar = cl.v[m]
-            u_pre = np.empty(b + 1 - a)
-            for k in pre_ids:
-                u_pre[cl.start[k] - a:cl.end[k] + 1 - a] = cl.v[k]
-            jump = -np.cumsum(v_bar - u_pre)[:-1] / n
+        for a in sorted(pre):
+            if head[end[a]] != a:
+                continue  # absorbed at this instant
+            b = end[a]
+            blocks, speeds = [], []
+            k = a
+            while k <= b:
+                e, w = pre[k]
+                blocks.append((k, e))
+                speeds.append(w)
+                k = e + 1
+            u_pre = np.repeat(speeds, [e + 1 - k for k, e in blocks])
+            jump = -np.cumsum(v[a] - u_pre)[:-1] / n
             if jump.size and jump.min() < jump_floor:
                 raise InvariantViolationError("negative multiplier jump at a merge")
             events.append(MergeEvent(
                 time=float(t_e),
-                merged_blocks=pre_blocks,
-                post_velocity=v_bar,
-                x_left=float(cl.xl[m]),
+                merged_blocks=tuple(blocks),
+                post_velocity=v[a],
+                x_left=float(xl[a]),
                 jump_values=jump,
             ))
-            push_candidate(cl.prev[m], m, t_e)
-            push_candidate(m, cl.next[m], t_e)
+            if a > 0:
+                push_candidate(head[a - 1], a, t_e)
+            if b + 1 < n:
+                push_candidate(a, b + 1, t_e)
 
     return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(), tuple(events), initial)
 
@@ -574,9 +550,9 @@ def verify_estimates(timeline: EventTimeline) -> dict:
     """Energy dissipation and sup bounds along the whole timeline.
 
     Passes iff the rescaled kinetic energy is nonincreasing across events,
-    never exceeds its initial value, and all multiplier statistics are finite.
-    Sup statistics track every value the multipliers ever take (they change
-    only at events).
+    never exceeds its initial value (both within ``energy_tolerance``), and
+    all multiplier statistics are finite.  Sup statistics track every value
+    the multipliers ever take (they change only at events).
     """
     n = timeline.n
     u = timeline.initial.velocities.copy()
@@ -614,6 +590,7 @@ def verify_estimates(timeline: EventTimeline) -> dict:
         "sup_n_lambda_jump": sup_njump,
         "initial_energy": energy[0],
         "final_energy": energy[-1],
+        "energy_tolerance": tol,
     }
 
 

@@ -240,8 +240,7 @@ def _run_single(datum: MacroscopicDatum, n: int, horizon: float,
 
 
 def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
-                      sample_times, padding: DeltaPadding = DeltaPadding(),
-                      threads: int = 1) -> dict:
+                      sample_times, padding: DeltaPadding = DeltaPadding()) -> dict:
     """Self-convergence sweep against the largest-n run as reference.
 
     For each n, runs the full pipeline and reports, per sample time, the L2
@@ -256,16 +255,7 @@ def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
     if any(t < 0.0 or t > horizon for t in sample_times):
         raise InputDomainError("sample times must lie in [0, horizon]")
 
-    def make(n):
-        return _run_single(datum, n, horizon, padding)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            traces = dict(zip(n_list, ex.map(make, n_list)))
-    else:
-        traces = {n: make(n) for n in n_list}
+    traces = {n: _run_single(datum, n, horizon, padding) for n in n_list}
 
     n_ref = n_list[-1]
     ref = traces[n_ref]

@@ -96,7 +96,13 @@ def test_simulate_deterministic_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_verify_reports_and_inject_fails_only_target(tmp_path):
+@pytest.mark.parametrize("fault, target", [
+    ("negative-lambda", "complementarity"),
+    # two_block's energy drops from 1 to 0: a verdict shifted by 1 would still pass
+    ("energy-bump", "energy_dissipation"),
+    ("stale-density", "eulerian_reconstruction"),
+])
+def test_verify_reports_and_inject_fails_only_target(tmp_path, fault, target):
     cfg = write_config(tmp_path)
     out = tmp_path / "v"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
@@ -104,10 +110,10 @@ def test_verify_reports_and_inject_fails_only_target(tmp_path):
     assert report["all_passed"]["passed"]
     assert "cone_oracle" not in report  # n = 32 > 12
     assert main(["verify", "--config", str(cfg), "--out", str(out),
-                 "--inject", "negative-lambda"]) == 2
+                 "--inject", fault]) == 2
     report = json.loads((out / "verification.json").read_text())
     failed = [k for k, v in report.items() if not v["passed"] and k != "all_passed"]
-    assert failed == ["complementarity"]
+    assert failed == [target]
 
 
 def test_verify_small_n_includes_oracle(tmp_path):

@@ -1,14 +1,23 @@
 """Microscopic engine: projection evaluation, events, multipliers, invariants."""
 
+import heapq
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
 
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import (
+    CONTACT_RTOL,
+    EVENT_TIE_TOL,
     _block_means,
+    _contact_starts,
     _merge,
+    _scale,
     _start_mask,
     EventTimeline,
+    MergeEvent,
     MicroState,
     MultiplierVector,
     active_set_monotone,
@@ -210,6 +219,176 @@ def test_iter_states_matches_dict_registry(case):
         np.testing.assert_array_equal(st.positions, x)
         np.testing.assert_array_equal(st.velocities, u)
         assert st.starts.tolist() == starts
+
+
+class _IdClusters:
+    """Append-only cluster store with fresh ids per merge (reference only)."""
+
+    def __init__(self, x0, starts, v, two_r):
+        m = starts.size
+        self.two_r = two_r
+        self.start = starts.tolist()
+        self.end = (np.append(starts[1:], x0.size) - 1).tolist()
+        self.xl = x0[starts].tolist()
+        self.tr = [0.0] * m
+        self.v = v.tolist()
+        self.alive = [True] * m
+        self.prev = [k - 1 for k in range(m)]
+        self.next = [k + 1 if k + 1 < m else -1 for k in range(m)]
+
+    def new_cluster(self, a, b, xl, t, v, prev_id, next_id):
+        for name, value in (("start", a), ("end", b), ("xl", xl), ("tr", t), ("v", v),
+                            ("alive", True), ("prev", prev_id), ("next", next_id)):
+            getattr(self, name).append(value)
+        return len(self.start) - 1
+
+    def left_edge(self, k, t):
+        return self.xl[k] + self.v[k] * (t - self.tr[k])
+
+    def right_edge(self, k, t):
+        return self.left_edge(k, t) + self.two_r * (self.end[k] - self.start[k])
+
+    def hit_time(self, c, d):
+        rel = self.v[c] - self.v[d]
+        if rel <= 0.0:
+            return None
+        lead = (self.xl[d] - self.v[d] * self.tr[d]) \
+            - (self.xl[c] - self.v[c] * self.tr[c]) \
+            - self.two_r * (self.end[c] - self.start[c]) - self.two_r
+        return lead / rel
+
+
+def id_union_find_events(x0, u0, cone, horizon):
+    """Reference event loop: fresh cluster ids, a per-instant union-find and
+    absorbed lists.  This is the loop that the start-keyed store of ``evolve``
+    replaced; it returns the MergeEvents."""
+    n = cone.n
+    tol_gap = CONTACT_RTOL * _scale(x0)
+    starts = _contact_starts(x0, cone.two_r, tol_gap)
+    prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
+
+    def range_mean(a, b):
+        if a == b:
+            return float(u0[a])
+        return float((prefix_u0[b + 1] - prefix_u0[a]) / (b + 1 - a))
+
+    cl = _IdClusters(x0, starts, _block_means(u0, starts), cone.two_r)
+    heap = []
+    counter = itertools.count()
+
+    def push_candidate(c, d, t_now):
+        if c < 0 or d < 0:
+            return
+        t_hit = cl.hit_time(c, d)
+        if t_hit is not None and max(t_hit, t_now) <= horizon:
+            heapq.heappush(heap, (max(t_hit, t_now), next(counter), c, d))
+
+    for k in range(starts.size - 1):
+        push_candidate(k, k + 1, 0.0)
+    events = []
+    while heap:
+        t_e, _, c0, d0 = heapq.heappop(heap)
+        if not (cl.alive[c0] and cl.alive[d0]):
+            continue
+        pairs = [(c0, d0)]
+        while heap and heap[0][0] <= t_e + EVENT_TIE_TOL:
+            _, _, cc, dd = heapq.heappop(heap)
+            if cl.alive[cc] and cl.alive[dd]:
+                pairs.append((cc, dd))
+        parent, absorbed, new_roots = {}, {}, []
+
+        def find(k):
+            while not cl.alive[k]:
+                k = parent[k]
+            return k
+
+        worklist = deque(sorted(pairs, key=lambda p: cl.start[p[0]]))
+        while worklist:
+            c, d = worklist.popleft()
+            c, d = find(c), find(d)
+            if c == d or cl.next[c] != d:
+                continue
+            a, b = cl.start[c], cl.end[d]
+            m = cl.new_cluster(a, b, cl.left_edge(c, t_e), t_e, range_mean(a, b),
+                               cl.prev[c], cl.next[d])
+            cl.alive[c] = cl.alive[d] = False
+            parent[c] = parent[d] = m
+            if cl.prev[c] >= 0:
+                cl.next[cl.prev[c]] = m
+            if cl.next[d] >= 0:
+                cl.prev[cl.next[d]] = m
+            absorbed[m] = absorbed.pop(c, [c]) + absorbed.pop(d, [d])
+            new_roots.append(m)
+            for left, right in ((cl.prev[m], m), (m, cl.next[m])):
+                if left < 0 or right < 0:
+                    continue
+                gap = cl.left_edge(right, t_e) - cl.right_edge(left, t_e) - cone.two_r
+                if gap <= tol_gap and cl.v[left] > cl.v[right]:
+                    worklist.append((left, right))
+        for m in sorted((m for m in new_roots if cl.alive[m]), key=lambda m: cl.start[m]):
+            pre_ids = sorted(absorbed[m], key=lambda k: cl.start[k])
+            a, b = cl.start[m], cl.end[m]
+            u_pre = np.empty(b + 1 - a)
+            for k in pre_ids:
+                u_pre[cl.start[k] - a:cl.end[k] + 1 - a] = cl.v[k]
+            events.append(MergeEvent(float(t_e),
+                                     tuple((cl.start[k], cl.end[k]) for k in pre_ids),
+                                     cl.v[m], float(cl.xl[m]),
+                                     -np.cumsum(cl.v[m] - u_pre)[:-1] / n))
+            push_candidate(cl.prev[m], m, t_e)
+            push_candidate(m, cl.next[m], t_e)
+    return events
+
+
+def _event_bits(e):
+    return (np.float64(e.time).tobytes(), e.merged_blocks,
+            np.float64(e.post_velocity).tobytes(), np.float64(e.x_left).tobytes(),
+            e.jump_values.dtype, e.jump_values.tobytes())
+
+
+def _hostile_inputs():
+    """Seeded sweep of inputs that stress the instant resolver."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 7, 40, 300, 2000):
+        for contacts in (False, True):
+            for offset in (0.0, 1e3):
+                x0, u0, cone = random_admissible_datum(n, rng, contacts=contacts)
+                yield x0 + offset, u0, cone, 2.0
+    # integer gaps and velocities in {-1, -1/2, 0, 1/2, 1}: exact ties; then the
+    # free gaps jittered by k * 1e-14, at the scale of EVENT_TIE_TOL
+    speeds = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    for n in (4, 9, 30, 120):
+        for _ in range(12):
+            gaps = 1.0 + rng.integers(0, 4, n - 1)
+            x0 = np.concatenate(([0.0], np.cumsum(gaps)))
+            starts = np.flatnonzero(np.concatenate(([True], gaps > 1.0)))
+            u0 = np.repeat(rng.choice(speeds, starts.size), np.diff(np.append(starts, n)))
+            yield x0, u0, SpacingCone(n, 1.0), 6.0
+            shift = np.where(gaps > 1.0, rng.integers(-3, 4, n - 1) * 1e-14, 0.0)
+            yield x0 + np.concatenate(([0.0], np.cumsum(shift))), u0, SpacingCone(n, 1.0), 6.0
+    for n in (5, 64, 1024):
+        x0 = 2.0 * np.arange(n)
+        yield x0, -x0, SpacingCone(n, 1.0), 2.0  # n-way compression, every gap closes at t = 1
+        yield x0, x0[::-1].copy(), SpacingCone(n, 1.0), 2.0
+        # a chain whose gaps close at t = 1, hit from the right at t = 0.999 while
+        # every gap sits within the contact tolerance: the merge cascades leftwards
+        cone = SpacingCone.canonical(n)
+        i = np.arange(n - 1.0)
+        x0 = np.append(i * (cone.two_r + 1e-11), (n - 2) * (cone.two_r + 1e-11) + cone.two_r + 0.999)
+        u0 = np.append(-i * 1e-11, -(n - 2) * 1e-11 - 1.0)
+        yield x0, u0, cone, 2.0
+        yield -x0[::-1], -u0[::-1], cone, 2.0  # its mirror image, hit from the left
+
+
+def test_evolve_matches_id_union_find_reference_bitwise():
+    n_events = widest = 0
+    for x0, u0, cone, horizon in _hostile_inputs():
+        ref = id_union_find_events(x0, u0, cone, horizon)
+        got = evolve(x0, u0, cone, horizon).events
+        assert [_event_bits(e) for e in got] == [_event_bits(e) for e in ref]
+        n_events += len(ref)
+        widest = max([widest] + [len(e.merged_blocks) for e in ref])
+    assert n_events > 1000 and widest == 1024
 
 
 def test_multipliers_zero_before_any_collision():

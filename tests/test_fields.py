@@ -245,13 +245,6 @@ def test_convergence_study_rigid_translation_zero_distance():
     assert study["sup"][8]["Lambda"] == 0.0
 
 
-def test_convergence_study_threads_deterministic():
-    datum = two_block_datum(0.5)
-    a = convergence_study(datum, [16, 32, 64], 1.0, [0.3, 0.6], threads=1)
-    b = convergence_study(datum, [16, 32, 64], 1.0, [0.3, 0.6], threads=3)
-    assert a["rows"] == b["rows"]
-
-
 def per_field_distance_study(datum, n_list, horizon, sample_times,
                              padding=DeltaPadding()):
     """The sweep as it was before the shared mass grid: one ``distance`` call,

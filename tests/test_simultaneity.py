@@ -68,7 +68,7 @@ def test_fast_particle_absorbs_resting_chain_in_one_cascade():
     assert abs(tl.events[0].post_velocity - 2.0 / 6.0) <= 1e-14
     assert worst <= 1e-12
     # the smooth-compression datum closes all n - 1 gaps at t = 0.5: one
-    # 16384-way cascade, which is quadratic without path compression
+    # 16384-way tie, resolved left to right
     n = 16384
     datum = load_config(str(CONFIGS / "smooth_compression.json"))["_datum"]
     x0, u0, cone = quantile_sample(datum, n)
@@ -79,6 +79,25 @@ def test_fast_particle_absorbs_resting_chain_in_one_cascade():
     assert e.merged_blocks == tuple((k, k) for k in range(n))
     assert abs(e.post_velocity - float(np.mean(u0))) <= 1e-14
     times = [0.25, 0.5, 1.0]
+    for t, st in zip(times, tl.iter_states(times)):
+        ref = trajectory_at(x0, u0, cone, t)
+        bound = 1e-9 * (1.0 + float(np.max(np.abs(ref.positions))))
+        assert np.max(np.abs(ref.positions - st.positions)) <= bound
+    # mirrored: a chain whose gaps close slowly (at t = 1) is hit from the
+    # right at t = 0.999, when every gap sits within the contact tolerance, so
+    # the merge cascades leftwards through all n - 1 chain particles
+    cone = SpacingCone.canonical(n)
+    slack = 1e-11
+    i = np.arange(n - 1.0)
+    x0 = np.append(i * (cone.two_r + slack), (n - 2) * (cone.two_r + slack) + cone.two_r + 0.999)
+    u0 = np.append(-i * slack, -(n - 2) * slack - 1.0)
+    tl = evolve(x0, u0, cone, 2.0)
+    assert len(tl.events) == 1
+    e = tl.events[0]
+    assert abs(e.time - 0.999) <= 1e-12
+    assert e.merged_blocks == tuple((k, k) for k in range(n))
+    assert abs(e.post_velocity - float(np.mean(u0))) <= 1e-14
+    times = [0.5, e.time, 2.0]
     for t, st in zip(times, tl.iter_states(times)):
         ref = trajectory_at(x0, u0, cone, t)
         bound = 1e-9 * (1.0 + float(np.max(np.abs(ref.positions))))
