@@ -173,7 +173,8 @@ def projection_blocks(cone: SpacingCone, y: np.ndarray):
 
     Returns ``(x, starts)``: x = P_K(y) and the first indices of the pooled
     runs of the underlying isotonic problem.  Within a pooled run the output
-    gaps equal two_r exactly.
+    gaps equal two_r up to the rounding of ``untranslate``, and exactly when
+    two_r is a power of two.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (cone.n,):
@@ -188,6 +189,30 @@ def project_onto_cone(cone: SpacingCone, y: np.ndarray) -> np.ndarray:
     """Euclidean projection of y onto {x : x[i+1]-x[i] >= two_r}."""
     x, _ = projection_blocks(cone, y)
     return x
+
+
+def _project_runs(cone: SpacingCone, y: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """``project_onto_cone`` for data that is rigid on the runs beginning at ``runs``.
+
+    ``runs`` are block starts (ascending, first entry 0) of a partition on
+    which cone.translate(y) is constant up to rounding.  Isotonic regression
+    is constant on runs of equal adjacent data, so PAVA runs on the K run
+    means weighted by run size: O(n) vectorised work plus O(K) PAVA.  With
+    every run a singleton this is bitwise ``project_onto_cone``.
+
+    Isotonic regression is non-expansive in the sup norm, so the result
+    deviates from the per-particle projection by at most the largest spread
+    of the translated data inside one run.  As in ``projection_blocks``, the
+    output gaps inside a pooled run equal two_r up to the rounding of
+    ``untranslate``, and exactly when two_r is a power of two.
+    """
+    if not np.all(np.isfinite(y)):
+        raise InputDomainError("input must be finite")
+    sizes = np.diff(np.append(runs, cone.n))
+    means = np.add.reduceat(cone.translate(y), runs) / sizes
+    starts, pooled = _pava(means, sizes.astype(float))
+    first = runs[starts]
+    return cone.untranslate(np.repeat(pooled, np.diff(np.append(first, cone.n))))
 
 
 def _blocks_from_mask(n: int, mask: int) -> list[tuple[int, int]]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from congested_flow.cone import (
     SpacingCone,
     _pava,
+    _project_runs,
     isotonic_project,
     normal_cone_check,
     project_onto_cone,
@@ -14,7 +15,9 @@ from congested_flow.cone import (
     qp_oracle_project,
     qp_oracle_project_many,
 )
+from congested_flow.dynamics import CONTACT_RTOL, _contact_starts, _scale, validate_initial
 from congested_flow.errors import CapacityError, InputDomainError, PreconditionError
+from congested_flow.random_data import random_admissible_datum, random_projection_input
 
 
 def brute_force_isotonic(y):
@@ -289,3 +292,113 @@ def test_variational_characterization():
         x = project_onto_cone(cone, y)
         cert = normal_cone_check(cone, x, (y - x) * n, tol=1e-9)
         assert cert.passes(1e-9)
+
+
+def projection_sweep_inputs():
+    """The inputs of this file's projection sweeps, same seeds and draws, plus
+    two generic inputs at n = 1e3 and 1e4."""
+    rng = np.random.default_rng(1)
+    for _ in range(25):
+        yield SpacingCone.canonical(8), rng.normal(0.0, 1.0, 8)
+    rng = np.random.default_rng(2)
+    for n in (2, 5, 33, 200):
+        cone = SpacingCone.canonical(n)
+        yield cone, rng.normal(0.0, 1.0, n)
+        yield cone, rng.normal(0.0, 1.0, n)
+    rng = np.random.default_rng(3)
+    for n in range(2, 9):
+        cone = SpacingCone.canonical(n)
+        yield from ((cone, y) for y in rng.normal(0.0, 0.5, (40, n)))
+    rng = np.random.default_rng(4)
+    for n in (2, 6, 17):
+        yield SpacingCone.canonical(n), rng.normal(0.0, 1.0, n)
+    rng = np.random.default_rng(12)
+    for n in (1000, 10_000):
+        yield random_projection_input(n, rng)
+
+
+def assert_runs_agree(cone, y, runs, rtol=1e-12, bound=0.0):
+    """_project_runs within rtol (1 + max|x|) + bound of the per-particle kernel."""
+    x = project_onto_cone(cone, y)
+    dev = float(np.max(np.abs(_project_runs(cone, y, runs) - x)))
+    assert dev <= rtol * (1.0 + np.abs(x).max()) + bound
+
+
+def test_project_runs_bitwise_on_singletons():
+    for cone, y in projection_sweep_inputs():
+        x = _project_runs(cone, y, np.arange(cone.n))
+        assert x.tobytes() == project_onto_cone(cone, y).tobytes()
+
+
+def test_project_runs_on_rigid_runs_of_the_sweeps():
+    rng = np.random.default_rng(13)
+    for cone, y in projection_sweep_inputs():
+        n = cone.n
+        for p_start in (0.1, 0.5):
+            runs = np.flatnonzero(np.concatenate(([True], rng.random(n - 1) < p_start)))
+            # rigid on the runs up to the rounding of the translation roundtrip
+            yt = cone.translate(y)
+            rigid = cone.untranslate(np.repeat(yt[runs], np.diff(np.append(runs, n))))
+            assert_runs_agree(cone, rigid, runs)
+
+
+def criterion_2_contact_data():
+    """The contact data of acceptance criterion 2 (same seed and draws), each
+    with every tenth of its 200 sampled times."""
+    rng = np.random.default_rng(2002)
+    sizes = [10] * 20 + [100] * 15 + [1000] * 10 + [10000] * 5
+    for k, n in enumerate(sizes):
+        x0, u0, cone = random_admissible_datum(n, rng, contacts=bool(k % 2))
+        times = np.sort(rng.uniform(0.0, 2.0, 200))
+        if k % 2:
+            yield x0, u0, cone, times[::10]
+
+
+def test_project_runs_on_criterion_2_data_at_offsets():
+    checked = {0.0: 0, 1e3: 0, 1e6: 0}
+    for x0, u0, cone, times in criterion_2_contact_data():
+        for offset in checked:
+            x = x0 + offset
+            if not validate_initial(x, u0, cone).passed:
+                continue
+            runs = _contact_starts(x, cone.two_r, CONTACT_RTOL * _scale(x))
+            for t in times:
+                assert_runs_agree(cone, x + t * u0, runs)
+            checked[offset] += 1
+    # translation breaks admissibility only at the largest offset, for a few data
+    assert checked[0.0] == checked[1e3] == 25 and checked[1e6] > 0
+
+
+def sheared_contact_datum(n, rng, alternate):
+    """A contact datum whose every contact pair shears at 0.9 of the tolerance
+    validate_initial admits; the shear is summed along each run, with one
+    sign throughout or with alternating signs."""
+    x0, u0, cone = random_admissible_datum(n, rng, contacts=True)
+    runs = _contact_starts(x0, cone.two_r, CONTACT_RTOL * _scale(x0))
+    contact = np.ones(n - 1, dtype=bool)
+    contact[runs[1:] - 1] = False
+    shear = 0.9 * CONTACT_RTOL * _scale(u0)
+    signs = (-1.0) ** np.arange(n - 1) if alternate else np.ones(n - 1)
+    drift = np.concatenate(([0.0], np.cumsum(np.where(contact, signs * shear, 0.0))))
+    run_of = np.cumsum(np.concatenate(([0], ~contact)))
+    u0 = u0 + drift - drift[runs[run_of]]
+    assert validate_initial(x0, u0, cone).passed
+    return x0, u0, cone, runs
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_project_runs_on_contacts_sheared_at_the_tolerance(alternate):
+    """Sheared runs are not rigid, so the helper deviates by up to the largest
+    in-run spread of the translated data (sup-norm non-expansiveness), plus
+    rounding.  With one sign the spread grows with the run length and the
+    deviation reaches about 2e-12 (1 + max|x|)."""
+    rng = np.random.default_rng(14)
+    for n in (10, 100, 1000):
+        for _ in range(5):
+            x0, u0, cone, runs = sheared_contact_datum(n, rng, alternate)
+            for t in rng.uniform(0.0, 2.0, 10):
+                y = x0 + t * u0
+                yt = cone.translate(y)
+                spread = float(np.max(np.maximum.reduceat(yt, runs)
+                                      - np.minimum.reduceat(yt, runs)))
+                assert_runs_agree(cone, y, runs, rtol=1e-14, bound=spread)

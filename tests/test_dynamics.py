@@ -1,5 +1,6 @@
 """Microscopic engine: projection evaluation, events, multipliers, invariants."""
 
+import dataclasses
 import heapq
 import itertools
 from collections import deque
@@ -7,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from congested_flow import cone as cone_module
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import (
     CONTACT_RTOL,
@@ -36,7 +38,11 @@ from congested_flow.errors import (
     InvariantViolationError,
     PreconditionError,
 )
+from congested_flow.fields import build_fields
+from congested_flow.initdata import quantile_sample
 from congested_flow.random_data import random_admissible_datum
+from congested_flow.scenarios import two_block_datum
+from congested_flow.verification import TOL_SEMIGROUP, run_battery
 
 TWO = SpacingCone(2, 1.0)
 X2 = np.array([0.0, 2.0])
@@ -477,6 +483,75 @@ def test_semigroup_across_event_and_free_window():
     assert verify_semigroup(tl, 0.0, 2.0).passed  # defining formula
     with pytest.raises(InputDomainError):
         verify_semigroup(tl, 1.0, 0.5)
+
+
+def shift_post_velocity(tl, k, dv):
+    """Copy of a timeline whose event k leaves with post_velocity + dv."""
+    events = list(tl.events)
+    events[k] = dataclasses.replace(events[k], post_velocity=events[k].post_velocity + dv)
+    return dataclasses.replace(tl, events=tuple(events))
+
+
+def semigroup_control_case(name):
+    """A real timeline and the index of the event its negative control corrupts."""
+    if name == "two_block":
+        x0, u0, cone = quantile_sample(two_block_datum(0.5), 256)
+        return evolve(x0, u0, cone, 1.0), 0
+    x0, u0, cone = random_admissible_datum(300, np.random.default_rng(100), contacts=True)
+    tl = evolve(x0, u0, cone, 2.0)
+    return tl, len(tl.events) // 2
+
+
+@pytest.mark.parametrize("name", ["two_block", "random_contacts"])
+def test_semigroup_negative_control_shifted_post_velocity(name):
+    tl, k = semigroup_control_case(name)
+    times = [0.0] + [e.time for e in tl.events] + [tl.horizon]
+    # s and t in the free windows just before and just after event k
+    s = 0.5 * (times[k] + times[k + 1])
+    t = 0.5 * (times[k + 1] + times[k + 2])
+    assert s < tl.events[k].time <= t
+    bad = shift_post_velocity(tl, k, 1e-6)
+    assert verify_semigroup(tl, s, t, TOL_SEMIGROUP).passed
+    report = verify_semigroup(bad, s, t, TOL_SEMIGROUP)
+    assert not report.passed and report.value > TOL_SEMIGROUP
+    # a restart after the event starts from the corrupted state and agrees with it
+    if k + 1 == len(tl.events):
+        assert verify_semigroup(bad, t, tl.horizon, TOL_SEMIGROUP).passed
+
+
+def record_pava_sizes(monkeypatch):
+    """Monkeypatch cone._pava to record the length of each input."""
+    sizes = []
+    pava = cone_module._pava
+
+    def recording(y, w):
+        sizes.append(y.size)
+        return pava(y, w)
+
+    monkeypatch.setattr(cone_module, "_pava", recording)
+    return sizes
+
+
+def test_semigroup_projects_over_the_clusters_of_the_restart_state(monkeypatch):
+    x0, u0, cone = quantile_sample(two_block_datum(0.5), 8192)
+    trace = build_fields(evolve(x0, u0, cone, 1.0))
+    # clusters only merge, so no state has more clusters than the initial one: 2
+    assert trace.timeline.initial.starts.size == 2
+    sizes = record_pava_sizes(monkeypatch)
+    reports = run_battery(trace, np.random.default_rng(0))
+    assert all(r.passed for r in reports)
+    # the 20 semigroup restarts are the battery's only projections
+    assert len(sizes) == 20 and max(sizes) <= 2
+
+
+def test_trajectory_projects_over_the_initial_contact_clusters(monkeypatch):
+    x0, u0, cone = random_admissible_datum(2000, np.random.default_rng(15), contacts=True)
+    runs = _contact_starts(x0, cone.two_r, CONTACT_RTOL * _scale(x0))
+    assert runs.size < 0.8 * cone.n
+    sizes = record_pava_sizes(monkeypatch)
+    for t in (0.0, 0.3, 2.0):
+        trajectory_at(x0, u0, cone, t)
+    assert sizes == [runs.size] * 3
 
 
 def test_estimates_energy_drop_two_particles():
