@@ -7,9 +7,12 @@ spacing ``two_r`` form a closed convex cone-like set
 
 Subtracting the rigid stacking ``two_r * i`` maps K onto the cone of
 nondecreasing vectors, so the metric projection reduces to isotonic
-regression, computed here by pool-adjacent-violators in O(n).  A brute-force
-KKT oracle (exhaustive active-set enumeration) provides an independent ground
-truth for small n, together with multiplier certificates.
+regression, computed by pool-adjacent-violators in O(n).  PAVA is constant on
+runs of equal adjacent data, so ``projection_blocks``, the one driver of the
+projection, runs it over the weighted means of the runs on which the
+translated data is rigid (by default every particle is its own run).  A
+brute-force KKT oracle (exhaustive active-set enumeration) provides an
+independent ground truth for small n, together with multiplier certificates.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "SpacingCone",
     "ConeCertificate",
     "isotonic_project",
-    "isotonic_blocks",
     "project_onto_cone",
     "projection_blocks",
     "qp_oracle_project",
@@ -99,19 +101,12 @@ class ConeCertificate:
         )
 
 
-def _check_isotonic_input(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y = np.ascontiguousarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise InputDomainError("isotonic_project expects a nonempty 1-d array")
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.ascontiguousarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise InputDomainError("weights must match the data shape")
-        if not np.all(w > 0.0):
-            raise InputDomainError("weights must be strictly positive")
-    return y, w
+def _check_block_starts(s: np.ndarray, n: int) -> None:
+    """Raise InputDomainError unless ``s`` are the block starts of a partition
+    of 0..n-1: a 1-d integer array ascending strictly from 0, below n."""
+    if not (s.ndim == 1 and s.size and s.dtype.kind in "iu" and s[0] == 0
+            and s[-1] < n and np.all(s[1:] > s[:-1])):
+        raise InputDomainError("block starts must ascend strictly from 0 and stay below n")
 
 
 def _pava(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,30 +144,38 @@ def _pava(y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(starts[:m], dtype=np.intp), np.array(means[:m])
 
 
-def isotonic_blocks(y: np.ndarray, weights: np.ndarray | None = None):
-    """Weighted isotonic regression with its pooled-block structure.
-
-    Returns ``(x, starts, means)`` where x is the nondecreasing minimizer of
-    sum w_i (x_i - y_i)^2, ``starts`` are the first indices of the pooled
-    blocks and ``means`` their common values.
-    """
-    y, w = _check_isotonic_input(y, weights)
-    starts, means = _pava(y, w)
-    x = np.repeat(means, np.diff(np.append(starts, y.size)))
-    return x, starts, means
-
-
 def isotonic_project(y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Project onto the cone of nondecreasing vectors (weighted PAVA)."""
-    x, _, _ = isotonic_blocks(y, weights)
-    return x
+    y = np.ascontiguousarray(y, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise InputDomainError("isotonic_project expects a nonempty 1-d array")
+    if weights is None:
+        w = np.ones_like(y)
+    else:
+        w = np.ascontiguousarray(weights, dtype=float)
+        if w.shape != y.shape:
+            raise InputDomainError("weights must match the data shape")
+        if not np.all(w > 0.0):
+            raise InputDomainError("weights must be strictly positive")
+    starts, means = _pava(y, w)
+    return np.repeat(means, np.diff(np.append(starts, y.size)))
 
 
-def projection_blocks(cone: SpacingCone, y: np.ndarray):
+def projection_blocks(cone: SpacingCone, y: np.ndarray, runs: np.ndarray | None = None):
     """Metric projection onto the spacing set, with pooled-block structure.
 
-    Returns ``(x, starts)``: x = P_K(y) and the first indices of the pooled
-    runs of the underlying isotonic problem.  Within a pooled run the output
+    Returns ``(x, starts)``: x = P_K(y) and the first particles of the pooled
+    blocks.  ``runs`` are the block starts of a partition on which
+    cone.translate(y) is constant up to rounding; by default every particle
+    is its own run.  Isotonic regression is constant on runs of equal
+    adjacent data, so PAVA runs on the K run means weighted by run size:
+    O(n) vectorised work plus O(K) PAVA, and ``starts`` is a subset of
+    ``runs``.  With every run a singleton the means are the translated data
+    bitwise and every weight is 1.
+
+    Isotonic regression is non-expansive in the sup norm, so the result
+    deviates from the per-particle projection by at most the largest spread
+    of the translated data inside one run.  Within a pooled block the output
     gaps equal two_r up to the rounding of ``untranslate``, and exactly when
     two_r is a power of two.
     """
@@ -181,7 +184,13 @@ def projection_blocks(cone: SpacingCone, y: np.ndarray):
         raise InputDomainError(f"expected shape ({cone.n},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise InputDomainError("input must be finite")
-    xt, starts, _ = isotonic_blocks(cone.translate(y))
+    runs = np.arange(cone.n) if runs is None else np.asarray(runs)
+    _check_block_starts(runs, cone.n)
+    sizes = np.diff(np.append(runs, cone.n))
+    means = np.add.reduceat(cone.translate(y), runs) / sizes
+    pooled, block_means = _pava(means, sizes.astype(float))
+    starts = runs[pooled]
+    xt = np.repeat(block_means, np.diff(np.append(starts, cone.n)))
     return cone.untranslate(xt), starts
 
 
@@ -189,30 +198,6 @@ def project_onto_cone(cone: SpacingCone, y: np.ndarray) -> np.ndarray:
     """Euclidean projection of y onto {x : x[i+1]-x[i] >= two_r}."""
     x, _ = projection_blocks(cone, y)
     return x
-
-
-def _project_runs(cone: SpacingCone, y: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """``project_onto_cone`` for data that is rigid on the runs beginning at ``runs``.
-
-    ``runs`` are block starts (ascending, first entry 0) of a partition on
-    which cone.translate(y) is constant up to rounding.  Isotonic regression
-    is constant on runs of equal adjacent data, so PAVA runs on the K run
-    means weighted by run size: O(n) vectorised work plus O(K) PAVA.  With
-    every run a singleton this is bitwise ``project_onto_cone``.
-
-    Isotonic regression is non-expansive in the sup norm, so the result
-    deviates from the per-particle projection by at most the largest spread
-    of the translated data inside one run.  As in ``projection_blocks``, the
-    output gaps inside a pooled run equal two_r up to the rounding of
-    ``untranslate``, and exactly when two_r is a power of two.
-    """
-    if not np.all(np.isfinite(y)):
-        raise InputDomainError("input must be finite")
-    sizes = np.diff(np.append(runs, cone.n))
-    means = np.add.reduceat(cone.translate(y), runs) / sizes
-    starts, pooled = _pava(means, sizes.astype(float))
-    first = runs[starts]
-    return cone.untranslate(np.repeat(pooled, np.diff(np.append(first, cone.n))))
 
 
 def _blocks_from_mask(n: int, mask: int) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import SpacingCone, _project_runs
+from .cone import SpacingCone, _check_block_starts, projection_blocks
 from .errors import (
     AdmissibilityError,
     InputDomainError,
@@ -85,10 +85,7 @@ class MicroState:
     cone: SpacingCone
 
     def __post_init__(self):
-        s = self.starts
-        if not (s.ndim == 1 and s.size and s.dtype.kind in "iu" and s[0] == 0
-                and s[-1] < self.n and np.all(s[1:] > s[:-1])):
-            raise InputDomainError("block starts must ascend strictly from 0 and stay below n")
+        _check_block_starts(self.starts, self.n)
 
     @property
     def n(self) -> int:
@@ -250,7 +247,7 @@ def trajectory_at(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, t: float) -
         raise InputDomainError(f"time must be nonnegative, got {t}")
     x0, u0 = _admissible(x0, u0, cone)
     runs = _contact_starts(x0, cone.two_r, CONTACT_RTOL * _scale(x0))
-    x = _project_runs(cone, x0 + t * u0, runs)
+    x, _ = projection_blocks(cone, x0 + t * u0, runs)
     starts = _contact_starts(x, cone.two_r, CONTACT_RTOL * _scale(x))
     return _cluster_state(t, x, u0, starts, cone)
 
@@ -545,8 +542,8 @@ def verify_semigroup(timeline: EventTimeline, s: float, t: float,
     if not (0.0 <= s < t <= timeline.horizon):
         raise InputDomainError("need 0 <= s < t <= horizon")
     st_s, st_t = timeline.states_at([s, t])
-    z = _project_runs(timeline.cone, st_s.positions + (t - s) * st_s.velocities,
-                      st_s.starts)
+    z, _ = projection_blocks(timeline.cone, st_s.positions + (t - s) * st_s.velocities,
+                             st_s.starts)
     pos_err = float(np.max(np.abs(z - st_t.positions)))
     starts = st_t.starts
     means = _block_means(st_s.velocities, starts)

@@ -146,12 +146,16 @@ class LagrangianWeakForm:
     # -- geometry ----------------------------------------------------------
 
     def spatial_extent(self) -> tuple[float, float]:
+        """Smallest and largest position X over all segments.
+
+        X is nondecreasing in w and affine in t on each segment, so its
+        extremes sit at the first and the last piece at the segment's ends.
+        """
         lo, hi = np.inf, -np.inf
         for s in self.segments:
             dt = s.t1 - s.t0
-            for arr in (s.A0, s.A1, s.A0 + dt * s.V0, s.A1 + dt * s.V1):
-                lo = min(lo, float(np.min(arr)))
-                hi = max(hi, float(np.max(arr)))
+            lo = min(lo, float(s.A0[0]), float(s.A0[0] + dt * s.V0[0]))
+            hi = max(hi, float(s.A1[-1]), float(s.A1[-1] + dt * s.V1[-1]))
         return lo, hi
 
     # -- boundary terms ------------------------------------------------------

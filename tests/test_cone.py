@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from congested_flow.cone import (
     SpacingCone,
     _pava,
-    _project_runs,
     isotonic_project,
     normal_cone_check,
     project_onto_cone,
@@ -318,19 +317,37 @@ def projection_sweep_inputs():
 
 
 def assert_runs_agree(cone, y, runs, rtol=1e-12, bound=0.0):
-    """_project_runs within rtol (1 + max|x|) + bound of the per-particle kernel."""
+    """Projection over ``runs`` within rtol (1 + max|x|) + bound of the
+    per-particle projection."""
     x = project_onto_cone(cone, y)
-    dev = float(np.max(np.abs(_project_runs(cone, y, runs) - x)))
+    xr, starts = projection_blocks(cone, y, runs)
+    assert np.all(np.isin(starts, runs))
+    dev = float(np.max(np.abs(xr - x)))
     assert dev <= rtol * (1.0 + np.abs(x).max()) + bound
 
 
-def test_project_runs_bitwise_on_singletons():
+def test_projection_on_singleton_runs_is_per_particle_pava_bitwise():
+    """The default runs reproduce PAVA on the translated data with unit
+    weights, output and pooled starts alike."""
     for cone, y in projection_sweep_inputs():
-        x = _project_runs(cone, y, np.arange(cone.n))
-        assert x.tobytes() == project_onto_cone(cone, y).tobytes()
+        yt = cone.translate(y)
+        x, starts = projection_blocks(cone, y)
+        assert x.tobytes() == cone.untranslate(isotonic_project(yt)).tobytes()
+        assert starts.tobytes() == _pava(yt, np.ones(cone.n))[0].tobytes()
+        xr, starts_r = projection_blocks(cone, y, np.arange(cone.n))
+        assert xr.tobytes() == x.tobytes() and starts_r.tobytes() == starts.tobytes()
 
 
-def test_project_runs_on_rigid_runs_of_the_sweeps():
+@pytest.mark.parametrize("runs", [
+    np.array([[0, 2]]), np.array([0.0, 2.0]), np.array([], dtype=int),
+    np.array([1, 2]), np.array([0, 2, 2]), np.array([0, 3, 2]), np.array([0, 4]),
+])
+def test_projection_rejects_malformed_runs(runs):
+    with pytest.raises(InputDomainError):
+        projection_blocks(SpacingCone(4, 0.25), np.zeros(4), runs)
+
+
+def test_projection_over_rigid_runs_of_the_sweeps():
     rng = np.random.default_rng(13)
     for cone, y in projection_sweep_inputs():
         n = cone.n
@@ -354,7 +371,7 @@ def criterion_2_contact_data():
             yield x0, u0, cone, times[::10]
 
 
-def test_project_runs_on_criterion_2_data_at_offsets():
+def test_projection_over_runs_on_criterion_2_data_at_offsets():
     checked = {0.0: 0, 1e3: 0, 1e6: 0}
     for x0, u0, cone, times in criterion_2_contact_data():
         for offset in checked:
@@ -387,11 +404,11 @@ def sheared_contact_datum(n, rng, alternate):
 
 
 @pytest.mark.parametrize("alternate", [False, True])
-def test_project_runs_on_contacts_sheared_at_the_tolerance(alternate):
-    """Sheared runs are not rigid, so the helper deviates by up to the largest
-    in-run spread of the translated data (sup-norm non-expansiveness), plus
-    rounding.  With one sign the spread grows with the run length and the
-    deviation reaches about 2e-12 (1 + max|x|)."""
+def test_projection_over_contacts_sheared_at_the_tolerance(alternate):
+    """Sheared runs are not rigid, so the projection over them deviates by up
+    to the largest in-run spread of the translated data (sup-norm
+    non-expansiveness), plus rounding.  With one sign the spread grows with
+    the run length and the deviation reaches about 2e-12 (1 + max|x|)."""
     rng = np.random.default_rng(14)
     for n in (10, 100, 1000):
         for _ in range(5):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from congested_flow import cone as cone_module
+from congested_flow import dynamics as dynamics_module
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import (
     CONTACT_RTOL,
@@ -552,6 +553,27 @@ def test_trajectory_projects_over_the_initial_contact_clusters(monkeypatch):
     for t in (0.0, 0.3, 2.0):
         trajectory_at(x0, u0, cone, t)
     assert sizes == [runs.size] * 3
+
+
+def test_projection_route_goes_through_projection_blocks(monkeypatch):
+    """The semigroup restarts and trajectory_at project through the one
+    driver, so the benchmark's projection layer sees them."""
+    assert not hasattr(cone_module, "_project_runs")
+    runs = []
+    blocks = dynamics_module.projection_blocks
+
+    def recording(cone, y, starts=None):
+        runs.append(starts.size)
+        return blocks(cone, y, starts)
+
+    monkeypatch.setattr(dynamics_module, "projection_blocks", recording)
+    x0, u0, cone = quantile_sample(two_block_datum(0.5), 256)
+    reports = run_battery(build_fields(evolve(x0, u0, cone, 1.0)), np.random.default_rng(0))
+    assert all(r.passed for r in reports)
+    assert len(runs) == 20 and max(runs) <= 2
+    for t in (0.0, 0.3, 2.0):
+        trajectory_at(x0, u0, cone, t)
+    assert runs[20:] == [2] * 3
 
 
 def test_estimates_energy_drop_two_particles():

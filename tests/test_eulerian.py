@@ -23,6 +23,7 @@ from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import rebound_solution, sticky_solution
 from congested_flow.testfunctions import SpaceBump, TestFunction, TimeWindow, \
     build_test_family
+from congested_flow.verification import run_battery
 from congested_flow.weakform import LagrangianWeakForm, weak_form_of_trace
 
 TWO = SpacingCone(2, 1.0)
@@ -246,3 +247,20 @@ def test_weak_residuals_detect_corrupted_dynamics():
     mass, mom = LagrangianWeakForm(form.segments, []).family_residuals(fns)
     assert max(abs(r) for r in mass) <= 1e-12
     assert max(abs(r) for r in mom) > 1e-3
+
+
+def test_battery_reports_measured_eulerian_values():
+    """eulerian_complementarity and eulerian_oleinik report their worst value
+    against the tolerance; a corrupted density at one sampled instant (no
+    atom there, and the slope bound reads no density) moves neither."""
+    x0, u0, cone = random_admissible_datum(200, np.random.default_rng(0), contacts=True)
+    trace = build_fields(evolve(x0, u0, cone, 1.0))
+    valid = {r.name: r for r in run_battery(trace, np.random.default_rng(1))}
+    for name in ("eulerian_complementarity", "eulerian_oleinik"):
+        assert valid[name].passed and valid[name].value <= valid[name].tolerance
+    assert 0.0 < valid["eulerian_oleinik"].value < 1.0
+    bad = {r.name: r for r in run_battery(trace, np.random.default_rng(1),
+                                          inject="stale-density")}
+    assert [k for k, r in bad.items() if not r.passed] == ["eulerian_reconstruction"]
+    for name in ("eulerian_complementarity", "eulerian_oleinik"):
+        assert bad[name] == valid[name]

@@ -1,5 +1,6 @@
 """Lagrangian interpolations, exact norms, discrete-system residuals."""
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from congested_flow import fields, piecewise
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import evolve, max_slope_ratio, pressure_measure
+from congested_flow.dynamics import EventTimeline, evolve, max_slope_ratio, pressure_measure
 from congested_flow.errors import InputDomainError
 from congested_flow.eulerian import pressure_pushforward, wasserstein_time_modulus
 from congested_flow.fields import (
@@ -143,6 +144,36 @@ def test_discrete_pde_random_run():
     rep = verify_discrete_pde(build_fields(evolve(x0, u0, cone, 2.0)))
     assert rep["passed"]
     assert max(rep["order1_max_residual"], rep["order2_max_residual"]) <= 1e-10
+
+
+def test_discrete_pde_order1_negative_control():
+    """One initial velocity shifted by 1e-6, at a particle that never merges
+    and at a merged one: the order-1 residual sees it, order 2 does not."""
+    x0, u0, cone = random_admissible_datum(200, np.random.default_rng(5), contacts=True)
+    tl = evolve(x0, u0, cone, 2.0)
+    merged = np.zeros(tl.n, dtype=bool)
+    for e in tl.events:
+        lo, hi = e.index_range
+        merged[lo:hi + 1] = True
+    assert verify_discrete_pde(build_fields(tl))["passed"]
+    for i in (np.flatnonzero(~merged)[0], np.flatnonzero(merged)[0]):
+        bad_u0 = tl.u0.copy()
+        bad_u0[i] += 1e-6
+        rep = verify_discrete_pde(build_fields(dataclasses.replace(tl, u0=bad_u0)))
+        assert not rep["passed"] and rep["order1_max_residual"] > 0.9e-6
+        assert rep["order2_max_residual"] <= 1e-12
+
+
+def test_discrete_pde_builds_no_state_or_snapshot(monkeypatch):
+    x0, u0, cone = random_admissible_datum(200, np.random.default_rng(5), contacts=True)
+    trace = build_fields(evolve(x0, u0, cone, 2.0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_discrete_pde reads the events only")
+
+    monkeypatch.setattr(EventTimeline, "iter_states", forbidden)
+    monkeypatch.setattr(fields.FieldTrace, "iter_snapshots", forbidden)
+    assert verify_discrete_pde(trace)["passed"]
 
 
 # bytes per particle and per merged-range entry that the pressure stages may hold

@@ -172,6 +172,26 @@ def test_boundary_terms_match_time_quadrature_closed_form(make, eta, horizon):
         assert abs(p - ref_p) <= 1e-14
 
 
+def full_scan_extent(form):
+    """Smallest and largest entry of every segment's positions at both ends."""
+    lo, hi = np.inf, -np.inf
+    for s in form.segments:
+        dt = s.t1 - s.t0
+        for arr in (s.A0, s.A1, s.A0 + dt * s.V0, s.A1 + dt * s.V1):
+            lo = min(lo, float(np.min(arr)))
+            hi = max(hi, float(np.max(arr)))
+    return lo, hi
+
+
+def test_spatial_extent_equals_full_scan():
+    forms = [weak_form_of_trace(build_fields(make())) for make in DISCRETE.values()]
+    forms += [make(eta).weak_form(horizon) for make in (sticky_solution, rebound_solution)
+              for eta in (0.3, 0.5, 0.9) for horizon in (1.0, 2.0)]
+    for form in forms:
+        extent = np.array(form.spatial_extent())
+        assert extent.tobytes() == np.array(full_scan_extent(form)).tobytes()
+
+
 def test_closed_form_without_its_atom_fails_momentum():
     form = sticky_solution(0.5).weak_form(1.0)
     assert any(isinstance(a, ProfileAtom) for a in form.atoms)
