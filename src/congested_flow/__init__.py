@@ -18,7 +18,6 @@ from .dynamics import (
     EventTimeline,
     MergeEvent,
     MicroState,
-    MultiplierVector,
     PressureMeasure,
     evolve,
     multipliers_at,

@@ -129,11 +129,19 @@ def _cfg_get(cfg: dict, path: str, typ, default=None, required=False):
             raise ConfigError(f"{path}: missing required field")
         return default
     val = node[key]
-    if typ is float and isinstance(val, int):
+    # a JSON bool is a Python int, but never a number here
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, typ):
+    if isinstance(val, bool) or not isinstance(val, typ):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {type(val).__name__}")
     return val
+
+
+def _as_float(path: str, value) -> float:
+    """A JSON number as a float; anything else, a bool included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+    return float(value)
 
 
 def _build_datum(cfg: dict) -> MacroscopicDatum:
@@ -155,7 +163,7 @@ def _build_datum(cfg: dict) -> MacroscopicDatum:
     for k, item in enumerate(density):
         if not (isinstance(item, list) and len(item) == 3):
             raise ConfigError(f"scenario.density[{k}]: expected [a, b, value]")
-        a, b, v = (float(z) for z in item)
+        a, b, v = (_as_float(f"scenario.density[{k}]", z) for z in item)
         if v > 1.0:
             raise ConfigError(f"scenario.density[{k}].value: {v} exceeds the threshold 1")
         if v < 0.0:
@@ -173,17 +181,17 @@ def _build_datum(cfg: dict) -> MacroscopicDatum:
     if not isinstance(pts, list) or not pts:
         raise ConfigError("scenario.velocity.pieces: need [lo, hi, left_value, right_value] rows")
     try:
-        breaks = [float(pts[0][0])] + [float(row[1]) for row in pts]
-        lows = [float(row[0]) for row in pts]
-        left = np.array([float(row[2]) for row in pts])
-        right = np.array([float(row[3]) for row in pts])
-    except (TypeError, ValueError, IndexError) as exc:
+        rows = [[_as_float(f"scenario.velocity.pieces[{k}]", row[i]) for i in range(4)]
+                for k, row in enumerate(pts)]
+    except (TypeError, KeyError, IndexError) as exc:
         raise ConfigError(f"scenario.velocity.pieces: malformed row ({exc})") from None
+    lows, highs, left, right = (list(col) for col in zip(*rows))
+    breaks = lows[:1] + highs
     for k, (lo, prev_hi) in enumerate(zip(lows[1:], breaks[1:-1]), start=1):
         if lo != prev_hi:
             raise ConfigError(
                 f"scenario.velocity.pieces[{k}]: starts at {lo}, expected {prev_hi}")
-    field = PiecewiseField(np.array(breaks), left, right)
+    field = PiecewiseField(np.array(breaks), np.array(left), np.array(right))
     if kind == "eulerian":
         try:
             return datum_from_eulerian(pieces, field)
@@ -227,7 +235,7 @@ def load_config(path: str) -> dict:
         horizon = cfg["_horizon"]
         st = [horizon * k / 8.0 for k in range(1, 9)]
     elif (not isinstance(st, list)
-          or any(not isinstance(t, (int, float)) for t in st)
+          or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in st)
           or any(t < 0.0 or t > cfg["_horizon"] for t in st)):
         raise ConfigError("sample_times: need numbers inside [0, horizon]")
     cfg["_sample_times"] = sorted(float(t) for t in st)
@@ -289,7 +297,7 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     particles = np.arange(1, n + 1)
     state_blocks, mult_blocks, snap_blocks = [], [], []
     for st in timeline.iter_states(ts):
-        lam = multipliers_at(st, u0).lambdas
+        lam = multipliers_at(st, u0)
         esnap = snapshot(st, cone, trace.padding)
         t = float(st.time)
         state_blocks.append((np.full(n, t), particles, st.positions, st.velocities))

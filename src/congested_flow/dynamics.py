@@ -42,7 +42,6 @@ __all__ = [
     "MicroState",
     "MergeEvent",
     "EventTimeline",
-    "MultiplierVector",
     "PressureMeasure",
     "CheckReport",
     "validate_initial",
@@ -90,13 +89,6 @@ class MicroState:
     @property
     def n(self) -> int:
         return self.positions.size
-
-
-@dataclass(frozen=True)
-class MultiplierVector:
-    """Contact multipliers lam[0..n] with lam[0] = lam[n] = 0."""
-
-    lambdas: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -477,8 +469,8 @@ class EventTimeline:
             yield MicroState(t, x, u, starts, self.cone)
 
 
-def multipliers_at(state: MicroState, u0: np.ndarray) -> MultiplierVector:
-    """Multipliers of a state via the recursion lam[i] = lam[i-1] - (u_i - u0_i)/n.
+def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
+    """Multipliers lam[0..n] of a state: lam[i] = lam[i-1] - (u_i - u0_i)/n.
 
     lam[0] = 0 by construction; lam[n] vanishes because cluster means preserve
     the velocity sum, and a violation signals a corrupted state.
@@ -491,7 +483,7 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> MultiplierVector:
             f"lambda_n = {lam[-1]:.3e} does not vanish; state inconsistent with u0"
         )
     lam[-1] = 0.0
-    return MultiplierVector(lam)
+    return lam
 
 
 def pressure_measure(timeline: EventTimeline) -> PressureMeasure:
@@ -503,14 +495,14 @@ def pressure_measure(timeline: EventTimeline) -> PressureMeasure:
     return PressureMeasure(timeline.n, timeline.events)
 
 
-def verify_complementarity(state: MicroState, mult: MultiplierVector,
+def verify_complementarity(state: MicroState, lam: np.ndarray,
                            tol: float = 1e-10) -> CheckReport:
-    """Signorini check: lam >= 0 and lam_j * (gap_j - two_r) = 0 within tol."""
-    lam = mult.lambdas[1:-1]
+    """Signorini check of lam[0..n]: lam >= 0 and lam_j * (gap_j - two_r) = 0 within tol."""
+    inner = lam[1:-1]
     gaps = state.positions[1:] - state.positions[:-1]
     slack = gaps - state.cone.two_r
-    compl = float(np.max(np.abs(lam * slack))) if lam.size else 0.0
-    min_lam = float(mult.lambdas.min())
+    compl = float(np.max(np.abs(inner * slack))) if inner.size else 0.0
+    min_lam = float(lam.min())
     passed = compl <= tol and min_lam >= -tol
     return CheckReport("complementarity", passed, max(compl, -min_lam), tol,
                        f"max lam*slack={compl:.3e}, min lam={min_lam:.3e}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EventTimeline, max_slope_ratio, pressure_measure
+from .dynamics import EventTimeline, MicroState, max_slope_ratio, pressure_measure
 from .errors import InputDomainError
 from .initdata import MacroscopicDatum, quantile_sample
 from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks
@@ -209,16 +209,21 @@ def verify_discrete_pde(trace: FieldTrace, tol: float = 1e-10) -> dict:
     }
 
 
-def oleinik_field_check(trace: FieldTrace, t: float) -> dict:
-    """Field-level one-sided slope bound and the L1 velocity-gradient bound."""
+def oleinik_field_check(trace: FieldTrace, state: MicroState) -> dict:
+    """Field-level one-sided slope bound and the L1 velocity-gradient bound of a state.
+
+    The positions are padded as in the trace's snapshots; no state is built.
+    """
+    t = state.time
     if t <= 0.0:
         raise InputDomainError("the estimate is vacuous at t = 0")
-    snap = trace.snapshot(t)
-    u_nodes = snap.u_nodes
-    ratio = max_slope_ratio(t, snap.x_nodes, u_nodes)
+    x_nodes = trace.padding.pad(state.positions, trace.two_r)
+    u = state.velocities
+    u_nodes = np.concatenate(([u[0]], u))
+    ratio = max_slope_ratio(t, x_nodes, u_nodes)
     l1 = float(np.sum(np.abs(np.diff(u_nodes))))
-    spread = float(snap.x_nodes[-1] - snap.x_nodes[0])
-    bound = 2.0 * spread / t - float(snap.u[-1] - snap.u[0])
+    spread = float(x_nodes[-1] - x_nodes[0])
+    bound = 2.0 * spread / t - float(u[-1] - u[0])
     return {
         "passed": bool(ratio < 1.0 and l1 <= bound * (1.0 + 1e-12) + 1e-12),
         "max_ratio": ratio,

@@ -106,6 +106,26 @@ def rearrangement_from_density(pieces) -> PiecewiseField:
     return PiecewiseField(np.array(w), np.array(left), np.array(right))
 
 
+def _saturated_runs(x_map: PiecewiseField, u_map: PiecewiseField,
+                    slope_min: float = 1.0, tol: float = 1e-10):
+    """Merged grid, U resampled on it, and the congested components (lo, hi).
+
+    A component is a maximal run of cells lo..hi where X has slope
+    ``slope_min`` within relative ``tol`` and does not jump (by more than
+    1e-12): a jump of X is a vacuum gap, which splits two components.
+    """
+    grid = merge_breaks(x_map.breaks, u_map.breaks)
+    x = x_map.resampled(grid)
+    u = u_map.resampled(grid)
+    saturated = np.abs(x.slopes() - slope_min) <= tol * abs(slope_min)
+    # joined[j]: cell j continues the run of cell j - 1
+    joined = np.zeros(saturated.size + 1, dtype=bool)
+    joined[1:-1] = saturated[1:] & saturated[:-1] & (np.abs(x.jumps()) <= 1e-12)
+    lows = np.flatnonzero(saturated & ~joined[:-1])
+    highs = np.flatnonzero(saturated & ~joined[1:])
+    return grid, u, list(zip(lows.tolist(), highs.tolist()))
+
+
 @dataclass(frozen=True)
 class MacroscopicDatum:
     """Monotone rearrangement and Lagrangian velocity on the mass interval (0,1).
@@ -132,20 +152,14 @@ class MacroscopicDatum:
         self._check_saturated_shear()
 
     def _check_saturated_shear(self, tol: float = 1e-12):
-        grid = merge_breaks(self.x0_map.breaks, self.u0_map.breaks)
-        x = self.x0_map.resampled(grid)
-        u = self.u0_map.resampled(grid)
-        saturated = np.abs(x.slopes() - 1.0) <= 1e-10
-        for j in range(grid.size - 1):
-            if not saturated[j]:
-                continue
-            if abs(u.right[j] - u.left[j]) > tol:
-                raise AdmissibilityError(
-                    f"velocity varies on the saturated piece ({grid[j]}, {grid[j+1]})"
-                )
-            if j > 0 and saturated[j - 1]:
-                if abs(x.left[j] - x.right[j - 1]) <= 1e-12 \
-                        and abs(u.left[j] - u.right[j - 1]) > tol:
+        grid, u, runs = _saturated_runs(self.x0_map, self.u0_map)
+        for lo, hi in runs:
+            for j in range(lo, hi + 1):
+                if abs(u.right[j] - u.left[j]) > tol:
+                    raise AdmissibilityError(
+                        f"velocity varies on the saturated piece ({grid[j]}, {grid[j+1]})"
+                    )
+                if j > lo and abs(u.left[j] - u.right[j - 1]) > tol:
                     raise AdmissibilityError(
                         f"velocity jumps inside the saturated region at w={grid[j]}"
                     )

@@ -22,8 +22,9 @@ import numpy as np
 from .dynamics import evolve
 from .errors import InputDomainError
 from .fields import DeltaPadding, build_fields
-from .initdata import MacroscopicDatum, quantile_sample, rearrangement_from_density
-from .piecewise import PiecewiseField, merge_breaks
+from .initdata import MacroscopicDatum, _saturated_runs, quantile_sample, \
+    rearrangement_from_density
+from .piecewise import PiecewiseField
 from .weakform import LagrangianWeakForm, ProfileAtom, Segment
 
 __all__ = [
@@ -181,34 +182,25 @@ def macroscopic_projection(x_field: PiecewiseField, u0_field: PiecewiseField,
     """Project a velocity onto the subspace rigid on congested components.
 
     Components are maximal runs of cells where the position slope equals
-    ``slope_min`` within relative tolerance; on each, the velocity is
-    replaced by its mass average.  ``cluster_closure`` additionally absorbs
-    the cell left of each run: on a discrete uniform grid a run of k
-    saturated cells is a cluster of k+1 particles whose first particle's
-    mass sits in that extra cell.
+    ``slope_min`` within relative tolerance and the position does not jump
+    (a jump is a vacuum gap between two components); on each, the velocity
+    is replaced by its mass average.  ``cluster_closure`` additionally absorbs
+    the cell left of each run unless that cell ends another run: on a
+    discrete uniform grid a run of k saturated cells is a cluster of k+1
+    particles whose first particle's mass sits in that extra cell.
     """
-    grid = merge_breaks(x_field.breaks, u0_field.breaks)
-    x = x_field.resampled(grid)
-    u = u0_field.resampled(grid)
-    saturated = np.abs(x.slopes() - slope_min) <= tol * abs(slope_min)
+    grid, u, runs = _saturated_runs(x_field, u0_field, slope_min, tol)
     left = u.left.copy()
     right = u.right.copy()
-    m = grid.size - 1
-    j = 0
-    while j < m:
-        if not saturated[j]:
-            j += 1
-            continue
-        k = j
-        while k + 1 < m and saturated[k + 1]:
-            k += 1
-        lo = j - 1 if (cluster_closure and j > 0) else j
+    prev_k = -1
+    for j, k in runs:
+        lo = j - 1 if (cluster_closure and j - 1 > prev_k) else j
+        prev_k = k
         h = grid[lo + 1:k + 2] - grid[lo:k + 1]
         mean = float(np.sum(h * (u.left[lo:k + 1] + u.right[lo:k + 1]) / 2.0)
                      / np.sum(h))
         left[lo:k + 1] = mean
         right[lo:k + 1] = mean
-        j = k + 1
     return PiecewiseField(grid, left, right)
 
 

@@ -60,9 +60,33 @@ def _sample_times(horizon: float, events: np.ndarray) -> np.ndarray:
     return np.unique(np.clip(ts, 0.0, horizon))
 
 
+def _time_pairs(rng: np.random.Generator, horizon: float, count: int):
+    """``count`` sorted pairs (s, t) drawn uniformly from [0, horizon]; none if horizon is 0."""
+    for _ in range(count if horizon > 0.0 else 0):
+        s, t = np.sort(rng.uniform(0.0, horizon, 2))
+        yield float(s), float(t)
+
+
+def _worst(name: str, runs: list, tolerance: float, detail: str) -> CheckReport:
+    """One report from the (passed, value) runs of a check: all must pass.
+
+    So a failing run fails the check whatever its value, NaN included.  The
+    value is the largest run value, 0 without runs.
+    """
+    return CheckReport(name, all(ok for ok, _ in runs),
+                       max((value for _, value in runs), default=0.0), tolerance, detail)
+
+
 def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
                 inject: str | None = None) -> list[CheckReport]:
     """Run every check on a simulated trace; returns one report per check, in order.
+
+    One ``iter_states`` pass streams the states at the sampled instants and
+    the event instants.  The sampled ones feed complementarity, momentum and
+    (t > 0) both Oleinik checks; every instant feeds the Eulerian checks.
+    The semigroup and Wasserstein checks run on 20, then 10, random (s, t)
+    pairs from ``rng``; the others read the events.  A repeated check passes
+    if all its runs pass and reports the largest value (``_worst``).
 
     ``inject`` corrupts the input of exactly one check (negative control):
     "negative-lambda", "energy-bump" or "stale-density".
@@ -73,35 +97,57 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     horizon = timeline.horizon
     events = timeline.event_times()
     ts = _sample_times(horizon, events)
-    reports: list[CheckReport] = []
-
-    compl_worst = None
-    oleinik_worst = None
-    momentum_err = 0.0
+    sampled = set(ts.tolist())
     sum_u0 = float(np.sum(timeline.u0))
-    for st in timeline.iter_states(ts):
-        mult = multipliers_at(st, timeline.u0)
-        if inject == "negative-lambda" and st.time == ts[-1]:
-            lam = mult.lambdas.copy()
-            lam[len(lam) // 2] = -1e-3
-            mult = type(mult)(lam)
-        rep = verify_complementarity(st, mult, TOL_COMPLEMENTARITY)
-        if compl_worst is None or rep.value > compl_worst.value:
-            compl_worst = rep
-        if st.time > 0.0:
-            rep_o = verify_oleinik(st)
-            if oleinik_worst is None or rep_o.value > oleinik_worst.value:
-                oleinik_worst = rep_o
-        momentum_err = max(momentum_err, abs(float(np.sum(st.velocities)) - sum_u0))
-    reports.append(compl_worst)
-    reports.append(CheckReport(
-        "oleinik", oleinik_worst is None or oleinik_worst.passed,
-        0.0 if oleinik_worst is None else oleinik_worst.value, 1.0,
-        "strict one-sided slope bound at sampled times"))
     tol_momentum = TOL_MOMENTUM_PER_N * timeline.n
-    reports.append(CheckReport(
-        "momentum_conservation", momentum_err <= tol_momentum, momentum_err, tol_momentum,
-        "max |sum u(t) - sum u0| over sampled times"))
+    atoms_by_time: dict[float, list] = {}
+    for a in pressure_pushforward(pressure_measure(timeline), trace).atoms:
+        atoms_by_time.setdefault(a.time, []).append(a)
+
+    compl, oleinik, momentum, field_ole = [], [], [], []
+    recon, compl_e, ole_e = [], [], []
+    for st in timeline.iter_states(sorted(sampled | set(events.tolist()))):
+        if st.time in sampled:
+            lam = multipliers_at(st, timeline.u0)
+            if inject == "negative-lambda" and st.time == ts[-1]:
+                lam[lam.size // 2] = -1e-3
+            compl.append(verify_complementarity(st, lam, TOL_COMPLEMENTARITY))
+            err = abs(float(np.sum(st.velocities)) - sum_u0)
+            momentum.append((err <= tol_momentum, err))
+            if st.time > 0.0:
+                rep = verify_oleinik(st)
+                oleinik.append((rep.passed, rep.value))
+                rep = oleinik_field_check(trace, st)
+                field_ole.append((rep["passed"], rep["max_ratio"]))
+        snap = snapshot(st, cone, trace.padding)
+        if inject == "stale-density" and st.time == ts[0]:
+            snap = type(snap)(snap.time, snap.edges, snap.density * 1.5,
+                              snap.velocity, snap.two_r)
+        gaps = np.diff(snap.edges)[1:]
+        ctol = 1e-12 * (1.0 + float(np.abs(snap.edges).max()))
+        on_contact = np.abs(gaps - cone.two_r) <= ctol
+        contact_err = (float(np.max(np.abs(snap.density[1:][on_contact] - 1.0)))
+                       if np.any(on_contact) else 0.0)
+        # a gap certified equal to two_r within ctol pins the density to 1
+        # within ctol / two_r; exact (zero) at dyadic particle counts
+        recon.append((abs(snap.total_mass() - 1.0), float(np.max(snap.density)) - 1.0,
+                      contact_err, ctol / cone.two_r * 1.001))
+        for atom in atoms_by_time.get(st.time, ()):
+            rep = complementarity_eulerian(snap, atom)
+            compl_e.append((rep.passed, rep.value))
+        if st.time > 0.0:
+            rep = oleinik_eulerian(snap)
+            ole_e.append((rep.passed, rep.value))
+    density_tol = max([1e-12] + [tol for *_, tol in recon])
+
+    top = max(compl, key=lambda r: r.value)
+    reports = [
+        _worst("complementarity", [(r.passed, r.value) for r in compl],
+               TOL_COMPLEMENTARITY, top.detail),
+        _worst("oleinik", oleinik, 1.0, "strict one-sided slope bound at sampled times"),
+        _worst("momentum_conservation", momentum, tol_momentum,
+               "max |sum u(t) - sum u0| over sampled times"),
+    ]
 
     est = verify_estimates(timeline)
     passed = est["passed"]
@@ -113,19 +159,10 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
         "energy_dissipation", passed, final - initial, 0.0,
         f"energy {initial:.6g} -> {final:.6g}"))
 
-    worst_sg = None
-    if horizon > 0.0:
-        for _ in range(20):
-            s, t = np.sort(rng.uniform(0.0, horizon, 2))
-            if t - s < 1e-9:
-                continue
-            rep = verify_semigroup(timeline, float(s), float(t), TOL_SEMIGROUP)
-            if worst_sg is None or rep.value > worst_sg.value:
-                worst_sg = rep
-    reports.append(CheckReport(
-        "semigroup", worst_sg is None or worst_sg.passed,
-        0.0 if worst_sg is None else worst_sg.value, TOL_SEMIGROUP,
-        "restart identity on 20 random (s, t) pairs"))
+    semigroup = [verify_semigroup(timeline, s, t, TOL_SEMIGROUP)
+                 for s, t in _time_pairs(rng, horizon, 20) if t - s >= 1e-9]
+    reports.append(_worst("semigroup", [(r.passed, r.value) for r in semigroup],
+                          TOL_SEMIGROUP, "restart identity on 20 random (s, t) pairs"))
 
     reports.append(CheckReport(
         "active_set_monotone", active_set_monotone(timeline), float(len(timeline.events)),
@@ -138,78 +175,21 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             pde["multiplier_exclusion_max"], pde["atom_exclusion_max"]),
         pde["tolerance"], "interpolated order-1/order-2 systems and exclusion relations"))
 
-    field_ole_ok = True
-    field_ole_val = 0.0
-    for t in ts:
-        if t <= 0.0:
-            continue
-        rep = oleinik_field_check(trace, float(t))
-        field_ole_ok &= rep["passed"]
-        field_ole_val = max(field_ole_val, rep["max_ratio"])
-    reports.append(CheckReport(
-        "oleinik_field", bool(field_ole_ok), field_ole_val, 1.0,
-        "field-level slope bound and L1 gradient bound"))
-
-    # Eulerian reconstruction
-    press = pressure_pushforward(pressure_measure(timeline), trace)
-    atoms_by_time: dict[float, list] = {}
-    for a in press.atoms:
-        atoms_by_time.setdefault(a.time, []).append(a)
-    mass_err = 0.0
-    density_excess = 0.0
-    contact_density_err = 0.0
-    density_tol = 1e-12
-    compl_e_ok = ole_e_ok = True
-    compl_e = 0.0
-    ole_e = []
-    for st in timeline.iter_states(sorted(set(ts.tolist()) | set(events.tolist()))):
-        snap = snapshot(st, cone, trace.padding)
-        if inject == "stale-density" and st.time == ts[0]:
-            snap = type(snap)(snap.time, snap.edges, snap.density * 1.5,
-                              snap.velocity, snap.two_r)
-        mass_err = max(mass_err, abs(snap.total_mass() - 1.0))
-        density_excess = max(density_excess, float(np.max(snap.density)) - 1.0)
-        gaps = np.diff(snap.edges)[1:]
-        ctol = 1e-12 * (1.0 + float(np.abs(snap.edges).max()))
-        # a gap certified equal to two_r within ctol pins the density to 1
-        # within ctol / two_r; exact (zero) at dyadic particle counts
-        density_tol = max(density_tol, ctol / cone.two_r * 1.001)
-        on_contact = np.abs(gaps - cone.two_r) <= ctol
-        if np.any(on_contact):
-            contact_density_err = max(contact_density_err, float(
-                np.max(np.abs(snap.density[1:][on_contact] - 1.0))))
-        for atom in atoms_by_time.get(st.time, ()):
-            rep = complementarity_eulerian(snap, atom)
-            compl_e_ok &= rep.passed
-            compl_e = max(compl_e, rep.value)
-        if st.time > 0.0:
-            rep = oleinik_eulerian(snap)
-            ole_e_ok &= rep.passed
-            ole_e.append(rep.value)
-    reports.append(CheckReport(
+    reports.append(_worst("oleinik_field", field_ole, 1.0,
+                          "field-level slope bound and L1 gradient bound"))
+    reports.append(_worst(
         "eulerian_reconstruction",
-        bool(mass_err <= 1e-12 and density_excess <= density_tol
-             and contact_density_err <= density_tol),
-        max(mass_err, density_excess, contact_density_err), density_tol,
-        "mass 1, density <= 1, contact cells at density 1"))
-    reports.append(CheckReport(
-        "eulerian_complementarity", bool(compl_e_ok), compl_e, 1e-10,
-        "pressure atoms supported in saturated cells"))
-    reports.append(CheckReport(
-        "eulerian_oleinik", bool(ole_e_ok), max(ole_e, default=0.0), 1.0,
-        "Eulerian slope bound at sampled times"))
+        [(mass <= 1e-12 and excess <= density_tol and contact <= density_tol,
+          max(mass, excess, contact)) for mass, excess, contact, _ in recon],
+        density_tol, "mass 1, density <= 1, contact cells at density 1"))
+    reports.append(_worst("eulerian_complementarity", compl_e, 1e-10,
+                          "pressure atoms supported in saturated cells"))
+    reports.append(_worst("eulerian_oleinik", ole_e, 1.0,
+                          "Eulerian slope bound at sampled times"))
 
-    w2_ok = True
-    w2_val = 0.0
-    if horizon > 0.0:
-        for _ in range(10):
-            s, t = np.sort(rng.uniform(0.0, horizon, 2))
-            rep = wasserstein_time_modulus(trace, float(s), float(t))
-            w2_ok &= rep["passed"]
-            w2_val = max(w2_val, rep["modulus"])
-    reports.append(CheckReport(
-        "wasserstein_modulus", bool(w2_ok), w2_val, 0.0,
-        "W2 time modulus below the velocity-integral bound"))
+    w2 = [wasserstein_time_modulus(trace, s, t) for s, t in _time_pairs(rng, horizon, 10)]
+    reports.append(_worst("wasserstein_modulus", [(r["passed"], r["modulus"]) for r in w2],
+                          0.0, "W2 time modulus below the velocity-integral bound"))
 
     suite = weak_residual_suite(trace, tol=TOL_WEAK_RESIDUAL)
     reports.append(CheckReport(

@@ -119,7 +119,7 @@ def test_criterion_3_invariant_battery():
         from congested_flow.dynamics import multipliers_at
 
         for st in tl.iter_states(np.linspace(0.0, tl.horizon, 9)):
-            lam = multipliers_at(st, tl.u0).lambdas
+            lam = multipliers_at(st, tl.u0)
             assert lam[-1] == 0.0
             assert float(lam.min()) >= -1e-12
     print(PASS.format(k=3, msg="battery green on two_block, smooth, random_contacts"))

@@ -79,6 +79,33 @@ def test_invalid_density_exits_one_with_field_path(tmp_path, capsys):
     assert "scenario.density[0]" in err
 
 
+CUSTOM = {"name": "custom", "density": [[0.0, 2.0, 0.5]],
+          "velocity": {"kind": "lagrangian", "pieces": [[0.0, 1.0, 0.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"scenario": dict(CUSTOM, density=[[0.0, "x", 0.5]])},
+     "scenario.density[0]: expected a number, got str"),
+    ({"scenario": dict(CUSTOM, density=[[0.0, 2.0, True]])},
+     "scenario.density[0]: expected a number, got bool"),
+    ({"scenario": dict(CUSTOM, velocity={"kind": "lagrangian",
+                                         "pieces": [[0.0, 1.0, False, 0.0]]})},
+     "scenario.velocity.pieces[0]: expected a number, got bool"),
+    ({"scenario": {"name": "two_block", "eta": True}}, "scenario.eta: expected float, got bool"),
+    ({"horizon": True}, "horizon: expected float, got bool"),
+    ({"delta": True}, "delta: expected float, got bool"),
+    ({"seed": False}, "seed: expected int, got bool"),
+    ({"sample_times": [True]}, "sample_times: need numbers inside [0, horizon]"),
+])
+def test_non_numbers_exit_one_with_field_path(tmp_path, capsys, overrides, message):
+    # a JSON bool is a Python int, and a string is no number either
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_n_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": {"name": "two_block", "eta": 0.5}}))
@@ -390,13 +417,13 @@ def _per_row_export(cfg, out):
                    float(e.post_velocity)) for e in timeline.events])
     state_rows, mult_rows, snap_rows = [], [], []
     for st in timeline.iter_states(cfg["_sample_times"]):
-        mult = multipliers_at(st, u0)
+        lam = multipliers_at(st, u0)
         esnap = snapshot(st, cone, trace.padding)
         for i in range(n):
             state_rows.append((float(st.time), i + 1,
                                float(st.positions[i]), float(st.velocities[i])))
-        for j, lam in enumerate(mult.lambdas):
-            mult_rows.append((float(st.time), j, float(lam)))
+        for j, lam_j in enumerate(lam):
+            mult_rows.append((float(st.time), j, float(lam_j)))
         for i in range(esnap.density.size):
             snap_rows.append((float(st.time), float(esnap.edges[i]),
                               float(esnap.edges[i + 1]), float(esnap.density[i]),

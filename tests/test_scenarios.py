@@ -139,6 +139,17 @@ def test_macroscopic_projection_two_block_post_merge_zero():
     assert out.linf_norm() <= 1e-15
 
 
+@pytest.mark.parametrize("closure", [False, True])
+@pytest.mark.parametrize("position", ["datum", "sticky_before_collision"])
+def test_macroscopic_projection_keeps_blocks_apart_across_a_vacuum_gap(position, closure):
+    # two saturated pieces that touch in w but jump in X are two components
+    datum = two_block_datum(0.5)
+    x = datum.x0_map if position == "datum" else sticky_solution(0.5).position_field(0.1)
+    out = macroscopic_projection(x, datum.u0_map, cluster_closure=closure)
+    np.testing.assert_array_equal(out.left, [1.0, -1.0])
+    np.testing.assert_array_equal(out.right, [1.0, -1.0])
+
+
 def test_contraction_zero_perturbation():
     rng = np.random.default_rng(7)
     x0, u0, cone = random_admissible_datum(30, rng)

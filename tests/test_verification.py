@@ -1,0 +1,110 @@
+"""The invariant battery: one state stream, one fold, and negative controls."""
+
+import math
+
+import numpy as np
+import pytest
+
+from congested_flow import verification
+from congested_flow.dynamics import CheckReport, EventTimeline, MergeEvent, evolve
+from congested_flow.fields import FieldTrace, build_fields, oleinik_field_check, \
+    verify_discrete_pde
+from congested_flow.random_data import random_admissible_datum
+from congested_flow.verification import CHECK_NAMES, run_battery
+
+
+def random_contacts_trace(n, seed):
+    x0, u0, cone = random_admissible_datum(n, np.random.default_rng(seed), contacts=True)
+    return build_fields(evolve(x0, u0, cone, 1.0))
+
+
+def failed_checks(reports):
+    return [r.name for r in reports if not r.passed]
+
+
+def test_battery_queries_each_sampled_instant_once(monkeypatch):
+    trace = random_contacts_trace(100, 1)
+    tl = trace.timeline
+    ts = verification._sample_times(tl.horizon, tl.event_times())
+    queried = []
+    stream = EventTimeline.iter_states
+
+    def recorder(self, times):
+        times = [float(t) for t in times]
+        queried.extend(times)
+        return stream(self, times)
+
+    monkeypatch.setattr(EventTimeline, "iter_states", recorder)
+    assert not failed_checks(run_battery(trace))
+    assert [queried.count(t) for t in ts.tolist()] == [1] * ts.size
+
+
+def test_oleinik_field_check_reads_the_state_only(monkeypatch):
+    trace = random_contacts_trace(100, 1)
+    state = trace.timeline.state_at(0.5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oleinik_field_check reads the state it is given")
+
+    monkeypatch.setattr(EventTimeline, "iter_states", forbidden)
+    monkeypatch.setattr(FieldTrace, "iter_snapshots", forbidden)
+    rep = oleinik_field_check(trace, state)
+    assert rep["passed"] and 0.0 <= rep["max_ratio"] < 1.0
+
+
+def nan_on_second_call(monkeypatch, name):
+    """Make verification's ``name`` report a failing NaN on its second call."""
+    check = getattr(verification, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        rep = check(*args, **kwargs)
+        if len(calls) == 2:
+            return CheckReport(rep.name, False, math.nan, rep.tolerance, "NaN run")
+        return rep
+
+    monkeypatch.setattr(verification, name, patched)
+    return calls
+
+
+@pytest.mark.parametrize("name, check", [
+    ("verify_oleinik", "oleinik"),
+    ("verify_semigroup", "semigroup"),
+])
+def test_failing_nan_run_fails_its_check(monkeypatch, name, check):
+    # a fold that keeps the verdict of the largest value never picks a NaN run
+    trace = random_contacts_trace(100, 1)
+    calls = nan_on_second_call(monkeypatch, name)
+    reports = run_battery(trace)
+    assert len(calls) > 2
+    assert failed_checks(reports) == [check]
+
+
+def test_stretched_gap_fails_the_exclusion_relations(monkeypatch):
+    # cluster positions are built rigid, so the fault goes below the
+    # representation: one gap of the widest event, at its largest jump
+    trace = random_contacts_trace(200, 5)
+    tl = trace.timeline
+    widest = max(tl.events, key=lambda e: e.index_range[1] - e.index_range[0])
+    assert widest.index_range == (68, 137)
+    k = int(np.argmax(widest.jump_values))
+    rigid = MergeEvent.positions
+
+    def stretched(self, two_r):
+        x = rigid(self, two_r)
+        if self is widest:
+            x[k + 1:] += 1e-3 * two_r
+        return x
+
+    assert verify_discrete_pde(trace)["passed"]
+    monkeypatch.setattr(MergeEvent, "positions", stretched)
+    pde = verify_discrete_pde(trace)
+    # slack n * 1e-3 * two_r = 1e-3 against the largest jump 4.84e-3
+    expected = 1e-3 * float(widest.jump_values[k])
+    assert pde["multiplier_exclusion_max"] == pytest.approx(expected, rel=1e-6)
+    assert pde["atom_exclusion_max"] == pytest.approx(expected, rel=1e-6)
+    assert pde["order1_max_residual"] <= 1e-12 and pde["order2_max_residual"] <= 1e-12
+    reports = run_battery(trace)
+    assert [r.name for r in reports] == list(CHECK_NAMES)
+    assert failed_checks(reports) == ["discrete_pde"]
