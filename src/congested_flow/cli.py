@@ -180,11 +180,12 @@ def _build_datum(cfg: dict) -> MacroscopicDatum:
         raise ConfigError("scenario.velocity.kind: expected 'eulerian' or 'lagrangian'")
     if not isinstance(pts, list) or not pts:
         raise ConfigError("scenario.velocity.pieces: need [lo, hi, left_value, right_value] rows")
-    try:
-        rows = [[_as_float(f"scenario.velocity.pieces[{k}]", row[i]) for i in range(4)]
-                for k, row in enumerate(pts)]
-    except (TypeError, KeyError, IndexError) as exc:
-        raise ConfigError(f"scenario.velocity.pieces: malformed row ({exc})") from None
+    rows = []
+    for k, row in enumerate(pts):
+        if not (isinstance(row, list) and len(row) == 4):
+            raise ConfigError(
+                f"scenario.velocity.pieces[{k}]: expected [lo, hi, left_value, right_value]")
+        rows.append([_as_float(f"scenario.velocity.pieces[{k}]", z) for z in row])
     lows, highs, left, right = (list(col) for col in zip(*rows))
     breaks = lows[:1] + highs
     for k, (lo, prev_hi) in enumerate(zip(lows[1:], breaks[1:-1]), start=1):

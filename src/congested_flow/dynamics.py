@@ -16,10 +16,12 @@ States are right-continuous at event times.
 
 A cluster partition is always one ascending int array of block starts
 (first entry 0): block k is starts[k] .. starts[k+1] - 1, the last one runs
-to n - 1.  Replaying events (``iter_states``, ``active_set_monotone``) it is a
-block-start mask of length n + 1 whose sentinel entry n is set, coarsened only
-by ``_merge``.  ``evolve`` keys its clusters by the same starts: each cluster's
-data sits at its first particle.
+to n - 1.  ``EventTimeline.replay`` is the one pass that applies events to
+running state; it keeps the partition as a block-start mask of length n + 1
+whose sentinel entry n is set, coarsened only by ``_merge``.  States,
+snapshots, the estimates, the contact-set, discrete-system and weak-form
+checks all read its cursor.  ``evolve`` keys its clusters by the same
+starts: each cluster's data sits at its first particle.
 """
 
 from __future__ import annotations
@@ -420,53 +422,112 @@ class EventTimeline:
         return list(self.iter_states(times))
 
     def iter_states(self, times):
-        """Generator form of states_at; one incremental pass over the events.
+        """Generator form of states_at: the replay's states at the query instants."""
+        for cur in self.replay(times):
+            yield cur.state()
 
-        The blocks live in arrays of length n: a block-start mask plus the
-        left edge, reference time and velocity stored at each block start.
-        Each state reads its starts off the mask and takes them as its
-        partition; there is no per-block Python work.  Cost: O(merged range)
-        per event and O(n) vectorised work per state.  Raises
-        InvariantViolationError if an event does not cover whole current
-        blocks.
+    def replay(self, times=None):
+        """The one pass that applies the events to running state.
+
+        Yields one ``ReplayCursor``, updated in place: at each query instant of
+        ``times`` (ascending, inside [0, horizon]) once the events at or before
+        it are applied, or, without ``times``, after every event.  The event
+        step sets the block-start mask and the left edge, reference time and
+        velocity at the merged block's start: O(1) plus ``_merge``'s O(merged
+        range).  Raises InvariantViolationError if an event does not cover
+        whole current blocks.
         """
-        times = [float(t) for t in times]
-        hi_t = self.horizon * (1.0 + 1e-12)
-        if any(t < 0.0 or t > hi_t for t in times):
-            raise InputDomainError("query times must lie in [0, horizon]")
-        if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
-            raise InputDomainError("query times must be ascending")
-        n = self.n
-        two_r = self.cone.two_r
-        starts0 = self.initial.starts
-        is_start = _start_mask(starts0, n)
-        x_left = np.zeros(n)
-        t_ref = np.zeros(n)
-        v = np.zeros(n)
-        x_left[starts0] = self.x0[starts0]
-        v[starts0] = self.initial.velocities[starts0]
-        offsets = np.arange(n)
-        ev = 0
-        for t in times:
-            while ev < len(self.events) and self.events[ev].time <= t:
-                e = self.events[ev]
+        if times is not None:
+            times = [float(t) for t in times]
+            if any(t < 0.0 or t > self.horizon * (1.0 + 1e-12) for t in times):
+                raise InputDomainError("query times must lie in [0, horizon]")
+            if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
+                raise InputDomainError("query times must be ascending")
+        cur = ReplayCursor(self)
+        is_start, x_left, t_ref, v = cur.is_start, cur.x_left, cur.t_ref, cur.v
+        events, ev = self.events, 0
+        for t in times if times is not None else [np.inf]:
+            while ev < len(events) and events[ev].time <= t:
+                e = events[ev]
                 lo, hi = e.index_range
                 if not _merge(is_start, lo, hi):
                     raise InvariantViolationError(
                         f"event at t={e.time} merges {lo}..{hi}, which is not a union "
                         "of current blocks")
-                x_left[lo] = e.x_left
-                t_ref[lo] = e.time
-                v[lo] = e.post_velocity
+                x_left[lo], t_ref[lo], v[lo] = e.x_left, e.time, e.post_velocity
                 ev += 1
-            # the sentinel n closes the last block
-            bounds = np.flatnonzero(is_start)
-            starts = bounds[:-1]
-            sizes = np.diff(bounds)
-            x = (np.repeat(x_left[starts] + v[starts] * (t - t_ref[starts]), sizes)
-                 + two_r * (offsets - np.repeat(starts, sizes)))
-            u = np.repeat(v[starts], sizes)
-            yield MicroState(t, x, u, starts, self.cone)
+                if times is None:
+                    cur.time, cur.event, cur.count = e.time, e, ev
+                    yield cur
+            if times is not None:
+                cur.time, cur.count = t, ev
+                yield cur
+
+
+class ReplayCursor:
+    """Running state of one ``EventTimeline.replay``, after ``count`` events.
+
+    ``event`` is the event just applied, or None at a query instant.  The
+    replay keeps the block-start mask ``is_start`` and, at each block start,
+    the left edge ``x_left`` at time ``t_ref`` and the velocity ``v``.  The
+    dense velocities ``u`` and multipliers ``lam[0..n]`` are brought up to
+    date only when read, each on its own, by applying the events since its
+    last read; ``u_pre`` is u on the current event's range lo..hi just before
+    that event.  They are the live arrays: copy what you keep.
+    """
+
+    def __init__(self, timeline: EventTimeline):
+        self.timeline = timeline
+        self.time, self.event, self.count = 0.0, None, 0
+        self.is_start = _start_mask(timeline.initial.starts, timeline.n)
+        # per-start data: entries off the current block starts are never read
+        self.x_left = timeline.x0.copy()
+        self.t_ref = np.zeros(timeline.n)
+        self.v = timeline.initial.velocities.copy()
+        self._u = timeline.initial.velocities.copy()
+        self._lam = np.zeros(timeline.n + 1)
+        self._u_count = self._lam_count = 0
+
+    def state(self) -> MicroState:
+        """The state at the cursor's time, from the mask and the per-start data.
+
+        O(n) vectorised work; the sentinel n closes the last block.
+        """
+        bounds = np.flatnonzero(self.is_start)
+        starts, sizes = bounds[:-1], np.diff(bounds)
+        left = self.x_left[starts] + self.v[starts] * (self.time - self.t_ref[starts])
+        x = (np.repeat(left, sizes)
+             + self.timeline.cone.two_r * (np.arange(sizes.sum()) - np.repeat(starts, sizes)))
+        return MicroState(self.time, x, np.repeat(self.v[starts], sizes), starts,
+                          self.timeline.cone)
+
+    @property
+    def u(self) -> np.ndarray:
+        self._apply_u()
+        return self._u
+
+    @property
+    def u_pre(self) -> np.ndarray:
+        self._apply_u()
+        return self._u_pre
+
+    def _apply_u(self) -> None:
+        """Apply the events since the last read to u, keeping the last one's pre-image."""
+        u, events = self._u, self.timeline.events
+        for k in range(self._u_count, self.count):
+            lo, hi = events[k].index_range
+            if k == self.count - 1:
+                self._u_pre = u[lo:hi + 1].copy()
+            u[lo:hi + 1] = events[k].post_velocity
+        self._u_count = self.count
+
+    @property
+    def lam(self) -> np.ndarray:
+        for e in self.timeline.events[self._lam_count:self.count]:
+            lo, _ = e.index_range
+            self._lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
+        self._lam_count = self.count
+        return self._lam
 
 
 def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
@@ -528,7 +589,7 @@ def verify_semigroup(timeline: EventTimeline, s: float, t: float,
                      tol: float = 1e-9) -> CheckReport:
     """Restarting from x(s), u(s) must reproduce x(t) and the cluster means.
 
-    The restart projects over the clusters of x(s), which ``iter_states``
+    The restart projects over the clusters of x(s), which the replay
     builds rigid, so their spread after translation is rounding only.
     """
     if not (0.0 <= s < t <= timeline.horizon):
@@ -547,7 +608,7 @@ def verify_semigroup(timeline: EventTimeline, s: float, t: float,
 
 
 def verify_estimates(timeline: EventTimeline) -> dict:
-    """Energy dissipation and sup bounds along the whole timeline.
+    """Energy dissipation and sup bounds along the whole timeline, on one replay.
 
     Passes iff the rescaled kinetic energy is nonincreasing across events,
     never exceeds its initial value (both within ``energy_tolerance``), and
@@ -555,25 +616,22 @@ def verify_estimates(timeline: EventTimeline) -> dict:
     the multipliers ever take (they change only at events).
     """
     n = timeline.n
-    u = timeline.initial.velocities.copy()
+    u = timeline.initial.velocities
     energy = [float(np.dot(u, u) / n)]
-    lam = np.zeros(n + 1)
     sup_u = float(np.max(np.abs(u))) if n else 0.0
-    sup_nlam = 0.0
-    sup_njump = 0.0
+    sup_nlam = sup_njump = 0.0
     tol = 1e-12 * (1.0 + energy[0])
     monotone = True
-    for e in timeline.events:
+    for cur in timeline.replay():
+        e = cur.event
         lo, hi = e.index_range
-        seg = u[lo:hi + 1]
+        seg = cur.u_pre
         e_pre = energy[-1]
         e_post = e_pre + (seg.size * e.post_velocity ** 2 - float(np.dot(seg, seg))) / n
         if e_post > e_pre + tol:
             monotone = False
-        u[lo:hi + 1] = e.post_velocity
-        lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
-        changed = lam[lo:hi + 2]
-        sup_nlam = max(sup_nlam, n * float(np.max(np.abs(changed))))
+        lam = cur.lam
+        sup_nlam = max(sup_nlam, n * float(np.max(np.abs(lam[lo:hi + 2]))))
         dloc = np.diff(lam[max(lo - 1, 0):min(hi + 2, n) + 1])
         if dloc.size:
             sup_njump = max(sup_njump, n * float(np.max(np.abs(dloc))))
@@ -597,14 +655,12 @@ def verify_estimates(timeline: EventTimeline) -> dict:
 def active_set_monotone(timeline: EventTimeline) -> bool:
     """Contacts never disappear: every event coarsens the current partition.
 
-    Replays the events on a block-start mask of the initial starts: each
-    merged range must be a union of whole current blocks (``_merge``, the
-    rule ``iter_states`` enforces), and event times must be nondecreasing.
+    Replays the events: each merged range must be a union of whole current
+    blocks (the replay's ``_merge`` rule), and event times must be
+    nondecreasing.
     """
-    is_start = _start_mask(timeline.initial.starts, timeline.n)
-    t_prev = 0.0
-    for e in timeline.events:
-        if e.time < t_prev or not _merge(is_start, *e.index_range):
-            return False
-        t_prev = e.time
-    return True
+    try:
+        times = [cur.time for cur in timeline.replay()]
+    except InvariantViolationError:
+        return False
+    return all(t0 <= t1 for t0, t1 in zip([0.0] + times, times))

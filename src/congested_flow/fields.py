@@ -126,19 +126,11 @@ class FieldTrace:
         return list(self.iter_snapshots(times))
 
     def iter_snapshots(self, times):
-        """Nodal snapshots at ascending times, one incremental pass."""
-        times = [float(t) for t in times]
-        lam = np.zeros(self.n + 1)
-        ev = 0
-        events = self.timeline.events
-        for state in self.timeline.iter_states(times):
-            while ev < len(events) and events[ev].time <= state.time:
-                e = events[ev]
-                lo, _ = e.index_range
-                lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
-                ev += 1
-            yield TraceSnapshot(state.time, self.padding.pad(state.positions, self.two_r),
-                                state.velocities.copy(), lam.copy())
+        """Nodal snapshots at ascending times, from one replay's query instants."""
+        for cur in self.timeline.replay(times):
+            state = cur.state()
+            yield TraceSnapshot(cur.time, self.padding.pad(state.positions, self.two_r),
+                                state.velocities, cur.lam.copy())
 
     def snapshot(self, t: float) -> TraceSnapshot:
         (snap,) = self.snapshots([t])
@@ -172,27 +164,25 @@ def verify_discrete_pde(trace: FieldTrace, tol: float = 1e-10) -> dict:
 
     Between events u and lam are constant in time, and an event changes them
     only on its merged range lo..hi.  So the order-1 residual is checked once
-    over all n entries with lam = 0, then on lo..hi after each event.  lam is
-    zero off the contacts, and inside a cluster the position slope is
-    n * two_r at every instant up to rounding; so the multiplier exclusion is
-    checked on the contacts lo+1..hi of each event against the slopes of the
-    event's positions.  O(n + sum of merged range sizes) in all; no state or
-    snapshot is built.
+    over all n entries with lam = 0, then on lo..hi after each event of one
+    replay, which keeps u and lam.  lam is zero off the contacts, and inside
+    a cluster the position slope is n * two_r at every instant up to
+    rounding; so the multiplier exclusion is checked on the contacts
+    lo+1..hi of each event against the slopes of the event's positions.
+    O(n + sum of merged range sizes) in all; no state or snapshot is built.
     """
     n = trace.n
     u0 = trace.timeline.u0
     slope_min = trace.slope_min
-    u = trace.timeline.initial.velocities.copy()
-    lam = np.zeros(n + 1)
-    order1 = float(np.max(np.abs(u - u0)))
+    order1 = float(np.max(np.abs(trace.timeline.initial.velocities - u0)))
     order2 = compl = atom_compl = 0.0
-    for e in trace.timeline.events:
+    for cur in trace.timeline.replay():
+        e = cur.event
         lo, hi = e.index_range
         jump_grad = np.diff(e.jump_values, prepend=0.0, append=0.0)
-        resid = (e.post_velocity - u[lo:hi + 1]) + n * jump_grad
+        resid = (e.post_velocity - cur.u_pre) + n * jump_grad
         order2 = max(order2, float(np.max(np.abs(resid))))
-        u[lo:hi + 1] = e.post_velocity
-        lam[lo + 1:hi + 1] += e.jump_values
+        u, lam = cur.u, cur.lam
         resid = u[lo:hi + 1] - (u0[lo:hi + 1] - n * np.diff(lam[lo:hi + 2]))
         order1 = max(order1, float(np.max(np.abs(resid))))
         slack = n * np.diff(e.positions(trace.two_r)) - slope_min

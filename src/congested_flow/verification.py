@@ -185,7 +185,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     reports.append(_worst("eulerian_complementarity", compl_e, 1e-10,
                           "pressure atoms supported in saturated cells"))
     reports.append(_worst("eulerian_oleinik", ole_e, 1.0,
-                          "Eulerian slope bound at sampled times"))
+                          "Eulerian slope bound at sampled and event instants"))
 
     w2 = [wasserstein_time_modulus(trace, s, t) for s, t in _time_pairs(rng, horizon, 10)]
     reports.append(_worst("wasserstein_modulus", [(r["passed"], r["modulus"]) for r in w2],

@@ -270,25 +270,21 @@ def weak_form_of_trace(trace) -> LagrangianWeakForm:
     """Weak form of a discrete run: piecewise-constant fields, exact atoms.
 
     ``trace`` is a fields.FieldTrace.  One segment per inter-event window:
-    its velocities are the previous window's, reset to ``post_velocity`` on
-    the merged range of each event at its start, and its positions are the
-    previous window's end positions as the segment evaluates them, so every
-    position is bitwise continuous in time.  One exact atom per merge event,
-    at the merged range's positions x_left + two_r * offset.
+    its velocities are a copy of the replay's dense u at its start, and its
+    positions are the previous window's end positions as the segment
+    evaluates them, so every position is bitwise continuous in time.  The
+    replay runs to the horizon, so an event there is checked too.  One exact
+    atom per merge event, at the merged range's positions x_left + two_r *
+    offset.
     """
     tl = trace.timeline
-    events = tl.events
-    x, v = tl.initial.positions, tl.initial.velocities
     segments = []
-    ev = 0
-    for t0, t1 in zip(trace.times[:-1].tolist(), trace.times[1:].tolist()):
-        if ev < len(events) and events[ev].time <= t0:
-            v = v.copy()
-            while ev < len(events) and events[ev].time <= t0:
-                lo, hi = events[ev].index_range
-                v[lo:hi + 1] = events[ev].post_velocity
-                ev += 1
-        segments.append(Segment(t0, t1, trace.w_grid, x, x, v, v, True))
-        x = x + (t1 - t0) * v
-    atoms = [ExactAtom(e.time, e.positions(trace.two_r), e.jump_values) for e in events]
+    x, v, t0 = tl.initial.positions, None, 0.0
+    for cur in tl.replay(trace.times.tolist()):
+        if cur.time > t0:
+            segments.append(Segment(t0, cur.time, trace.w_grid, x, x, v, v, True))
+            x = x + (cur.time - t0) * v
+        v, t0 = cur.u.copy(), cur.time
+    atoms = [ExactAtom(e.time, e.positions(trace.two_r), e.jump_values)
+             for e in tl.events]
     return LagrangianWeakForm(segments, atoms)

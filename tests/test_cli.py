@@ -106,6 +106,19 @@ def test_non_numbers_exit_one_with_field_path(tmp_path, capsys, overrides, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [[0.0, 1.0, 0.0, 0.0, "junk"], [0.0, 1.0, 0.0], "0 1 0 0"],
+                         ids=["extra_entry", "missing_entry", "not_a_list"])
+def test_velocity_piece_rows_need_four_entries(tmp_path, capsys, row):
+    # as a density row needs exactly [a, b, value]
+    velocity = {"kind": "lagrangian", "pieces": [row]}
+    cfg = write_config(tmp_path, scenario=dict(CUSTOM, velocity=velocity))
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert ("error: scenario.velocity.pieces[0]: expected [lo, hi, left_value, right_value]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_missing_n_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": {"name": "two_block", "eta": 0.5}}))

@@ -4,6 +4,7 @@ import dataclasses
 import heapq
 import itertools
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,12 +39,15 @@ from congested_flow.errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from congested_flow.fields import build_fields
+from congested_flow.cli import load_config
+from congested_flow.fields import build_fields, verify_discrete_pde
 from congested_flow.initdata import quantile_sample
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
 from congested_flow.verification import TOL_SEMIGROUP, run_battery
+from congested_flow.weakform import weak_form_of_trace
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TWO = SpacingCone(2, 1.0)
 X2 = np.array([0.0, 2.0])
 U2 = np.array([1.0, -1.0])
@@ -616,8 +620,99 @@ def test_active_set_monotone_valid_and_corrupted():
         bad = EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0,
                             tl.events + (event,), tl.initial)
         assert not active_set_monotone(bad)
-        with pytest.raises(InvariantViolationError):
-            bad.states_at([tl.horizon])
+        # every reader of the timeline replays the events and rejects it
+        trace = build_fields(bad)
+        readers = [lambda: bad.states_at([tl.horizon]),
+                   lambda: verify_estimates(bad),
+                   lambda: verify_discrete_pde(trace),
+                   lambda: trace.snapshots([tl.horizon]),
+                   lambda: weak_form_of_trace(trace)]
+        for read in readers:
+            with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
+                read()
+
+
+def estimates_loop(tl):
+    """Reference: the dense per-event loop of verify_estimates before the replay.
+
+    Returns (u on lo..hi before the event, u, lam) after each event, copied.
+    """
+    u = tl.initial.velocities.copy()
+    lam = np.zeros(tl.n + 1)
+    out = []
+    for e in tl.events:
+        lo, hi = e.index_range
+        pre = u[lo:hi + 1].copy()
+        u[lo:hi + 1] = e.post_velocity
+        lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
+        out.append((pre, u.copy(), lam.copy()))
+    return out
+
+
+def snapshots_lam_loop(tl, times):
+    """Reference: the lam loop FieldTrace.iter_snapshots ran on top of iter_states."""
+    lam = np.zeros(tl.n + 1)
+    ev = 0
+    for t in times:
+        while ev < len(tl.events) and tl.events[ev].time <= t:
+            e = tl.events[ev]
+            lo, _ = e.index_range
+            lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
+            ev += 1
+        yield lam.copy()
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_contacts_timeline():
+    x0, u0, cone = random_admissible_datum(300, np.random.default_rng(0), contacts=True)
+    return evolve(x0, u0, cone, 1.0)
+
+
+def _smooth_cascade_timeline():
+    datum = load_config(str(CONFIGS / "smooth_compression.json"))["_datum"]
+    return evolve(*quantile_sample(datum, 256), 1.0)
+
+
+@pytest.mark.parametrize("make", [_random_contacts_timeline, _smooth_cascade_timeline],
+                         ids=["random_contacts", "smooth_cascade"])
+def test_replay_dense_arrays_match_the_old_loops_bitwise(make):
+    tl = make()
+    ref = estimates_loop(tl)
+    assert ref
+    # read at every event, u before u_pre too, and at every 2nd or 3rd event
+    # only, so each read catches up several events
+    for order, stride in ((("u_pre", "u", "lam"), 1), (("u", "u_pre", "lam"), 1),
+                          (("lam", "u", "u_pre"), 3), (("u_pre", "lam"), 3), (("u",), 2)):
+        count = 0
+        for k, cur in enumerate(tl.replay()):
+            assert cur.event is tl.events[k] and cur.count == k + 1
+            count += 1
+            if k % stride:
+                continue
+            want = dict(zip(("u_pre", "u", "lam"), ref[k]))
+            for name in order:
+                assert _same_bits(getattr(cur, name), want[name]), (order, stride, k, name)
+        assert count == len(tl.events)
+    # query instants only: events, their left neighbours and a uniform grid
+    te = tl.event_times()
+    times = np.sort(np.concatenate((te, np.nextafter(te, -np.inf), np.linspace(0.0, 1.0, 9))))
+    dense = [tl.initial.velocities] + [u for _, u, _ in ref]
+    for first in ("u", "lam"):
+        lams = list(snapshots_lam_loop(tl, times))
+        cursors = 0
+        for t, cur, lam in zip(times, tl.replay(times), lams):
+            assert cur.time == t and cur.event is None
+            got = {name: getattr(cur, name) for name in (first, "lam" if first == "u" else "u")}
+            assert _same_bits(got["u"], dense[cur.count])
+            assert _same_bits(got["lam"], lam)
+            cursors += 1
+        assert cursors == times.size
+    # the snapshots carry the same multipliers
+    for snap, lam in zip(build_fields(tl).iter_snapshots(times), snapshots_lam_loop(tl, times)):
+        assert _same_bits(snap.lam, lam)
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 4), (0, 3), (2, 6), (-1, 1), (3, 2)],
