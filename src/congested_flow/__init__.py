@@ -18,7 +18,6 @@ from .dynamics import (
     EventTimeline,
     MergeEvent,
     MicroState,
-    PressureMeasure,
     evolve,
     multipliers_at,
     pressure_measure,

@@ -26,9 +26,8 @@ from .cone import project_onto_cone
 from .dynamics import evolve, multipliers_at, pressure_measure
 from .errors import CongestedFlowError, ConfigError
 from .eulerian import pressure_pushforward, snapshot
-from .fields import DeltaPadding, build_fields, convergence_study
-from .initdata import MacroscopicDatum, datum_from_eulerian, quantile_sample, \
-    rearrangement_from_density
+from .fields import DeltaPadding, _run_single, convergence_study
+from .initdata import MacroscopicDatum, datum_from_eulerian, rearrangement_from_density
 from .piecewise import PiecewiseField
 from .random_data import random_admissible_datum, random_projection_input
 from .scenarios import selection_test, sticky_solution, rebound_solution, two_block_datum
@@ -276,17 +275,11 @@ def _write_verification(cfg: dict, trace, out: Path, inject: str | None,
     return checks, failed
 
 
-def _pipeline(cfg: dict, n: int):
-    datum = cfg["_datum"]
-    x0, u0, cone = quantile_sample(datum, n)
-    timeline = evolve(x0, u0, cone, cfg["_horizon"])
-    trace = build_fields(timeline, DeltaPadding(cfg["_delta"]))
-    return x0, u0, cone, timeline, trace
-
-
 def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     n = cfg.get("n") or cfg["n_list"][0]
-    x0, u0, cone, timeline, trace = _pipeline(cfg, n)
+    trace = _run_single(cfg["_datum"], n, cfg["_horizon"], DeltaPadding(cfg["_delta"]))
+    timeline = trace.timeline
+    u0, cone = timeline.u0, timeline.cone
     out.mkdir(parents=True, exist_ok=True)
     events = timeline.events
     _write_csv(out / "events.csv",
@@ -309,9 +302,9 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     _write_csv(out / "multipliers.csv", ["t", "contact", "lambda"], mult_blocks)
     _write_csv(out / "snapshots.csv", ["t", "x_left", "x_right", "density", "velocity"],
                snap_blocks)
-    press = pressure_pushforward(pressure_measure(timeline), trace)
     atom_blocks = [(np.full(a.contacts.size, float(a.time)), a.x_left, a.x_right,
-                    a.lineal_density) for a in press.atoms]
+                    a.lineal_density)
+                   for a in pressure_pushforward(pressure_measure(timeline), trace)]
     _write_csv(out / "pressure_atoms.csv",
                ["t_event", "x_left", "x_right", "pressure_lineal_density"], atom_blocks)
     checks, failed = _write_verification(cfg, trace, out, inject)
@@ -356,7 +349,7 @@ def cmd_converge(cfg: dict, out: Path, strict: bool) -> int:
 
 def cmd_verify(cfg: dict, out: Path, inject: str | None) -> int:
     n = cfg.get("n") or cfg["n_list"][0]
-    *_, trace = _pipeline(cfg, n)
+    trace = _run_single(cfg["_datum"], n, cfg["_horizon"], DeltaPadding(cfg["_delta"]))
     _, failed = _write_verification(cfg, trace, out, inject, n if n <= 12 else None)
     print(f"verify: n={n}, {'FAILED: ' + ', '.join(failed) if failed else 'all checks passed'}")
     return 2 if failed else 0
@@ -392,11 +385,11 @@ def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | Non
         trace = rep.pop("trace")
         rep.pop("timeline")
         reports[str(n)] = rep
-        atoms = trace.atoms  # the property rebuilds every dense profile on each read
-        if atoms:
-            _, dlam = atoms[-1]
+        if trace.timeline.events:
             w = trace.w_grid
-            profile_blocks.append((np.full(w.size, n), w, dlam, sticky.atom_profile(w)))
+            profile_blocks.append((np.full(w.size, n), w,
+                                   trace.jump_profile(trace.timeline.events[-1]),
+                                   sticky.atom_profile(w)))
     _write_csv(out / "selection_profiles.csv",
                ["n", "w", "simulated_jump", "analytic_profile"], profile_blocks)
     report = {

@@ -44,7 +44,6 @@ __all__ = [
     "MicroState",
     "MergeEvent",
     "EventTimeline",
-    "PressureMeasure",
     "CheckReport",
     "validate_initial",
     "trajectory_at",
@@ -95,13 +94,25 @@ class MicroState:
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """One connected group of clusters coalescing at a single instant."""
+    """One connected group of clusters coalescing at a single instant.
+
+    It is also the event's pressure atom: ``jump_values`` are the multiplier
+    jumps on contacts lo+1..hi of ``index_range``, zero elsewhere.  Raises
+    InvariantViolationError unless there are exactly hi - lo of them.
+    """
 
     time: float
     merged_blocks: tuple[tuple[int, int], ...]
     post_velocity: float
     x_left: float
-    jump_values: np.ndarray  # lambda jumps on contacts lo+1 .. hi (length hi-lo)
+    jump_values: np.ndarray
+
+    def __post_init__(self):
+        lo, hi = self.index_range
+        if self.jump_values.shape != (hi - lo,):
+            raise InvariantViolationError(
+                f"event at t={self.time} merges {lo}..{hi} but carries "
+                f"{self.jump_values.size} jumps, not {hi - lo}")
 
     @property
     def index_range(self) -> tuple[int, int]:
@@ -110,22 +121,6 @@ class MergeEvent:
     def positions(self, two_r: float) -> np.ndarray:
         """Positions of the merged range lo..hi at the event instant."""
         return self.x_left + two_r * np.arange(self.jump_values.size + 1)
-
-
-@dataclass(frozen=True)
-class PressureMeasure:
-    """Purely atomic congestion pressure: sum over events of delta_{t_e} x profile.
-
-    Each atom is a MergeEvent, whose ``jump_values`` are the profile on contacts
-    lo+1..hi (zero elsewhere): O(sum of merged range sizes) floats in all.
-    """
-
-    n: int
-    atoms: tuple[MergeEvent, ...]
-
-    def total_mass(self) -> float:
-        """Integral of the interpolated jump profiles over events and (0,1)."""
-        return sum(float(e.jump_values.sum()) / self.n for e in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -397,7 +392,12 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
 
 @dataclass(frozen=True)
 class EventTimeline:
-    """Full piecewise-linear-in-time solution: initial state plus merge events."""
+    """Full piecewise-linear-in-time solution: initial state plus merge events.
+
+    Raises InvariantViolationError unless the event times are nondecreasing
+    inside [0, horizon].  Whether each event covers whole current blocks
+    depends on the running partition, so ``replay`` checks that.
+    """
 
     cone: SpacingCone
     horizon: float
@@ -405,6 +405,13 @@ class EventTimeline:
     u0: np.ndarray
     events: tuple[MergeEvent, ...]
     initial: MicroState
+
+    def __post_init__(self):
+        times = self.event_times()
+        if times.size and not (times[0] >= 0.0 and times[-1] <= self.horizon
+                               and np.all(times[1:] >= times[:-1])):
+            raise InvariantViolationError(
+                "event times must be nondecreasing inside [0, horizon]")
 
     @property
     def n(self) -> int:
@@ -547,13 +554,17 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
     return lam
 
 
-def pressure_measure(timeline: EventTimeline) -> PressureMeasure:
-    """Atomic pressure: one atom per event carrying the multiplier jump."""
+def pressure_measure(timeline: EventTimeline) -> tuple[MergeEvent, ...]:
+    """Atomic pressure: the timeline's events, one atom each (``MergeEvent``).
+
+    Raises InvariantViolationError if a jump lies below the floor that
+    ``evolve`` enforces, which only a hand-built timeline can miss.
+    """
     jump_floor = -1e-12 * _scale(timeline.u0)
     for e in timeline.events:
         if e.jump_values.size and e.jump_values.min() < jump_floor:
             raise InvariantViolationError("negative pressure atom profile")
-    return PressureMeasure(timeline.n, timeline.events)
+    return timeline.events
 
 
 def verify_complementarity(state: MicroState, lam: np.ndarray,
@@ -597,11 +608,9 @@ def verify_semigroup(timeline: EventTimeline, s: float, t: float,
     st_s, st_t = timeline.states_at([s, t])
     z, _ = projection_blocks(timeline.cone, st_s.positions + (t - s) * st_s.velocities,
                              st_s.starts)
-    pos_err = float(np.max(np.abs(z - st_t.positions)))
-    starts = st_t.starts
-    means = _block_means(st_s.velocities, starts)
-    u_expect = np.repeat(means, np.diff(np.append(starts, timeline.n)))
-    vel_err = float(np.max(np.abs(u_expect - st_t.velocities)))
+    expect = _cluster_state(t, z, st_s.velocities, st_t.starts, timeline.cone)
+    pos_err = float(np.max(np.abs(expect.positions - st_t.positions)))
+    vel_err = float(np.max(np.abs(expect.velocities - st_t.velocities)))
     err = max(pos_err, vel_err)
     return CheckReport("semigroup", err <= tol, err, tol,
                        f"pos={pos_err:.3e}, vel={vel_err:.3e} at (s={s}, t={t})")
@@ -656,11 +665,12 @@ def active_set_monotone(timeline: EventTimeline) -> bool:
     """Contacts never disappear: every event coarsens the current partition.
 
     Replays the events: each merged range must be a union of whole current
-    blocks (the replay's ``_merge`` rule), and event times must be
-    nondecreasing.
+    blocks (the replay's ``_merge`` rule).  The timeline's constructor has
+    already checked that the event times are nondecreasing.
     """
     try:
-        times = [cur.time for cur in timeline.replay()]
+        for _ in timeline.replay():
+            pass
     except InvariantViolationError:
         return False
-    return all(t0 <= t1 for t0, t1 in zip([0.0] + times, times))
+    return True

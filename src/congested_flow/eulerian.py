@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CheckReport, MicroState, PressureMeasure, max_slope_ratio
+from .dynamics import CheckReport, MergeEvent, MicroState, max_slope_ratio
 from .cone import SpacingCone
 from .errors import InputDomainError
 from .fields import DeltaPadding, FieldTrace
@@ -26,7 +26,6 @@ from .weakform import weak_form_of_trace
 __all__ = [
     "EulerianSnapshot",
     "EulerianAtom",
-    "EulerianPressure",
     "snapshot",
     "pressure_pushforward",
     "weak_residual_suite",
@@ -73,11 +72,6 @@ class EulerianAtom:
     lineal_density: np.ndarray
 
 
-@dataclass(frozen=True)
-class EulerianPressure:
-    atoms: tuple[EulerianAtom, ...]
-
-
 def snapshot(state: MicroState, cone: SpacingCone,
              padding: DeltaPadding = DeltaPadding()) -> EulerianSnapshot:
     """Push-forward density/velocity of a state, one cell per particle gap.
@@ -97,16 +91,18 @@ def snapshot(state: MicroState, cone: SpacingCone,
     )
 
 
-def pressure_pushforward(measure: PressureMeasure, trace: FieldTrace) -> EulerianPressure:
+def pressure_pushforward(events: tuple[MergeEvent, ...],
+                         trace: FieldTrace) -> tuple[EulerianAtom, ...]:
     """Transport the multiplier jumps to space: contact j covers (x[j-1], x[j]).
 
     The lineal density on a contact interval equals the jump itself, which
     is the value making the Dirac pressure term balance the velocity jump in
     the weak momentum equation; supports land in saturated cells only.
     Each atom is read off its event's merged range: O(sum of merged sizes).
+    Events without a nonzero jump give no atom.
     """
     atoms = []
-    for e in measure.atoms:
+    for e in events:
         k = np.flatnonzero(e.jump_values != 0.0)
         if k.size == 0:
             continue
@@ -118,7 +114,7 @@ def pressure_pushforward(measure: PressureMeasure, trace: FieldTrace) -> Euleria
             x_right=x[k + 1],
             lineal_density=e.jump_values[k],
         ))
-    return EulerianPressure(tuple(atoms))
+    return tuple(atoms)
 
 
 def weak_residual_suite(trace: FieldTrace, test_fns=None, tol: float = 1e-8) -> dict:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EventTimeline, MicroState, max_slope_ratio, pressure_measure
+from .dynamics import EventTimeline, MergeEvent, MicroState, evolve, max_slope_ratio, \
+    pressure_measure
 from .errors import InputDomainError
 from .initdata import MacroscopicDatum, quantile_sample
 from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks
@@ -101,21 +102,19 @@ class FieldTrace:
         grid = np.concatenate(([0.0], timeline.event_times(), [timeline.horizon]))
         self.times = np.unique(grid[(grid >= 0.0) & (grid <= timeline.horizon)])
 
+    def jump_profile(self, e: MergeEvent) -> np.ndarray:
+        """Dense multiplier jump lam[0..n] of one event on the mass grid: O(n)."""
+        lo, hi = e.index_range
+        return np.concatenate((np.zeros(lo + 1), e.jump_values, np.zeros(self.n - hi)))
+
     @property
     def atoms(self) -> list[tuple[float, np.ndarray]]:
-        """Export view of the pressure atoms: (t_e, dense jump profile lam[0..n]).
+        """(t_e, dense jump profile) of every event, built on each read.
 
-        Built on each read, O(n) per event.  It stays dense for its readers, the
-        selection profile CSV and the benchmark's ``fields.atom_floats`` count,
-        which take whole profiles on the mass grid; checks read the sparse events.
+        O(n) per event; the benchmark counts its floats.  Checks read the
+        sparse events.
         """
-        atoms = []
-        for e in self.timeline.events:
-            lam = np.zeros(self.n + 1)
-            lo, _ = e.index_range
-            lam[lo + 1:lo + 1 + e.jump_values.size] = e.jump_values
-            atoms.append((e.time, lam))
-        return atoms
+        return [(e.time, self.jump_profile(e)) for e in self.timeline.events]
 
     @property
     def slope_min(self) -> float:
@@ -224,13 +223,15 @@ def oleinik_field_check(trace: FieldTrace, state: MicroState) -> dict:
 
 def pressure_mass_bound(trace: FieldTrace) -> float:
     """Total mass of the interpolated pressure atoms over (0,1) and time."""
-    return pressure_measure(trace.timeline).total_mass()
+    return sum(float(e.jump_values.sum()) / trace.n for e in pressure_measure(trace.timeline))
 
 
 def _run_single(datum: MacroscopicDatum, n: int, horizon: float,
                 padding: DeltaPadding) -> FieldTrace:
-    from .dynamics import evolve
+    """One run: sample ``datum`` at n particles, evolve to ``horizon``, lift to fields.
 
+    u0, the cone and the events are read off ``trace.timeline``.
+    """
     x0, u0, cone = quantile_sample(datum, n)
     return build_fields(evolve(x0, u0, cone, horizon), padding)
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .dynamics import evolve
 from .errors import InputDomainError
-from .fields import DeltaPadding, build_fields
-from .initdata import MacroscopicDatum, _saturated_runs, quantile_sample, \
-    rearrangement_from_density
+from .fields import DeltaPadding, _run_single
+from .initdata import MacroscopicDatum, _saturated_runs, rearrangement_from_density
 from .piecewise import PiecewiseField
 from .weakform import LagrangianWeakForm, ProfileAtom, Segment
 
@@ -53,11 +52,17 @@ class AnalyticSolution:
 
     ``branch`` is "sticky" or "rebound".  Fields are piecewise affine in the
     mass variable; the single pressure atom sits at t* where the whole
-    configuration is saturated.
+    configuration is saturated.  Raises InputDomainError unless 0 < eta < 1;
+    the rebound branch needs eta < 1 for the one-sided slope condition to
+    hold at all times.
     """
 
     branch: str
     eta: float
+
+    def __post_init__(self):
+        if not 0.0 < self.eta < 1.0:
+            raise InputDomainError(f"block gap must satisfy 0 < eta < 1, got {self.eta}")
 
     @property
     def tstar(self) -> float:
@@ -134,45 +139,25 @@ class AnalyticSolution:
     # -- weak form ----------------------------------------------------------------
 
     def weak_form(self, horizon: float) -> LagrangianWeakForm:
+        """The two segments (free flight, then after t*) and the atom, read off the fields."""
         if horizon <= self.tstar:
             raise InputDomainError("horizon must pass the collision time")
-        wb_free = np.array([0.0, 0.5, 1.0])
-        free = Segment(
-            0.0, self.tstar, wb_free,
-            np.array([0.0, 0.5 + self.eta]), np.array([0.5, 1.0 + self.eta]),
-            np.array([1.0, -1.0]), np.array([1.0, -1.0]), False,
-        )
-        wb = np.array([0.0, 1.0])
-        if self.branch == "sticky":
-            after = Segment(self.tstar, horizon, wb,
-                            np.array([self.eta / 2.0]), np.array([1.0 + self.eta / 2.0]),
-                            np.array([0.0]), np.array([0.0]), False)
-        else:
-            after = Segment(self.tstar, horizon, wb,
-                            np.array([self.eta / 2.0]), np.array([1.0 + self.eta / 2.0]),
-                            np.array([-1.0]), np.array([1.0]), False)
-        atom = ProfileAtom(
-            self.tstar,
-            PiecewiseField.from_nodes(wb, np.array([self.eta / 2.0, 1.0 + self.eta / 2.0])),
-            self.atom_profile_pieces(),
-        )
-        return LagrangianWeakForm([free, after], [atom])
+        segments = []
+        for t0, t1 in ((0.0, self.tstar), (self.tstar, horizon)):
+            x, v = self.position_field(t0), self.velocity_field(t0)
+            segments.append(Segment(t0, t1, x.breaks, x.left, x.right, v.left, v.right, False))
+        atom = ProfileAtom(self.tstar, self.position_field(self.tstar),
+                           self.atom_profile_pieces())
+        return LagrangianWeakForm(segments, [atom])
 
 
 def sticky_solution(eta: float) -> AnalyticSolution:
     """Perfectly inelastic continuation: blocks freeze at the collision."""
-    if not 0.0 < eta < 1.0:
-        raise InputDomainError(f"block gap must satisfy 0 < eta < 1, got {eta}")
     return AnalyticSolution("sticky", eta)
 
 
 def rebound_solution(eta: float) -> AnalyticSolution:
-    """Rebound continuation with post-collision velocity 2w - 1.
-
-    Needs eta < 1 so that the one-sided slope condition holds at all times.
-    """
-    if not 0.0 < eta < 1.0:
-        raise InputDomainError(f"block gap must satisfy 0 < eta < 1, got {eta}")
+    """Rebound continuation with post-collision velocity 2w - 1."""
     return AnalyticSolution("rebound", eta)
 
 
@@ -219,9 +204,8 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
     datum = two_block_datum(eta)
     tstar = eta / 2.0
     horizon = horizon if horizon is not None else 2.0 * tstar + 0.5
-    x0, u0, cone = quantile_sample(datum, n)
-    timeline = evolve(x0, u0, cone, horizon)
-    trace = build_fields(timeline, padding)
+    trace = _run_single(datum, n, horizon, padding)
+    timeline = trace.timeline
     sticky = sticky_solution(eta)
     rebound = rebound_solution(eta)
     times = [tstar + k * (horizon - tstar) / 4.0 for k in (1, 2, 3)]
@@ -231,7 +215,7 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
     max_sticky_dist = 0.0
     max_projection_err = 0.0
     w_grid = trace.w_grid
-    u0_pc = PiecewiseField.constant(w_grid, u0)
+    u0_pc = PiecewiseField.constant(w_grid, timeline.u0)
     for snap in trace.snapshots(times):
         max_speed = max(max_speed, float(np.max(np.abs(snap.u))))
         u_pc = snap.velocity_field(w_grid, "pc")

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from congested_flow import cli
+from congested_flow import cli, fields
 from congested_flow.cli import main
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import evolve, multipliers_at, pressure_measure
 from congested_flow.eulerian import pressure_pushforward, snapshot
-from congested_flow.fields import build_fields
+from congested_flow.fields import DeltaPadding, build_fields
 from congested_flow.verification import CHECK_NAMES, run_battery
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -423,7 +423,9 @@ def test_csv_writer_memory_is_bounded_by_the_text_it_writes(tmp_path):
 def _per_row_export(cfg, out):
     """The simulate CSVs written one Python tuple per row: the reference."""
     n = cfg.get("n") or cfg["n_list"][0]
-    _, u0, cone, timeline, trace = cli._pipeline(cfg, n)
+    trace = fields._run_single(cfg["_datum"], n, cfg["_horizon"], DeltaPadding(cfg["_delta"]))
+    timeline = trace.timeline
+    u0, cone = timeline.u0, timeline.cone
     out.mkdir(parents=True)
     _per_row_csv(out / "events.csv", ["t_event", "merged_lo", "merged_hi", "post_velocity"],
                  [(float(e.time), e.index_range[0] + 1, e.index_range[1] + 1,
@@ -446,7 +448,7 @@ def _per_row_export(cfg, out):
     _per_row_csv(out / "snapshots.csv",
                  ["t", "x_left", "x_right", "density", "velocity"], snap_rows)
     atom_rows = []
-    for atom in pressure_pushforward(pressure_measure(timeline), trace).atoms:
+    for atom in pressure_pushforward(pressure_measure(timeline), trace):
         for k in range(atom.contacts.size):
             atom_rows.append((float(atom.time), float(atom.x_left[k]),
                               float(atom.x_right[k]), float(atom.lineal_density[k])))
@@ -463,7 +465,7 @@ def test_simulate_csvs_equal_the_per_row_export(tmp_path, monkeypatch, case):
         # two disjoint pairs touching at t = 1/8: two atoms at one instant
         cone = SpacingCone.canonical(4)
         x0, u0 = np.array([0.0, 0.5, 2.5, 3.0]), np.array([1.0, -1.0, 1.0, -1.0])
-        monkeypatch.setattr(cli, "quantile_sample", lambda datum, n: (x0, u0, cone))
+        monkeypatch.setattr(fields, "quantile_sample", lambda datum, n: (x0, u0, cone))
         cfg_path = write_config(tmp_path, n=4, sample_times=[0.0, 0.125, 0.5, 1.0])
     else:
         cfg_path = write_config(tmp_path, scenario={

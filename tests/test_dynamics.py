@@ -40,7 +40,7 @@ from congested_flow.errors import (
     PreconditionError,
 )
 from congested_flow.cli import load_config
-from congested_flow.fields import build_fields, verify_discrete_pde
+from congested_flow.fields import build_fields, pressure_mass_bound, verify_discrete_pde
 from congested_flow.initdata import quantile_sample
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
@@ -431,17 +431,16 @@ def test_multipliers_detect_corrupted_state():
 
 def test_pressure_measure_empty_without_events():
     tl = evolve(np.array([0.0, 2.0]), np.array([0.3, 0.3]), TWO, 1.0)
-    assert pressure_measure(tl).atoms == ()
+    assert pressure_measure(tl) == ()
 
 
 def test_pressure_measure_single_atom():
     tl = evolve(X2, U2, TWO, 1.0)
-    pm = pressure_measure(tl)
-    (atom,) = pm.atoms
+    (atom,) = pressure_measure(tl)
     assert atom.time == pytest.approx(0.5, abs=1e-15)
     assert atom.index_range == (0, 1)
     np.testing.assert_allclose(atom.jump_values, [0.5])
-    assert pm.total_mass() == pytest.approx(0.25, abs=1e-15)
+    assert pressure_mass_bound(build_fields(tl)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_complementarity_passes_and_negative_control():
@@ -630,6 +629,23 @@ def test_active_set_monotone_valid_and_corrupted():
         for read in readers:
             with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
                 read()
+
+
+@pytest.mark.parametrize("fault", ["cut_jump", "late_event"])
+def test_timeline_rejects_what_it_can_check_alone(fault):
+    # neither fault needs the running partition, so no reader gets to run
+    x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12))
+    tl = evolve(x0, u0, cone, 3.0)
+    events = list(tl.events)
+    widest = max(range(len(events)), key=lambda k: events[k].jump_values.size)
+    assert events[widest].index_range == (4, 22)
+    with pytest.raises(InvariantViolationError):
+        if fault == "cut_jump":
+            e = events[widest]
+            events[widest] = dataclasses.replace(e, jump_values=e.jump_values[:-1])
+        else:
+            events[3] = dataclasses.replace(events[3], time=events[4].time + 1e-3)
+        EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
 
 
 def estimates_loop(tl):

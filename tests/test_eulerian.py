@@ -78,10 +78,10 @@ def test_pressure_pushforward_support_in_saturated_cells():
     trace = build_fields(tl)
     press = pressure_pushforward(pressure_measure(tl), trace)
     states = {t: st for t, st in zip(
-        [a.time for a in press.atoms],
-        tl.states_at([a.time for a in press.atoms]))}
-    assert press.atoms
-    for atom in press.atoms:
+        [a.time for a in press],
+        tl.states_at([a.time for a in press]))}
+    assert press
+    for atom in press:
         snap = snapshot(states[atom.time], cone)
         assert np.all(atom.lineal_density >= -1e-12)
         rep = complementarity_eulerian(snap, atom)
@@ -92,13 +92,13 @@ def test_pressure_pushforward_support_in_saturated_cells():
 def test_pressure_pushforward_empty():
     tl = evolve(np.array([0.0, 2.0]), np.array([0.1, 0.1]), TWO, 1.0)
     press = pressure_pushforward(pressure_measure(tl), build_fields(tl))
-    assert press.atoms == ()
+    assert press == ()
 
 
 def test_two_particle_atom_lands_on_contact_interval():
     tl = evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 1.0)
     press = pressure_pushforward(pressure_measure(tl), build_fields(tl))
-    (atom,) = press.atoms
+    (atom,) = press
     np.testing.assert_allclose([atom.x_left[0], atom.x_right[0]], [0.5, 1.5])
     np.testing.assert_allclose(atom.lineal_density, [0.5])
 
@@ -146,7 +146,7 @@ def test_complementarity_eulerian_negative_control():
     snap = snapshot(st, TWO)
     tl = evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 1.0)
     press = pressure_pushforward(pressure_measure(tl), build_fields(tl))
-    (atom,) = press.atoms
+    (atom,) = press
     assert complementarity_eulerian(snap, atom).passed
     assert complementarity_eulerian(snap, None).passed  # vacuous
     corrupted = EulerianSnapshot(snap.time, snap.edges, snap.density * 0.9,

@@ -108,3 +108,20 @@ def test_stretched_gap_fails_the_exclusion_relations(monkeypatch):
     reports = run_battery(trace)
     assert [r.name for r in reports] == list(CHECK_NAMES)
     assert failed_checks(reports) == ["discrete_pde"]
+
+
+def test_slightly_negative_multiplier_fails_complementarity(monkeypatch):
+    # min lambda = -1e-11 on the tightest gap keeps lam * slack far below
+    # TOL_COMPLEMENTARITY; only the sign bound TOL_MIN_LAMBDA catches it
+    trace = random_contacts_trace(100, 1)
+    exact = verification.multipliers_at
+
+    def negative(state, u0):
+        lam = exact(state, u0)
+        lam[int(np.argmin(np.diff(state.positions))) + 1] = -1e-11
+        return lam
+
+    monkeypatch.setattr(verification, "multipliers_at", negative)
+    reports = run_battery(trace)
+    assert failed_checks(reports) == ["complementarity"]
+    assert reports[0].value == pytest.approx(1e-11, rel=1e-6)
