@@ -27,6 +27,7 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
 )
+from .tolerances import KKT_OBJECTIVE_TIE, NORMAL_CONE_RTOL, ORACLE_KKT_TOL
 
 __all__ = [
     "SpacingCone",
@@ -93,11 +94,11 @@ class ConeCertificate:
     min_lambda: float
     closure_error: float = 0.0
 
-    def passes(self, tol: float) -> bool:
+    def passes(self, bound: float) -> bool:
         return (
-            self.min_lambda >= -tol
-            and self.max_complementarity_violation <= tol
-            and self.closure_error <= tol
+            self.min_lambda >= -bound
+            and self.max_complementarity_violation <= bound
+            and self.closure_error <= bound
         )
 
 
@@ -215,13 +216,13 @@ def _blocks_from_mask(n: int, mask: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _kkt_enumerate(cone: SpacingCone, ys: np.ndarray, tol: float):
+def _kkt_enumerate(cone: SpacingCone, ys: np.ndarray):
     """Exhaustive KKT active-set enumeration for every row of ``ys`` (m, n).
 
     Solves every equality-constrained candidate (2^(n-1) active sets) for all
-    rows at once and keeps, per row, the primal and dual feasible candidate of
-    least objective.  Returns the projections (m, n) and their unscaled
-    stationarity multipliers (m, n-1).
+    rows at once and keeps, per row, the candidate of least objective that is
+    primal and dual feasible within ORACLE_KKT_TOL.  Returns the projections
+    (m, n) and their unscaled stationarity multipliers (m, n-1).
     """
     if cone.n > 20:
         raise CapacityError(f"active-set enumeration capped at n=20, got n={cone.n}")
@@ -240,11 +241,12 @@ def _kkt_enumerate(cone: SpacingCone, ys: np.ndarray, tol: float):
         # multipliers vanish off the active set by construction (block means);
         # dual feasibility requires them nonnegative on it
         lam = -np.cumsum(xts - yts, axis=1)[:, :-1]
-        ok = np.all(xts[:, 1:] - xts[:, :-1] >= -tol, axis=1) & np.all(lam >= -tol, axis=1)
+        ok = (np.all(xts[:, 1:] - xts[:, :-1] >= -ORACLE_KKT_TOL, axis=1)
+              & np.all(lam >= -ORACLE_KKT_TOL, axis=1))
         if not ok.any():
             continue
         obj = np.sum((xts - yts) ** 2, axis=1)
-        better = ok & (obj < best_obj - 1e-15)
+        better = ok & (obj < best_obj - KKT_OBJECTIVE_TIE)
         best_x[better] = xts[better]
         best_lam[better] = lam[better]
         best_obj[better] = obj[better]
@@ -253,7 +255,7 @@ def _kkt_enumerate(cone: SpacingCone, ys: np.ndarray, tol: float):
     return best_x + cone.two_r * np.arange(n), best_lam
 
 
-def qp_oracle_project(cone: SpacingCone, y: np.ndarray, tol: float = 1e-9):
+def qp_oracle_project(cone: SpacingCone, y: np.ndarray):
     """Projection by exhaustive KKT active-set enumeration (ground truth).
 
     The batched enumeration on one row, returned with its certificate.
@@ -264,10 +266,10 @@ def qp_oracle_project(cone: SpacingCone, y: np.ndarray, tol: float = 1e-9):
     y = np.asarray(y, dtype=float)
     if y.shape != (cone.n,):
         raise InputDomainError(f"expected shape ({cone.n},), got {y.shape}")
-    xs, lams = _kkt_enumerate(cone, y[None, :], tol)
+    xs, lams = _kkt_enumerate(cone, y[None, :])
     x, lam = xs[0], lams[0]
     gaps = cone.gaps(x)
-    active = np.flatnonzero(np.abs(gaps - cone.two_r) <= tol * (1.0 + np.abs(y).max()))
+    active = np.flatnonzero(np.abs(gaps - cone.two_r) <= ORACLE_KKT_TOL * (1.0 + np.abs(y).max()))
     compl = float(np.max(np.abs(lam) * np.abs(gaps - cone.two_r)))
     cert = ConeCertificate(
         lambdas=lam,
@@ -278,33 +280,35 @@ def qp_oracle_project(cone: SpacingCone, y: np.ndarray, tol: float = 1e-9):
     return x, cert
 
 
-def qp_oracle_project_many(cone: SpacingCone, ys: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def qp_oracle_project_many(cone: SpacingCone, ys: np.ndarray) -> np.ndarray:
     """Oracle projection of every row of ``ys`` (m, n), for randomized sweeps."""
-    xs, _ = _kkt_enumerate(cone, ys, tol)
+    xs, _ = _kkt_enumerate(cone, ys)
     return xs
 
 
-def normal_cone_check(cone: SpacingCone, x: np.ndarray, xi: np.ndarray, tol: float = 1e-10) -> ConeCertificate:
+def normal_cone_check(cone: SpacingCone, x: np.ndarray, xi: np.ndarray) -> ConeCertificate:
     """Certificate that ``xi`` lies in the normal cone to the spacing set at x.
 
     Decomposes xi = n * sum_j lambda_j (e_j - e_{j+1}) (the dynamics scaling,
     with lambda_0 = lambda_n = 0) and reports the smallest multiplier, the
     largest complementarity product lambda_j * (gap_j - two_r), and the
     closure error |lambda_n| that a genuine normal vector must bring to zero.
+    x must be feasible, and the active set holds the gaps at two_r, both
+    within NORMAL_CONE_RTOL * (1 + max|x|).
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if x.shape != (cone.n,) or xi.shape != (cone.n,):
         raise InputDomainError("x and xi must both have the cone dimension")
     scale = 1.0 + float(np.abs(x).max())
-    if cone.feasibility_violation(x) > tol * scale:
+    if cone.feasibility_violation(x) > NORMAL_CONE_RTOL * scale:
         raise PreconditionError("x is not feasible within tolerance")
     lam_full = np.cumsum(xi) / cone.n
     lam = lam_full[:-1]
     closure = float(abs(lam_full[-1]))
     gaps = cone.gaps(x)
     slack = gaps - cone.two_r
-    active = np.flatnonzero(slack <= tol * scale)
+    active = np.flatnonzero(slack <= NORMAL_CONE_RTOL * scale)
     compl = float(np.max(np.abs(lam * slack))) if lam.size else 0.0
     return ConeCertificate(
         lambdas=lam,

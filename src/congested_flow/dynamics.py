@@ -39,6 +39,8 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
 )
+from .tolerances import CONTACT_RTOL, ENERGY_RTOL, EVENT_TIE_TOL, JUMP_FLOOR_RTOL, \
+    LAMBDA_CLOSURE_RTOL, QUERY_HORIZON_RTOL, TOL_COMPLEMENTARITY, TOL_SEMIGROUP, contact_tol
 
 __all__ = [
     "MicroState",
@@ -57,12 +59,6 @@ __all__ = [
     "verify_estimates",
     "active_set_monotone",
 ]
-
-# Relative tolerance deciding that a gap sits exactly at the minimal spacing.
-# Event arithmetic is exact up to rounding, so this only absorbs a few ulps.
-CONTACT_RTOL = 1e-12
-# Collision instants closer than this are treated as simultaneous.
-EVENT_TIE_TOL = 1e-13
 
 
 def _scale(x: np.ndarray) -> float:
@@ -149,9 +145,10 @@ def _block_means(u0: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _contact_starts(x: np.ndarray, two_r: float, tol: float) -> np.ndarray:
-    """First indices of the maximal runs whose adjacent gaps sit at two_r within tol."""
-    return np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] - two_r > tol)))
+def _contact_starts(x: np.ndarray, two_r: float, gap_tol: float) -> np.ndarray:
+    """First indices of the maximal runs whose adjacent gaps sit at two_r within
+    gap_tol (``contact_tol`` of the positions the runs belong to)."""
+    return np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] - two_r > gap_tol)))
 
 
 def _start_mask(starts: np.ndarray, n: int) -> np.ndarray:
@@ -182,29 +179,32 @@ def _cluster_state(t: float, x: np.ndarray, u0: np.ndarray, starts: np.ndarray,
     return MicroState(float(t), x, u, starts, cone)
 
 
-def validate_initial(x0, u0, cone: SpacingCone, tol: float = CONTACT_RTOL) -> CheckReport:
+def validate_initial(x0, u0, cone: SpacingCone) -> CheckReport:
     """Feasibility and contact/velocity compatibility of a discrete datum.
 
-    A gap within tol * (1 + max|x0|) of two_r is a contact, and the pair it
-    joins must move with velocities equal within tol * (1 + max|u0|).
-    Raises InputDomainError unless x0 and u0 have the cone dimension.
+    A gap within ``contact_tol(x0)`` = CONTACT_RTOL * (1 + (max x0 - min x0))
+    + 8 eps max|x0| of two_r is a contact, and no gap may fall short of two_r
+    by more; the pair a contact joins must move with velocities equal within
+    CONTACT_RTOL * (1 + max|u0|).  The position rule depends on the span, not
+    the offset, so a translated datum gets the same contacts.  Raises
+    InputDomainError unless x0 and u0 have the cone dimension.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     if x0.shape != (cone.n,) or u0.shape != (cone.n,):
         raise InputDomainError("x0 and u0 must have the cone dimension")
-    postol = tol * _scale(x0)
+    postol = contact_tol(x0)
     slack = x0[1:] - x0[:-1] - cone.two_r
     worst_gap = float(np.min(slack))
     contact = slack <= postol
     worst_shear = float(np.max(np.where(contact, np.abs(u0[1:] - u0[:-1]), 0.0)))
     feasible = worst_gap >= -postol
-    compatible = worst_shear <= tol * _scale(u0)
+    compatible = worst_shear <= CONTACT_RTOL * _scale(u0)
     return CheckReport(
         "initial_datum",
         feasible and compatible,
         max(-worst_gap, worst_shear),
-        tol,
+        CONTACT_RTOL,
         f"min gap slack={worst_gap:.3e}, max contact shear={worst_shear:.3e}",
     )
 
@@ -235,9 +235,9 @@ def trajectory_at(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, t: float) -
     if t < 0.0:
         raise InputDomainError(f"time must be nonnegative, got {t}")
     x0, u0 = _admissible(x0, u0, cone)
-    runs = _contact_starts(x0, cone.two_r, CONTACT_RTOL * _scale(x0))
+    runs = _contact_starts(x0, cone.two_r, contact_tol(x0))
     x, _ = projection_blocks(cone, x0 + t * u0, runs)
-    starts = _contact_starts(x, cone.two_r, CONTACT_RTOL * _scale(x))
+    starts = _contact_starts(x, cone.two_r, contact_tol(x))
     return _cluster_state(t, x, u0, starts, cone)
 
 
@@ -248,7 +248,9 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     EVENT_TIE_TOL of each other are treated as simultaneous and processed
     left to right with cascade re-checking (a merge may put an adjacent pair
     into closing contact at the same instant).  Every connected group that
-    coalesces yields one MergeEvent.
+    coalesces yields one MergeEvent.  The initial contacts and the cascade
+    test both use ``contact_tol(x0)`` = CONTACT_RTOL * (1 + (max x0 -
+    min x0)) + 8 eps max|x0|, computed once.
 
     Each cluster is keyed by its first particle a, in lists of length n: its
     last particle end[a], its left edge xl[a] at time tr[a] and its velocity
@@ -272,7 +274,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     x0, u0 = _admissible(x0, u0, cone)
     n = cone.n
     two_r = cone.two_r
-    tol_gap = CONTACT_RTOL * _scale(x0)
+    tol_gap = contact_tol(x0)
     starts = _contact_starts(x0, two_r, tol_gap)
     initial = _cluster_state(0.0, x0.copy(), u0, starts, cone)
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
@@ -282,7 +284,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             return float(u0[a])
         return float((prefix_u0[b + 1] - prefix_u0[a]) / (b + 1 - a))
 
-    jump_floor = -1e-12 * _scale(u0)
+    jump_floor = -JUMP_FLOOR_RTOL * _scale(u0)
     end = np.zeros(n, dtype=np.intp)
     head = np.zeros(n, dtype=np.intp)
     end[starts] = np.append(starts[1:], n) - 1
@@ -446,7 +448,7 @@ class EventTimeline:
         """
         if times is not None:
             times = [float(t) for t in times]
-            if any(t < 0.0 or t > self.horizon * (1.0 + 1e-12) for t in times):
+            if any(t < 0.0 or t > self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
                 raise InputDomainError("query times must lie in [0, horizon]")
             if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
                 raise InputDomainError("query times must be ascending")
@@ -546,7 +548,7 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     n = state.n
     lam = np.concatenate(([0.0], -np.cumsum(state.velocities - u0) / n))
-    if abs(lam[-1]) > 1e-12 * _scale(u0):
+    if abs(lam[-1]) > LAMBDA_CLOSURE_RTOL * _scale(u0):
         raise InvariantViolationError(
             f"lambda_n = {lam[-1]:.3e} does not vanish; state inconsistent with u0"
         )
@@ -560,23 +562,23 @@ def pressure_measure(timeline: EventTimeline) -> tuple[MergeEvent, ...]:
     Raises InvariantViolationError if a jump lies below the floor that
     ``evolve`` enforces, which only a hand-built timeline can miss.
     """
-    jump_floor = -1e-12 * _scale(timeline.u0)
+    jump_floor = -JUMP_FLOOR_RTOL * _scale(timeline.u0)
     for e in timeline.events:
         if e.jump_values.size and e.jump_values.min() < jump_floor:
             raise InvariantViolationError("negative pressure atom profile")
     return timeline.events
 
 
-def verify_complementarity(state: MicroState, lam: np.ndarray,
-                           tol: float = 1e-10) -> CheckReport:
-    """Signorini check of lam[0..n]: lam >= 0 and lam_j * (gap_j - two_r) = 0 within tol."""
+def verify_complementarity(state: MicroState, lam: np.ndarray) -> CheckReport:
+    """Signorini check of lam[0..n]: lam >= 0 and lam_j * (gap_j - two_r) = 0
+    within TOL_COMPLEMENTARITY."""
     inner = lam[1:-1]
     gaps = state.positions[1:] - state.positions[:-1]
     slack = gaps - state.cone.two_r
     compl = float(np.max(np.abs(inner * slack))) if inner.size else 0.0
     min_lam = float(lam.min())
-    passed = compl <= tol and min_lam >= -tol
-    return CheckReport("complementarity", passed, max(compl, -min_lam), tol,
+    passed = compl <= TOL_COMPLEMENTARITY and min_lam >= -TOL_COMPLEMENTARITY
+    return CheckReport("complementarity", passed, max(compl, -min_lam), TOL_COMPLEMENTARITY,
                        f"max lam*slack={compl:.3e}, min lam={min_lam:.3e}")
 
 
@@ -596,9 +598,9 @@ def verify_oleinik(state: MicroState) -> CheckReport:
                        f"max t*du/dx = {ratio:.6f}")
 
 
-def verify_semigroup(timeline: EventTimeline, s: float, t: float,
-                     tol: float = 1e-9) -> CheckReport:
-    """Restarting from x(s), u(s) must reproduce x(t) and the cluster means.
+def verify_semigroup(timeline: EventTimeline, s: float, t: float) -> CheckReport:
+    """Restarting from x(s), u(s) must reproduce x(t) and the cluster means,
+    within TOL_SEMIGROUP.
 
     The restart projects over the clusters of x(s), which the replay
     builds rigid, so their spread after translation is rounding only.
@@ -612,7 +614,7 @@ def verify_semigroup(timeline: EventTimeline, s: float, t: float,
     pos_err = float(np.max(np.abs(expect.positions - st_t.positions)))
     vel_err = float(np.max(np.abs(expect.velocities - st_t.velocities)))
     err = max(pos_err, vel_err)
-    return CheckReport("semigroup", err <= tol, err, tol,
+    return CheckReport("semigroup", err <= TOL_SEMIGROUP, err, TOL_SEMIGROUP,
                        f"pos={pos_err:.3e}, vel={vel_err:.3e} at (s={s}, t={t})")
 
 
@@ -629,7 +631,7 @@ def verify_estimates(timeline: EventTimeline) -> dict:
     energy = [float(np.dot(u, u) / n)]
     sup_u = float(np.max(np.abs(u))) if n else 0.0
     sup_nlam = sup_njump = 0.0
-    tol = 1e-12 * (1.0 + energy[0])
+    tol = ENERGY_RTOL * (1.0 + energy[0])
     monotone = True
     for cur in timeline.replay():
         e = cur.event

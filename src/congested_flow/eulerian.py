@@ -21,6 +21,7 @@ from .errors import InputDomainError
 from .fields import DeltaPadding, FieldTrace
 from .piecewise import PiecewiseField
 from .testfunctions import build_test_family
+from .tolerances import TOL_COMPLEMENTARITY, TOL_WEAK_RESIDUAL, W2_ATOL, W2_RTOL
 from .weakform import weak_form_of_trace
 
 __all__ = [
@@ -117,36 +118,34 @@ def pressure_pushforward(events: tuple[MergeEvent, ...],
     return tuple(atoms)
 
 
-def weak_residual_suite(trace: FieldTrace, test_fns=None, tol: float = 1e-8) -> dict:
-    """Mass and momentum residuals over a family of test functions.
-
-    With ``test_fns=None`` a deterministic 12-function family covering the
-    trace's spatial extent is built.
-    """
+def weak_residual_suite(trace: FieldTrace) -> dict:
+    """Mass and momentum residuals over a deterministic 12-function family
+    covering the trace's spatial extent, held to TOL_WEAK_RESIDUAL."""
     form = weak_form_of_trace(trace)
-    if test_fns is None:
-        lo, hi = form.spatial_extent()
-        test_fns = build_test_family(lo - 0.05 * (hi - lo + 1.0),
-                                     hi + 0.05 * (hi - lo + 1.0), form.horizon)
+    lo, hi = form.spatial_extent()
+    test_fns = build_test_family(lo - 0.05 * (hi - lo + 1.0),
+                                 hi + 0.05 * (hi - lo + 1.0), form.horizon)
     mass, mom = form.family_residuals(test_fns)
     worst = max(max(abs(r) for r in mass), max(abs(r) for r in mom))
     return {
-        "passed": bool(worst <= tol),
+        "passed": bool(worst <= TOL_WEAK_RESIDUAL),
         "max_abs_residual": worst,
         "mass_residuals": mass,
         "momentum_residuals": mom,
-        "tolerance": tol,
+        "tolerance": TOL_WEAK_RESIDUAL,
         "count": len(test_fns),
     }
 
 
-def complementarity_eulerian(snap: EulerianSnapshot, atom: EulerianAtom | None,
-                             tol: float = 1e-10) -> CheckReport:
-    """Pressure lives only where the density saturates: max (1 - rho) on support."""
+def complementarity_eulerian(snap: EulerianSnapshot, atom: EulerianAtom | None) -> CheckReport:
+    """Pressure lives only where the density saturates: max |1 - rho| on the
+    support, within TOL_COMPLEMENTARITY."""
     if atom is None or atom.contacts.size == 0:
-        return CheckReport("complementarity_eulerian", True, 0.0, tol, "no pressure")
+        return CheckReport("complementarity_eulerian", True, 0.0, TOL_COMPLEMENTARITY,
+                           "no pressure")
     gap = float(np.max(np.abs(1.0 - snap.density[atom.contacts])))
-    return CheckReport("complementarity_eulerian", gap <= tol, gap, tol,
+    return CheckReport("complementarity_eulerian", gap <= TOL_COMPLEMENTARITY, gap,
+                       TOL_COMPLEMENTARITY,
                        f"max |1 - rho| over {atom.contacts.size} support cells")
 
 
@@ -183,7 +182,7 @@ def wasserstein_time_modulus(trace: FieldTrace, s: float, t: float) -> dict:
     modulus = PiecewiseField.from_nodes(w, snap.x_nodes - x_first).l2_norm()
     bound = (t - s) * sup_u
     return {
-        "passed": bool(modulus <= bound * (1.0 + 1e-12) + 1e-15),
+        "passed": bool(modulus <= bound * (1.0 + W2_RTOL) + W2_ATOL),
         "modulus": modulus,
         "bound": bound,
         "sup_velocity_l2": sup_u,

@@ -23,6 +23,7 @@ from .dynamics import EventTimeline, MergeEvent, MicroState, evolve, max_slope_r
 from .errors import InputDomainError
 from .initdata import MacroscopicDatum, quantile_sample
 from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks
+from .tolerances import DISCRETE_PDE_TOL, GRADIENT_L1_ATOL, GRADIENT_L1_RTOL
 
 __all__ = [
     "DeltaPadding",
@@ -152,8 +153,9 @@ def build_fields(timeline: EventTimeline, padding: DeltaPadding = DeltaPadding()
     return FieldTrace(timeline, padding)
 
 
-def verify_discrete_pde(trace: FieldTrace, tol: float = 1e-10) -> dict:
-    """Residuals of the interpolated evolution system, event by event.
+def verify_discrete_pde(trace: FieldTrace) -> dict:
+    """Residuals of the interpolated evolution system, event by event, within
+    DISCRETE_PDE_TOL.
 
     Between events the velocity must equal the initial one corrected by the
     multiplier gradient, cell by cell (order 1); at each event the velocity
@@ -187,14 +189,14 @@ def verify_discrete_pde(trace: FieldTrace, tol: float = 1e-10) -> dict:
         slack = n * np.diff(e.positions(trace.two_r)) - slope_min
         compl = max(compl, float(np.max(np.abs(slack * lam[lo + 1:hi + 1]))))
         atom_compl = max(atom_compl, float(np.max(np.abs(slack * e.jump_values))))
-    passed = max(order1, compl, order2, atom_compl) <= tol
+    passed = max(order1, compl, order2, atom_compl) <= DISCRETE_PDE_TOL
     return {
         "passed": bool(passed),
         "order1_max_residual": order1,
         "order2_max_residual": order2,
         "multiplier_exclusion_max": compl,
         "atom_exclusion_max": atom_compl,
-        "tolerance": tol,
+        "tolerance": DISCRETE_PDE_TOL,
     }
 
 
@@ -214,7 +216,8 @@ def oleinik_field_check(trace: FieldTrace, state: MicroState) -> dict:
     spread = float(x_nodes[-1] - x_nodes[0])
     bound = 2.0 * spread / t - float(u[-1] - u[0])
     return {
-        "passed": bool(ratio < 1.0 and l1 <= bound * (1.0 + 1e-12) + 1e-12),
+        "passed": bool(ratio < 1.0
+                       and l1 <= bound * (1.0 + GRADIENT_L1_RTOL) + GRADIENT_L1_ATOL),
         "max_ratio": ratio,
         "gradient_l1": l1,
         "gradient_l1_bound": bound,

@@ -19,6 +19,7 @@ from .cone import SpacingCone
 from .dynamics import _admissible
 from .errors import AdmissibilityError, InputDomainError
 from .piecewise import PiecewiseField, merge_breaks
+from .tolerances import MASS_TOL, SATURATED_SHEAR_TOL, SLOPE_RTOL, X_JUMP_TOL
 
 __all__ = [
     "DensityPiece",
@@ -29,8 +30,6 @@ __all__ = [
     "quantile_sample",
     "discretization_convergence",
 ]
-
-MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,21 +105,20 @@ def rearrangement_from_density(pieces) -> PiecewiseField:
     return PiecewiseField(np.array(w), np.array(left), np.array(right))
 
 
-def _saturated_runs(x_map: PiecewiseField, u_map: PiecewiseField,
-                    slope_min: float = 1.0, tol: float = 1e-10):
+def _saturated_runs(x_map: PiecewiseField, u_map: PiecewiseField, slope_min: float = 1.0):
     """Merged grid, U resampled on it, and the congested components (lo, hi).
 
     A component is a maximal run of cells lo..hi where X has slope
-    ``slope_min`` within relative ``tol`` and does not jump (by more than
-    1e-12): a jump of X is a vacuum gap, which splits two components.
+    ``slope_min`` within relative SLOPE_RTOL and does not jump (by more than
+    X_JUMP_TOL): a jump of X is a vacuum gap, which splits two components.
     """
     grid = merge_breaks(x_map.breaks, u_map.breaks)
     x = x_map.resampled(grid)
     u = u_map.resampled(grid)
-    saturated = np.abs(x.slopes() - slope_min) <= tol * abs(slope_min)
+    saturated = np.abs(x.slopes() - slope_min) <= SLOPE_RTOL * abs(slope_min)
     # joined[j]: cell j continues the run of cell j - 1
     joined = np.zeros(saturated.size + 1, dtype=bool)
-    joined[1:-1] = saturated[1:] & saturated[:-1] & (np.abs(x.jumps()) <= 1e-12)
+    joined[1:-1] = saturated[1:] & saturated[:-1] & (np.abs(x.jumps()) <= X_JUMP_TOL)
     lows = np.flatnonzero(saturated & ~joined[:-1])
     highs = np.flatnonzero(saturated & ~joined[1:])
     return grid, u, list(zip(lows.tolist(), highs.tolist()))
@@ -142,24 +140,24 @@ class MacroscopicDatum:
         xm = self.x0_map
         if xm.breaks[0] != 0.0 or xm.breaks[-1] != 1.0:
             raise InputDomainError("x0_map must live on the mass interval (0, 1)")
-        if np.any(xm.slopes() < 1.0 - 1e-10):
+        if np.any(xm.slopes() < 1.0 - SLOPE_RTOL):
             raise InputDomainError("rearrangement slope below 1: density above threshold")
-        if np.any(xm.right < xm.left) or (xm.npieces > 1 and np.any(xm.jumps() < -1e-12)):
+        if np.any(xm.right < xm.left) or (xm.npieces > 1 and np.any(xm.jumps() < -X_JUMP_TOL)):
             raise InputDomainError("rearrangement must be nondecreasing")
         um = self.u0_map
         if um.breaks[0] != 0.0 or um.breaks[-1] != 1.0:
             raise InputDomainError("u0_map must live on the mass interval (0, 1)")
         self._check_saturated_shear()
 
-    def _check_saturated_shear(self, tol: float = 1e-12):
+    def _check_saturated_shear(self):
         grid, u, runs = _saturated_runs(self.x0_map, self.u0_map)
         for lo, hi in runs:
             for j in range(lo, hi + 1):
-                if abs(u.right[j] - u.left[j]) > tol:
+                if abs(u.right[j] - u.left[j]) > SATURATED_SHEAR_TOL:
                     raise AdmissibilityError(
                         f"velocity varies on the saturated piece ({grid[j]}, {grid[j+1]})"
                     )
-                if j > lo and abs(u.left[j] - u.right[j - 1]) > tol:
+                if j > lo and abs(u.left[j] - u.right[j - 1]) > SATURATED_SHEAR_TOL:
                     raise AdmissibilityError(
                         f"velocity jumps inside the saturated region at w={grid[j]}"
                     )

@@ -24,6 +24,8 @@ from .errors import InputDomainError
 from .fields import DeltaPadding, _run_single
 from .initdata import MacroscopicDatum, _saturated_runs, rearrangement_from_density
 from .piecewise import PiecewiseField
+from .tolerances import CONTRACTION_TOL, PROJECTION_IDENTITY_TOL, SELECTION_SPEED_TOL, \
+    STICKY_DISTANCE_TOL
 from .weakform import LagrangianWeakForm, ProfileAtom, Segment
 
 __all__ = [
@@ -162,19 +164,19 @@ def rebound_solution(eta: float) -> AnalyticSolution:
 
 
 def macroscopic_projection(x_field: PiecewiseField, u0_field: PiecewiseField,
-                           slope_min: float = 1.0, tol: float = 1e-10,
+                           slope_min: float = 1.0,
                            cluster_closure: bool = False) -> PiecewiseField:
     """Project a velocity onto the subspace rigid on congested components.
 
     Components are maximal runs of cells where the position slope equals
-    ``slope_min`` within relative tolerance and the position does not jump
+    ``slope_min`` within relative SLOPE_RTOL and the position does not jump
     (a jump is a vacuum gap between two components); on each, the velocity
     is replaced by its mass average.  ``cluster_closure`` additionally absorbs
     the cell left of each run unless that cell ends another run: on a
     discrete uniform grid a run of k saturated cells is a cluster of k+1
     particles whose first particle's mass sits in that extra cell.
     """
-    grid, u, runs = _saturated_runs(x_field, u0_field, slope_min, tol)
+    grid, u, runs = _saturated_runs(x_field, u0_field, slope_min)
     left = u.left.copy()
     right = u.right.copy()
     prev_k = -1
@@ -230,10 +232,10 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
                                  proj.distance(u_pc, "Linf"))
     final_merge = float(timeline.events[-1].time) if timeline.events else np.nan
     return {
-        "passed": bool(max_speed <= 1e-12
+        "passed": bool(max_speed <= SELECTION_SPEED_TOL
                        and min_rebound_dist >= 0.5 * rebound_norm
-                       and max_sticky_dist <= 1e-10
-                       and max_projection_err <= 1e-12),
+                       and max_sticky_dist <= STICKY_DISTANCE_TOL
+                       and max_projection_err <= PROJECTION_IDENTITY_TOL),
         "tstar": tstar,
         "final_merge_time": final_merge,
         "max_post_collision_speed": max_speed,
@@ -249,8 +251,9 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
 
 def first_order_contraction_test(x0: np.ndarray, u0: np.ndarray, cone,
                                  perturbation: np.ndarray, horizon: float,
-                                 sample_count: int = 50, tol: float = 1e-12) -> dict:
-    """Distance between a run and a position-perturbed run never grows.
+                                 tol: float = CONTRACTION_TOL) -> dict:
+    """Distance between a run and a position-perturbed run never grows by
+    more than ``tol`` between 50 equally spaced samples of [0, horizon].
 
     The perturbation is masked to particles whose both gaps keep a slack
     margin, so the perturbed datum stays feasible with the same contacts.
@@ -265,7 +268,7 @@ def first_order_contraction_test(x0: np.ndarray, u0: np.ndarray, cone,
     n = cone.n
     tl_a = evolve(x0, u0, cone, horizon)
     tl_b = evolve(x0p, u0, cone, horizon)
-    times = np.linspace(0.0, horizon, sample_count)
+    times = np.linspace(0.0, horizon, 50)
     dists = [
         float(np.sqrt(np.sum((sa.positions - sb.positions) ** 2) / n))
         for sa, sb in zip(tl_a.iter_states(times), tl_b.iter_states(times))

@@ -31,15 +31,14 @@ from .eulerian import (
     wasserstein_time_modulus,
     weak_residual_suite,
 )
+from .errors import InvariantViolationError
 from .fields import FieldTrace, oleinik_field_check, verify_discrete_pde
+from .tolerances import CONTACT_CELL_RTOL, EULERIAN_MASS_TOL, ORACLE_CERTIFICATE_TOL, \
+    ORACLE_DEVIATION_TOL, SAMPLE_EVENT_CLEARANCE, SAMPLE_SHIFT, SEMIGROUP_MIN_SPAN, \
+    TOL_COMPLEMENTARITY, TOL_MIN_LAMBDA, TOL_MOMENTUM_PER_N, TOL_SEMIGROUP, TOL_WEAK_RESIDUAL
 
 __all__ = ["CHECK_NAMES", "run_battery", "cone_oracle_sweep"]
 
-TOL_COMPLEMENTARITY = 1e-10
-TOL_MIN_LAMBDA = 1e-12
-TOL_SEMIGROUP = 1e-9
-TOL_MOMENTUM_PER_N = 1e-12
-TOL_WEAK_RESIDUAL = 1e-8
 # instants, strictly inside (0, horizon), at which the state checks run
 SAMPLE_COUNT = 12
 # names of run_battery's reports, in order
@@ -56,7 +55,7 @@ def _sample_times(horizon: float, events: np.ndarray) -> np.ndarray:
     ts = np.linspace(0.0, horizon, SAMPLE_COUNT + 2)[1:-1]
     if events.size:
         near = np.min(np.abs(ts[:, None] - events[None, :]), axis=1)
-        ts = ts + np.where(near < 1e-9, 3e-9, 0.0)
+        ts = ts + np.where(near < SAMPLE_EVENT_CLEARANCE, SAMPLE_SHIFT, 0.0)
     return np.unique(np.clip(ts, 0.0, horizon))
 
 
@@ -82,8 +81,11 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     """Run every check on a simulated trace; returns one report per check, in order.
 
     One ``iter_states`` pass streams the states at the sampled instants and
-    the event instants.  The sampled ones feed complementarity, momentum and
+    the event instants.  The sampled ones feed momentum, complementarity and
     (t > 0) both Oleinik checks; every instant feeds the Eulerian checks.
+    Momentum is checked first: a state whose velocity sum drifts has no
+    closed multiplier vector, so ``multipliers_at`` raises and that
+    instant's complementarity run fails with the closure |lam_n| as value.
     The semigroup and Wasserstein checks run on 20, then 10, random (s, t)
     pairs from ``rng``; the others read the events.  A repeated check passes
     if all its runs pass and reports the largest value (``_worst``).
@@ -108,14 +110,19 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     recon, compl_e, ole_e = [], [], []
     for st in timeline.iter_states(sorted(sampled | set(events.tolist()))):
         if st.time in sampled:
-            lam = multipliers_at(st, timeline.u0)
-            if inject == "negative-lambda" and st.time == ts[-1]:
-                lam[lam.size // 2] = -1e-3
-            rep = verify_complementarity(st, lam, TOL_COMPLEMENTARITY)
-            # lam >= 0 is held to TOL_MIN_LAMBDA, tighter than the product's tolerance
-            compl.append((rep.passed and float(lam.min()) >= -TOL_MIN_LAMBDA, rep))
             err = abs(float(np.sum(st.velocities)) - sum_u0)
             momentum.append((err <= tol_momentum, err))
+            try:
+                lam = multipliers_at(st, timeline.u0)
+            except InvariantViolationError as exc:
+                compl.append((False, CheckReport("complementarity", False, err / timeline.n,
+                                                 TOL_COMPLEMENTARITY, str(exc))))
+            else:
+                if inject == "negative-lambda" and st.time == ts[-1]:
+                    lam[lam.size // 2] = -1e-3
+                rep = verify_complementarity(st, lam)
+                # lam >= 0 is held to TOL_MIN_LAMBDA, tighter than the product's tolerance
+                compl.append((rep.passed and float(lam.min()) >= -TOL_MIN_LAMBDA, rep))
             if st.time > 0.0:
                 rep = verify_oleinik(st)
                 oleinik.append((rep.passed, rep.value))
@@ -126,7 +133,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             snap = type(snap)(snap.time, snap.edges, snap.density * 1.5,
                               snap.velocity, snap.two_r)
         gaps = np.diff(snap.edges)[1:]
-        ctol = 1e-12 * (1.0 + float(np.abs(snap.edges).max()))
+        ctol = CONTACT_CELL_RTOL * (1.0 + float(np.abs(snap.edges).max()))
         on_contact = np.abs(gaps - cone.two_r) <= ctol
         contact_err = (float(np.max(np.abs(snap.density[1:][on_contact] - 1.0)))
                        if np.any(on_contact) else 0.0)
@@ -140,7 +147,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
         if st.time > 0.0:
             rep = oleinik_eulerian(snap)
             ole_e.append((rep.passed, rep.value))
-    density_tol = max([1e-12] + [tol for *_, tol in recon])
+    density_tol = max([EULERIAN_MASS_TOL] + [tol for *_, tol in recon])
 
     top = max((r for _, r in compl), key=lambda r: r.value)
     reports = [
@@ -161,8 +168,8 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
         "energy_dissipation", passed, final - initial, 0.0,
         f"energy {initial:.6g} -> {final:.6g}"))
 
-    semigroup = [verify_semigroup(timeline, s, t, TOL_SEMIGROUP)
-                 for s, t in _time_pairs(rng, horizon, 20) if t - s >= 1e-9]
+    semigroup = [verify_semigroup(timeline, s, t)
+                 for s, t in _time_pairs(rng, horizon, 20) if t - s >= SEMIGROUP_MIN_SPAN]
     reports.append(_worst("semigroup", [(r.passed, r.value) for r in semigroup],
                           TOL_SEMIGROUP, "restart identity on 20 random (s, t) pairs"))
 
@@ -181,10 +188,10 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
                           "field-level slope bound and L1 gradient bound"))
     reports.append(_worst(
         "eulerian_reconstruction",
-        [(mass <= 1e-12 and excess <= density_tol and contact <= density_tol,
+        [(mass <= EULERIAN_MASS_TOL and excess <= density_tol and contact <= density_tol,
           max(mass, excess, contact)) for mass, excess, contact, _ in recon],
         density_tol, "mass 1, density <= 1, contact cells at density 1"))
-    reports.append(_worst("eulerian_complementarity", compl_e, 1e-10,
+    reports.append(_worst("eulerian_complementarity", compl_e, TOL_COMPLEMENTARITY,
                           "pressure atoms supported in saturated cells"))
     reports.append(_worst("eulerian_oleinik", ole_e, 1.0,
                           "Eulerian slope bound at sampled and event instants"))
@@ -193,15 +200,14 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     reports.append(_worst("wasserstein_modulus", [(r["passed"], r["modulus"]) for r in w2],
                           0.0, "W2 time modulus below the velocity-integral bound"))
 
-    suite = weak_residual_suite(trace, tol=TOL_WEAK_RESIDUAL)
+    suite = weak_residual_suite(trace)
     reports.append(CheckReport(
         "weak_residuals", suite["passed"], suite["max_abs_residual"], suite["tolerance"],
         f"mass/momentum residuals over {suite['count']} test functions"))
     return reports
 
 
-def cone_oracle_sweep(n_values, instances: int, rng: np.random.Generator,
-                      tol: float = 1e-9) -> dict:
+def cone_oracle_sweep(n_values, instances: int, rng: np.random.Generator) -> dict:
     """Randomized equivalence of the PAVA projection and the KKT oracle."""
     worst = 0.0
     worst_cert = 0.0
@@ -219,9 +225,9 @@ def cone_oracle_sweep(n_values, instances: int, rng: np.random.Generator,
                          -min(0.0, cert.min_lambda))
         total += instances
     return {
-        "passed": bool(worst <= tol and worst_cert <= 1e-10),
+        "passed": bool(worst <= ORACLE_DEVIATION_TOL and worst_cert <= ORACLE_CERTIFICATE_TOL),
         "max_abs_deviation": worst,
         "max_certificate_violation": worst_cert,
         "instances": total,
-        "tolerance": tol,
+        "tolerance": ORACLE_DEVIATION_TOL,
     }

@@ -13,12 +13,10 @@ from congested_flow import cone as cone_module
 from congested_flow import dynamics as dynamics_module
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import (
-    CONTACT_RTOL,
     EVENT_TIE_TOL,
     _block_means,
     _contact_starts,
     _merge,
-    _scale,
     _start_mask,
     EventTimeline,
     MergeEvent,
@@ -44,6 +42,7 @@ from congested_flow.fields import build_fields, pressure_mass_bound, verify_disc
 from congested_flow.initdata import quantile_sample
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
+from congested_flow.tolerances import contact_tol
 from congested_flow.verification import TOL_SEMIGROUP, run_battery
 from congested_flow.weakform import weak_form_of_trace
 
@@ -145,7 +144,7 @@ def test_routes_agree_on_partitions_at_and_before_events(offset):
         scale = 1.0 + np.max(np.abs(ref.positions))
         assert np.max(np.abs(ref.positions - st.positions)) <= 1e-12 * scale
         if t in before and t not in post:
-            # a gap within CONTACT_RTOL of two_r already counts as a contact on
+            # a gap within contact_tol of two_r already counts as a contact on
             # the projection route, so one ulp early it shows the merged blocks
             after = post[float(te[np.searchsorted(before, t)])]
             np.testing.assert_array_equal(ref.starts, after.starts)
@@ -153,6 +152,24 @@ def test_routes_agree_on_partitions_at_and_before_events(offset):
         else:
             np.testing.assert_array_equal(ref.starts, st.starts)
             np.testing.assert_array_equal(ref.velocities, st.velocities)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_contact_decisions_are_translation_invariant(offset):
+    # a tolerance scaled by 1 + max|x| admitted free gaps within 1e-6 of two_r
+    # as contacts at offset 1e6: the first datum became inadmissible, and on
+    # the second trajectory_at merged every pair of clusters 1e-7 early
+    x0, u0, cone = random_admissible_datum(300, np.random.default_rng(5), contacts=True)
+    blocks = [[e.merged_blocks for e in evolve(x, u0, cone, 1.0).events]
+              for x in (x0, x0 + offset)]
+    assert len(blocks[0]) == 189 and blocks[1] == blocks[0]
+    x0, u0, cone = random_admissible_datum(80, np.random.default_rng(22), contacts=True)
+    x0 = x0 + offset
+    tl = evolve(x0, u0, cone, 1.0)
+    before = tl.event_times() - 1e-7
+    assert before.size == 39
+    for t, st in zip(before, tl.states_at(before)):
+        np.testing.assert_array_equal(trajectory_at(x0, u0, cone, float(t)).starts, st.starts)
 
 
 def dict_registry_states(tl, times):
@@ -273,7 +290,7 @@ def id_union_find_events(x0, u0, cone, horizon):
     absorbed lists.  This is the loop that the start-keyed store of ``evolve``
     replaced; it returns the MergeEvents."""
     n = cone.n
-    tol_gap = CONTACT_RTOL * _scale(x0)
+    tol_gap = contact_tol(x0)
     starts = _contact_starts(x0, cone.two_r, tol_gap)
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
 
@@ -512,12 +529,12 @@ def test_semigroup_negative_control_shifted_post_velocity(name):
     t = 0.5 * (times[k + 1] + times[k + 2])
     assert s < tl.events[k].time <= t
     bad = shift_post_velocity(tl, k, 1e-6)
-    assert verify_semigroup(tl, s, t, TOL_SEMIGROUP).passed
-    report = verify_semigroup(bad, s, t, TOL_SEMIGROUP)
+    assert verify_semigroup(tl, s, t).passed
+    report = verify_semigroup(bad, s, t)
     assert not report.passed and report.value > TOL_SEMIGROUP
     # a restart after the event starts from the corrupted state and agrees with it
     if k + 1 == len(tl.events):
-        assert verify_semigroup(bad, t, tl.horizon, TOL_SEMIGROUP).passed
+        assert verify_semigroup(bad, t, tl.horizon).passed
 
 
 def record_pava_sizes(monkeypatch):
@@ -547,7 +564,7 @@ def test_semigroup_projects_over_the_clusters_of_the_restart_state(monkeypatch):
 
 def test_trajectory_projects_over_the_initial_contact_clusters(monkeypatch):
     x0, u0, cone = random_admissible_datum(2000, np.random.default_rng(15), contacts=True)
-    runs = _contact_starts(x0, cone.two_r, CONTACT_RTOL * _scale(x0))
+    runs = _contact_starts(x0, cone.two_r, contact_tol(x0))
     assert runs.size < 0.8 * cone.n
     sizes = record_pava_sizes(monkeypatch)
     for t in (0.0, 0.3, 2.0):

@@ -1,5 +1,6 @@
 """The invariant battery: one state stream, one fold, and negative controls."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,3 +126,32 @@ def test_slightly_negative_multiplier_fails_complementarity(monkeypatch):
     reports = run_battery(trace)
     assert failed_checks(reports) == ["complementarity"]
     assert reports[0].value == pytest.approx(1e-11, rel=1e-6)
+
+
+def test_momentum_fault_fails_its_checks_instead_of_raising():
+    # a shifted post_velocity breaks sum u = sum u0, so multipliers_at raises
+    # on the lam_n closure; the battery still reports every check
+    trace = random_contacts_trace(200, 3)
+    tl = trace.timeline
+    assert len(tl.events) == 121
+    last_sample = verification._sample_times(tl.horizon, tl.event_times())[-1]
+
+    def covered_later(k):
+        lo, hi = tl.events[k].index_range
+        return any(e.index_range[0] <= lo and hi <= e.index_range[1]
+                   for e in tl.events[k + 1:])
+
+    k = max((k for k, e in enumerate(tl.events)
+             if e.time < last_sample and not covered_later(k)),
+            key=lambda k: tl.events[k].index_range[1] - tl.events[k].index_range[0])
+    lo, hi = tl.events[k].index_range
+    events = list(tl.events)
+    events[k] = dataclasses.replace(events[k], post_velocity=events[k].post_velocity + 1e-3)
+    reports = run_battery(build_fields(dataclasses.replace(tl, events=tuple(events))))
+    assert [r.name for r in reports] == list(CHECK_NAMES)
+    assert failed_checks(reports) == ["complementarity", "momentum_conservation", "semigroup",
+                                      "discrete_pde", "weak_residuals"]
+    # the momentum error is the shift on the merged range; complementarity
+    # reports the closure |lam_n|, that error over n
+    assert reports[2].value == pytest.approx(1e-3 * (hi + 1 - lo), rel=1e-9)
+    assert reports[0].value == pytest.approx(reports[2].value / tl.n, rel=1e-12)
