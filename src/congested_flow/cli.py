@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time as _time
 from pathlib import Path
@@ -362,9 +363,9 @@ def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | Non
         return 1
     tstar = eta / 2.0
     horizon = 2.0 * tstar + 0.5 if horizon is None else horizon
-    if not horizon > tstar:
-        print(f"error: horizon: must exceed the collision time eta/2 = {tstar}, got {horizon}",
-              file=sys.stderr)
+    if not (math.isfinite(horizon) and horizon > tstar):
+        print(f"error: horizon: must be finite and exceed the collision time eta/2 = {tstar}, "
+              f"got {horizon}", file=sys.stderr)
         return 1
     out.mkdir(parents=True, exist_ok=True)
     sticky = sticky_solution(eta)

@@ -94,11 +94,11 @@ class ConeCertificate:
     min_lambda: float
     closure_error: float = 0.0
 
-    def passes(self, bound: float) -> bool:
+    def passes(self, tol: float) -> bool:
         return (
-            self.min_lambda >= -bound
-            and self.max_complementarity_violation <= bound
-            and self.closure_error <= bound
+            self.min_lambda >= -tol
+            and self.max_complementarity_violation <= tol
+            and self.closure_error <= tol
         )
 
 

@@ -145,10 +145,10 @@ def _block_means(u0: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return means
 
 
-def _contact_starts(x: np.ndarray, two_r: float, gap_tol: float) -> np.ndarray:
-    """First indices of the maximal runs whose adjacent gaps sit at two_r within
-    gap_tol (``contact_tol`` of the positions the runs belong to)."""
-    return np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] - two_r > gap_tol)))
+def _contact_starts(x: np.ndarray, two_r: float) -> np.ndarray:
+    """First indices of the maximal runs whose adjacent gaps sit at two_r
+    within ``contact_tol(x)``."""
+    return np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] - two_r > contact_tol(x))))
 
 
 def _start_mask(starts: np.ndarray, n: int) -> np.ndarray:
@@ -235,9 +235,9 @@ def trajectory_at(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, t: float) -
     if t < 0.0:
         raise InputDomainError(f"time must be nonnegative, got {t}")
     x0, u0 = _admissible(x0, u0, cone)
-    runs = _contact_starts(x0, cone.two_r, contact_tol(x0))
+    runs = _contact_starts(x0, cone.two_r)
     x, _ = projection_blocks(cone, x0 + t * u0, runs)
-    starts = _contact_starts(x, cone.two_r, contact_tol(x))
+    starts = _contact_starts(x, cone.two_r)
     return _cluster_state(t, x, u0, starts, cone)
 
 
@@ -275,7 +275,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     n = cone.n
     two_r = cone.two_r
     tol_gap = contact_tol(x0)
-    starts = _contact_starts(x0, two_r, tol_gap)
+    starts = _contact_starts(x0, two_r)
     initial = _cluster_state(0.0, x0.copy(), u0, starts, cone)
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -45,11 +46,16 @@ def test_tolerances_live_in_one_table():
 
 
 def test_no_tolerance_knobs():
-    # a check decides with the table's values; only the contraction test
-    # keeps a tol, which acceptance criterion 8 sets
-    knobs = [(p.name, node.name) for p in SOURCES
+    # a check decides with the table's values, so no parameter looks like a
+    # tolerance, whatever its name, except: the contraction test's tol, which
+    # acceptance criterion 8 sets; a certificate's passes(tol), whose callers
+    # state the bound each certificate meets; and the tolerance a report
+    # records, which decides nothing
+    knobs = [(p.name, node.name, a.arg) for p in SOURCES
              for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and any(a.arg == "tol" for a in node.args.posonlyargs + node.args.args
-                     + node.args.kwonlyargs)]
-    assert knobs == [("scenarios.py", "first_order_contraction_test")]
+             for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+             if re.search(r"tol|bound|eps", a.arg, re.IGNORECASE)]
+    assert sorted(knobs) == [("cone.py", "passes", "tol"),
+                             ("scenarios.py", "first_order_contraction_test", "tol"),
+                             ("verification.py", "_worst", "tolerance")]

@@ -214,12 +214,12 @@ def test_selection_rejects_bad_eta(capsys):
     assert main(["selection", "--eta", "1.5", "--n", "16"]) == 1
 
 
-@pytest.mark.parametrize("horizon", ["0", "-1", "0.1"])
+@pytest.mark.parametrize("horizon", ["0", "-1", "0.1", "inf", "nan"])
 def test_selection_rejects_a_horizon_before_the_collision(tmp_path, capsys, horizon):
     out = tmp_path / "s"
     assert main(["selection", "--eta", "0.5", "--n", "16", "--horizon", horizon,
                  "--out", str(out)]) == 1
-    assert "error: horizon: must exceed the collision time eta/2 = 0.25" \
+    assert "error: horizon: must be finite and exceed the collision time eta/2 = 0.25" \
         in capsys.readouterr().err
     assert not out.exists()
 

@@ -15,7 +15,6 @@ from congested_flow.cone import (
     qp_oracle_project_many,
 )
 from congested_flow.dynamics import CONTACT_RTOL, _contact_starts, _scale, validate_initial
-from congested_flow.tolerances import contact_tol
 from congested_flow.errors import CapacityError, InputDomainError, PreconditionError
 from congested_flow.random_data import random_admissible_datum, random_projection_input
 
@@ -379,7 +378,7 @@ def test_projection_over_runs_on_criterion_2_data_at_offsets():
             x = x0 + offset
             if not validate_initial(x, u0, cone).passed:
                 continue
-            runs = _contact_starts(x, cone.two_r, contact_tol(x))
+            runs = _contact_starts(x, cone.two_r)
             for t in times:
                 assert_runs_agree(cone, x + t * u0, runs)
             checked[offset] += 1
@@ -392,7 +391,7 @@ def sheared_contact_datum(n, rng, alternate):
     validate_initial admits; the shear is summed along each run, with one
     sign throughout or with alternating signs."""
     x0, u0, cone = random_admissible_datum(n, rng, contacts=True)
-    runs = _contact_starts(x0, cone.two_r, contact_tol(x0))
+    runs = _contact_starts(x0, cone.two_r)
     contact = np.ones(n - 1, dtype=bool)
     contact[runs[1:] - 1] = False
     shear = 0.9 * CONTACT_RTOL * _scale(u0)

@@ -291,7 +291,7 @@ def id_union_find_events(x0, u0, cone, horizon):
     replaced; it returns the MergeEvents."""
     n = cone.n
     tol_gap = contact_tol(x0)
-    starts = _contact_starts(x0, cone.two_r, tol_gap)
+    starts = _contact_starts(x0, cone.two_r)
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
 
     def range_mean(a, b):
@@ -564,7 +564,7 @@ def test_semigroup_projects_over_the_clusters_of_the_restart_state(monkeypatch):
 
 def test_trajectory_projects_over_the_initial_contact_clusters(monkeypatch):
     x0, u0, cone = random_admissible_datum(2000, np.random.default_rng(15), contacts=True)
-    runs = _contact_starts(x0, cone.two_r, contact_tol(x0))
+    runs = _contact_starts(x0, cone.two_r)
     assert runs.size < 0.8 * cone.n
     sizes = record_pava_sizes(monkeypatch)
     for t in (0.0, 0.3, 2.0):
