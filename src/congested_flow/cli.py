@@ -367,6 +367,11 @@ def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | Non
         print(f"error: horizon: must be finite and exceed the collision time eta/2 = {tstar}, "
               f"got {horizon}", file=sys.stderr)
         return 1
+    bad = [n for n in n_list if n < 2 or n % 2]
+    if bad:
+        print(f"error: n: need even particle counts >= 2 for the symmetric split, got {bad[0]}",
+              file=sys.stderr)
+        return 1
     out.mkdir(parents=True, exist_ok=True)
     sticky = sticky_solution(eta)
     rebound = rebound_solution(eta)

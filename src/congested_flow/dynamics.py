@@ -284,7 +284,6 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             return float(u0[a])
         return float((prefix_u0[b + 1] - prefix_u0[a]) / (b + 1 - a))
 
-    jump_floor = -JUMP_FLOOR_RTOL * _scale(u0)
     end = np.zeros(n, dtype=np.intp)
     head = np.zeros(n, dtype=np.intp)
     end[starts] = np.append(starts[1:], n) - 1
@@ -374,15 +373,12 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                 speeds.append(w)
                 k = e + 1
             u_pre = np.repeat(speeds, [e + 1 - k for k, e in blocks])
-            jump = -np.cumsum(v[a] - u_pre)[:-1] / n
-            if jump.size and jump.min() < jump_floor:
-                raise InvariantViolationError("negative multiplier jump at a merge")
             events.append(MergeEvent(
                 time=float(t_e),
                 merged_blocks=tuple(blocks),
                 post_velocity=v[a],
                 x_left=float(xl[a]),
-                jump_values=jump,
+                jump_values=-np.cumsum(v[a] - u_pre)[:-1] / n,
             ))
             if a > 0:
                 push_candidate(head[a - 1], a, t_e)
@@ -397,8 +393,10 @@ class EventTimeline:
     """Full piecewise-linear-in-time solution: initial state plus merge events.
 
     Raises InvariantViolationError unless the event times are nondecreasing
-    inside [0, horizon].  Whether each event covers whole current blocks
-    depends on the running partition, so ``replay`` checks that.
+    inside [0, horizon] and no multiplier jump lies below the floor
+    -JUMP_FLOOR_RTOL * (1 + max|u0|); both take one vectorised pass over the
+    events.  Whether each event covers whole current blocks depends on the
+    running partition, so ``replay`` checks that.
     """
 
     cone: SpacingCone
@@ -414,6 +412,13 @@ class EventTimeline:
                                and np.all(times[1:] >= times[:-1])):
             raise InvariantViolationError(
                 "event times must be nondecreasing inside [0, horizon]")
+        jumps = [e.jump_values for e in self.events if e.jump_values.size]
+        if jumps:
+            lowest = float(np.concatenate(jumps).min())
+            floor = -JUMP_FLOOR_RTOL * _scale(self.u0)
+            if lowest < floor:
+                raise InvariantViolationError(
+                    f"negative multiplier jump {lowest:.3e} below the floor {floor:.3e}")
 
     @property
     def n(self) -> int:
@@ -559,13 +564,8 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
 def pressure_measure(timeline: EventTimeline) -> tuple[MergeEvent, ...]:
     """Atomic pressure: the timeline's events, one atom each (``MergeEvent``).
 
-    Raises InvariantViolationError if a jump lies below the floor that
-    ``evolve`` enforces, which only a hand-built timeline can miss.
+    The timeline's constructor has checked every jump against the floor.
     """
-    jump_floor = -JUMP_FLOOR_RTOL * _scale(timeline.u0)
-    for e in timeline.events:
-        if e.jump_values.size and e.jump_values.min() < jump_floor:
-            raise InvariantViolationError("negative pressure atom profile")
     return timeline.events
 
 

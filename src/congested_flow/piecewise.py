@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputDomainError
 
-__all__ = ["PiecewiseField", "Resampling", "l2_norm_of_pieces", "merge_breaks"]
+__all__ = ["NodeResampling", "PiecewiseField", "Resampling", "l2_norm_of_pieces",
+           "merge_breaks"]
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,9 @@ class PiecewiseField:
     def resampled(self, new_breaks: np.ndarray) -> "PiecewiseField":
         """Same field on a refined grid; new breaks must contain the old ones.
 
-        The piece lookup is a ``Resampling``, the helper that callers comparing
-        many fields on one pair of grids build once and reuse.
+        The piece lookup is a ``Resampling``.  Callers comparing many
+        continuous affine fields on one pair of grids build its node
+        evaluation (``Resampling.at_nodes``) once instead.
         """
         nb = np.asarray(new_breaks, dtype=float)
         left, right = Resampling.of(self.breaks, nb)(self.left, self.right)
@@ -161,8 +163,10 @@ class Resampling:
     """Where the pieces of a refinement sit in the pieces of a coarser grid.
 
     New piece k lies in old piece ``j[k]``, from local coordinate ``lam_l[k]``
-    to ``lam_r[k]``.  It depends on the two grids only, so one lookup maps
-    every field on the old grid onto the new one at the cost of a gather.
+    to ``lam_r[k]``.  It depends on the two grids only: ``__call__`` maps the
+    endpoint values of any field on the old grid onto the new pieces, and
+    ``at_nodes`` the nodal values of a continuous affine one onto the new
+    nodes, each at the cost of a gather.
     """
 
     j: np.ndarray
@@ -181,3 +185,29 @@ class Resampling:
         """Endpoint values on the new pieces of the field (old breaks, left, right)."""
         a, b = left[self.j], right[self.j]
         return a * (1.0 - self.lam_l) + b * self.lam_l, a * (1.0 - self.lam_r) + b * self.lam_r
+
+    def at_nodes(self) -> "NodeResampling":
+        """Node evaluation: new node k < K at the left end of new piece k, node K
+        at the right end of the last one."""
+        lam = np.append(self.lam_l, self.lam_r[-1])
+        return NodeResampling(np.append(self.j, self.j[-1]), lam, 1.0 - lam)
+
+
+@dataclass(frozen=True)
+class NodeResampling:
+    """Where the nodes of a refinement sit in the pieces of a coarser grid.
+
+    New node k lies in old piece ``j[k]`` at local coordinate ``lam[k]``.  A
+    continuous affine field is its nodal values, so mapping it onto the new
+    grid is one gather.  The values equal the endpoint values ``Resampling``
+    gives, up to the sign of a zero: inside an old piece both ends of a new
+    one share j and lam, and at an old break lam is exactly 1, then 0.
+    """
+
+    j: np.ndarray
+    lam: np.ndarray
+    one_minus_lam: np.ndarray
+
+    def __call__(self, nodes: np.ndarray) -> np.ndarray:
+        """Nodal values on the new grid of the interpolant of ``nodes``."""
+        return nodes[self.j] * self.one_minus_lam + nodes[1:][self.j] * self.lam

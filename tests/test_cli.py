@@ -224,6 +224,15 @@ def test_selection_rejects_a_horizon_before_the_collision(tmp_path, capsys, hori
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["3", "0", "-2"])
+def test_selection_rejects_a_particle_count_before_any_work(tmp_path, capsys, n):
+    out = tmp_path / "s"
+    assert main(["selection", "--eta", "0.5", "--n", "16", n, "--out", str(out)]) == 1
+    assert f"error: n: need even particle counts >= 2 for the symmetric split, got {n}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_smoke(tmp_path):
     out = tmp_path / "b"
     assert main(["bench", "--sizes", "500", "2000", "--out", str(out)]) == 0

@@ -42,7 +42,7 @@ from congested_flow.fields import build_fields, pressure_mass_bound, verify_disc
 from congested_flow.initdata import quantile_sample
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
-from congested_flow.tolerances import contact_tol
+from congested_flow.tolerances import JUMP_FLOOR_RTOL, contact_tol
 from congested_flow.verification import TOL_SEMIGROUP, run_battery
 from congested_flow.weakform import weak_form_of_trace
 
@@ -662,6 +662,24 @@ def test_timeline_rejects_what_it_can_check_alone(fault):
             events[widest] = dataclasses.replace(e, jump_values=e.jump_values[:-1])
         else:
             events[3] = dataclasses.replace(events[3], time=events[4].time + 1e-3)
+        EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
+
+
+def test_timeline_rejects_a_jump_below_the_floor():
+    # the constructor is the one place the floor is checked, evolve included
+    x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12))
+    tl = evolve(x0, u0, cone, 3.0)
+    floor = -JUMP_FLOOR_RTOL * (1.0 + float(np.max(np.abs(tl.u0))))
+    events = list(tl.events)
+    k = len(events) // 2
+    jumps = events[k].jump_values.copy()
+    jumps[-1] = floor
+    events[k] = dataclasses.replace(events[k], jump_values=jumps)
+    EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
+    jumps = jumps.copy()
+    jumps[-1] = 2.0 * floor
+    events[k] = dataclasses.replace(events[k], jump_values=jumps)
+    with pytest.raises(InvariantViolationError, match="below the floor"):
         EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
 
 

@@ -1,6 +1,7 @@
 """Lagrangian interpolations, exact norms, discrete-system residuals."""
 
 import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -326,15 +327,38 @@ def float_bits(obj):
     return obj
 
 
+# three blocks of density below 1 under a compressing velocity: several
+# events per run, with multipliers nonzero at every sample time
+MULTI_EVENT = {
+    "scenario": {
+        "name": "custom",
+        "density": [[0.0, 0.5, 0.8], [1.0, 1.5, 0.6], [2.0, 2.5, 0.6]],
+        "velocity": {"kind": "lagrangian",
+                     "pieces": [[0.0, 0.5, 1.0, 0.2], [0.5, 1.0, 0.0, -1.0]]},
+    },
+    "n_list": [8, 16, 64],
+    "horizon": 1.5,
+    "delta": 0.1,
+    "sample_times": [0.25, 0.5, 0.75, 1.0, 1.5],
+}
+
+
 @pytest.mark.parametrize("config, n_list", [
     ("two_block.json", None),
     ("smooth_compression.json", None),
     ("two_block.json", [6, 10, 15]),
     ("smooth_compression.json", [6, 10, 15]),
+    (MULTI_EVENT, None),
+    (MULTI_EVENT, [12, 20, 30]),
 ], ids=["two_block", "smooth_compression", "two_block_non_nested",
-        "smooth_compression_non_nested"])
-def test_shared_grid_sweep_equals_per_field_distances(config, n_list):
-    cfg = load_config(str(CONFIGS / config))
+        "smooth_compression_non_nested", "multi_event", "multi_event_non_nested"])
+def test_shared_grid_sweep_equals_per_field_distances(config, n_list, tmp_path):
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        cfg = load_config(str(path))
+    else:
+        cfg = load_config(str(CONFIGS / config))
     n_list = n_list or cfg["n_list"]
     ref_w = np.arange(max(n_list) + 1) / max(n_list)
     if n_list == [6, 10, 15]:
@@ -363,6 +387,34 @@ def test_convergence_study_merges_one_grid_per_n(monkeypatch, n_times):
     n_list = [8, 12, 16]
     convergence_study(two_block_datum(0.5), n_list, 1.0, np.linspace(0.2, 1.0, n_times))
     assert len(calls) == len(n_list)
+
+
+@pytest.mark.parametrize("n_list, lookup_grids", [
+    ([8, 16, 64], [8, 16, 64]),
+    ([12, 20, 30], [12, 30, 20, 30, 30]),
+], ids=["nested", "non_nested"])
+def test_convergence_study_builds_nothing_on_the_reference_grid(monkeypatch, n_list,
+                                                                lookup_grids):
+    # one lookup of the run's grid per n, plus one of the reference grid for
+    # each n that does not divide the reference n
+    pieces, breaks = [], []
+    lookup_of = piecewise.Resampling.of.__func__
+    post_init = PiecewiseField.__post_init__
+
+    def counting_of(cls, old_breaks, new_breaks):
+        pieces.append(old_breaks.size - 1)
+        return lookup_of(cls, old_breaks, new_breaks)
+
+    def counting_post_init(self):
+        breaks.append(np.asarray(self.breaks).size)
+        post_init(self)
+
+    datum = two_block_datum(0.5)
+    monkeypatch.setattr(piecewise.Resampling, "of", classmethod(counting_of))
+    monkeypatch.setattr(PiecewiseField, "__post_init__", counting_post_init)
+    convergence_study(datum, n_list, 1.0, [0.2, 0.6, 1.0])
+    assert pieces == lookup_grids
+    assert max(n_list) + 1 not in breaks
 
 
 def test_resampling_preserves_norms_exactly():
