@@ -135,14 +135,21 @@ def _cfg_get(cfg: dict, path: str, typ, default=None, required=False):
         val = float(val)
     if isinstance(val, bool) or not isinstance(val, typ):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {type(val).__name__}")
-    return val
+    return _finite(path, val) if typ is float else val
+
+
+def _finite(path: str, value: float) -> float:
+    """``value`` unless it is NaN or infinite, which JSON parsing lets through."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _as_float(path: str, value) -> float:
-    """A JSON number as a float; anything else, a bool included, is a ConfigError."""
+    """A finite JSON number as a float; anything else, a bool included, is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    return _finite(path, float(value))
 
 
 def _build_datum(cfg: dict) -> MacroscopicDatum:
@@ -238,7 +245,7 @@ def load_config(path: str) -> dict:
         st = [horizon * k / 8.0 for k in range(1, 9)]
     elif (not isinstance(st, list)
           or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in st)
-          or any(t < 0.0 or t > cfg["_horizon"] for t in st)):
+          or any(not 0.0 <= t <= cfg["_horizon"] for t in st)):
         raise ConfigError("sample_times: need numbers inside [0, horizon]")
     cfg["_sample_times"] = sorted(float(t) for t in st)
     toggles = cfg.get("checks", {})

@@ -246,16 +246,18 @@ def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
     For each n, runs the full pipeline and reports, per sample time, the L2
     distances of the affine position/velocity/multiplier interpolants to the
     reference, plus the run's pressure mass, the position BV and the Oleinik
-    ratio.  Rows are ordered by (n, t), deterministically.
+    ratio.  Rows are ordered by (n, t), deterministically.  The reference
+    runs first and once; every other n is run, compared and released in
+    turn, and the reference's own rows carry distance 0.
 
-    The comparison works on nodal values.  Per n it builds one union grid
-    with the reference and one node lookup of the run's grid in it; a second
-    lookup, of the reference grid, only if the grids do not nest (when n
-    divides the reference n, k/n and km/(nm) round to the same double, so the
-    union is the reference grid).  Each (n, t, field) distance is then
-    O(|grid|): a gather, a subtraction of the reference's nodes, and the
-    exact L2 norm of the pieces.  Nothing is built on the reference grid: no
-    field object and no resampled reference.
+    The comparison works on nodal values.  Per n below the reference it
+    builds one union grid with the reference and one node lookup of the
+    run's grid in it; a second lookup, of the reference grid, only if the
+    grids do not nest (when n divides the reference n, k/n and km/(nm)
+    round to the same double, so the union is the reference grid).  Each
+    (n, t, field) distance is then O(|grid|): a gather, a subtraction of the
+    reference's nodes, and the exact L2 norm of the pieces.  Nothing is built
+    on the reference grid: no field object and no resampled reference.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if len(n_list) < 1:
@@ -264,15 +266,30 @@ def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
     if any(t < 0.0 or t > horizon for t in sample_times):
         raise InputDomainError("sample times must lie in [0, horizon]")
 
-    traces = {n: _run_single(datum, n, horizon, padding) for n in n_list}
-
     n_ref = n_list[-1]
-    ref = traces[n_ref]
-    ref_nodes = [(s.x_nodes, s.u_nodes, s.lam) for s in ref.iter_snapshots(sample_times)]
+    ref = _run_single(datum, n_ref, horizon, padding)
+    ref_snaps = ref.snapshots(sample_times)
+    ref_nodes = [(s.x_nodes, s.u_nodes, s.lam) for s in ref_snaps]
     rows = []
     sup_dist = {}
-    for n in n_list:
-        tr = traces[n]
+
+    def add_row(n, mass, snap, dx, du, dl):
+        ole = (max_slope_ratio(snap.time, snap.x_nodes, snap.u_nodes)
+               if snap.time > 0.0 else 0.0)
+        rows.append({
+            "n": n,
+            "t": snap.time,
+            "dist_X_L2": dx,
+            "dist_U_L2": du,
+            "dist_Lambda_L2": dl,
+            "pressure_mass": mass,
+            # the affine position interpolant is continuous: its BV is its in-piece variation
+            "bv_X": float(np.sum(np.abs(np.diff(snap.x_nodes)))),
+            "oleinik_max": ole,
+        })
+
+    for n in n_list[:-1]:
+        tr = _run_single(datum, n, horizon, padding)
         mass = pressure_mass_bound(tr)
         grid = merge_breaks(tr.w_grid, ref.w_grid)
         h = np.diff(grid)
@@ -287,20 +304,13 @@ def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
                 dists.append(l2_norm_of_pieces(h, d[:-1], d[1:]))
             dx, du, dl = dists
             sup_x, sup_u, sup_lam = max(sup_x, dx), max(sup_u, du), max(sup_lam, dl)
-            ole = (max_slope_ratio(snap.time, snap.x_nodes, snap.u_nodes)
-                   if snap.time > 0.0 else 0.0)
-            rows.append({
-                "n": n,
-                "t": snap.time,
-                "dist_X_L2": dx,
-                "dist_U_L2": du,
-                "dist_Lambda_L2": dl,
-                "pressure_mass": mass,
-                # the affine position interpolant is continuous: its BV is its in-piece variation
-                "bv_X": float(np.sum(np.abs(np.diff(snap.x_nodes)))),
-                "oleinik_max": ole,
-            })
+            add_row(n, mass, snap, dx, du, dl)
         sup_dist[n] = {"X": sup_x, "U": sup_u, "Lambda": sup_lam, "pressure_mass": mass}
+    # the reference against itself: distance 0.0, which the identity gather gives exactly
+    mass = pressure_mass_bound(ref)
+    for snap in ref_snaps:
+        add_row(n_ref, mass, snap, 0.0, 0.0, 0.0)
+    sup_dist[n_ref] = {"X": 0.0, "U": 0.0, "Lambda": 0.0, "pressure_mass": mass}
     fit = None
     small = [n for n in n_list if n != n_ref and sup_dist[n]["X"] > 0.0]
     if len(small) >= 2:

@@ -6,8 +6,8 @@ ulps of their magnitude (``contact_tol``); ``1 + max|u0|`` for velocities
 and multipliers; ``1 + E0`` for the rescaled kinetic energy; per particle
 (times n); and relative to the quantity compared.  ``contact_tol`` is the
 one place where the engine decides whether a gap of a particle state sits
-at the minimal spacing; the battery's snapshot cells and the oracle
-certificates keep their own scales below.
+at the minimal spacing; the oracle certificates keep their own scales
+below.
 
 Two checks bound the same quantity, sum(u) - sum(u0), at two scales: the
 closure lam[n] = -sum(u - u0) / n of ``multipliers_at`` must vanish within
@@ -61,9 +61,6 @@ TOL_WEAK_RESIDUAL = 1e-8
 # absolute: order-1/order-2 residuals and both exclusion relations of the
 # interpolated discrete system; n times rounding of O(1/n) multipliers
 DISCRETE_PDE_TOL = 1e-10
-# scale 1 + max|edges|: a snapshot cell counts as a contact cell; the
-# battery reports the density tolerance derived from it
-CONTACT_CELL_RTOL = 1e-12
 # absolute: total snapshot mass 1, and the least density tolerance; a sum of
 # n cell masses two_r / dx * dx
 EULERIAN_MASS_TOL = 1e-12

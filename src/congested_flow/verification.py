@@ -33,9 +33,9 @@ from .eulerian import (
 )
 from .errors import InvariantViolationError
 from .fields import FieldTrace, oleinik_field_check, verify_discrete_pde
-from .tolerances import CONTACT_CELL_RTOL, EULERIAN_MASS_TOL, ORACLE_CERTIFICATE_TOL, \
-    ORACLE_DEVIATION_TOL, SAMPLE_EVENT_CLEARANCE, SAMPLE_SHIFT, SEMIGROUP_MIN_SPAN, \
-    TOL_COMPLEMENTARITY, TOL_MIN_LAMBDA, TOL_MOMENTUM_PER_N, TOL_SEMIGROUP, TOL_WEAK_RESIDUAL
+from .tolerances import EULERIAN_MASS_TOL, ORACLE_CERTIFICATE_TOL, ORACLE_DEVIATION_TOL, \
+    SAMPLE_EVENT_CLEARANCE, SAMPLE_SHIFT, SEMIGROUP_MIN_SPAN, TOL_COMPLEMENTARITY, \
+    TOL_MIN_LAMBDA, TOL_MOMENTUM_PER_N, TOL_SEMIGROUP, TOL_WEAK_RESIDUAL, contact_tol
 
 __all__ = ["CHECK_NAMES", "run_battery", "cone_oracle_sweep"]
 
@@ -88,13 +88,27 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     instant's complementarity run fails with the closure |lam_n| as value.
     The semigroup and Wasserstein checks run on 20, then 10, random (s, t)
     pairs from ``rng``; the others read the events.  A repeated check passes
-    if all its runs pass and reports the largest value (``_worst``).
+    if all its runs pass and reports the largest value (``_worst``).  The
+    contact cells of an Eulerian snapshot are read off its state's partition
+    and held to density 1 within ``contact_tol`` / two_r.
+
+    ``active_set_monotone`` runs first: if the replay rejects an event, it
+    fails and every other check is reported failed with value and tolerance
+    NaN, not evaluated.
 
     ``inject`` corrupts the input of exactly one check (negative control):
     "negative-lambda", "energy-bump" or "stale-density".
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     timeline = trace.timeline
+    monotone = CheckReport("active_set_monotone", active_set_monotone(timeline),
+                           float(len(timeline.events)), 0.0,
+                           "contact set nondecreasing along events")
+    if not monotone.passed:
+        return [monotone if name == monotone.name else
+                CheckReport(name, False, np.nan, np.nan,
+                            "not evaluated: the replay rejects an event")
+                for name in CHECK_NAMES]
     cone = timeline.cone
     horizon = timeline.horizon
     events = timeline.event_times()
@@ -132,15 +146,13 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
         if inject == "stale-density" and st.time == ts[0]:
             snap = type(snap)(snap.time, snap.edges, snap.density * 1.5,
                               snap.velocity, snap.two_r)
-        gaps = np.diff(snap.edges)[1:]
-        ctol = CONTACT_CELL_RTOL * (1.0 + float(np.abs(snap.edges).max()))
-        on_contact = np.abs(gaps - cone.two_r) <= ctol
+        # the pair (j, j + 1) is a contact iff j + 1 starts no block
+        on_contact = np.ones(st.n - 1, dtype=bool)
+        on_contact[st.starts[1:] - 1] = False
         contact_err = (float(np.max(np.abs(snap.density[1:][on_contact] - 1.0)))
                        if np.any(on_contact) else 0.0)
-        # a gap certified equal to two_r within ctol pins the density to 1
-        # within ctol / two_r; exact (zero) at dyadic particle counts
         recon.append((abs(snap.total_mass() - 1.0), float(np.max(snap.density)) - 1.0,
-                      contact_err, ctol / cone.two_r * 1.001))
+                      contact_err, contact_tol(st.positions) / cone.two_r))
         for atom in atoms_by_time.get(st.time, ()):
             rep = complementarity_eulerian(snap, atom)
             compl_e.append((rep.passed, rep.value))
@@ -173,9 +185,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     reports.append(_worst("semigroup", [(r.passed, r.value) for r in semigroup],
                           TOL_SEMIGROUP, "restart identity on 20 random (s, t) pairs"))
 
-    reports.append(CheckReport(
-        "active_set_monotone", active_set_monotone(timeline), float(len(timeline.events)),
-        0.0, "contact set nondecreasing along events"))
+    reports.append(monotone)
 
     pde = verify_discrete_pde(trace)
     reports.append(CheckReport(

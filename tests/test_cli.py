@@ -119,6 +119,39 @@ def test_velocity_piece_rows_need_four_entries(tmp_path, capsys, row):
     assert not out.exists()
 
 
+def shipped_with(name, edit):
+    """configs/NAME.json after ``edit``, a function that changes the parsed dict in place."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    edit(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("two_block", lambda c: c.update(horizon=math.nan),
+     "horizon: expected a finite number, got nan"),
+    ("two_block", lambda c: c.update(horizon=math.inf),
+     "horizon: expected a finite number, got inf"),
+    ("two_block", lambda c: c.update(delta=math.inf),
+     "delta: expected a finite number, got inf"),
+    ("smooth_compression", lambda c: c["scenario"]["density"].append([3.0, 4.0, math.nan]),
+     "scenario.density[1]: expected a finite number, got nan"),
+    ("smooth_compression",
+     lambda c: c["scenario"]["velocity"].update(pieces=[[-10.0, 10.0, math.nan, -9.0]]),
+     "scenario.velocity.pieces[0]: expected a finite number, got nan"),
+    ("two_block", lambda c: c["sample_times"].append(math.nan),
+     "sample_times: need numbers inside [0, horizon]"),
+], ids=["horizon_nan", "horizon_inf", "delta_inf", "density_nan", "velocity_nan",
+        "sample_time_nan"])
+def test_non_finite_numbers_exit_one_before_any_output(tmp_path, capsys, name, edit, message):
+    # Python's json reads NaN, Infinity and -Infinity as floats
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(shipped_with(name, edit)))
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_n_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": {"name": "two_block", "eta": 0.5}}))

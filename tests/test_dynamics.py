@@ -128,6 +128,33 @@ def test_evolve_matches_projection_formula(contacts):
         assert np.max(np.abs(ref.positions - st.positions)) <= 1e-9
 
 
+def criterion_2_small_data():
+    """Acceptance criterion 2's first 35 data (n <= 100) and query times, in its draw order."""
+    rng = np.random.default_rng(2002)
+    for k, n in enumerate([10] * 20 + [100] * 15):
+        x0, u0, cone = random_admissible_datum(n, rng, contacts=bool(k % 2))
+        yield x0, u0, cone, np.sort(rng.uniform(0.0, 2.0, 200))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_routes_agree_as_an_identity_on_criterion_2_data(offset):
+    # criterion 2 compares positions within 1e-9 only; the routes agree far
+    # more tightly: the same partition, bitwise velocities, positions within
+    # rounding, also under translation
+    queries = 0
+    for x0, u0, cone, times in criterion_2_small_data():
+        x0 = x0 + offset
+        times = times[::4]
+        for t, st in zip(times, evolve(x0, u0, cone, 2.0).iter_states(times)):
+            ref = trajectory_at(x0, u0, cone, float(t))
+            np.testing.assert_array_equal(ref.starts, st.starts)
+            np.testing.assert_array_equal(ref.velocities, st.velocities)
+            scale = 1.0 + np.max(np.abs(ref.positions))
+            assert np.max(np.abs(ref.positions - st.positions)) <= 1e-12 * scale
+            queries += 1
+    assert queries == 35 * 50
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_routes_agree_on_partitions_at_and_before_events(offset):
     rng = np.random.default_rng(22)

@@ -2,16 +2,22 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from congested_flow import verification
-from congested_flow.dynamics import CheckReport, EventTimeline, MergeEvent, evolve
-from congested_flow.fields import FieldTrace, build_fields, oleinik_field_check, \
-    verify_discrete_pde
+from congested_flow.cli import load_config
+from congested_flow.dynamics import CheckReport, EventTimeline, MergeEvent, ReplayCursor, \
+    active_set_monotone, evolve
+from congested_flow.fields import DeltaPadding, FieldTrace, _run_single, build_fields, \
+    oleinik_field_check, verify_discrete_pde
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.verification import CHECK_NAMES, run_battery
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_contacts_trace(n, seed):
@@ -155,3 +161,56 @@ def test_momentum_fault_fails_its_checks_instead_of_raising():
     # reports the closure |lam_n|, that error over n
     assert reports[2].value == pytest.approx(1e-3 * (hi + 1 - lo), rel=1e-9)
     assert reports[0].value == pytest.approx(reports[2].value / tl.n, rel=1e-12)
+
+
+def test_opened_cluster_gap_fails_the_contact_cells(monkeypatch):
+    # once the two blocks have merged, every state moves particles 40.. right
+    # by 5e-10: a gap inside the one cluster opens, so its cell falls below
+    # density 1.  A contact rule that re-reads the gaps drops that cell, so
+    # only the partition sees it.  (A shift of 1e-9 would also fail the
+    # restart identity, whose tolerance it equals, by rounding.)
+    cfg = load_config(str(CONFIGS / "two_block.json"))
+    trace = _run_single(cfg["_datum"], 64, cfg["_horizon"], DeltaPadding(cfg["_delta"]))
+    assert [e.index_range for e in trace.timeline.events] == [(0, 63)]
+    rigid = ReplayCursor.state
+
+    def opened(self):
+        st = rigid(self)
+        if self.count == 0:
+            return st
+        x = st.positions.copy()
+        x[40:] += 5e-10
+        return dataclasses.replace(st, positions=x)
+
+    assert not failed_checks(run_battery(trace, np.random.default_rng(cfg["_seed"])))
+    monkeypatch.setattr(ReplayCursor, "state", opened)
+    reports = run_battery(trace, np.random.default_rng(cfg["_seed"]))
+    assert failed_checks(reports) == ["complementarity", "eulerian_reconstruction",
+                                      "eulerian_complementarity"]
+    # density two_r / (two_r + 5e-10) with two_r = 1/64
+    recon = reports[CHECK_NAMES.index("eulerian_reconstruction")]
+    assert recon.value == pytest.approx(64 * 5e-10, rel=1e-6)
+
+
+def test_rejected_replay_is_reported_not_raised():
+    # start the first event's first multi-particle block one particle later:
+    # the merged range no longer covers whole blocks, so the replay rejects it
+    x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12), contacts=True)
+    tl = evolve(x0, u0, cone, 3.0)
+    k = next(k for k, e in enumerate(tl.events)
+             if e.merged_blocks[0][1] > e.merged_blocks[0][0])
+    (lo, hi), *rest = tl.events[k].merged_blocks
+    events = list(tl.events)
+    events[k] = dataclasses.replace(events[k], merged_blocks=((lo + 1, hi), *rest),
+                                    jump_values=events[k].jump_values[1:])
+    broken = dataclasses.replace(tl, events=tuple(events))
+    assert not active_set_monotone(broken)
+    reports = run_battery(build_fields(broken))
+    assert [r.name for r in reports] == list(CHECK_NAMES)
+    assert failed_checks(reports) == list(CHECK_NAMES)
+    for r in reports:
+        if r.name == "active_set_monotone":
+            assert (r.value, r.tolerance) == (float(len(tl.events)), 0.0)
+        else:
+            assert math.isnan(r.value) and math.isnan(r.tolerance)
+            assert r.detail == "not evaluated: the replay rejects an event"
