@@ -27,7 +27,6 @@ starts: each cluster's data sits at its first particle.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +93,9 @@ class MergeEvent:
 
     It is also the event's pressure atom: ``jump_values`` are the multiplier
     jumps on contacts lo+1..hi of ``index_range``, zero elsewhere.  Raises
-    InvariantViolationError unless there are exactly hi - lo of them.
+    InvariantViolationError unless there are exactly hi - lo of them.  From
+    ``evolve`` they are a read-only view into one array that holds the jumps
+    of every event of the timeline.
     """
 
     time: float
@@ -258,16 +259,23 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     right neighbour is end[a] + 1 and the left one head[a - 1].  A merge
     rewrites the left cluster in place; an absorbed start keeps its old data,
     and head[end[s]] leads from it towards the cluster that absorbed it.  A
-    heap candidate carries the stamps of both of its starts and counts only
-    if neither cluster has changed since it was pushed.
+    candidate contact carries the stamps of both of its starts and counts
+    only if neither cluster has changed since it was queued.
 
-    Cost: O(log n) heap work per candidate contact, and O(k log k) for
-    sorting the pairs and pre-merge records of an instant that touches k
-    blocks.  Resolving a worklist start walks head[end[.]] once per nesting
-    level of the merges it went through at that instant (there is no path
-    compression); in an n-way tie, hit from either end or closing everywhere
-    at once, that is at most one step per walk.  The jump profile of each
-    event costs O(merged range).  The lists cost O(n) to set up.
+    Cost: the first candidates take one vectorised pass over the initial
+    starts and one sort, O(n log n) in numpy, and each is popped off the end
+    of that sorted list in O(1); every later candidate costs O(log n) heap
+    work.  An instant that touches k blocks costs O(k log k) for sorting its
+    pairs and pre-merge records.  Each contact is queued at most once per
+    instant, so its worklist holds at most k items.  Resolving a worklist
+    start walks head[end[.]] once per nesting level of the merges it went
+    through at that instant (there is no path compression); in an n-way tie,
+    hit from either end or closing everywhere at once, that is at most one
+    step per walk.  The loop itself calls no numpy routine per event: the
+    jumps of all events go to one flat read-only array after it, laid out
+    by one repeat, with one sequential cumsum per event's slice, O(merged
+    range), and each event's ``jump_values`` is a view into it.  The lists
+    cost O(n) to set up.
     """
     if horizon < 0.0:
         raise InputDomainError(f"horizon must be nonnegative, got {horizon}")
@@ -279,11 +287,6 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     initial = _cluster_state(0.0, x0.copy(), u0, starts, cone)
     prefix_u0 = np.concatenate(([0.0], np.cumsum(u0)))
 
-    def range_mean(a, b):
-        if a == b:
-            return float(u0[a])
-        return float((prefix_u0[b + 1] - prefix_u0[a]) / (b + 1 - a))
-
     end = np.zeros(n, dtype=np.intp)
     head = np.zeros(n, dtype=np.intp)
     end[starts] = np.append(starts[1:], n) - 1
@@ -294,16 +297,36 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     v = initial.velocities.tolist()
     stamp = [0] * n  # bumped whenever the cluster keyed at a start changes
 
-    def left_edge(a, t):
-        return xl[a] + v[a] * (t - tr[a])
-
-    def live_start(a):
-        while head[end[a]] != a:
-            a = head[end[a]]
-        return a
-
+    # the first candidates, (a, s) adjacent initial starts, with push_candidate's
+    # arithmetic at t_now = 0: the `- v * 0.0` terms keep the signs of zeros,
+    # and np.where(0.0 > q, 0.0, q) is max(q, 0.0)
+    a0, s0 = starts[:-1], starts[1:]
+    closing = np.flatnonzero(initial.velocities[a0] - initial.velocities[s0] > 0.0)
+    a0, s0 = a0[closing], s0[closing]
+    va, vs = initial.velocities[a0], initial.velocities[s0]
+    q = ((x0[s0] - vs * 0.0) - (x0[a0] - va * 0.0) - two_r * (s0 - 1 - a0) - two_r) / (va - vs)
+    t_hit = np.where(0.0 > q, 0.0, q)
+    due = np.flatnonzero(t_hit <= horizon)
+    a0, s0, t_hit = a0[due], s0[due], t_hit[due]
+    # numbered in start order and sorted descending by their keys (t_hit,
+    # counter), so the least is popped off the end; later candidates go to a
+    # heap.  The keys are unique, so taking the lesser of the two heads pops
+    # every candidate in one total order
+    order = np.argsort(t_hit, kind="stable")[::-1]
+    zeros = [0] * due.size
+    first = list(zip(t_hit[order].tolist(), order.tolist(), a0[order].tolist(),
+                     s0[order].tolist(), zeros, zeros))
     heap: list[tuple[float, int, int, int, int, int]] = []
-    counter = 0
+    counter = due.size
+
+    def pop(t_max):
+        """The least candidate if its t_hit is at most t_max, else None."""
+        if first and (not heap or first[-1] < heap[0]):
+            if first[-1][0] <= t_max:
+                return first.pop()
+        elif heap and heap[0][0] <= t_max:
+            return heapq.heappop(heap)
+        return None
 
     def push_candidate(a, s, t_now):
         """Queue the exact contact instant of neighbours a, s if they close."""
@@ -318,73 +341,98 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             heapq.heappush(heap, (t_hit, counter, a, s, stamp[a], stamp[s]))
             counter += 1
 
-    start_list = starts.tolist()
-    for a, s in zip(start_list, start_list[1:]):
-        push_candidate(a, s, 0.0)
+    # per event: time, merged blocks, post velocity, left edge; the jumps go to
+    # one flat array after the loop, laid out from diffs repeated reps times,
+    # event k's at bounds[k]:bounds[k + 1]
+    records: list[tuple[float, tuple[tuple[int, int], ...], float, float]] = []
+    diffs: list[float] = []
+    reps: list[int] = []
+    bounds = [0]
 
-    events: list[MergeEvent] = []
-
-    while heap:
-        t_e, _, a, s, sa, ss = heapq.heappop(heap)
-        if t_e > horizon:
-            break
+    while (cand := pop(horizon)) is not None:
+        t_e, _, a, s, sa, ss = cand
         if stamp[a] != sa or stamp[s] != ss:
             continue
         pairs = [(a, s)]
-        while heap and heap[0][0] <= t_e + EVENT_TIE_TOL:
-            _, _, a, s, sa, ss = heapq.heappop(heap)
+        t_tie = t_e + EVENT_TIE_TOL
+        while (cand := pop(t_tie)) is not None:
+            _, _, a, s, sa, ss = cand
             if stamp[a] == sa and stamp[s] == ss:
                 pairs.append((a, s))
         pre: dict[int, tuple[int, float]] = {}  # touched start -> pre-instant (end, v)
-        worklist = deque(sorted(pairs))
-        while worklist:
-            c, d = worklist.popleft()
-            c = live_start(c)
-            d = live_start(d)
+        worklist = sorted(pairs)
+        # An item (l, r) merges the cluster holding l with the one holding r
+        # if they are adjacent.  When queued, the cluster holding l ends at
+        # r - 1, and it keeps particle r - 1 as it grows; so the item merges
+        # across r - 1 | r if r is still a start and is a no-op otherwise.
+        # A second item with the same right end r runs after the first, finds
+        # r no longer a start and does nothing, so it is not queued.  Once the
+        # first has run, r is no longer a live start, so no later cascade
+        # check has right end r and the entries are never removed.
+        queued = {s for _, s in worklist}
+        i = 0
+        while i < len(worklist):
+            c, d = worklist[i]
+            i += 1
+            while head[end[c]] != c:
+                c = head[end[c]]
+            while head[end[d]] != d:
+                d = head[end[d]]
             if c == d or end[c] + 1 != d:
                 continue
             pre.setdefault(c, (end[c], v[c]))
             pre.setdefault(d, (end[d], v[d]))
             b = end[d]
-            xl[c] = left_edge(c, t_e)
+            xl[c] = xl[c] + v[c] * (t_e - tr[c])
             tr[c] = t_e
-            v[c] = range_mean(c, b)
+            v[c] = float((prefix_u0[b + 1] - prefix_u0[c]) / (b + 1 - c))
             end[c] = b
             head[b] = c
             stamp[c] += 1
             stamp[d] += 1
             # a merge can trigger an immediate further contact at this instant
             for left, right in ((head[c - 1], c), (c, b + 1)):
-                if not 0 < right < n:
+                if not 0 < right < n or right in queued:
                     continue
-                gap = left_edge(right, t_e) \
-                    - (left_edge(left, t_e) + two_r * (end[left] - left)) - two_r
+                gap = (xl[right] + v[right] * (t_e - tr[right])) \
+                    - ((xl[left] + v[left] * (t_e - tr[left])) + two_r * (end[left] - left)) \
+                    - two_r
                 if gap <= tol_gap and v[left] > v[right]:
                     worklist.append((left, right))
+                    queued.add(right)
         for a in sorted(pre):
             if head[end[a]] != a:
                 continue  # absorbed at this instant
             b = end[a]
-            blocks, speeds = [], []
+            v_post = v[a]
+            blocks = []
             k = a
             while k <= b:
                 e, w = pre[k]
                 blocks.append((k, e))
-                speeds.append(w)
+                diffs.append(v_post - w)
+                reps.append(e + 1 - k)
                 k = e + 1
-            u_pre = np.repeat(speeds, [e + 1 - k for k, e in blocks])
-            events.append(MergeEvent(
-                time=float(t_e),
-                merged_blocks=tuple(blocks),
-                post_velocity=v[a],
-                x_left=float(xl[a]),
-                jump_values=-np.cumsum(v[a] - u_pre)[:-1] / n,
-            ))
+            reps[-1] -= 1  # the jumps of lo..hi drop the last entry of v_post - u_pre
+            records.append((t_e, tuple(blocks), v_post, xl[a]))
+            bounds.append(bounds[-1] + b - a)
             if a > 0:
                 push_candidate(head[a - 1], a, t_e)
             if b + 1 < n:
                 push_candidate(a, b + 1, t_e)
 
+    # jump_values = -cumsum(v_post - u_pre)[:-1] / n, bit for bit: a sequential
+    # cumsum over each event's own slice (one over the whole array would carry
+    # sums from one event into the next), then one negation and one division
+    jumps = np.repeat(np.array(diffs, dtype=float), reps)
+    for lo, hi in zip(bounds, bounds[1:]):
+        seg = jumps[lo:hi]
+        np.add.accumulate(seg, out=seg)
+    np.negative(jumps, out=jumps)
+    jumps /= n
+    jumps.flags.writeable = False
+    events = [MergeEvent(t, blocks, v_post, x_left, jumps[lo:hi])
+              for (t, blocks, v_post, x_left), lo, hi in zip(records, bounds, bounds[1:])]
     return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(), tuple(events), initial)
 
 

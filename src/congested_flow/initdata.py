@@ -19,7 +19,8 @@ from .cone import SpacingCone
 from .dynamics import _admissible
 from .errors import AdmissibilityError, InputDomainError
 from .piecewise import PiecewiseField, merge_breaks
-from .tolerances import MASS_TOL, SATURATED_SHEAR_TOL, SLOPE_RTOL, X_JUMP_TOL
+from .tolerances import MASS_TOL, QUANTILE_BREAK_ULPS, SATURATED_SHEAR_TOL, SLOPE_RTOL, \
+    X_JUMP_TOL
 
 __all__ = [
     "DensityPiece",
@@ -105,22 +106,25 @@ def rearrangement_from_density(pieces) -> PiecewiseField:
     return PiecewiseField(np.array(w), np.array(left), np.array(right))
 
 
-def _saturated_runs(x_map: PiecewiseField, u_map: PiecewiseField, slope_min: float = 1.0):
-    """Merged grid, U resampled on it, and the congested components (lo, hi).
+def _saturated_components(x: PiecewiseField, slope_min: float = 1.0):
+    """First and last cells (lows, highs) of the congested components of x.
 
-    A component is a maximal run of cells lo..hi where X has slope
+    A component is a maximal run of cells lo..hi where x has slope
     ``slope_min`` within relative SLOPE_RTOL and does not jump (by more than
-    X_JUMP_TOL): a jump of X is a vacuum gap, which splits two components.
+    X_JUMP_TOL): a jump of x is a vacuum gap, which splits two components.
     """
-    grid = merge_breaks(x_map.breaks, u_map.breaks)
-    x = x_map.resampled(grid)
-    u = u_map.resampled(grid)
     saturated = np.abs(x.slopes() - slope_min) <= SLOPE_RTOL * abs(slope_min)
     # joined[j]: cell j continues the run of cell j - 1
     joined = np.zeros(saturated.size + 1, dtype=bool)
     joined[1:-1] = saturated[1:] & saturated[:-1] & (np.abs(x.jumps()) <= X_JUMP_TOL)
-    lows = np.flatnonzero(saturated & ~joined[:-1])
-    highs = np.flatnonzero(saturated & ~joined[1:])
+    return np.flatnonzero(saturated & ~joined[:-1]), np.flatnonzero(saturated & ~joined[1:])
+
+
+def _saturated_runs(x_map: PiecewiseField, u_map: PiecewiseField, slope_min: float = 1.0):
+    """Merged grid, U resampled on it, and the congested components (lo, hi)."""
+    grid = merge_breaks(x_map.breaks, u_map.breaks)
+    u = u_map.resampled(grid)
+    lows, highs = _saturated_components(x_map.resampled(grid), slope_min)
     return grid, u, list(zip(lows.tolist(), highs.tolist()))
 
 
@@ -190,15 +194,32 @@ def quantile_sample(datum: MacroscopicDatum, n: int):
     """Sample n particles at the mass fractions i/n, i = 1..n.
 
     Returns (x0, u0, cone) with the canonical cone two_r = 1/n.  Gaps are
-    at least 1/n because the rearrangement has slope >= 1; pairs in exact
-    contact inherit equal velocities from the datum invariant (verified
-    post hoc, a mismatch raises AdmissibilityError).
+    at least 1/n because the rearrangement has slope >= 1.  Pairs in contact
+    lie on one saturated piece, whose velocity the datum invariant makes
+    constant.  A quantile within QUANTILE_BREAK_ULPS ulps of an end of a
+    saturated piece, where X0 is continuous, takes that piece's velocity
+    read at the end: the left-limit convention would give it the velocity of
+    the neighbouring piece while it touches a particle of the saturated one.
+    The sample is verified post hoc; a mismatch raises AdmissibilityError.
     """
     if n < 2:
         raise InputDomainError(f"need n >= 2 particles, got {n}")
     w = np.arange(1, n + 1) / n
-    x0 = datum.x0_map(w, side="left")
-    u0 = datum.u0_map(w, side="left")
+    xm, um = datum.x0_map, datum.u0_map
+    x0 = xm(w, side="left")
+    u0 = um(w, side="left")
+    lows, highs = _saturated_components(xm)
+    x_jumps = np.concatenate(([np.inf], xm.jumps(), [np.inf]))  # the ends 0 and 1 border no piece
+    snap = QUANTILE_BREAK_ULPS * np.finfo(float).eps
+    # the left-limit convention reads the wrong piece at w <= b for a
+    # saturated piece that starts at b, and at w > b for one that ends at b
+    for k, side in ((lows, "right"), (highs + 1, "left")):
+        b = xm.breaks[k]
+        i = np.rint(b * n).astype(int)
+        wi = i / n
+        near = (i >= 1) & (np.abs(x_jumps[k]) <= X_JUMP_TOL) & (np.abs(wi - b) <= snap) \
+            & ((wi <= b) if side == "right" else (wi > b))
+        u0[i[near] - 1] = um(b[near], side=side)
     cone = SpacingCone.canonical(n)
     x0, u0 = _admissible(x0, u0, cone)
     return x0, u0, cone

@@ -103,6 +103,11 @@ SLOPE_RTOL = 1e-10
 X_JUMP_TOL = 1e-12
 # absolute: velocity variation on a saturated piece of a datum
 SATURATED_SHEAR_TOL = 1e-12
+# ulps of 1, in mass: a quantile i/n this close to an end of a saturated piece
+# sits on that end.  A mass break is a cumulative sum of piece masses, so it
+# carries the rounding of that sum; on the random_contacts benchmark datum at
+# seeds 1-10 and n <= 10000, 2 ulps suffice and 1 does not
+QUANTILE_BREAK_ULPS = 4
 
 # -- the two-block selection and contraction scenarios ------------------------
 

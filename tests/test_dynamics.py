@@ -400,6 +400,15 @@ def _event_bits(e):
             e.jump_values.dtype, e.jump_values.tobytes())
 
 
+def _hit_chain(n, slack):
+    """A chain whose gaps close at t = 1, hit from the right at t = 0.999."""
+    cone = SpacingCone.canonical(n)
+    i = np.arange(n - 1.0)
+    x0 = np.append(i * (cone.two_r + slack), (n - 2) * (cone.two_r + slack) + cone.two_r + 0.999)
+    u0 = np.append(-i * slack, -(n - 2) * slack - 1.0)
+    return x0, u0, cone
+
+
 def _hostile_inputs():
     """Seeded sweep of inputs that stress the instant resolver."""
     rng = np.random.default_rng(2024)
@@ -408,6 +417,8 @@ def _hostile_inputs():
             for offset in (0.0, 1e3):
                 x0, u0, cone = random_admissible_datum(n, rng, contacts=contacts)
                 yield x0 + offset, u0, cone, 2.0
+                if n <= 300:
+                    yield x0 + offset, u0, cone, 0.0
     # integer gaps and velocities in {-1, -1/2, 0, 1/2, 1}: exact ties; then the
     # free gaps jittered by k * 1e-14, at the scale of EVENT_TIE_TOL
     speeds = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -417,21 +428,35 @@ def _hostile_inputs():
             x0 = np.concatenate(([0.0], np.cumsum(gaps)))
             starts = np.flatnonzero(np.concatenate(([True], gaps > 1.0)))
             u0 = np.repeat(rng.choice(speeds, starts.size), np.diff(np.append(starts, n)))
-            yield x0, u0, SpacingCone(n, 1.0), 6.0
+            for offset in (0.0, 1e6):
+                yield x0 + offset, u0, SpacingCone(n, 1.0), 6.0
             shift = np.where(gaps > 1.0, rng.integers(-3, 4, n - 1) * 1e-14, 0.0)
             yield x0 + np.concatenate(([0.0], np.cumsum(shift))), u0, SpacingCone(n, 1.0), 6.0
+    # runs of equal speed (zeros of both signs among them) and pairs moving
+    # apart beside closing pairs: only rel > 0 may become a first candidate
+    for n in (6, 50, 400):
+        x0 = np.concatenate(([0.0], np.cumsum(1.0 + rng.integers(1, 4, n - 1))))
+        u0 = np.repeat(rng.choice([-1.0, -0.0, 0.0, 1.0], n // 2 + 1), 2)[:n]
+        for horizon in (0.0, 1.5, 6.0):
+            yield x0, u0, SpacingCone(n, 1.0), horizon
     for n in (5, 64, 1024):
         x0 = 2.0 * np.arange(n)
-        yield x0, -x0, SpacingCone(n, 1.0), 2.0  # n-way compression, every gap closes at t = 1
-        yield x0, x0[::-1].copy(), SpacingCone(n, 1.0), 2.0
-        # a chain whose gaps close at t = 1, hit from the right at t = 0.999 while
-        # every gap sits within the contact tolerance: the merge cascades leftwards
-        cone = SpacingCone.canonical(n)
-        i = np.arange(n - 1.0)
-        x0 = np.append(i * (cone.two_r + 1e-11), (n - 2) * (cone.two_r + 1e-11) + cone.two_r + 0.999)
-        u0 = np.append(-i * 1e-11, -(n - 2) * 1e-11 - 1.0)
+        for offset in (0.0, 1e6):
+            # n-way compression, every gap closes at t = 1
+            yield x0 + offset, -x0, SpacingCone(n, 1.0), 2.0
+            yield x0 + offset, x0[::-1].copy(), SpacingCone(n, 1.0), 2.0
+        # every gap within the contact tolerance: the merge cascades leftwards
+        x0, u0, cone = _hit_chain(n, 1e-11)
         yield x0, u0, cone, 2.0
         yield -x0[::-1], -u0[::-1], cone, 2.0  # its mirror image, hit from the left
+        # at offset 1e6 the contact tolerance exceeds 1e-11, so a wider slack
+        x0, u0, cone = _hit_chain(n, 1e-7)
+        for horizon in (0.0, 2.0):
+            yield x0 + 1e6, u0, cone, horizon
+            yield -x0[::-1] + 1e6, -u0[::-1], cone, horizon
+    # the shipped smooth compression datum: all 8191 pairs tie at t = 0.5
+    datum = load_config(str(CONFIGS / "smooth_compression.json"))["_datum"]
+    yield *quantile_sample(datum, 8192), 1.0
 
 
 def test_evolve_matches_id_union_find_reference_bitwise():
@@ -442,7 +467,28 @@ def test_evolve_matches_id_union_find_reference_bitwise():
         assert [_event_bits(e) for e in got] == [_event_bits(e) for e in ref]
         n_events += len(ref)
         widest = max([widest] + [len(e.merged_blocks) for e in ref])
-    assert n_events > 1000 and widest == 1024
+    assert n_events > 1000 and widest == 8192
+
+
+def _jump_case(name):
+    if name == "n_way_chain":
+        x0 = 2.0 * np.arange(1024)
+        return x0, -x0, SpacingCone(1024, 1.0), 2.0
+    seed = int(name.split("_")[-1])
+    return (*random_admissible_datum(300, np.random.default_rng(seed), contacts=True), 1.0)
+
+
+@pytest.mark.parametrize("name", ["contacts_seed_0", "contacts_seed_5", "contacts_seed_22",
+                                  "n_way_chain"])
+def test_jump_values_are_the_replayed_velocity_jumps_and_read_only(name):
+    tl = evolve(*_jump_case(name))
+    assert tl.events
+    for cur in tl.replay():
+        e = cur.event
+        assert _same_bits(e.jump_values, -np.cumsum(e.post_velocity - cur.u_pre)[:-1] / tl.n)
+        assert not e.jump_values.flags.writeable
+        with pytest.raises(ValueError):
+            e.jump_values[0] = 0.0
 
 
 def test_multipliers_zero_before_any_collision():

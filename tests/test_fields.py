@@ -212,6 +212,14 @@ def test_pressure_storage_is_linear_in_n_plus_merged_size():
     assert traced_peak(lambda: verify_discrete_pde(trace)) <= BYTES_PER_UNIT * units
 
 
+def test_evolve_memory_is_linear_in_n_plus_merged_size():
+    # the event records and their jumps may hold O(n + merged size), never a
+    # per-event copy of anything of size n
+    random_contacts_run(50)  # one-time allocations stay unmeasured
+    tl, units = random_contacts_run(2000)
+    assert traced_peak(lambda: evolve(tl.x0, tl.u0, tl.cone, 1.0)) <= BYTES_PER_UNIT * units
+
+
 def test_wasserstein_modulus_memory_is_linear_in_n_plus_merged_size():
     # a list of full snapshots, one per event in (s, t], costs n * events; the
     # window holds the last 300 events, whose list alone would be 3x the bound

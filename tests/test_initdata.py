@@ -1,8 +1,13 @@
 """Rearrangement, quantile sampling and discretization convergence."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import validate_initial
 from congested_flow.errors import AdmissibilityError, InputDomainError
@@ -15,6 +20,9 @@ from congested_flow.initdata import (
     rearrangement_from_density,
 )
 from congested_flow.piecewise import PiecewiseField
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def constant_velocity(c: float) -> PiecewiseField:
@@ -89,6 +97,29 @@ def test_quantile_sample_two_particles():
     assert x0[1] - x0[0] == pytest.approx(cone.two_r)
     with pytest.raises(InputDomainError):
         quantile_sample(datum, 1)
+
+
+def random_contacts_datum(seed, tmp_path):
+    """The benchmark's random_contacts datum, from perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "random_contacts.json"
+    path.write_text(json.dumps(workloads.workload_config(ROOT, "random_contacts", seed)))
+    return load_config(str(path))["_datum"]
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_quantile_sample_is_admissible_at_every_n(seed, tmp_path):
+    # the workload puts its breaks off the quantiles of its own n values
+    # only; elsewhere a quantile may lie within an ulp of an end of a
+    # saturated piece (seed 1: n = 1600, 3200, ..., 9600; seed 3: n = 128,
+    # 192, 256, ...), where the left-limit convention gave it the velocity of
+    # the piece beside while it touched a particle of the saturated one
+    datum = random_contacts_datum(seed, tmp_path)
+    ns = list(range(2, 2001)) + ([3200, 4800, 6400, 8000, 9600] if seed == 1 else [])
+    for n in ns:
+        quantile_sample(datum, n)  # raises AdmissibilityError on an inadmissible sample
 
 
 def test_mass_between_consecutive_samples():
