@@ -55,7 +55,10 @@ __all__ = [
     "max_slope_ratio",
     "verify_oleinik",
     "verify_semigroup",
+    "restart_check",
     "verify_estimates",
+    "EventRecord",
+    "worst_of",
     "active_set_monotone",
 ]
 
@@ -440,11 +443,14 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
 class EventTimeline:
     """Full piecewise-linear-in-time solution: initial state plus merge events.
 
-    Raises InvariantViolationError unless the event times are nondecreasing
-    inside [0, horizon] and no multiplier jump lies below the floor
-    -JUMP_FLOOR_RTOL * (1 + max|u0|); both take one vectorised pass over the
-    events.  Whether each event covers whole current blocks depends on the
-    running partition, so ``replay`` checks that.
+    Raises InvariantViolationError unless every event time, post velocity,
+    left edge and multiplier jump is finite, the event times are
+    nondecreasing inside [0, horizon] and no jump lies below the floor
+    -JUMP_FLOOR_RTOL * (1 + max|u0|); all of it takes one vectorised pass
+    over the events (a NaN passes every comparison with the floor, so
+    finiteness is checked on its own).  Whether each event covers whole
+    current blocks depends on the running partition, so ``replay`` checks
+    that.
     """
 
     cone: SpacingCone
@@ -455,14 +461,21 @@ class EventTimeline:
     initial: MicroState
 
     def __post_init__(self):
+        if not self.events:
+            return
         times = self.event_times()
-        if times.size and not (times[0] >= 0.0 and times[-1] <= self.horizon
-                               and np.all(times[1:] >= times[:-1])):
+        edges = np.array([e.post_velocity for e in self.events]
+                         + [e.x_left for e in self.events], dtype=float)
+        jumps = np.concatenate([e.jump_values for e in self.events])
+        if not all(np.all(np.isfinite(a)) for a in (times, edges, jumps)):
+            raise InvariantViolationError(
+                "an event carries a non-finite time, post velocity, left edge or jump")
+        if not (times[0] >= 0.0 and times[-1] <= self.horizon
+                and np.all(times[1:] >= times[:-1])):
             raise InvariantViolationError(
                 "event times must be nondecreasing inside [0, horizon]")
-        jumps = [e.jump_values for e in self.events if e.jump_values.size]
-        if jumps:
-            lowest = float(np.concatenate(jumps).min())
+        if jumps.size:
+            lowest = float(jumps.min())
             floor = -JUMP_FLOOR_RTOL * _scale(self.u0)
             if lowest < floor:
                 raise InvariantViolationError(
@@ -488,17 +501,22 @@ class EventTimeline:
         for cur in self.replay(times):
             yield cur.state()
 
-    def replay(self, times=None):
+    def replay(self, times=None, every_event: bool | None = None):
         """The one pass that applies the events to running state.
 
         Yields one ``ReplayCursor``, updated in place: at each query instant of
         ``times`` (ascending, inside [0, horizon]) once the events at or before
-        it are applied, or, without ``times``, after every event.  The event
-        step sets the block-start mask and the left edge, reference time and
-        velocity at the merged block's start: O(1) plus ``_merge``'s O(merged
-        range).  Raises InvariantViolationError if an event does not cover
-        whole current blocks.
+        it are applied, and after every event if ``every_event`` (the default
+        without ``times``).  A cursor at a query instant has ``event`` None;
+        with both, the events up to a query instant come before it, and events
+        after the last one are not applied.  The event step sets the
+        block-start mask and the left edge, reference time and velocity at the
+        merged block's start: O(1) plus ``_merge``'s O(merged range).  Raises
+        InvariantViolationError if an event does not cover whole current
+        blocks.
         """
+        if every_event is None:
+            every_event = times is None
         if times is not None:
             times = [float(t) for t in times]
             if any(t < 0.0 or t > self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
@@ -518,11 +536,11 @@ class EventTimeline:
                         "of current blocks")
                 x_left[lo], t_ref[lo], v[lo] = e.x_left, e.time, e.post_velocity
                 ev += 1
-                if times is None:
+                if every_event:
                     cur.time, cur.event, cur.count = e.time, e, ev
                     yield cur
             if times is not None:
-                cur.time, cur.count = t, ev
+                cur.time, cur.event, cur.count = t, None, ev
                 yield cur
 
 
@@ -592,6 +610,92 @@ class ReplayCursor:
         return self._lam
 
 
+def _flat(arrays: list) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0)
+
+
+class EventRecord:
+    """What one replay reads of each event, laid out flat for vectorised checks.
+
+    ``add`` takes the cursor just after an event and ``close`` lays the
+    slices out; ``of`` runs a replay of its own.  Per event that costs the
+    cursor's u and lam updates, one copy of a lam slice,
+    ``MergeEvent.positions`` and np.dot(u_pre, u_pre), the one reduction
+    kept per event because the energy recursion reads its bits.  Every other
+    statistic of the checks is one vectorised pass over the flat arrays.
+
+    Event k covers entries ``off[k]:off[k + 1]`` of the per-particle arrays,
+    ``sizes[k]`` = hi - lo + 1 of them, one per particle ``index`` of its
+    range lo..hi: ``u_pre`` (u just before the event) and ``x`` (the
+    event's positions).  ``inner`` marks the entries whose right neighbour
+    is in the same range, one per contact lo+1..hi, so ``jumps`` (every
+    event's jumps, concatenated) aligns with its true entries.  ``lam`` holds lam on max(lo - 1, 0) .. min(hi + 2, n)
+    just after each event, slice k from ``lam_off[k]``, and ``lam_base`` is
+    the flat index in it of lam[index] after the entry's event.  O(n + sum
+    of merged range sizes) memory.
+    """
+
+    def __init__(self, timeline: EventTimeline):
+        self.timeline = timeline
+        self.dots: list[float] = []
+        self._lo: list[int] = []
+        self._hi: list[int] = []
+        self._u_pre: list[np.ndarray] = []
+        self._x: list[np.ndarray] = []
+        self._lam: list[np.ndarray] = []
+
+    @classmethod
+    def of(cls, timeline: EventTimeline) -> "EventRecord":
+        rec = cls(timeline)
+        for cur in timeline.replay():
+            rec.add(cur)
+        return rec.close()
+
+    def add(self, cur: "ReplayCursor") -> None:
+        e = cur.event
+        lo, hi = e.index_range
+        n = self.timeline.n
+        seg = cur.u_pre  # a fresh copy per event, which the cursor never writes again
+        self._lo.append(lo)
+        self._hi.append(hi)
+        self._u_pre.append(seg)
+        self.dots.append(float(np.dot(seg, seg)))
+        self._lam.append(cur.lam[max(lo - 1, 0):min(hi + 2, n) + 1].copy())
+        self._x.append(e.positions(self.timeline.cone.two_r))
+
+    def close(self) -> "EventRecord":
+        events = self.timeline.events[:len(self.dots)]
+        self.lo = np.array(self._lo, dtype=np.intp)
+        self.hi = np.array(self._hi, dtype=np.intp)
+        self.times = np.array([e.time for e in events], dtype=float)
+        self.post = np.array([e.post_velocity for e in events], dtype=float)
+        self.sizes = m = self.hi - self.lo + 1
+        self.off = np.concatenate(([0], np.cumsum(m)))
+        first = np.repeat(self.off[:-1], m)
+        local = np.arange(self.off[-1]) - first
+        self.index = np.repeat(self.lo, m) + local
+        self.inner = local < np.repeat(m - 1, m)
+        self.u_pre = _flat(self._u_pre)
+        self.x = _flat(self._x)
+        self.jumps = _flat([e.jump_values for e in events])
+        self.lam = _flat(self._lam)
+        self.lam_off = np.concatenate(([0], np.cumsum([a.size for a in self._lam],
+                                                       dtype=np.intp)))
+        lam_first = self.lam_off[:-1] + self.lo - np.maximum(self.lo - 1, 0)
+        self.lam_base = np.repeat(lam_first, m) + local
+        del self._u_pre, self._x, self._lam
+        return self
+
+
+def worst_of(values, default: float = 0.0) -> float:
+    """Largest of ``values``, NaN if any is NaN, ``default`` without values.
+
+    Python's ``max`` and a running max(a, b) drop a NaN that does not come
+    first, so a NaN residual would pass its check; this fold keeps it.
+    """
+    return float(np.max(np.asarray(values, dtype=float), initial=default))
+
+
 def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
     """Multipliers lam[0..n] of a state: lam[i] = lam[i-1] - (u_i - u0_i)/n.
 
@@ -648,61 +752,69 @@ def verify_oleinik(state: MicroState) -> CheckReport:
 
 def verify_semigroup(timeline: EventTimeline, s: float, t: float) -> CheckReport:
     """Restarting from x(s), u(s) must reproduce x(t) and the cluster means,
-    within TOL_SEMIGROUP.
-
-    The restart projects over the clusters of x(s), which the replay
-    builds rigid, so their spread after translation is rounding only.
+    within TOL_SEMIGROUP: ``restart_check`` on the replay's states at s and t.
     """
     if not (0.0 <= s < t <= timeline.horizon):
         raise InputDomainError("need 0 <= s < t <= horizon")
-    st_s, st_t = timeline.states_at([s, t])
-    z, _ = projection_blocks(timeline.cone, st_s.positions + (t - s) * st_s.velocities,
-                             st_s.starts)
-    expect = _cluster_state(t, z, st_s.velocities, st_t.starts, timeline.cone)
+    return restart_check(*timeline.states_at([s, t]))
+
+
+def restart_check(st_s: MicroState, st_t: MicroState) -> CheckReport:
+    """The restart identity between two states of one timeline, s < t.
+
+    The restart projects x(s) + (t - s) u(s) over the clusters of x(s),
+    which the replay builds rigid, so their spread after translation is
+    rounding only; it must reproduce x(t), and its cluster means of u(s)
+    over the clusters of x(t) must reproduce u(t).
+    """
+    s, t, cone = st_s.time, st_t.time, st_s.cone
+    z, _ = projection_blocks(cone, st_s.positions + (t - s) * st_s.velocities, st_s.starts)
+    expect = _cluster_state(t, z, st_s.velocities, st_t.starts, cone)
     pos_err = float(np.max(np.abs(expect.positions - st_t.positions)))
     vel_err = float(np.max(np.abs(expect.velocities - st_t.velocities)))
-    err = max(pos_err, vel_err)
+    err = worst_of((pos_err, vel_err))
     return CheckReport("semigroup", err <= TOL_SEMIGROUP, err, TOL_SEMIGROUP,
                        f"pos={pos_err:.3e}, vel={vel_err:.3e} at (s={s}, t={t})")
 
 
-def verify_estimates(timeline: EventTimeline) -> dict:
-    """Energy dissipation and sup bounds along the whole timeline, on one replay.
+def verify_estimates(timeline: EventTimeline, record: EventRecord | None = None) -> dict:
+    """Energy dissipation and sup bounds along the whole timeline.
 
     Passes iff the rescaled kinetic energy is nonincreasing across events,
     never exceeds its initial value (both within ``energy_tolerance``), and
     all multiplier statistics are finite.  Sup statistics track every value
-    the multipliers ever take (they change only at events).
+    the multipliers ever take (they change only at events): lam on lo..hi+1
+    and its increments on max(lo - 1, 0)..min(hi + 2, n) after each event,
+    in one vectorised pass over ``record`` (a replay's ``EventRecord``, made
+    here if not given).  A NaN anywhere fails the check.
     """
+    rec = record if record is not None else EventRecord.of(timeline)
     n = timeline.n
     u = timeline.initial.velocities
     energy = [float(np.dot(u, u) / n)]
-    sup_u = float(np.max(np.abs(u))) if n else 0.0
-    sup_nlam = sup_njump = 0.0
     tol = ENERGY_RTOL * (1.0 + energy[0])
     monotone = True
-    for cur in timeline.replay():
-        e = cur.event
-        lo, hi = e.index_range
-        seg = cur.u_pre
+    for e, size, dot in zip(timeline.events, rec.sizes.tolist(), rec.dots):
         e_pre = energy[-1]
-        e_post = e_pre + (seg.size * e.post_velocity ** 2 - float(np.dot(seg, seg))) / n
-        if e_post > e_pre + tol:
+        e_post = e_pre + (size * e.post_velocity ** 2 - dot) / n
+        if not e_post <= e_pre + tol:
             monotone = False
-        lam = cur.lam
-        sup_nlam = max(sup_nlam, n * float(np.max(np.abs(lam[lo:hi + 2]))))
-        dloc = np.diff(lam[max(lo - 1, 0):min(hi + 2, n) + 1])
-        if dloc.size:
-            sup_njump = max(sup_njump, n * float(np.max(np.abs(dloc))))
-        sup_u = max(sup_u, abs(e.post_velocity))
         energy.append(e_post)
+    lam = rec.lam
+    last = rec.lam_base[rec.off[1:] - 1] + 1  # lam[hi + 1] after each event
+    sup_nlam = n * worst_of(np.abs(lam[np.concatenate((rec.lam_base, last))]))
+    step = np.abs(lam[1:] - lam[:-1])
+    inside = np.ones(step.size, dtype=bool)
+    inside[rec.lam_off[1:-1] - 1] = False  # no increment across two events' slices
+    sup_njump = n * worst_of(step[inside])
+    sup_u = worst_of(np.abs(np.concatenate((u, rec.post))))
     bounded = np.isfinite(sup_u) and np.isfinite(sup_nlam) and np.isfinite(sup_njump)
     passed = monotone and bounded and energy[-1] <= energy[0] + tol
     return {
         "passed": bool(passed),
         "energy_sequence": energy,
         "sup_velocity": sup_u,
-        "sup_velocity_l2": float(np.sqrt(max(energy))),
+        "sup_velocity_l2": float(np.sqrt(worst_of(energy))),
         "sup_n_lambda": sup_nlam,
         "sup_n_lambda_jump": sup_njump,
         "initial_energy": energy[0],

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EventTimeline, MergeEvent, MicroState, evolve, max_slope_ratio, \
-    pressure_measure
+from .dynamics import EventRecord, EventTimeline, MergeEvent, MicroState, evolve, \
+    max_slope_ratio, pressure_measure, worst_of
 from .errors import InputDomainError
 from .initdata import MacroscopicDatum, quantile_sample
-from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks
+from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks, \
+    sorted_distinct
 from .tolerances import DISCRETE_PDE_TOL, GRADIENT_L1_ATOL, GRADIENT_L1_RTOL
 
 __all__ = [
@@ -101,7 +102,7 @@ class FieldTrace:
         self.two_r = timeline.cone.two_r
         self.w_grid = np.arange(self.n + 1) / self.n
         grid = np.concatenate(([0.0], timeline.event_times(), [timeline.horizon]))
-        self.times = np.unique(grid[(grid >= 0.0) & (grid <= timeline.horizon)])
+        self.times = sorted_distinct(grid[(grid >= 0.0) & (grid <= timeline.horizon)])
 
     def jump_profile(self, e: MergeEvent) -> np.ndarray:
         """Dense multiplier jump lam[0..n] of one event on the mass grid: O(n)."""
@@ -153,7 +154,7 @@ def build_fields(timeline: EventTimeline, padding: DeltaPadding = DeltaPadding()
     return FieldTrace(timeline, padding)
 
 
-def verify_discrete_pde(trace: FieldTrace) -> dict:
+def verify_discrete_pde(trace: FieldTrace, record: EventRecord | None = None) -> dict:
     """Residuals of the interpolated evolution system, event by event, within
     DISCRETE_PDE_TOL.
 
@@ -164,32 +165,36 @@ def verify_discrete_pde(trace: FieldTrace) -> dict:
     against the position slope) must vanish on every cell.
 
     Between events u and lam are constant in time, and an event changes them
-    only on its merged range lo..hi.  So the order-1 residual is checked once
-    over all n entries with lam = 0, then on lo..hi after each event of one
-    replay, which keeps u and lam.  lam is zero off the contacts, and inside
-    a cluster the position slope is n * two_r at every instant up to
+    only on its merged range lo..hi, where u becomes its post velocity.  So
+    the order-1 residual is checked once over all n entries with lam = 0,
+    then on lo..hi after each event.  lam is zero off the contacts, and
+    inside a cluster the position slope is n * two_r at every instant up to
     rounding; so the multiplier exclusion is checked on the contacts
-    lo+1..hi of each event against the slopes of the event's positions.
-    O(n + sum of merged range sizes) in all; no state or snapshot is built.
+    lo+1..hi of each event against the slopes of the event's positions
+    (``MergeEvent.positions``).  All of it is one vectorised pass over
+    ``record``, a replay's ``EventRecord`` (made here if not given): O(n +
+    sum of merged range sizes), with no state or snapshot built.  A NaN
+    residual fails the check.
     """
+    timeline = trace.timeline
+    rec = record if record is not None else EventRecord.of(timeline)
     n = trace.n
-    u0 = trace.timeline.u0
-    slope_min = trace.slope_min
-    order1 = float(np.max(np.abs(trace.timeline.initial.velocities - u0)))
-    order2 = compl = atom_compl = 0.0
-    for cur in trace.timeline.replay():
-        e = cur.event
-        lo, hi = e.index_range
-        jump_grad = np.diff(e.jump_values, prepend=0.0, append=0.0)
-        resid = (e.post_velocity - cur.u_pre) + n * jump_grad
-        order2 = max(order2, float(np.max(np.abs(resid))))
-        u, lam = cur.u, cur.lam
-        resid = u[lo:hi + 1] - (u0[lo:hi + 1] - n * np.diff(lam[lo:hi + 2]))
-        order1 = max(order1, float(np.max(np.abs(resid))))
-        slack = n * np.diff(e.positions(trace.two_r)) - slope_min
-        compl = max(compl, float(np.max(np.abs(slack * lam[lo + 1:hi + 1]))))
-        atom_compl = max(atom_compl, float(np.max(np.abs(slack * e.jump_values))))
-    passed = max(order1, compl, order2, atom_compl) <= DISCRETE_PDE_TOL
+    order1 = worst_of(np.abs(timeline.initial.velocities - timeline.u0))
+    post = np.repeat(rec.post, rec.sizes)
+    # the jumps of each range padded with a 0 on either side, differenced
+    padded = np.zeros(rec.inner.size)
+    padded[rec.inner] = rec.jumps
+    before = np.zeros_like(padded)
+    before[1:] = padded[:-1]
+    before[rec.off[:-1]] = 0.0
+    order2 = worst_of(np.abs((post - rec.u_pre) + n * (padded - before)))
+    lam, base = rec.lam, rec.lam_base
+    resid = post - (timeline.u0[rec.index] - n * (lam[base + 1] - lam[base]))
+    order1 = worst_of((order1, worst_of(np.abs(resid))))
+    slack = n * (rec.x[1:] - rec.x[:-1])[rec.inner[:-1]] - trace.slope_min
+    compl = worst_of(np.abs(slack * lam[base[rec.inner] + 1]))
+    atom_compl = worst_of(np.abs(slack * rec.jumps))
+    passed = worst_of((order1, compl, order2, atom_compl)) <= DISCRETE_PDE_TOL
     return {
         "passed": bool(passed),
         "order1_max_residual": order1,

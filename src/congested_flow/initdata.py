@@ -18,7 +18,7 @@ import numpy as np
 from .cone import SpacingCone
 from .dynamics import _admissible
 from .errors import AdmissibilityError, InputDomainError
-from .piecewise import PiecewiseField, merge_breaks
+from .piecewise import PiecewiseField, merge_breaks, sorted_distinct
 from .tolerances import MASS_TOL, QUANTILE_BREAK_ULPS, SATURATED_SHEAR_TOL, SLOPE_RTOL, \
     X_JUMP_TOL
 
@@ -181,7 +181,7 @@ def datum_from_eulerian(density_pieces, velocity_x: PiecewiseField) -> Macroscop
     x0_map = rearrangement_from_density(density_pieces)
     cdf = cdf_from_density(density_pieces)
     pulled = np.array([cdf(b) for b in velocity_x.breaks])
-    wb = np.unique(np.concatenate((x0_map.breaks, np.clip(pulled, 0.0, 1.0))))
+    wb = sorted_distinct(np.concatenate((x0_map.breaks, np.clip(pulled, 0.0, 1.0))))
     wb = wb[(wb >= 0.0) & (wb <= 1.0)]
     x_res = x0_map.resampled(wb)
     u_left = velocity_x(x_res.left, side="right")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputDomainError
 
 __all__ = ["NodeResampling", "PiecewiseField", "Resampling", "l2_norm_of_pieces",
-           "merge_breaks"]
+           "merge_breaks", "sorted_distinct"]
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,27 @@ class PiecewiseField:
         return (self - other).norm(which)
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` of finite float input.
+
+    One sort and a mask of the entries that differ from their left
+    neighbour, which is the sort path ``np.unique`` takes for floats, so
+    signed zeros come out alike.  ``np.unique`` itself first asks
+    ``np.ma.is_masked``, whose first call imports ``numpy.ma``.
+    """
+    ordered = np.sort(np.asarray(values, dtype=float), axis=None)
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def merge_breaks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted union of two breakpoint sets sharing the same endpoints."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a[0] != b[0] or a[-1] != b[-1]:
         raise InputDomainError("fields live on different intervals")
-    grid = np.union1d(a, b)
-    return grid
+    return sorted_distinct(np.concatenate((a, b)))
 
 
 def l2_norm_of_pieces(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

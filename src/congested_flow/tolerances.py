@@ -127,14 +127,16 @@ ANALYTIC_TOL = 1e-12
 CONTRACTION_TOL = 1e-12
 
 
-def contact_tol(x: np.ndarray) -> float:
+def contact_tol(x: np.ndarray, axis: int | None = None):
     """Contact tolerance of positions x: a gap within it of two_r is a contact.
 
     CONTACT_RTOL * (1 + (max x - min x)) + CONTACT_ULPS * eps * max|x|.  The
     first term depends on differences of positions only and the second is the
     rounding of a gap at their magnitude, so translating x changes the
-    decision only through that rounding.
+    decision only through that rounding.  With ``axis``, one tolerance per
+    slice along it, as an array.
     """
-    span = float(np.max(x)) - float(np.min(x))
-    return (CONTACT_RTOL * (1.0 + span)
-            + CONTACT_ULPS * float(np.finfo(float).eps) * float(np.max(np.abs(x))))
+    span = np.max(x, axis=axis) - np.min(x, axis=axis)
+    tol = (CONTACT_RTOL * (1.0 + span)
+           + CONTACT_ULPS * float(np.finfo(float).eps) * np.max(np.abs(x), axis=axis))
+    return float(tol) if axis is None else tol

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError
-from .piecewise import PiecewiseField
+from .piecewise import PiecewiseField, sorted_distinct
 from .testfunctions import TestFunction
 
 __all__ = [
@@ -95,8 +95,8 @@ def _affine_roots(w0, w1, f0, f1, target):
 def _gl_nodes(w0, w1, x0, x1, xknots):
     """Gauss-Legendre nodes and weights on (w0, w1), cut where the affine map
     through (w0, x0), (w1, x1) crosses a knot."""
-    cuts = np.unique([w0, w1] + [r for k in xknots
-                                 if (r := _affine_roots(w0, w1, x0, x1, k)) is not None])
+    cuts = sorted_distinct([w0, w1] + [r for k in xknots
+                                         if (r := _affine_roots(w0, w1, x0, x1, k)) is not None])
     h = np.diff(cuts)[:, None] / 2.0
     mid = (cuts[1:] + cuts[:-1])[:, None] / 2.0
     return (mid + h * _GL_NODES).ravel(), (h * _GL_WEIGHTS).ravel()
@@ -212,8 +212,8 @@ class LagrangianWeakForm:
         total = 0.0
         pos = atom.position
         for w_lo, w_hi, coeffs in atom.profile:
-            grid = np.unique(np.clip(pos.breaks, w_lo, w_hi))
-            grid = np.unique(np.concatenate((grid, [w_lo, w_hi])))
+            grid = sorted_distinct(np.clip(pos.breaks, w_lo, w_hi))
+            grid = sorted_distinct(np.concatenate((grid, [w_lo, w_hi])))
             for w0, w1 in zip(grid, grid[1:]):
                 if w1 <= w0:
                     continue

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -534,3 +537,26 @@ def test_simulate_csvs_equal_the_per_row_export(tmp_path, monkeypatch, case):
         assert atoms == ["t_event,x_left,x_right,pressure_lineal_density"]
     if case == "simultaneous":
         assert [line.split(",")[0] for line in atoms[1:]] == ["0.125", "0.125"]
+
+
+def test_load_config_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique asks np.ma.is_masked, whose first call imports numpy.ma, about
+    # as long as the rest of load_config in a fresh process
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys, json\n"
+        "sys.path.insert(0, sys.argv[1] + '/perfbench')\n"
+        "from pathlib import Path\n"
+        "import workloads\n"
+        "from congested_flow.cli import load_config\n"
+        "for c in ('two_block', 'smooth_compression'):\n"
+        "    load_config(sys.argv[1] + f'/configs/{c}.json')\n"
+        "for name in workloads.WORKLOADS:\n"
+        "    p = workloads.write_config(Path(sys.argv[1]), name, 1,\n"
+        "                               Path(sys.argv[2]) / f'{name}.json')\n"
+        "    load_config(str(p))\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", code, str(root), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -756,6 +756,61 @@ def test_timeline_rejects_a_jump_below_the_floor():
         EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
 
 
+@pytest.mark.parametrize("entry", ["first_jump", "last_jump", "post_velocity", "x_left",
+                                   "time"])
+def test_timeline_rejects_a_non_finite_event_entry(entry):
+    # a NaN passes every comparison with the floor and the ordering test, so
+    # the constructor checks finiteness on its own
+    x0, u0, cone = random_admissible_datum(60, np.random.default_rng(3), contacts=True)
+    tl = evolve(x0, u0, cone, 3.0)
+    assert len(tl.events) == 34
+    events = list(tl.events)
+    k = -1 if entry == "last_jump" else 0
+    e = events[k]
+    if entry.endswith("jump"):
+        jumps = e.jump_values.copy()
+        jumps[0] = np.nan
+        events[k] = dataclasses.replace(e, jump_values=jumps)
+    else:
+        events[k] = dataclasses.replace(e, **{entry: np.inf if entry == "x_left" else np.nan})
+    with pytest.raises(InvariantViolationError, match="non-finite"):
+        EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
+
+
+def estimates_reference(tl):
+    """Reference: verify_estimates' per-event loop on the replay, numpy per event."""
+    n = tl.n
+    u = tl.initial.velocities
+    energy = [float(np.dot(u, u) / n)]
+    sup_u = float(np.max(np.abs(u)))
+    sup_nlam = sup_njump = 0.0
+    for cur in tl.replay():
+        e = cur.event
+        lo, hi = e.index_range
+        seg = cur.u_pre
+        energy.append(energy[-1] + (seg.size * e.post_velocity ** 2
+                                    - float(np.dot(seg, seg))) / n)
+        lam = cur.lam
+        sup_nlam = max(sup_nlam, n * float(np.max(np.abs(lam[lo:hi + 2]))))
+        dloc = np.diff(lam[max(lo - 1, 0):min(hi + 2, n) + 1])
+        if dloc.size:
+            sup_njump = max(sup_njump, n * float(np.max(np.abs(dloc))))
+        sup_u = max(sup_u, abs(e.post_velocity))
+    return energy, sup_u, sup_nlam, sup_njump
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_flat_estimates_equal_the_per_event_loop(seed):
+    x0, u0, cone = random_admissible_datum(150, np.random.default_rng(seed), contacts=True)
+    tl = evolve(x0, u0, cone, 3.0)
+    est = verify_estimates(tl)
+    energy, sup_u, sup_nlam, sup_njump = estimates_reference(tl)
+    assert est["passed"] and len(energy) > 50
+    assert est["energy_sequence"] == energy
+    assert (est["sup_velocity"], est["sup_n_lambda"], est["sup_n_lambda_jump"]) == \
+        (sup_u, sup_nlam, sup_njump)
+
+
 def estimates_loop(tl):
     """Reference: the dense per-event loop of verify_estimates before the replay.
 

@@ -434,3 +434,46 @@ def test_resampling_preserves_norms_exactly():
     for which in ("L1", "L2", "Linf"):
         assert resampled.norm(which) == pytest.approx(field.norm(which), rel=1e-13)
     assert resampled.integral() == pytest.approx(field.integral(), rel=1e-13)
+
+
+def discrete_pde_reference(trace):
+    """Reference: verify_discrete_pde's per-event loop on the replay, numpy per event."""
+    n, u0 = trace.n, trace.timeline.u0
+    order1 = float(np.max(np.abs(trace.timeline.initial.velocities - u0)))
+    order2 = compl = atom_compl = 0.0
+    for cur in trace.timeline.replay():
+        e = cur.event
+        lo, hi = e.index_range
+        jump_grad = np.diff(e.jump_values, prepend=0.0, append=0.0)
+        order2 = max(order2, float(np.max(np.abs((e.post_velocity - cur.u_pre)
+                                                 + n * jump_grad))))
+        u, lam = cur.u, cur.lam
+        resid = u[lo:hi + 1] - (u0[lo:hi + 1] - n * np.diff(lam[lo:hi + 2]))
+        order1 = max(order1, float(np.max(np.abs(resid))))
+        slack = n * np.diff(e.positions(trace.two_r)) - trace.slope_min
+        compl = max(compl, float(np.max(np.abs(slack * lam[lo + 1:hi + 1]))))
+        atom_compl = max(atom_compl, float(np.max(np.abs(slack * e.jump_values))))
+    return order1, order2, compl, atom_compl
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_flat_discrete_pde_equals_the_per_event_loop(seed):
+    x0, u0, cone = random_admissible_datum(150, np.random.default_rng(seed), contacts=True)
+    trace = build_fields(evolve(x0, u0, cone, 3.0))
+    rep = verify_discrete_pde(trace)
+    assert rep["passed"] and len(trace.timeline.events) > 50
+    assert (rep["order1_max_residual"], rep["order2_max_residual"],
+            rep["multiplier_exclusion_max"], rep["atom_exclusion_max"]) == \
+        discrete_pde_reference(trace)
+
+
+def test_sorted_distinct_equals_np_unique():
+    rng = np.random.default_rng(11)
+    cases = [np.array([0.0]), np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, 0.0, 1.0]),
+             rng.integers(-5, 5, 200).astype(float), rng.normal(size=300),
+             np.repeat(rng.normal(size=7), 9), np.arange(1, 65) / 64]
+    for values in cases:
+        for v in (values, rng.permutation(values)):
+            want = np.unique(v)
+            got = piecewise.sorted_distinct(v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

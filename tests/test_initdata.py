@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
@@ -118,6 +119,54 @@ def test_quantile_sample_is_admissible_at_every_n(seed, tmp_path):
     # the piece beside while it touched a particle of the saturated one
     datum = random_contacts_datum(seed, tmp_path)
     ns = list(range(2, 2001)) + ([3200, 4800, 6400, 8000, 9600] if seed == 1 else [])
+    for n in ns:
+        quantile_sample(datum, n)  # raises AdmissibilityError on an inadmissible sample
+
+
+@st.composite
+def saturated_borders(draw):
+    """Piecewise data whose saturated pieces border pieces that move differently.
+
+    Piece masses are whole multiples of 1/q, so at every n that q divides a
+    quantile i/n falls on each mass break up to the rounding of the
+    accumulated breaks, the hostile case for the sample's velocity.
+    """
+    k = draw(st.integers(2, 7))
+    units = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    saturated = draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(any))
+    # two adjacent saturated pieces would be one congested region, one speed
+    saturated = [sat and not (j and saturated[j - 1]) for j, sat in enumerate(saturated)]
+    q = sum(units)
+    density, a = [], draw(st.floats(-2.0, 2.0))
+    for m, sat in zip(units, saturated):
+        v = 1.0 if sat else draw(st.floats(0.2, 0.9))
+        density.append([a, a + m / q / v, v])
+        a += m / q / v
+    x0_map = rearrangement_from_density(density)
+    speeds = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
+    shift = draw(st.lists(st.floats(0.1, 1.0), min_size=2 * k, max_size=2 * k))
+    left, right = [], []
+    for j in range(k):
+        if saturated[j]:
+            left.append(speeds[j])
+            right.append(speeds[j])
+            continue
+        # each end next to a saturated piece moves away from that piece's speed
+        ul = speeds[j - 1] + shift[2 * j] if j > 0 and saturated[j - 1] else speeds[j]
+        ur = speeds[j + 1] - shift[2 * j + 1] if j + 1 < k and saturated[j + 1] \
+            else speeds[j] + shift[2 * j + 1]
+        left.append(ul)
+        right.append(ur)
+    datum = MacroscopicDatum(x0_map, PiecewiseField(x0_map.breaks, np.array(left),
+                                                    np.array(right)))
+    ns = draw(st.lists(st.integers(2, 2000), min_size=5, max_size=20))
+    return datum, sorted(set(ns + list(range(q, 2001, q))))
+
+
+@given(saturated_borders())
+@settings(max_examples=40, deadline=None)
+def test_quantile_sample_is_admissible_next_to_saturated_pieces(case):
+    datum, ns = case
     for n in ns:
         quantile_sample(datum, n)  # raises AdmissibilityError on an inadmissible sample
 

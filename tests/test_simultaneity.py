@@ -3,11 +3,12 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from congested_flow import verification
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import active_set_monotone, evolve, trajectory_at
+from congested_flow.dynamics import MergeEvent, active_set_monotone, evolve, trajectory_at
 from congested_flow.fields import build_fields, verify_discrete_pde
 from congested_flow.initdata import quantile_sample
 
@@ -144,13 +145,17 @@ def test_disjoint_simultaneous_merges_balance_each_own_jump():
 
 
 def test_battery_checks_every_atom_of_a_shared_instant(monkeypatch):
-    seen = []
-    check = verification.complementarity_eulerian
+    # stretch the contact of one event of the instant at a time: its atom's
+    # cell falls below density 1, whichever of the two events it is
+    trace = two_pairs_meeting_at_once()
+    rigid = MergeEvent.positions
+    for stretched in trace.timeline.events:
+        def positions(self, two_r, stretched=stretched):
+            x = rigid(self, two_r)
+            return x + np.array([0.0, 1e-3 * two_r]) if self is stretched else x
 
-    def record(snap, atom, *args, **kwargs):
-        seen.append(set(atom.contacts.tolist()))
-        return check(snap, atom, *args, **kwargs)
-
-    monkeypatch.setattr(verification, "complementarity_eulerian", record)
-    verification.run_battery(two_pairs_meeting_at_once())
-    assert seen == [{1}, {3}]
+        monkeypatch.setattr(MergeEvent, "positions", positions)
+        reports = {r.name: r for r in verification.run_battery(trace)}
+        atoms = reports["eulerian_complementarity"]
+        assert not atoms.passed
+        assert atoms.value == pytest.approx(1.0 - 1.0 / (1.0 + 1e-3), rel=1e-9)
