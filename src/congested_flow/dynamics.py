@@ -620,29 +620,54 @@ class EventRecord:
     ``add`` takes the cursor just after an event and ``close`` lays the
     slices out; ``of`` runs a replay of its own.  Per event that costs the
     cursor's u and lam updates, one copy of a lam slice,
-    ``MergeEvent.positions`` and np.dot(u_pre, u_pre), the one reduction
-    kept per event because the energy recursion reads its bits.  Every other
-    statistic of the checks is one vectorised pass over the flat arrays.
+    ``MergeEvent.positions``, np.dot(u_pre, u_pre) (the one reduction kept
+    per event, because the energy recursion reads its bits), and O(1) per
+    merged block.  Every other statistic of the checks is one vectorised
+    pass over the flat arrays.
 
     Event k covers entries ``off[k]:off[k + 1]`` of the per-particle arrays,
     ``sizes[k]`` = hi - lo + 1 of them, one per particle ``index`` of its
-    range lo..hi: ``u_pre`` (u just before the event) and ``x`` (the
-    event's positions).  ``inner`` marks the entries whose right neighbour
-    is in the same range, one per contact lo+1..hi, so ``jumps`` (every
-    event's jumps, concatenated) aligns with its true entries.  ``lam`` holds lam on max(lo - 1, 0) .. min(hi + 2, n)
+    range lo..hi: ``u_pre`` (u just before the event), ``x`` (the event's
+    positions) and ``x_pre`` (their left limit: each block of
+    ``merged_blocks`` rigid from its own left edge).  ``inner`` marks the
+    entries whose right neighbour is in the same range, one per contact
+    lo+1..hi, so ``jumps`` (every event's jumps, concatenated) aligns with
+    its true entries.  ``lam`` holds lam on max(lo - 1, 0) .. min(hi + 2, n)
     just after each event, slice k from ``lam_off[k]``, and ``lam_base`` is
-    the flat index in it of lam[index] after the entry's event.  O(n + sum
-    of merged range sizes) memory.
+    the flat index in it of lam[index] after the entry's event.
+
+    Positions off the event's own come from the replay's per-start data
+    with ``ReplayCursor.state``'s expression, so they carry its bits:
+    ``sides`` has one row (x, u of particle lo - 1, x, u of particle
+    hi + 1) per event, NaN past an end of the line, and ``ends`` the first
+    and the last particle at t = 0, after each event and at the horizon.
+    An event rewrites the data of its first block's start only, with its
+    own x_left and time, and leaves those of the starts it absorbs; so each
+    left edge of ``x_pre`` is read just after the event.  ``head`` maps
+    each current block's last particle to its first.  O(n + sum of merged
+    range sizes) memory.
     """
 
     def __init__(self, timeline: EventTimeline):
         self.timeline = timeline
+        self.two_r = timeline.cone.two_r
+        n = timeline.n
+        starts = timeline.initial.starts
+        head = np.zeros(n, dtype=np.intp)
+        head[np.append(starts[1:], n) - 1] = starts
+        self.head = head.tolist()
         self.dots: list[float] = []
         self._lo: list[int] = []
         self._hi: list[int] = []
         self._u_pre: list[np.ndarray] = []
         self._x: list[np.ndarray] = []
         self._lam: list[np.ndarray] = []
+        self._blocks: list[tuple[int, int]] = []
+        self._edges: list[float] = []
+        self._sides: list[tuple[float, ...]] = []
+        # per-start data (x_left, t_ref, v): the initial one, then the cursor's
+        self._per_start = (timeline.x0, np.zeros(n), timeline.initial.velocities)
+        self._ends = [self._ends_at(0.0)]
 
     @classmethod
     def of(cls, timeline: EventTimeline) -> "EventRecord":
@@ -651,19 +676,42 @@ class EventRecord:
             rec.add(cur)
         return rec.close()
 
+    def _at(self, a: int, i: int, t: float) -> float:
+        """Position at t of particle i of the block that starts at a."""
+        x_left, t_ref, v = self._per_start
+        return x_left[a] + v[a] * (t - t_ref[a]) + self.two_r * (i - a)
+
+    def _ends_at(self, t: float) -> tuple[float, float]:
+        last = self.timeline.n - 1
+        return self._at(0, 0, t), self._at(self.head[last], last, t)
+
     def add(self, cur: "ReplayCursor") -> None:
         e = cur.event
         lo, hi = e.index_range
-        n = self.timeline.n
+        n, t, v = self.timeline.n, cur.time, cur.v
+        self._per_start = (cur.x_left, cur.t_ref, v)
         seg = cur.u_pre  # a fresh copy per event, which the cursor never writes again
         self._lo.append(lo)
         self._hi.append(hi)
         self._u_pre.append(seg)
         self.dots.append(float(np.dot(seg, seg)))
         self._lam.append(cur.lam[max(lo - 1, 0):min(hi + 2, n) + 1].copy())
-        self._x.append(e.positions(self.timeline.cone.two_r))
+        self._x.append(e.positions(self.two_r))
+        self._blocks.extend(e.merged_blocks)
+        self._edges.extend(self._at(a, a, t) for a, _ in e.merged_blocks)
+        xl = ul = xr = ur = np.nan
+        if lo > 0:
+            a = self.head[lo - 1]
+            xl, ul = self._at(a, lo - 1, t), v[a]
+        if hi + 1 < n:
+            xr, ur = self._at(hi + 1, hi + 1, t), v[hi + 1]
+        self._sides.append((xl, ul, xr, ur))
+        self.head[hi] = lo
+        self._ends.append(self._ends_at(t))
 
     def close(self) -> "EventRecord":
+        """Lay the slices out once the replay has applied every event it will;
+        the horizon's ``ends`` read the per-start data it left."""
         events = self.timeline.events[:len(self.dots)]
         self.lo = np.array(self._lo, dtype=np.intp)
         self.hi = np.array(self._hi, dtype=np.intp)
@@ -677,13 +725,21 @@ class EventRecord:
         self.inner = local < np.repeat(m - 1, m)
         self.u_pre = _flat(self._u_pre)
         self.x = _flat(self._x)
+        blocks = np.array(self._blocks, dtype=np.intp).reshape(-1, 2)
+        width = blocks[:, 1] - blocks[:, 0] + 1
+        self.x_pre = (np.repeat(np.array(self._edges, dtype=float), width)
+                      + self.two_r * (self.index - np.repeat(blocks[:, 0], width)))
+        self.sides = np.array(self._sides, dtype=float).reshape(-1, 4)
+        self._ends.append(self._ends_at(self.timeline.horizon))
+        self.ends = np.array(self._ends, dtype=float)
         self.jumps = _flat([e.jump_values for e in events])
         self.lam = _flat(self._lam)
         self.lam_off = np.concatenate(([0], np.cumsum([a.size for a in self._lam],
                                                        dtype=np.intp)))
         lam_first = self.lam_off[:-1] + self.lo - np.maximum(self.lo - 1, 0)
         self.lam_base = np.repeat(lam_first, m) + local
-        del self._u_pre, self._x, self._lam
+        del self._u_pre, self._x, self._lam, self._blocks, self._edges, self._sides
+        del self._ends, self._per_start
         return self
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "snapshot",
     "pressure_pushforward",
     "weak_residual_suite",
+    "weak_residual_report",
     "complementarity_eulerian",
     "oleinik_eulerian",
     "wasserstein_time_modulus",
@@ -126,9 +127,14 @@ def pressure_pushforward(events: tuple[MergeEvent, ...],
 
 
 def weak_residual_suite(trace: FieldTrace) -> dict:
-    """Mass and momentum residuals over a deterministic 12-function family
-    covering the trace's spatial extent, held to TOL_WEAK_RESIDUAL."""
-    form = weak_form_of_trace(trace)
+    """Mass and momentum residuals of a discrete run (``weak_residual_report``
+    of ``weak_form_of_trace``)."""
+    return weak_residual_report(weak_form_of_trace(trace))
+
+
+def weak_residual_report(form) -> dict:
+    """Mass and momentum residuals of a weak form over a deterministic
+    12-function family covering its spatial extent, held to TOL_WEAK_RESIDUAL."""
     lo, hi = form.spatial_extent()
     test_fns = build_test_family(lo - 0.05 * (hi - lo + 1.0),
                                  hi + 0.05 * (hi - lo + 1.0), form.horizon)

@@ -147,7 +147,7 @@ class AnalyticSolution:
         segments = []
         for t0, t1 in ((0.0, self.tstar), (self.tstar, horizon)):
             x, v = self.position_field(t0), self.velocity_field(t0)
-            segments.append(Segment(t0, t1, x.breaks, x.left, x.right, v.left, v.right, False))
+            segments.append(Segment(t0, t1, x.breaks, x.left, x.right, v.left, v.right))
         atom = ProfileAtom(self.tstar, self.position_field(self.tstar),
                            self.atom_profile_pieces())
         return LagrangianWeakForm(segments, [atom])

@@ -18,7 +18,6 @@ from .cone import SpacingCone, project_onto_cone, qp_oracle_project, qp_oracle_p
 from .dynamics import (
     CheckReport,
     EventRecord,
-    active_set_monotone,
     max_slope_ratio,
     multipliers_at,
     restart_check,
@@ -26,13 +25,14 @@ from .dynamics import (
     verify_estimates,
     worst_of,
 )
-from .eulerian import snapshot, velocity_l2, w2_report, weak_residual_suite
+from .eulerian import snapshot, velocity_l2, w2_report, weak_residual_report
 from .errors import InvariantViolationError
 from .fields import FieldTrace, oleinik_field_check, verify_discrete_pde
 from .piecewise import sorted_distinct
 from .tolerances import EULERIAN_MASS_TOL, ORACLE_CERTIFICATE_TOL, ORACLE_DEVIATION_TOL, \
     SAMPLE_EVENT_CLEARANCE, SAMPLE_SHIFT, SEMIGROUP_MIN_SPAN, TOL_COMPLEMENTARITY, \
     TOL_MIN_LAMBDA, TOL_MOMENTUM_PER_N, TOL_SEMIGROUP, TOL_WEAK_RESIDUAL, contact_tol
+from .weakform import EventWeakForm
 
 __all__ = ["CHECK_NAMES", "run_battery", "cone_oracle_sweep"]
 
@@ -63,6 +63,15 @@ def _time_pairs(rng: np.random.Generator, horizon: float, count: int):
         yield float(s), float(t)
 
 
+def _until_rejected(replay, rejected: list):
+    """The replay's cursors, until it rejects an event: then it appends the
+    error to ``rejected`` and stops.  Errors of the consumer pass through."""
+    try:
+        yield from replay
+    except InvariantViolationError as exc:
+        rejected.append(exc)
+
+
 def _worst(name: str, runs: list, tolerance: float, detail: str) -> CheckReport:
     """One report from the (passed, value) runs of a check: all must pass.
 
@@ -73,126 +82,84 @@ def _worst(name: str, runs: list, tolerance: float, detail: str) -> CheckReport:
                        worst_of([value for _, value in runs]), tolerance, detail)
 
 
-class _EventStream:
-    """The event-local half of the battery, fed the replay cursor after each event.
+def _event_local(trace: FieldTrace, rec: EventRecord) -> dict:
+    """The event-local values of the Oleinik and Eulerian checks, in one
+    vectorised pass over a closed ``EventRecord`` of the battery's replay.
 
-    Per event it records the ``EventRecord`` slices and, from the replay's
-    per-start data, the two particles next to the merged range (position and
-    velocity at the event instant) and the two end particles of the line.
-    Each block's end maps to its start in ``head``, so the left neighbour's
-    block is found in O(1).  ``close`` then evaluates every event-local
-    check in one vectorised pass.
+    Oleinik: at each event at t > 0, the pairs with a particle in its
+    merged range lo..hi, at the left limit (u just before the event) and
+    the right limit (after it), both with the event's positions, which do
+    not jump.  Between two events that change a pair, its velocities are
+    constant and its gap D + (t - t0) du is affine in t, so its ratio
+    f(t) = t du / (D + (t - t0) du) has f' of the sign of du (D - t0 du):
+    f is monotone there and its sup sits at an end of the window, the
+    right limit of the event that opened it or the left limit of the one
+    that closes it, or the horizon.  These values and every pair at the
+    horizon give the exact sup over (0, horizon].
+
+    Eulerian: each event's cells lo..hi+1 at the event instant (the
+    fictitious gap when lo = 0): density two_r / width at most 1, the
+    contact cells lo+1..hi at 1, and under each nonzero jump a saturated
+    cell.  The gaps are affine in time between events, so each density
+    also peaks at an end of a window.  The total mass is a running sum of
+    the cell masses two_r / width * width: the initial ones, each
+    replaced by its value at the last event that touched its cell.
+    ``contact_tol`` at an event reads the end particles only.
     """
+    two_r, n = trace.two_r, trace.n
+    xl, ul, xr, ur = rec.sides.T
+    first, last = rec.off[:-1], rec.off[1:] - 1
+    x0, xm, u0, um = rec.x[first], rec.x[last], rec.u_pre[first], rec.u_pre[last]
+    t, post = rec.times, rec.post
+    left, right = rec.lo > 0, rec.hi + 1 < n
+    xl = np.where(left, xl, x0 - two_r - trace.padding.delta)
+    pairs = rec.inner[:-1]
+    dx = (rec.x[1:] - rec.x[:-1])[pairs]
+    du = (rec.u_pre[1:] - rec.u_pre[:-1])[pairs]
+    t_in = np.repeat(t, rec.sizes - 1)
+    p_in = np.repeat(post, rec.sizes - 1)
+    on, on_in = t > 0.0, t_in > 0.0
+    lw, rw = x0 - xl, xr - xm
+    ratios = np.concatenate((
+        (t_in * du / dx)[on_in], (t_in * (p_in - p_in) / dx)[on_in],
+        (t * (u0 - ul) / lw)[on & left], (t * (post - ul) / lw)[on & left],
+        (t * (ur - um) / rw)[on & right], (t * (ur - post) / rw)[on & right]))
 
-    def __init__(self, trace: FieldTrace):
-        self.trace = trace
-        timeline = trace.timeline
-        self.record = EventRecord(timeline)
-        starts = timeline.initial.starts
-        head = np.zeros(timeline.n, dtype=np.intp)
-        head[np.append(starts[1:], timeline.n) - 1] = starts
-        self.head = head.tolist()
-        self.sides: list[tuple[float, ...]] = []
-
-    def add(self, cur) -> None:
-        self.record.add(cur)
-        two_r, n, head = self.trace.two_r, self.trace.n, self.head
-        x_left, t_ref, v = cur.x_left, cur.t_ref, cur.v
-        lo, hi = cur.event.index_range
-        t = cur.time
-        # the same expressions as ReplayCursor.state, so the same bits
-        xl = ul = xr = ur = np.nan
-        if lo > 0:
-            a = head[lo - 1]
-            xl = x_left[a] + v[a] * (t - t_ref[a]) + two_r * (lo - 1 - a)
-            ul = v[a]
-        if hi + 1 < n:
-            xr = x_left[hi + 1] + v[hi + 1] * (t - t_ref[hi + 1])
-            ur = v[hi + 1]
-        head[hi] = lo
-        a = head[n - 1]
-        self.sides.append((xl, ul, xr, ur, x_left[0] + v[0] * (t - t_ref[0]),
-                           x_left[a] + v[a] * (t - t_ref[a]) + two_r * (n - 1 - a)))
-
-    def close(self) -> dict:
-        """The event-local values of the Oleinik and Eulerian checks.
-
-        Oleinik: at each event at t > 0, the pairs with a particle in its
-        merged range lo..hi, at the left limit (u just before the event) and
-        the right limit (after it), both with the event's positions, which do
-        not jump.  Between two events that change a pair, its velocities are
-        constant and its gap D + (t - t0) du is affine in t, so its ratio
-        f(t) = t du / (D + (t - t0) du) has f' of the sign of du (D - t0 du):
-        f is monotone there and its sup sits at an end of the window, the
-        right limit of the event that opened it or the left limit of the one
-        that closes it, or the horizon.  These values and every pair at the
-        horizon give the exact sup over (0, horizon].
-
-        Eulerian: each event's cells lo..hi+1 at the event instant (the
-        fictitious gap when lo = 0): density two_r / width at most 1, the
-        contact cells lo+1..hi at 1, and under each nonzero jump a saturated
-        cell.  The gaps are affine in time between events, so each density
-        also peaks at an end of a window.  The total mass is a running sum of
-        the cell masses two_r / width * width: the initial ones, each
-        replaced by its value at the last event that touched its cell.
-        ``contact_tol`` at an event reads the end particles only.
-        """
-        rec = self.record.close()
-        trace = self.trace
-        two_r, n = trace.two_r, trace.n
-        xl, ul, xr, ur, x_first, x_last = np.array(self.sides, dtype=float).reshape(-1, 6).T
-        first, last = rec.off[:-1], rec.off[1:] - 1
-        x0, xm, u0, um = rec.x[first], rec.x[last], rec.u_pre[first], rec.u_pre[last]
-        t, post = rec.times, rec.post
-        left, right = rec.lo > 0, rec.hi + 1 < n
-        xl = np.where(left, xl, x0 - two_r - trace.padding.delta)
-        pairs = rec.inner[:-1]
-        dx = (rec.x[1:] - rec.x[:-1])[pairs]
-        du = (rec.u_pre[1:] - rec.u_pre[:-1])[pairs]
-        t_in = np.repeat(t, rec.sizes - 1)
-        p_in = np.repeat(post, rec.sizes - 1)
-        on, on_in = t > 0.0, t_in > 0.0
-        lw, rw = x0 - xl, xr - xm
-        ratios = np.concatenate((
-            (t_in * du / dx)[on_in], (t_in * (p_in - p_in) / dx)[on_in],
-            (t * (u0 - ul) / lw)[on & left], (t * (post - ul) / lw)[on & left],
-            (t * (ur - um) / rw)[on & right], (t * (ur - post) / rw)[on & right]))
-
-        # cells lo (left), lo+1..hi (inner) and hi+1 (right) of each event,
-        # ordered by cell, then by event: each replaces the one before it
-        events = np.arange(t.size)
-        owner = np.concatenate((events, np.repeat(events, rec.sizes - 1), events[right]))
-        cell = np.concatenate((rec.lo, rec.index[rec.inner] + 1, rec.hi[right] + 1))
-        width = np.concatenate((lw, dx, rw[right]))
-        density = two_r / width
-        order = np.lexsort((owner, cell))
-        owner, cell, mass = owner[order], cell[order], (density * width)[order]
-        snap0 = snapshot(trace.timeline.initial, trace.timeline.cone, trace.padding)
-        mass0 = snap0.density * snap0.widths
-        replaced = mass0[cell]
-        again = np.flatnonzero(cell[1:] == cell[:-1]) + 1
-        replaced[again] = mass[again - 1]
-        step = np.bincount(owner, weights=mass - replaced, minlength=t.size)
-        running = float(np.sum(mass0)) + np.cumsum(step)
-        inner_density = two_r / dx
-        return {
-            "ratios": ratios,
-            "mass": np.abs(running - 1.0),
-            "density": density,
-            "contact": np.abs(inner_density - 1.0),
-            "atom": np.abs(1.0 - inner_density[rec.jumps != 0.0]),
-            "tol": contact_tol(np.array([x_first, x_last]), axis=0) / two_r,
-        }
+    # cells lo (left), lo+1..hi (inner) and hi+1 (right) of each event,
+    # ordered by cell, then by event: each replaces the one before it
+    events = np.arange(t.size)
+    owner = np.concatenate((events, np.repeat(events, rec.sizes - 1), events[right]))
+    cell = np.concatenate((rec.lo, rec.index[rec.inner] + 1, rec.hi[right] + 1))
+    width = np.concatenate((lw, dx, rw[right]))
+    density = two_r / width
+    order = np.lexsort((owner, cell))
+    owner, cell, mass = owner[order], cell[order], (density * width)[order]
+    snap0 = snapshot(trace.timeline.initial, trace.timeline.cone, trace.padding)
+    mass0 = snap0.density * snap0.widths
+    replaced = mass0[cell]
+    again = np.flatnonzero(cell[1:] == cell[:-1]) + 1
+    replaced[again] = mass[again - 1]
+    step = np.bincount(owner, weights=mass - replaced, minlength=t.size)
+    running = float(np.sum(mass0)) + np.cumsum(step)
+    inner_density = two_r / dx
+    return {
+        "ratios": ratios,
+        "mass": np.abs(running - 1.0),
+        "density": density,
+        "contact": np.abs(inner_density - 1.0),
+        "atom": np.abs(1.0 - inner_density[rec.jumps != 0.0]),
+        "tol": contact_tol(rec.ends[1:-1].T, axis=0) / two_r,
+    }
 
 
 def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
                 inject: str | None = None) -> list[CheckReport]:
     """Run every check on a simulated trace; returns one report per check, in order.
 
-    One replay feeds every check but the weak form: it stops after each
-    event and at the query instants, the SAMPLE_COUNT sampled instants, the
-    horizon and the instants of the random pairs.  A full state is built at
-    the query instants only, one per distinct instant.
+    One replay feeds every check: it stops after each event and at the
+    query instants, the SAMPLE_COUNT sampled instants, the horizon and the
+    instants of the random pairs.  A full state is built at the query
+    instants only, one per distinct instant.
 
     * At the sampled instants: momentum, then complementarity, the L1
       gradient bound of ``oleinik_field`` and the full Eulerian
@@ -201,11 +168,13 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
       Momentum comes first: a state whose velocity sum drifts has no closed
       multiplier vector, so ``multipliers_at`` raises and that instant's
       complementarity run fails with the closure |lam_n| as value.
-    * At each event, on its merged range only: the exact Oleinik sup's
-      values at both limits, the reconstruction of its cells, the pressure
-      atoms in saturated cells, and the ``EventRecord`` slices that
-      ``verify_estimates`` and ``verify_discrete_pde`` read.  ``_EventStream``
-      says why the window ends give the exact sups.
+    * At each event, on its merged range only: the ``EventRecord`` slices.
+      They give the exact Oleinik sup's values at both limits, the
+      reconstruction of the event's cells and the pressure atoms in
+      saturated cells (``_event_local`` says why the window ends give the
+      exact sups), and ``verify_estimates``, ``verify_discrete_pde`` and
+      the weak residuals (``EventWeakForm``: each event's velocity jump
+      against its pressure atom) read them.
     * At the horizon: every pair of the Oleinik sup and the full Eulerian
       reconstruction.  ``oleinik``, ``oleinik_field`` and
       ``eulerian_oleinik`` report that one sup of t * du / dx over (0,
@@ -221,23 +190,15 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     check passes if all its runs pass and reports the largest value
     (``_worst``); a NaN value fails its check.
 
-    ``active_set_monotone`` runs first: if the replay rejects an event, it
-    fails and every other check is reported failed with value and tolerance
-    NaN, not evaluated.
+    If the replay rejects an event (the contact set would shrink),
+    ``active_set_monotone`` fails with value len(events) and every other
+    check is reported failed with value and tolerance NaN, not evaluated.
 
     ``inject`` corrupts the input of exactly one check (negative control):
     "negative-lambda", "energy-bump" or "stale-density".
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     timeline = trace.timeline
-    monotone = CheckReport("active_set_monotone", active_set_monotone(timeline),
-                           float(len(timeline.events)), 0.0,
-                           "contact set nondecreasing along events")
-    if not monotone.passed:
-        return [monotone if name == monotone.name else
-                CheckReport(name, False, np.nan, np.nan,
-                            "not evaluated: the replay rejects an event")
-                for name in CHECK_NAMES]
     cone, n, two_r = timeline.cone, timeline.n, trace.two_r
     horizon = timeline.horizon
     events = timeline.events
@@ -257,7 +218,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     tol_momentum = TOL_MOMENTUM_PER_N * n
     h = np.diff(trace.w_grid)
 
-    stream = _EventStream(trace)
+    record = EventRecord(timeline)
     compl, momentum, field_l1, recon = [], [], [], []
     horizon_ratio = []
     # per open pair: the state at s (semigroup); the padded x(s) and the running
@@ -265,9 +226,10 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     open_pairs: dict = {"semigroup": {}, "w2": {}}
     open_w2 = open_pairs["w2"]
     semigroup, w2 = [], [{"passed": True, "modulus": 0.0} for s, t in w2_pairs if s == t]
-    for cur in timeline.replay(queries, every_event=True):
+    rejected = []
+    for cur in _until_rejected(timeline.replay(queries, every_event=True), rejected):
         if cur.event is not None:
-            stream.add(cur)
+            record.add(cur)
             if open_w2 and (cur.count == len(events) or events[cur.count].time != cur.time):
                 norm = velocity_l2(h, cur.u)
                 for p in open_w2.values():
@@ -316,7 +278,14 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             open_pairs[kind][k] = (st if kind == "semigroup" else
                                    [trace.padding.pad(st.positions, two_r),
                                     velocity_l2(h, st.velocities)])
-    local = stream.close()
+    monotone = CheckReport("active_set_monotone", not rejected, float(len(events)), 0.0,
+                           "contact set nondecreasing along events")
+    if rejected:
+        return [monotone if name == monotone.name else
+                CheckReport(name, False, np.nan, np.nan,
+                            "not evaluated: the replay rejects an event")
+                for name in CHECK_NAMES]
+    local = _event_local(trace, record.close())
 
     top = max((r for _, r in compl), key=lambda r: r.value)
     ratio = worst_of(np.concatenate((local["ratios"], horizon_ratio)))
@@ -332,7 +301,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
                "max |sum u(t) - sum u0| over sampled times"),
     ]
 
-    est = verify_estimates(timeline, stream.record)
+    est = verify_estimates(timeline, record)
     passed = est["passed"]
     initial, final = est["initial_energy"], est["final_energy"]
     if inject == "energy-bump":
@@ -347,7 +316,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
 
     reports.append(monotone)
 
-    pde = verify_discrete_pde(trace, stream.record)
+    pde = verify_discrete_pde(trace, record)
     reports.append(CheckReport(
         "discrete_pde", pde["passed"],
         worst_of((pde["order1_max_residual"], pde["order2_max_residual"],
@@ -376,7 +345,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     reports.append(_worst("wasserstein_modulus", [(r["passed"], r["modulus"]) for r in w2],
                           0.0, "W2 time modulus below the velocity-integral bound"))
 
-    suite = weak_residual_suite(trace)
+    suite = weak_residual_report(EventWeakForm(record))
     reports.append(CheckReport(
         "weak_residuals", suite["passed"], suite["max_abs_residual"], suite["tolerance"],
         f"mass/momentum residuals over {suite['count']} test functions"))

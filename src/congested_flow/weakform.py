@@ -9,13 +9,14 @@ is affine in time, X(t, w) = A(w) + (t - t0) V(w), so by the chain rule
 exactly, and the space-time integral of each balance telescopes into
 boundary terms along the characteristics: at every segment boundary t_k,
 the terms (1, V) phi(t_k, X) of the segment ending there minus those of the
-segment starting there.  No time quadrature is needed.  The integral in w
-is a sum over particles for piecewise-constant (discrete) data and
-Gauss-Legendre on affine (closed-form) data, split where X(t_k, .) crosses
-the test function's spatial knots so the integrand is polynomial between
-the cuts.  The atomic pressure enters either through the exact telescoped
-sum over contacts (discrete runs) or through a piecewise-polynomial profile
-(closed-form solutions).
+segment starting there.  No time quadrature is needed.
+
+A closed-form solution (``LagrangianWeakForm``) has affine data in w: the
+integral in w is Gauss-Legendre, split where X(t_k, .) crosses the test
+function's spatial knots so the integrand is polynomial between the cuts,
+and its pressure is a piecewise-polynomial profile.  A discrete run
+(``EventWeakForm``) is read off its events: its trajectories are continuous,
+so only the velocity jumps at the events and their pressure atoms remain.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import EventRecord
 from .errors import InputDomainError
 from .piecewise import PiecewiseField, sorted_distinct
 from .testfunctions import TestFunction
 
 __all__ = [
     "Segment",
-    "ExactAtom",
     "ProfileAtom",
     "LagrangianWeakForm",
+    "EventWeakForm",
     "weak_form_of_trace",
 ]
 
@@ -44,9 +46,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 class Segment:
     """One inter-event window: X(t, w) = A(w) + (t - t0) V(w), piecewise in w.
 
-    ``pc`` marks piecewise-constant data (A0 == A1, V0 == V1 per piece), the
-    discrete case; otherwise A and V are affine per piece with the given
-    endpoint values.  V is both the advected velocity and the slope of X.
+    A and V are affine per piece with the given endpoint values.  V is both
+    the advected velocity and the slope of X.
     """
 
     t0: float
@@ -56,17 +57,6 @@ class Segment:
     A1: np.ndarray
     V0: np.ndarray
     V1: np.ndarray
-    pc: bool
-
-
-@dataclass(frozen=True)
-class ExactAtom:
-    """Discrete pressure atom at time t: positions x of a merged range and the
-    multiplier jumps dlam on its contacts (dlam[j] between x[j] and x[j + 1])."""
-
-    t: float
-    x: np.ndarray
-    dlam: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,12 +95,9 @@ def _gl_nodes(w0, w1, x0, x1, xknots):
 def _side_nodes(seg: Segment, t: float, xknots):
     """(x, v, weight) at time t with sum(weight * f(x, v)) = int f(X(t, w), V(w)) dw.
 
-    Exact for f = phi(t, .) * (1, V): one node per piece on piecewise-constant
-    data, knot-cut Gauss-Legendre on affine data.
+    Exact for f = phi(t, .) * (1, V): knot-cut Gauss-Legendre per piece.
     """
     dt = t - seg.t0
-    if seg.pc:
-        return seg.A0 + dt * seg.V0, seg.V0, np.diff(seg.wb)
     xs, vs, ws = [], [], []
     for j in range(seg.wb.size - 1):
         w0, w1 = seg.wb[j], seg.wb[j + 1]
@@ -123,14 +110,16 @@ def _side_nodes(seg: Segment, t: float, xknots):
     return np.concatenate(xs), np.concatenate(vs), np.concatenate(ws)
 
 
-def _compared(left: Segment, right: Segment | None) -> bool:
-    """Whether a boundary's two sides are compared entry by entry (same discrete grid)."""
-    return (right is not None and left.pc and right.pc
-            and np.array_equal(left.wb, right.wb))
+def _supported(fns, horizon: float) -> list:
+    """The test functions as a list; raises unless each vanishes by the horizon."""
+    fns = list(fns)
+    if any(phi.support_end > horizon for phi in fns):
+        raise InputDomainError("test function must vanish before the trace horizon")
+    return fns
 
 
 class LagrangianWeakForm:
-    """Residual evaluator over a sequence of segments plus pressure atoms."""
+    """Residual evaluator over a sequence of affine segments plus profile atoms."""
 
     def __init__(self, segments, atoms=()):
         segments = list(segments)
@@ -160,53 +149,18 @@ class LagrangianWeakForm:
 
     # -- boundary terms ------------------------------------------------------
 
-    def _boundaries(self):
-        """(t_k, segment ending at t_k, segment starting at t_k or None) for k >= 1."""
-        segs = self.segments
-        return [(s.t1, s, nxt) for s, nxt in zip(segs, segs[1:] + [None])]
-
-    def _compared_jumps(self):
-        """Entries whose (X, V) differ across a compared boundary.
-
-        Returns (t, x_left, v_left, x_right, v_right, mass) over all such
-        entries; an entry with equal data on both sides contributes exactly
-        zero to every boundary term and is left out.
-        """
-        parts = []
-        for t, left, right in self._boundaries():
-            if not _compared(left, right):
-                continue
-            xl, vl, m = _side_nodes(left, t, ())
-            xr, vr, _ = _side_nodes(right, t, ())
-            idx = np.flatnonzero((xl != xr) | (vl != vr))
-            parts.append((np.full(idx.size, t), xl[idx], vl[idx], xr[idx], vr[idx], m[idx]))
-        if not parts:
-            return tuple(np.zeros(0) for _ in range(6))
-        return tuple(np.concatenate(col) for col in zip(*parts))
-
     def _side_terms(self, xknots):
-        """Nodes (t, x, v, signed weight) of every boundary side not compared
-        entry by entry: + for the segment ending at t_k, - for the one starting."""
+        """Nodes (t, x, v, signed weight) of every segment boundary side: + for
+        the segment ending at t_k, - for the one starting there (none at T)."""
         parts = []
-        for t, left, right in self._boundaries():
-            if _compared(left, right):
-                continue
+        segs = self.segments
+        for left, right in zip(segs, segs[1:] + [None]):
+            t = left.t1
             for seg, sign in ((left, 1.0), (right, -1.0)):
                 if seg is not None:
                     x, v, w = _side_nodes(seg, t, xknots)
                     parts.append((np.full(x.size, t), x, v, sign * w))
         return tuple(np.concatenate(col) for col in zip(*parts))
-
-    def _exact_atom_nodes(self):
-        """(t, x, dlam) over all exact atoms, concatenated; dlam pairs adjacent
-        x and is zero between consecutive atoms."""
-        atoms = [a for a in self.atoms if isinstance(a, ExactAtom)]
-        if not atoms:
-            return np.zeros(0), np.zeros(0), np.zeros(0)
-        t = np.concatenate([np.full(a.x.size, a.t) for a in atoms])
-        x = np.concatenate([a.x for a in atoms])
-        dlam = np.concatenate([np.append(a.dlam, 0.0) for a in atoms])[:-1]
-        return t, x, dlam
 
     def _profile_atom_term(self, phi: TestFunction, atom: ProfileAtom) -> float:
         total = 0.0
@@ -236,19 +190,10 @@ class LagrangianWeakForm:
         the segments ending and starting at t_k (no R at T); the initial
         datum is the first segment at t = 0, so the initial term cancels its
         start term.  The momentum residual weights the same terms by V and
-        adds the pressure atoms.  Boundaries between piecewise-constant
-        segments on one mass grid are compared entry by entry and phi is
-        evaluated only where X or V differ; on a valid discrete trace these
-        are the merged ranges of the events.  Each member's residuals are
-        computed from its own evaluations alone.
+        adds the pressure atoms.  Each member's residuals are computed from
+        its own evaluations alone.
         """
-        fns = list(fns)
-        for phi in fns:
-            if phi.support_end > self.horizon:
-                raise InputDomainError("test function must vanish before the trace horizon")
-        jt, xl, vl, xr, vr, jm = self._compared_jumps()
-        at, ax, adlam = self._exact_atom_nodes()
-        profiles = [a for a in self.atoms if isinstance(a, ProfileAtom)]
+        fns = _supported(fns, self.horizon)
         sides = {}
         mass = []
         mom = []
@@ -256,35 +201,67 @@ class LagrangianWeakForm:
             if phi.x_knots not in sides:
                 sides[phi.x_knots] = self._side_terms(phi.x_knots)
             st, sx, sv, sw = sides[phi.x_knots]
-            fl = phi(jt, xl)
-            fr = phi(jt, xr)
             fs = phi(st, sx)
-            mass.append(float(jm @ (fl - fr)) + float(sw @ fs))
-            pressure = float(adlam @ np.diff(phi(at, ax)))
-            pressure += sum(self._profile_atom_term(phi, a) for a in profiles)
-            mom.append(float(jm @ (vl * fl - vr * fr)) + float((sw * sv) @ fs) + pressure)
+            mass.append(float(sw @ fs))
+            pressure = sum(self._profile_atom_term(phi, a) for a in self.atoms)
+            mom.append(float((sw * sv) @ fs) + pressure)
         return mass, mom
 
 
-def weak_form_of_trace(trace) -> LagrangianWeakForm:
-    """Weak form of a discrete run: piecewise-constant fields, exact atoms.
+class EventWeakForm:
+    """Weak form of a discrete run, read off its events (a closed ``EventRecord``).
 
-    ``trace`` is a fields.FieldTrace.  One segment per inter-event window:
-    its velocities are a copy of the replay's dense u at its start, and its
-    positions are the previous window's end positions as the segment
-    evaluates them, so every position is bitwise continuous in time.  The
-    replay runs to the horizon, so an event there is checked too.  One exact
-    atom per merge event, at the merged range's positions x_left + two_r *
-    offset.
+    In mass coordinates particle i carries mass 1/n along x_i(t), which is
+    continuous and affine between events with slope u_i.  So the mass
+    residual int phi(0, X(0)) dw + int int (phi_t + V phi_x)(t, X) dt dw
+    telescopes to int phi(T, X(T)) dw, and phi vanishes at the horizon T
+    (support_end <= T): every mass residual is exactly 0.0.  The momentum
+    residual telescopes the same way into the jumps of V, which happen at
+    the events only.  An event at t_e with merged range lo..hi adds
+
+        (1/n) sum_i (u_pre_i - post) phi(t_e, x_pre_i)
+            + sum_j jump_j (phi(t_e, x_{j+1}) - phi(t_e, x_j)),
+
+    the velocity jump against its pressure atom, whose jumps jump_j sit on
+    the contacts between x_j and x_{j+1}.  Nothing else contributes: X and V
+    are continuous off the merged ranges, the initial term cancels the
+    first window's start term, and the horizon term vanishes.  Cost O(sum
+    of merged range sizes) evaluations of phi per member.
+
+    x is the event's own positions (``MergeEvent.positions``); x_pre is the
+    left limit of the trajectories, each pre-event block at its own left
+    edge from the replay's per-start data (``EventRecord.x_pre``).  With x
+    in both terms, summation by parts would cancel them for any positions,
+    so a wrong event position would pass.
     """
-    tl = trace.timeline
-    segments = []
-    x, v, t0 = tl.initial.positions, None, 0.0
-    for cur in tl.replay(trace.times.tolist()):
-        if cur.time > t0:
-            segments.append(Segment(t0, cur.time, trace.w_grid, x, x, v, v, True))
-            x = x + (cur.time - t0) * v
-        v, t0 = cur.u.copy(), cur.time
-    atoms = [ExactAtom(e.time, e.positions(trace.two_r), e.jump_values)
-             for e in tl.events]
-    return LagrangianWeakForm(segments, atoms)
+
+    def __init__(self, record: EventRecord):
+        self.record = record
+        self.horizon = record.timeline.horizon
+        self._t = np.repeat(record.times, record.sizes)
+        self._du = (record.u_pre - np.repeat(record.post, record.sizes)) / record.timeline.n
+
+    def spatial_extent(self) -> tuple[float, float]:
+        """Smallest and largest position: the end particles at t = 0, after
+        each event and at the horizon (``EventRecord.ends``)."""
+        ends = self.record.ends
+        return float(np.min(ends[:, 0])), float(np.max(ends[:, 1]))
+
+    def family_residuals(self, fns) -> tuple[list[float], list[float]]:
+        """Mass residuals (exactly 0.0) and momentum residuals of each phi,
+        each member's from its own evaluations alone."""
+        fns = _supported(fns, self.horizon)
+        rec, t = self.record, self._t
+        pairs = rec.inner[:-1]
+        mom = []
+        for phi in fns:
+            f = phi(t, rec.x)
+            pressure = float(rec.jumps @ (f[1:] - f[:-1])[pairs])
+            mom.append(float(self._du @ phi(t, rec.x_pre)) + pressure)
+        return [0.0] * len(fns), mom
+
+
+def weak_form_of_trace(trace) -> EventWeakForm:
+    """Weak form of a discrete run (``trace`` a fields.FieldTrace), read off
+    the events of one replay of its timeline."""
+    return EventWeakForm(EventRecord.of(trace.timeline))

@@ -1,5 +1,7 @@
 """Push-forward reconstruction, weak residuals, Eulerian-side checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from congested_flow.scenarios import rebound_solution, sticky_solution
 from congested_flow.testfunctions import SpaceBump, TestFunction, TimeWindow, \
     build_test_family
 from congested_flow.verification import run_battery
-from congested_flow.weakform import LagrangianWeakForm, weak_form_of_trace
+from congested_flow.weakform import weak_form_of_trace
 
 TWO = SpacingCone(2, 1.0)
 
@@ -229,23 +231,27 @@ def test_family_residuals_subset_invariant(make_form):
 
 
 def test_weak_residuals_detect_corrupted_dynamics():
-    """Sensitivity control: a wrong velocity field must leave a visible residual."""
-    tl = evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 2.0)
-    trace = build_fields(tl)
-    form = weak_form_of_trace(trace)
+    """Sensitivity control: a wrong velocity or a missing atom must leave a
+    visible momentum residual.  The pair merges at t = 0.5 and moves on at
+    its mean velocity 0.5."""
+    tl = evolve(np.array([0.0, 2.0]), np.array([1.5, -0.5]), TWO, 2.0)
+    (event,) = tl.events
+    assert (event.time, event.post_velocity) == (0.5, 0.5)
+    form = weak_form_of_trace(build_fields(tl))
     lo, hi = form.spatial_extent()
     fns = build_test_family(lo - 0.2, hi + 0.2, form.horizon)
-    bad_segments = [
-        type(seg)(seg.t0, seg.t1, seg.wb, seg.A0, seg.A1,
-                  seg.V0 * 1.1, seg.V1 * 1.1, seg.pc)
-        for seg in form.segments
-    ]
-    mass, mom = LagrangianWeakForm(bad_segments, form.atoms).family_residuals(fns)
-    assert max(abs(r) for r in mass) > 1e-3
+    mass, mom = form.family_residuals(fns)
+    assert mass == [0.0] * len(fns) and max(abs(r) for r in mom) <= 1e-12
+
+    def corrupted(**change):
+        bad = dataclasses.replace(tl, events=(dataclasses.replace(event, **change),))
+        return weak_form_of_trace(build_fields(bad)).family_residuals(fns)
+
+    _, mom = corrupted(post_velocity=event.post_velocity * 1.1)
     assert max(abs(r) for r in mom) > 1e-3
-    # and dropping the pressure atom breaks only the momentum balance
-    mass, mom = LagrangianWeakForm(form.segments, []).family_residuals(fns)
-    assert max(abs(r) for r in mass) <= 1e-12
+    # dropping the pressure atom breaks only the momentum balance
+    mass, mom = corrupted(jump_values=np.zeros_like(event.jump_values))
+    assert mass == [0.0] * len(fns)
     assert max(abs(r) for r in mom) > 1e-3
 
 

@@ -13,7 +13,8 @@ from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import EventTimeline, evolve, max_slope_ratio, pressure_measure
 from congested_flow.errors import InputDomainError
-from congested_flow.eulerian import pressure_pushforward, wasserstein_time_modulus
+from congested_flow.eulerian import pressure_pushforward, wasserstein_time_modulus, \
+    weak_residual_suite
 from congested_flow.fields import (
     DeltaPadding,
     build_fields,
@@ -210,6 +211,15 @@ def test_pressure_storage_is_linear_in_n_plus_merged_size():
     tl, units = random_contacts_run(500)
     trace = build_fields(tl)
     assert traced_peak(lambda: verify_discrete_pde(trace)) <= BYTES_PER_UNIT * units
+
+
+def test_weak_residual_memory_is_linear_in_n_plus_merged_size():
+    # the weak check reads the events only; two dense length-n arrays per
+    # inter-event window cost n * events, about 9 times the bound here
+    weak_residual_suite(build_fields(random_contacts_run(50)[0]))
+    tl, units = random_contacts_run(2000)
+    trace = build_fields(tl)
+    assert traced_peak(lambda: weak_residual_suite(trace)) <= BYTES_PER_UNIT * units
 
 
 def test_evolve_memory_is_linear_in_n_plus_merged_size():

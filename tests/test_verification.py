@@ -11,7 +11,7 @@ import pytest
 from congested_flow import verification
 from congested_flow.cli import load_config
 from congested_flow.dynamics import CheckReport, EventTimeline, MergeEvent, ReplayCursor, \
-    active_set_monotone, evolve, max_slope_ratio, verify_semigroup
+    active_set_monotone, evolve, max_slope_ratio, verify_estimates, verify_semigroup
 from congested_flow.eulerian import wasserstein_time_modulus
 from congested_flow.fields import DeltaPadding, FieldTrace, _run_single, build_fields, \
     oleinik_field_check, verify_discrete_pde
@@ -64,14 +64,15 @@ def test_battery_queries_each_sampled_instant_once(monkeypatch):
 
 def test_battery_builds_no_state_at_an_event_instant(monkeypatch):
     # one replay serves the sampled instants, the horizon, the 30 random
-    # pairs and every event; the others are the contact-set check and the
-    # weak form.  A full state is built once per distinct query instant
+    # pairs and every event, the contact-set check and the weak form
+    # included.  A full state is built once per distinct query instant
     trace = random_contacts_trace(300, 2)
     tl = trace.timeline
     replays, states = record_replays(monkeypatch)
     assert not failed_checks(run_battery(trace))
-    assert len(replays) <= 3
-    (queries,) = [times for times, every_event in replays if times and every_event]
+    assert len(replays) == 1
+    ((queries, every_event),) = replays
+    assert every_event
     assert queries == sorted(set(queries)) and queries[-1] == tl.horizon
     assert all(event is None for _, event in states)
     assert sorted(t for t, _ in states) == queries
@@ -237,6 +238,26 @@ def test_opened_cluster_gap_fails_the_contact_cells(monkeypatch):
     # density two_r / (two_r + 5e-10) with two_r = 1/64
     recon = reports[CHECK_NAMES.index("eulerian_reconstruction")]
     assert recon.value == pytest.approx(64 * 5e-10, rel=1e-6)
+
+
+def test_raised_post_velocity_fails_energy_dissipation():
+    # a real-data control: the event with the most jumps (70 particles in 2
+    # blocks) leaves 1.0 faster than its mean, so its energy step is
+    # positive.  A shift of 1e-3 would not raise the energy
+    trace = random_contacts_trace(200, 5)
+    tl = trace.timeline
+    k = max(range(len(tl.events)), key=lambda k: tl.events[k].jump_values.size)
+    e = tl.events[k]
+    assert (k, e.index_range, len(e.merged_blocks)) == (116, (68, 137), 2)
+    events = list(tl.events)
+    events[k] = dataclasses.replace(e, post_velocity=e.post_velocity + 1.0)
+    bad = dataclasses.replace(tl, events=tuple(events))
+    energy = verify_estimates(bad)["energy_sequence"]
+    assert energy[k + 1] > energy[k]
+    reports = run_battery(build_fields(bad))
+    assert failed_checks(reports) == [
+        "complementarity", "oleinik", "momentum_conservation", "energy_dissipation",
+        "semigroup", "discrete_pde", "oleinik_field", "eulerian_oleinik", "weak_residuals"]
 
 
 def test_rejected_replay_is_reported_not_raised():

@@ -1,6 +1,7 @@
 """Boundary-term weak residuals against a time quadrature, and what they detect."""
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,8 @@ from congested_flow.initdata import quantile_sample
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import rebound_solution, sticky_solution
 from congested_flow.testfunctions import build_test_family
-from congested_flow.verification import TOL_WEAK_RESIDUAL
-from congested_flow.weakform import (
-    ExactAtom,
-    LagrangianWeakForm,
-    ProfileAtom,
-    weak_form_of_trace,
-)
+from congested_flow.verification import CHECK_NAMES, TOL_WEAK_RESIDUAL, run_battery
+from congested_flow.weakform import LagrangianWeakForm, ProfileAtom, weak_form_of_trace
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -29,7 +25,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # Each trajectory's window is cut at the test functions' time knots and at its
 # crossings of the bump support edges, so the integrand is polynomial in t on
 # every subwindow; affine data are cut in w where the positions at either end
-# of the window cross a knot or the velocity changes sign.
+# of the window cross a knot or the velocity changes sign.  A window is
+# (t0, t1, nodes), where nodes(a, b, xknots) gives each trajectory's position
+# at time a, its velocity and its mass weight for the subwindow [a, b].
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _WSUB = 8
@@ -43,9 +41,8 @@ def _affine_root(w0, w1, f0, f1, target):
 
 
 def _window_start_nodes(seg, a, b, xknots):
-    """Per-trajectory (x at time a, v, w-weight) arrays for the window [a, b]."""
-    if seg.pc:
-        return seg.A0 + (a - seg.t0) * seg.V0, seg.V0, np.diff(seg.wb)
+    """Per-trajectory (x at time a, v, w-weight) arrays of an affine segment
+    for the window [a, b]."""
     xs, vs, ws = [], [], []
     dt_a, dt_b = a - seg.t0, b - seg.t0
     for j in range(seg.wb.size - 1):
@@ -91,26 +88,50 @@ def _time_nodes(a, b, x_a, v, xknots):
     return tn, x_a[:, None] + (tn - a) * v[:, None], qw
 
 
-def quadrature_residuals(form, phi):
-    """Mass and momentum residuals of one phi with the time integrals done by quadrature."""
-    x, v, w = _window_start_nodes(form.segments[0], 0.0, 0.0, phi.x_knots)
+def quadrature_residuals(windows, atom_term, phi):
+    """Mass and momentum residuals of one phi with the time integrals done by
+    quadrature; the initial datum is the first window at t = 0, and
+    ``atom_term(phi)`` is the pressure's part of the momentum residual."""
+    x, v, w = windows[0][2](0.0, 0.0, phi.x_knots)
     f0 = phi(0.0, x)
     mass, mom = float(w @ f0), float(w @ (f0 * v))
     t_knots = (0.0, phi.support_end)
-    for seg in form.segments:
-        cuts = sorted({seg.t0, seg.t1} | {k for k in t_knots if seg.t0 < k < seg.t1})
+    for t0, t1, nodes in windows:
+        cuts = sorted({t0, t1} | {k for k in t_knots if t0 < k < t1})
         for a, b in zip(cuts, cuts[1:]):
-            x, v, w = _window_start_nodes(seg, a, b, phi.x_knots)
+            x, v, w = nodes(a, b, phi.x_knots)
             tn, xn, qw = _time_nodes(a, b, x, v, phi.x_knots)
             g = np.sum((phi.dt(tn, xn) + v[:, None] * phi.dx(tn, xn)) * qw, axis=1)
             mass += float(w @ g)
             mom += float(w @ (g * v))
-    for atom in form.atoms:
-        if isinstance(atom, ExactAtom):
-            mom += float(np.sum(atom.dlam * np.diff(phi(atom.t, atom.x))))
-        else:
-            mom += form._profile_atom_term(phi, atom)
-    return mass, mom
+    return mass, mom + atom_term(phi)
+
+
+def closed_form_reference(form):
+    """Windows and atom term of a closed-form weak form, from its segments."""
+    windows = [(s.t0, s.t1, functools.partial(_window_start_nodes, s)) for s in form.segments]
+    return windows, lambda phi: sum(form._profile_atom_term(phi, a) for a in form.atoms)
+
+
+def discrete_reference(tl):
+    """Windows and atom term of a discrete run: one window per gap between
+    distinct event instants, starting from the replay's state there, and
+    one atom per event on its own positions."""
+    cuts = sorted({0.0, tl.horizon} | set(tl.event_times().tolist()))
+    weights = np.full(tl.n, 1.0 / tl.n)
+
+    def nodes(st):
+        return lambda a, b, xknots: (st.positions + (a - st.time) * st.velocities,
+                                     st.velocities, weights)
+
+    windows = [(a, b, nodes(st)) for a, b, st in zip(cuts, cuts[1:], tl.states_at(cuts))]
+    two_r = tl.cone.two_r
+
+    def atom_term(phi):
+        return sum(float(e.jump_values @ np.diff(phi(e.time, e.positions(two_r))))
+                   for e in tl.events)
+
+    return windows, atom_term
 
 
 def _family(form, pad=0.1):
@@ -152,8 +173,9 @@ def test_boundary_terms_match_time_quadrature_discrete(make):
     form = weak_form_of_trace(build_fields(tl))
     fns = _family(form)
     mass, mom = form.family_residuals(fns)
+    windows, atom_term = discrete_reference(tl)
     for phi, m, p in zip(fns, mass, mom):
-        ref_m, ref_p = quadrature_residuals(form, phi)
+        ref_m, ref_p = quadrature_residuals(windows, atom_term, phi)
         assert abs(m - ref_m) <= 1e-14
         assert abs(p - ref_p) <= 1e-14
 
@@ -166,8 +188,9 @@ def test_boundary_terms_match_time_quadrature_closed_form(make, eta, horizon):
     form = make(eta).weak_form(horizon)
     fns = _family(form)
     mass, mom = form.family_residuals(fns)
+    windows, atom_term = closed_form_reference(form)
     for phi, m, p in zip(fns, mass, mom):
-        ref_m, ref_p = quadrature_residuals(form, phi)
+        ref_m, ref_p = quadrature_residuals(windows, atom_term, phi)
         assert abs(m - ref_m) <= 1e-14
         assert abs(p - ref_p) <= 1e-14
 
@@ -183,10 +206,21 @@ def full_scan_extent(form):
     return lo, hi
 
 
+def state_scan_extent(tl):
+    """Smallest and largest position of the replay's states at t = 0, at
+    every event instant and at the horizon."""
+    times = [0.0] + tl.event_times().tolist() + [tl.horizon]
+    xs = [st.positions for st in tl.states_at(times)]
+    return min(float(np.min(x)) for x in xs), max(float(np.max(x)) for x in xs)
+
+
 def test_spatial_extent_equals_full_scan():
-    forms = [weak_form_of_trace(build_fields(make())) for make in DISCRETE.values()]
-    forms += [make(eta).weak_form(horizon) for make in (sticky_solution, rebound_solution)
-              for eta in (0.3, 0.5, 0.9) for horizon in (1.0, 2.0)]
+    for make in DISCRETE.values():
+        tl = make()
+        extent = np.array(weak_form_of_trace(build_fields(tl)).spatial_extent())
+        assert extent.tobytes() == np.array(state_scan_extent(tl)).tobytes()
+    forms = [make(eta).weak_form(horizon) for make in (sticky_solution, rebound_solution)
+             for eta in (0.3, 0.5, 0.9) for horizon in (1.0, 2.0)]
     for form in forms:
         extent = np.array(form.spatial_extent())
         assert extent.tobytes() == np.array(full_scan_extent(form)).tobytes()
@@ -208,18 +242,23 @@ def test_valid_discrete_trace_mass_residuals_exactly_zero(make):
     assert mass == [0.0] * 12
 
 
-def test_shifted_position_in_one_segment_fails_mass():
-    form = weak_form_of_trace(build_fields(_random_contacts()))
-    fns = _family(form)
-    k = int(np.argmax([s.t1 - s.t0 for s in form.segments[1:]])) + 1
-    seg = form.segments[k]
-    i = seg.A0.size // 2
-    x = seg.A0.copy()
-    x[i] += 1e-3
-    segments = list(form.segments)
-    segments[k] = dataclasses.replace(seg, A0=x, A1=x)
-    mass, _ = LagrangianWeakForm(segments, form.atoms).family_residuals(fns)
-    assert max(abs(r) for r in mass) > TOL_WEAK_RESIDUAL
+def test_shifted_event_position_fails_momentum():
+    # the widest event's left edge moves by 1e-3 below the constructor; its
+    # positions and the trajectories' left limits then disagree.  With one
+    # set of positions in both the velocity-jump and the atom term, summation
+    # by parts would cancel them and the fault would pass
+    x0, u0, cone = random_admissible_datum(200, np.random.default_rng(5), contacts=True)
+    tl = evolve(x0, u0, cone, 1.0)
+    k = max(range(len(tl.events)), key=lambda k: np.ptp(tl.events[k].index_range))
+    events = list(tl.events)
+    events[k] = dataclasses.replace(events[k], x_left=events[k].x_left + 1e-3)
+    trace = build_fields(dataclasses.replace(tl, events=tuple(events)))
+    form = weak_form_of_trace(trace)
+    _, mom = form.family_residuals(_family(form))
+    assert max(abs(r) for r in mom) > TOL_WEAK_RESIDUAL
+    reports = run_battery(trace)
+    assert [r.name for r in reports if not r.passed] == ["semigroup", "weak_residuals"]
+    assert reports[CHECK_NAMES.index("weak_residuals")].value > TOL_WEAK_RESIDUAL
 
 
 def test_perturbed_post_velocity_fails_momentum():
