@@ -290,12 +290,9 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     timeline = trace.timeline
     u0, cone = timeline.u0, timeline.cone
     out.mkdir(parents=True, exist_ok=True)
-    events = timeline.events
     _write_csv(out / "events.csv",
                ["t_event", "merged_lo", "merged_hi", "post_velocity"],
-               [([float(e.time) for e in events], [e.index_range[0] + 1 for e in events],
-                 [e.index_range[1] + 1 for e in events],
-                 [float(e.post_velocity) for e in events])])
+               [(timeline.times, timeline.lo + 1, timeline.hi + 1, timeline.post)])
     ts = cfg["_sample_times"]
     particles = np.arange(1, n + 1)
     state_blocks, mult_blocks, snap_blocks = [], [], []
@@ -324,7 +321,7 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
                   f"tol={checks[k]['tolerance']:.3e} ({checks[k]['detail']})",
                   file=sys.stderr)
         return 2
-    print(f"simulate: n={n}, {len(timeline.events)} events, all checks passed")
+    print(f"simulate: n={n}, {timeline.times.size} events, all checks passed")
     return 0
 
 

@@ -22,12 +22,21 @@ whose sentinel entry n is set, coarsened only by ``_merge``.  States,
 snapshots, the estimates, the contact-set, discrete-system and weak-form
 checks all read its cursor.  ``evolve`` keys its clusters by the same
 starts: each cluster's data sits at its first particle.
+
+A timeline holds its events once, as columns that ``evolve`` writes from its
+own flat lists: the times, merged blocks, post velocities, left edges and
+one flat read-only array of multiplier jumps.  The replay, the record of the
+checks, the pressure measure and the export read the columns;
+``EventTimeline.events`` views the rows as ``MergeEvent`` objects, built on
+first read, and the checks read event positions through those views
+(``MergeEvent.positions``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,13 +101,12 @@ class MicroState:
 
 @dataclass(frozen=True)
 class MergeEvent:
-    """One connected group of clusters coalescing at a single instant.
+    """One connected group of clusters coalescing at a single instant: a row
+    of ``EventTimeline``'s columns, viewed as an object (``timeline.events``).
 
     It is also the event's pressure atom: ``jump_values`` are the multiplier
-    jumps on contacts lo+1..hi of ``index_range``, zero elsewhere.  Raises
-    InvariantViolationError unless there are exactly hi - lo of them.  From
-    ``evolve`` they are a read-only view into one array that holds the jumps
-    of every event of the timeline.
+    jumps on contacts lo+1..hi of ``index_range``, zero elsewhere, a view
+    into the timeline's flat ``jumps``.
     """
 
     time: float
@@ -106,13 +114,6 @@ class MergeEvent:
     post_velocity: float
     x_left: float
     jump_values: np.ndarray
-
-    def __post_init__(self):
-        lo, hi = self.index_range
-        if self.jump_values.shape != (hi - lo,):
-            raise InvariantViolationError(
-                f"event at t={self.time} merges {lo}..{hi} but carries "
-                f"{self.jump_values.size} jumps, not {hi - lo}")
 
     @property
     def index_range(self) -> tuple[int, int]:
@@ -252,9 +253,11 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     EVENT_TIE_TOL of each other are treated as simultaneous and processed
     left to right with cascade re-checking (a merge may put an adjacent pair
     into closing contact at the same instant).  Every connected group that
-    coalesces yields one MergeEvent.  The initial contacts and the cascade
-    test both use ``contact_tol(x0)`` = CONTACT_RTOL * (1 + (max x0 -
-    min x0)) + 8 eps max|x0|, computed once.
+    coalesces yields one event, one row of the timeline's columns, which the
+    loop writes as flat lists.  The initial contacts and the cascade test
+    both use ``contact_tol(x0)`` = CONTACT_RTOL * (1 + (max x0 - min x0)) +
+    8 eps max|x0|, computed once.  Raises InputDomainError unless horizon
+    >= 0 (a NaN fails), before any work.
 
     Each cluster is keyed by its first particle a, in lists of length n: its
     last particle end[a], its left edge xl[a] at time tr[a] and its velocity
@@ -268,8 +271,11 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     Cost: the first candidates take one vectorised pass over the initial
     starts and one sort, O(n log n) in numpy, and each is popped off the end
     of that sorted list in O(1); every later candidate costs O(log n) heap
-    work.  An instant that touches k blocks costs O(k log k) for sorting its
-    pairs and pre-merge records.  Each contact is queued at most once per
+    work.  One pop site takes the lesser head of the two, if it is due: the
+    first live candidate opens an instant at its t_hit, later ones within
+    EVENT_TIE_TOL of it join, and the instant is resolved once nothing more
+    is due.  An instant that touches k blocks costs O(k log k) for sorting
+    its pairs and pre-merge records.  Each contact is queued at most once per
     instant, so its worklist holds at most k items.  Resolving a worklist
     start walks head[end[.]] once per nesting level of the merges it went
     through at that instant (there is no path compression); in an n-way tie,
@@ -277,10 +283,9 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     step per walk.  The loop itself calls no numpy routine per event: the
     jumps of all events go to one flat read-only array after it, laid out
     by one repeat, with one sequential cumsum per event's slice, O(merged
-    range), and each event's ``jump_values`` is a view into it.  The lists
-    cost O(n) to set up.
+    range).  The lists cost O(n) to set up.
     """
-    if horizon < 0.0:
+    if not 0.0 <= horizon:
         raise InputDomainError(f"horizon must be nonnegative, got {horizon}")
     x0, u0 = _admissible(x0, u0, cone)
     n = cone.n
@@ -300,9 +305,9 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     v = initial.velocities.tolist()
     stamp = [0] * n  # bumped whenever the cluster keyed at a start changes
 
-    # the first candidates, (a, s) adjacent initial starts, with push_candidate's
-    # arithmetic at t_now = 0: the `- v * 0.0` terms keep the signs of zeros,
-    # and np.where(0.0 > q, 0.0, q) is max(q, 0.0)
+    # the first candidates, (a, s) adjacent initial starts, with the neighbour
+    # push's arithmetic at t_e = 0: the `- v * 0.0` terms keep the signs of
+    # zeros, and np.where(0.0 > q, 0.0, q) is max(q, 0.0)
     a0, s0 = starts[:-1], starts[1:]
     closing = np.flatnonzero(initial.velocities[a0] - initial.velocities[s0] > 0.0)
     a0, s0 = a0[closing], s0[closing]
@@ -322,48 +327,33 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     heap: list[tuple[float, int, int, int, int, int]] = []
     counter = due.size
 
-    def pop(t_max):
-        """The least candidate if its t_hit is at most t_max, else None."""
-        if first and (not heap or first[-1] < heap[0]):
-            if first[-1][0] <= t_max:
-                return first.pop()
-        elif heap and heap[0][0] <= t_max:
-            return heapq.heappop(heap)
-        return None
-
-    def push_candidate(a, s, t_now):
-        """Queue the exact contact instant of neighbours a, s if they close."""
-        nonlocal counter
-        rel = v[a] - v[s]
-        if rel <= 0.0:
-            return
-        lead = (xl[s] - v[s] * tr[s]) - (xl[a] - v[a] * tr[a]) \
-            - two_r * (end[a] - a) - two_r
-        t_hit = max(lead / rel, t_now)
-        if t_hit <= horizon:
-            heapq.heappush(heap, (t_hit, counter, a, s, stamp[a], stamp[s]))
-            counter += 1
-
-    # per event: time, merged blocks, post velocity, left edge; the jumps go to
-    # one flat array after the loop, laid out from diffs repeated reps times,
-    # event k's at bounds[k]:bounds[k + 1]
-    records: list[tuple[float, tuple[tuple[int, int], ...], float, float]] = []
+    # the columns: per event its time, post velocity and left edge, and the
+    # offset of its merged blocks in `blocks`; the jumps go to one flat array
+    # after the loop, laid out from diffs repeated reps times, event k's at
+    # bounds[k]:bounds[k + 1]
+    times, post, left_edges, blocks, block_off = [], [], [], [], [0]
     diffs: list[float] = []
     reps: list[int] = []
     bounds = [0]
 
-    while (cand := pop(horizon)) is not None:
-        t_e, _, a, s, sa, ss = cand
-        if stamp[a] != sa or stamp[s] != ss:
-            continue
-        pairs = [(a, s)]
-        t_tie = t_e + EVENT_TIE_TOL
-        while (cand := pop(t_tie)) is not None:
-            _, _, a, s, sa, ss = cand
+    # the live candidates (a, s) of the open instant, and the latest t_hit that is due
+    pairs, t_max = [], horizon
+    while True:
+        if first and (not heap or first[-1] < heap[0]):
+            cand = first.pop() if first[-1][0] <= t_max else None
+        else:
+            cand = heapq.heappop(heap) if heap and heap[0][0] <= t_max else None
+        if cand is not None:
+            t_hit, _, a, s, sa, ss = cand
             if stamp[a] == sa and stamp[s] == ss:
+                if not pairs:
+                    t_e, t_max = t_hit, t_hit + EVENT_TIE_TOL
                 pairs.append((a, s))
+            continue
+        if not pairs:
+            break
+        worklist, pairs, t_max = sorted(pairs), [], horizon
         pre: dict[int, tuple[int, float]] = {}  # touched start -> pre-instant (end, v)
-        worklist = sorted(pairs)
         # An item (l, r) merges the cluster holding l with the one holding r
         # if they are adjacent.  When queued, the cluster holding l ends at
         # r - 1, and it keeps particle r - 1 as it grows; so the item merges
@@ -388,7 +378,9 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             b = end[d]
             xl[c] = xl[c] + v[c] * (t_e - tr[c])
             tr[c] = t_e
-            v[c] = float((prefix_u0[b + 1] - prefix_u0[c]) / (b + 1 - c))
+            # Python floats via .item(), with numpy's IEEE bits; a list of n + 1
+            # boxed floats would cost 32 bytes per particle
+            v[c] = (prefix_u0.item(b + 1) - prefix_u0.item(c)) / (b + 1 - c)
             end[c] = b
             head[b] = c
             stamp[c] += 1
@@ -408,7 +400,6 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                 continue  # absorbed at this instant
             b = end[a]
             v_post = v[a]
-            blocks = []
             k = a
             while k <= b:
                 e, w = pre[k]
@@ -417,12 +408,21 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                 reps.append(e + 1 - k)
                 k = e + 1
             reps[-1] -= 1  # the jumps of lo..hi drop the last entry of v_post - u_pre
-            records.append((t_e, tuple(blocks), v_post, xl[a]))
+            times.append(t_e)
+            post.append(v_post)
+            left_edges.append(xl[a])
+            block_off.append(len(blocks))
             bounds.append(bounds[-1] + b - a)
-            if a > 0:
-                push_candidate(head[a - 1], a, t_e)
-            if b + 1 < n:
-                push_candidate(a, b + 1, t_e)
+            # queue the exact contact instant of each neighbour pair that closes
+            for left, right in ((head[a - 1], a), (a, b + 1)):
+                if 0 < right < n and v[left] > v[right]:
+                    lead = (xl[right] - v[right] * tr[right]) - (xl[left] - v[left] * tr[left]) \
+                        - two_r * (end[left] - left) - two_r
+                    t_hit = max(lead / (v[left] - v[right]), t_e)
+                    if t_hit <= horizon:
+                        heapq.heappush(heap, (t_hit, counter, left, right, stamp[left],
+                                              stamp[right]))
+                        counter += 1
 
     # jump_values = -cumsum(v_post - u_pre)[:-1] / n, bit for bit: a sequential
     # cumsum over each event's own slice (one over the whole array would carry
@@ -434,20 +434,30 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     np.negative(jumps, out=jumps)
     jumps /= n
     jumps.flags.writeable = False
-    events = [MergeEvent(t, blocks, v_post, x_left, jumps[lo:hi])
-              for (t, blocks, v_post, x_left), lo, hi in zip(records, bounds, bounds[1:])]
-    return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(), tuple(events), initial)
+    return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(), initial, np.array(times),
+                         np.array(blocks, dtype=np.intp).reshape(-1, 2), np.array(block_off),
+                         np.array(post), np.array(left_edges), jumps)
 
 
 @dataclass(frozen=True)
 class EventTimeline:
     """Full piecewise-linear-in-time solution: initial state plus merge events.
 
-    Raises InvariantViolationError unless every event time, post velocity,
+    The events are columns, one row per event in time order: ``times``,
+    ``post`` (the post velocity) and ``x_left`` (the left edge of the merged
+    range at the event instant), and the merged blocks, event k's being rows
+    block_off[k]:block_off[k + 1] of the (start, end) pairs ``blocks``.  Its
+    merged range lo..hi (``lo``, ``hi``) and the offsets ``jump_off`` of its
+    hi - lo multiplier jumps in the flat array ``jumps`` are derived once,
+    here.  ``events`` views the rows as ``MergeEvent`` objects, built on
+    first read.
+
+    Raises InputDomainError unless 0 <= horizon, and InvariantViolationError
+    unless the offsets end at jumps.size, every event time, post velocity,
     left edge and multiplier jump is finite, the event times are
     nondecreasing inside [0, horizon] and no jump lies below the floor
     -JUMP_FLOOR_RTOL * (1 + max|u0|); all of it takes one vectorised pass
-    over the events (a NaN passes every comparison with the floor, so
+    over the columns (a NaN passes every comparison with the floor, so
     finiteness is checked on its own).  Whether each event covers whole
     current blocks depends on the running partition, so ``replay`` checks
     that.
@@ -457,36 +467,53 @@ class EventTimeline:
     horizon: float
     x0: np.ndarray
     u0: np.ndarray
-    events: tuple[MergeEvent, ...]
     initial: MicroState
+    times: np.ndarray
+    blocks: np.ndarray
+    block_off: np.ndarray
+    post: np.ndarray
+    x_left: np.ndarray
+    jumps: np.ndarray
 
     def __post_init__(self):
-        if not self.events:
-            return
-        times = self.event_times()
-        edges = np.array([e.post_velocity for e in self.events]
-                         + [e.x_left for e in self.events], dtype=float)
-        jumps = np.concatenate([e.jump_values for e in self.events])
-        if not all(np.all(np.isfinite(a)) for a in (times, edges, jumps)):
+        if not 0.0 <= self.horizon:
+            raise InputDomainError(f"horizon must be nonnegative, got {self.horizon}")
+        lo, hi = self.blocks[self.block_off[:-1], 0], self.blocks[self.block_off[1:] - 1, 1]
+        # derived columns: the dataclass is frozen, so they go straight into the
+        # instance dict, as cached_property's values do
+        vars(self).update(lo=lo, hi=hi, jump_off=np.concatenate(([0], np.cumsum(hi - lo))))
+        if self.jump_off[-1] != self.jumps.size:
+            raise InvariantViolationError(
+                f"the merged ranges hold {self.jump_off[-1]} contacts, but the events carry "
+                f"{self.jumps.size} jumps")
+        times = self.times
+        if not all(np.all(np.isfinite(a)) for a in (times, self.post, self.x_left, self.jumps)):
             raise InvariantViolationError(
                 "an event carries a non-finite time, post velocity, left edge or jump")
-        if not (times[0] >= 0.0 and times[-1] <= self.horizon
-                and np.all(times[1:] >= times[:-1])):
+        if times.size and not (times[0] >= 0.0 and times[-1] <= self.horizon
+                               and np.all(times[1:] >= times[:-1])):
             raise InvariantViolationError(
                 "event times must be nondecreasing inside [0, horizon]")
-        if jumps.size:
-            lowest = float(jumps.min())
-            floor = -JUMP_FLOOR_RTOL * _scale(self.u0)
-            if lowest < floor:
-                raise InvariantViolationError(
-                    f"negative multiplier jump {lowest:.3e} below the floor {floor:.3e}")
+        lowest = float(self.jumps.min(initial=np.inf))
+        floor = -JUMP_FLOOR_RTOL * _scale(self.u0)
+        if lowest < floor:
+            raise InvariantViolationError(
+                f"negative multiplier jump {lowest:.3e} below the floor {floor:.3e}")
 
     @property
     def n(self) -> int:
         return self.cone.n
 
-    def event_times(self) -> np.ndarray:
-        return np.array([e.time for e in self.events])
+    @cached_property
+    def events(self) -> tuple[MergeEvent, ...]:
+        """The rows as ``MergeEvent`` views, built on first read; each
+        ``jump_values`` is a view into ``jumps``."""
+        blocks = [tuple(b) for b in self.blocks.tolist()]
+        b, j = self.block_off.tolist(), self.jump_off.tolist()
+        rows = zip(self.times.tolist(), b, b[1:], self.post.tolist(), self.x_left.tolist(),
+                   j, j[1:])
+        return tuple(MergeEvent(t, tuple(blocks[b0:b1]), v, x, self.jumps[j0:j1])
+                     for t, b0, b1, v, x, j0, j1 in rows)
 
     def state_at(self, t: float) -> MicroState:
         (state,) = self.states_at([t])
@@ -507,37 +534,40 @@ class EventTimeline:
         Yields one ``ReplayCursor``, updated in place: at each query instant of
         ``times`` (ascending, inside [0, horizon]) once the events at or before
         it are applied, and after every event if ``every_event`` (the default
-        without ``times``).  A cursor at a query instant has ``event`` None;
-        with both, the events up to a query instant come before it, and events
-        after the last one are not applied.  The event step sets the
-        block-start mask and the left edge, reference time and velocity at the
-        merged block's start: O(1) plus ``_merge``'s O(merged range).  Raises
-        InvariantViolationError if an event does not cover whole current
-        blocks.
+        without ``times``), with ``event`` its view from ``events``.  A cursor
+        at a query instant has ``event`` None; with both, the events up to a
+        query instant come before it, and events after the last one are not
+        applied.  The event step reads the columns, one ``tolist`` each per
+        replay, and sets the block-start mask and the left edge, reference
+        time and velocity at the merged block's start: O(1) plus ``_merge``'s
+        O(merged range).  Raises InvariantViolationError if an event does not
+        cover whole current blocks.
         """
         if every_event is None:
             every_event = times is None
         if times is not None:
             times = [float(t) for t in times]
-            if any(t < 0.0 or t > self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
+            if not all(0.0 <= t <= self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
                 raise InputDomainError("query times must lie in [0, horizon]")
             if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
                 raise InputDomainError("query times must be ascending")
         cur = ReplayCursor(self)
         is_start, x_left, t_ref, v = cur.is_start, cur.x_left, cur.t_ref, cur.v
-        events, ev = self.events, 0
+        lo, hi, post, _ = cur.rows
+        ev_times, left = self.times.tolist(), self.x_left.tolist()
+        events = self.events if every_event else None
+        ev = 0
         for t in times if times is not None else [np.inf]:
-            while ev < len(events) and events[ev].time <= t:
-                e = events[ev]
-                lo, hi = e.index_range
-                if not _merge(is_start, lo, hi):
+            while ev < len(ev_times) and ev_times[ev] <= t:
+                a, b, t_e = lo[ev], hi[ev], ev_times[ev]
+                if not _merge(is_start, a, b):
                     raise InvariantViolationError(
-                        f"event at t={e.time} merges {lo}..{hi}, which is not a union "
+                        f"event at t={t_e} merges {a}..{b}, which is not a union "
                         "of current blocks")
-                x_left[lo], t_ref[lo], v[lo] = e.x_left, e.time, e.post_velocity
+                x_left[a], t_ref[a], v[a] = left[ev], t_e, post[ev]
                 ev += 1
                 if every_event:
-                    cur.time, cur.event, cur.count = e.time, e, ev
+                    cur.time, cur.event, cur.count = t_e, events[ev - 1], ev
                     yield cur
             if times is not None:
                 cur.time, cur.event, cur.count = t, None, ev
@@ -553,7 +583,8 @@ class ReplayCursor:
     dense velocities ``u`` and multipliers ``lam[0..n]`` are brought up to
     date only when read, each on its own, by applying the events since its
     last read; ``u_pre`` is u on the current event's range lo..hi just before
-    that event.  They are the live arrays: copy what you keep.
+    that event.  They are the live arrays: copy what you keep.  ``rows``
+    holds the timeline's lo, hi, post and jump_off columns as lists.
     """
 
     def __init__(self, timeline: EventTimeline):
@@ -567,6 +598,8 @@ class ReplayCursor:
         self._u = timeline.initial.velocities.copy()
         self._lam = np.zeros(timeline.n + 1)
         self._u_count = self._lam_count = 0
+        self.rows = tuple(c.tolist() for c in (timeline.lo, timeline.hi, timeline.post,
+                                               timeline.jump_off))
 
     def state(self) -> MicroState:
         """The state at the cursor's time, from the mask and the per-start data.
@@ -593,19 +626,18 @@ class ReplayCursor:
 
     def _apply_u(self) -> None:
         """Apply the events since the last read to u, keeping the last one's pre-image."""
-        u, events = self._u, self.timeline.events
+        u, (lo, hi, post, _) = self._u, self.rows
         for k in range(self._u_count, self.count):
-            lo, hi = events[k].index_range
             if k == self.count - 1:
-                self._u_pre = u[lo:hi + 1].copy()
-            u[lo:hi + 1] = events[k].post_velocity
+                self._u_pre = u[lo[k]:hi[k] + 1].copy()
+            u[lo[k]:hi[k] + 1] = post[k]
         self._u_count = self.count
 
     @property
     def lam(self) -> np.ndarray:
-        for e in self.timeline.events[self._lam_count:self.count]:
-            lo, _ = e.index_range
-            self._lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
+        (lo, hi, _, off), jumps = self.rows, self.timeline.jumps
+        for k in range(self._lam_count, self.count):
+            self._lam[lo[k] + 1:hi[k] + 1] += jumps[off[k]:off[k + 1]]
         self._lam_count = self.count
         return self._lam
 
@@ -622,8 +654,9 @@ class EventRecord:
     cursor's u and lam updates, one copy of a lam slice,
     ``MergeEvent.positions``, np.dot(u_pre, u_pre) (the one reduction kept
     per event, because the energy recursion reads its bits), and O(1) per
-    merged block.  Every other statistic of the checks is one vectorised
-    pass over the flat arrays.
+    merged block.  ``lo``, ``hi``, ``times``, ``post`` and ``jumps`` are
+    the timeline's columns over the recorded events.  Every other statistic
+    of the checks is one vectorised pass over the flat arrays.
 
     Event k covers entries ``off[k]:off[k + 1]`` of the per-particle arrays,
     ``sizes[k]`` = hi - lo + 1 of them, one per particle ``index`` of its
@@ -631,10 +664,10 @@ class EventRecord:
     positions) and ``x_pre`` (their left limit: each block of
     ``merged_blocks`` rigid from its own left edge).  ``inner`` marks the
     entries whose right neighbour is in the same range, one per contact
-    lo+1..hi, so ``jumps`` (every event's jumps, concatenated) aligns with
-    its true entries.  ``lam`` holds lam on max(lo - 1, 0) .. min(hi + 2, n)
-    just after each event, slice k from ``lam_off[k]``, and ``lam_base`` is
-    the flat index in it of lam[index] after the entry's event.
+    lo+1..hi, so ``jumps`` aligns with its true entries.  ``lam`` holds lam
+    on max(lo - 1, 0) .. min(hi + 2, n) just after each event, slice k from
+    ``lam_off[k]``, and ``lam_base`` is the flat index in it of lam[index]
+    after the entry's event.
 
     Positions off the event's own come from the replay's per-start data
     with ``ReplayCursor.state``'s expression, so they carry its bits:
@@ -657,8 +690,6 @@ class EventRecord:
         head[np.append(starts[1:], n) - 1] = starts
         self.head = head.tolist()
         self.dots: list[float] = []
-        self._lo: list[int] = []
-        self._hi: list[int] = []
         self._u_pre: list[np.ndarray] = []
         self._x: list[np.ndarray] = []
         self._lam: list[np.ndarray] = []
@@ -691,8 +722,6 @@ class EventRecord:
         n, t, v = self.timeline.n, cur.time, cur.v
         self._per_start = (cur.x_left, cur.t_ref, v)
         seg = cur.u_pre  # a fresh copy per event, which the cursor never writes again
-        self._lo.append(lo)
-        self._hi.append(hi)
         self._u_pre.append(seg)
         self.dots.append(float(np.dot(seg, seg)))
         self._lam.append(cur.lam[max(lo - 1, 0):min(hi + 2, n) + 1].copy())
@@ -712,11 +741,10 @@ class EventRecord:
     def close(self) -> "EventRecord":
         """Lay the slices out once the replay has applied every event it will;
         the horizon's ``ends`` read the per-start data it left."""
-        events = self.timeline.events[:len(self.dots)]
-        self.lo = np.array(self._lo, dtype=np.intp)
-        self.hi = np.array(self._hi, dtype=np.intp)
-        self.times = np.array([e.time for e in events], dtype=float)
-        self.post = np.array([e.post_velocity for e in events], dtype=float)
+        tl, count = self.timeline, len(self.dots)  # the events the replay applied
+        columns = (tl.lo, tl.hi, tl.times, tl.post)
+        self.lo, self.hi, self.times, self.post = (c[:count] for c in columns)
+        self.jumps = tl.jumps[:tl.jump_off[count]]
         self.sizes = m = self.hi - self.lo + 1
         self.off = np.concatenate(([0], np.cumsum(m)))
         first = np.repeat(self.off[:-1], m)
@@ -732,7 +760,6 @@ class EventRecord:
         self.sides = np.array(self._sides, dtype=float).reshape(-1, 4)
         self._ends.append(self._ends_at(self.timeline.horizon))
         self.ends = np.array(self._ends, dtype=float)
-        self.jumps = _flat([e.jump_values for e in events])
         self.lam = _flat(self._lam)
         self.lam_off = np.concatenate(([0], np.cumsum([a.size for a in self._lam],
                                                        dtype=np.intp)))
@@ -769,12 +796,13 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
     return lam
 
 
-def pressure_measure(timeline: EventTimeline) -> tuple[MergeEvent, ...]:
-    """Atomic pressure: the timeline's events, one atom each (``MergeEvent``).
+def pressure_measure(timeline: EventTimeline) -> EventTimeline:
+    """Atomic pressure: one atom per event, read off the timeline's columns
+    (the time, the merged range lo..hi and the jumps on contacts lo+1..hi).
 
     The timeline's constructor has checked every jump against the floor.
     """
-    return timeline.events
+    return timeline
 
 
 def verify_complementarity(state: MicroState, lam: np.ndarray) -> CheckReport:
@@ -850,9 +878,9 @@ def verify_estimates(timeline: EventTimeline, record: EventRecord | None = None)
     energy = [float(np.dot(u, u) / n)]
     tol = ENERGY_RTOL * (1.0 + energy[0])
     monotone = True
-    for e, size, dot in zip(timeline.events, rec.sizes.tolist(), rec.dots):
+    for post, size, dot in zip(rec.post.tolist(), rec.sizes.tolist(), rec.dots):
         e_pre = energy[-1]
-        e_post = e_pre + (size * e.post_velocity ** 2 - dot) / n
+        e_post = e_pre + (size * post ** 2 - dot) / n
         if not e_post <= e_pre + tol:
             monotone = False
         energy.append(e_post)

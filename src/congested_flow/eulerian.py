@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CheckReport, MergeEvent, MicroState, max_slope_ratio, worst_of
+from .dynamics import CheckReport, EventTimeline, MicroState, max_slope_ratio, worst_of
 from .cone import SpacingCone
 from .errors import InputDomainError
 from .fields import DeltaPadding, FieldTrace
@@ -95,35 +95,31 @@ def snapshot(state: MicroState, cone: SpacingCone,
     )
 
 
-def pressure_pushforward(events: tuple[MergeEvent, ...],
+def pressure_pushforward(measure: EventTimeline,
                          trace: FieldTrace) -> tuple[EulerianAtom, ...]:
     """Transport the multiplier jumps to space: contact j covers (x[j-1], x[j]).
 
     The lineal density on a contact interval equals the jump itself, which
     is the value making the Dirac pressure term balance the velocity jump in
     the weak momentum equation; supports land in saturated cells only.
-    Each atom is read off its event's merged range (``MergeEvent.positions``
-    and the jumps), all events in one vectorised pass: O(sum of merged
-    sizes).  Events without a nonzero jump give no atom.
+    ``measure`` is the pressure measure, the timeline's event columns
+    (``dynamics.pressure_measure``).  Each atom is read off its event's
+    merged range: the jumps, and the positions x_left + two_r * j with
+    ``MergeEvent.positions``' expression; all events in one vectorised pass
+    over the columns, O(sum of merged sizes).  Events without a nonzero jump
+    give no atom.
     """
-    if not events:
-        return ()
-    jumps = np.concatenate([e.jump_values for e in events])
-    x = np.concatenate([e.positions(trace.two_r) for e in events])
-    counts = np.array([e.jump_values.size for e in events])
-    event = np.repeat(np.arange(len(events)), counts)
-    k = np.flatnonzero(jumps != 0.0)
-    event = event[k]
-    # jump k of event e pairs positions k + e and k + e + 1 (one more per range)
-    left = x[k + event]
-    right = x[k + event + 1]
-    lo = np.array([e.index_range[0] for e in events])
-    first = np.concatenate(([0], np.cumsum(counts)))
-    contacts = lo[event] + 1 + (k - first[event])
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(event, minlength=len(events)))))
+    off, count = measure.jump_off, measure.times.size
+    k = np.flatnonzero(measure.jumps != 0.0)
+    event = np.repeat(np.arange(count), np.diff(off))[k]
+    j = k - off[event]  # jump j of an event sits between its positions j and j + 1
+    x_left = measure.x_left[event]
+    left, right = x_left + trace.two_r * j, x_left + trace.two_r * (j + 1)
+    contacts = measure.lo[event] + 1 + j
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(event, minlength=count)))).tolist()
     return tuple(
-        EulerianAtom(e.time, contacts[a:b], left[a:b], right[a:b], jumps[k[a:b]])
-        for e, a, b in zip(events, bounds[:-1].tolist(), bounds[1:].tolist()) if b > a)
+        EulerianAtom(t, contacts[a:b], left[a:b], right[a:b], measure.jumps[k[a:b]])
+        for t, a, b in zip(measure.times.tolist(), bounds, bounds[1:]) if b > a)
 
 
 def weak_residual_suite(trace: FieldTrace) -> dict:
@@ -207,7 +203,7 @@ def wasserstein_time_modulus(trace: FieldTrace, s: float, t: float) -> dict:
     if s == t:
         return {"passed": True, "modulus": 0.0, "bound": 0.0}
     h = np.diff(trace.w_grid)
-    times = [s] + [float(te) for te in trace.timeline.event_times() if s < te <= t] + [t]
+    times = [s] + [te for te in trace.timeline.times.tolist() if s < te <= t] + [t]
     for k, snap in enumerate(trace.iter_snapshots(times)):
         if k == 0:
             x_first = snap.x_nodes

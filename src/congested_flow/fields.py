@@ -22,8 +22,7 @@ from .dynamics import EventRecord, EventTimeline, MergeEvent, MicroState, evolve
     max_slope_ratio, pressure_measure, worst_of
 from .errors import InputDomainError
 from .initdata import MacroscopicDatum, quantile_sample
-from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks, \
-    sorted_distinct
+from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks
 from .tolerances import DISCRETE_PDE_TOL, GRADIENT_L1_ATOL, GRADIENT_L1_RTOL
 
 __all__ = [
@@ -101,8 +100,6 @@ class FieldTrace:
         self.n = timeline.n
         self.two_r = timeline.cone.two_r
         self.w_grid = np.arange(self.n + 1) / self.n
-        grid = np.concatenate(([0.0], timeline.event_times(), [timeline.horizon]))
-        self.times = sorted_distinct(grid[(grid >= 0.0) & (grid <= timeline.horizon)])
 
     def jump_profile(self, e: MergeEvent) -> np.ndarray:
         """Dense multiplier jump lam[0..n] of one event on the mass grid: O(n)."""
@@ -171,10 +168,11 @@ def verify_discrete_pde(trace: FieldTrace, record: EventRecord | None = None) ->
     inside a cluster the position slope is n * two_r at every instant up to
     rounding; so the multiplier exclusion is checked on the contacts
     lo+1..hi of each event against the slopes of the event's positions
-    (``MergeEvent.positions``).  All of it is one vectorised pass over
-    ``record``, a replay's ``EventRecord`` (made here if not given): O(n +
-    sum of merged range sizes), with no state or snapshot built.  A NaN
-    residual fails the check.
+    (``MergeEvent.positions``, which ``EventRecord.add`` reads off each
+    event's view in ``timeline.events``).  All of it is one vectorised pass
+    over ``record``, a replay's ``EventRecord`` (made here if not given):
+    O(n + sum of merged range sizes), with no state or snapshot built.  A
+    NaN residual fails the check.
     """
     timeline = trace.timeline
     rec = record if record is not None else EventRecord.of(timeline)
@@ -230,8 +228,14 @@ def oleinik_field_check(trace: FieldTrace, state: MicroState) -> dict:
 
 
 def pressure_mass_bound(trace: FieldTrace) -> float:
-    """Total mass of the interpolated pressure atoms over (0,1) and time."""
-    return sum(float(e.jump_values.sum()) / trace.n for e in pressure_measure(trace.timeline))
+    """Total mass of the interpolated pressure atoms over (0,1) and time.
+
+    One ``sum`` per event's slice of the jumps, added in event order; a
+    segmented reduction adds in another order and gives other bits.
+    """
+    measure = pressure_measure(trace.timeline)
+    off = measure.jump_off.tolist()
+    return sum(float(measure.jumps[a:b].sum()) / trace.n for a, b in zip(off, off[1:]))
 
 
 def _run_single(datum: MacroscopicDatum, n: int, horizon: float,
@@ -268,7 +272,7 @@ def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
     if len(n_list) < 1:
         raise InputDomainError("need at least one n")
     sample_times = sorted(float(t) for t in sample_times)
-    if any(t < 0.0 or t > horizon for t in sample_times):
+    if not all(0.0 <= t <= horizon for t in sample_times):
         raise InputDomainError("sample times must lie in [0, horizon]")
 
     n_ref = n_list[-1]

@@ -53,12 +53,9 @@ def _check_density(pieces) -> list[DensityPiece]:
             raise InputDomainError(f"density piece {k}: empty interval [{p.a}, {p.b})")
         if p.a < prev_b:
             raise InputDomainError(f"density piece {k}: overlaps the previous piece")
-        if p.value < 0.0:
-            raise InputDomainError(f"density piece {k}: negative value {p.value}")
-        if p.value > 1.0:
+        if not 0.0 <= p.value <= 1.0:
             raise InputDomainError(
-                f"density piece {k}: value {p.value} exceeds the packing threshold 1"
-            )
+                f"density piece {k}: value {p.value} outside [0, 1], 1 the packing threshold")
         prev_b = p.b
         if p.value > 0.0:
             out.append(p)

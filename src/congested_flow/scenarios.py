@@ -230,7 +230,7 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
                                       cluster_closure=True)
         max_projection_err = max(max_projection_err,
                                  proj.distance(u_pc, "Linf"))
-    final_merge = float(timeline.events[-1].time) if timeline.events else np.nan
+    final_merge = float(timeline.times[-1]) if timeline.times.size else np.nan
     return {
         "passed": bool(max_speed <= SELECTION_SPEED_TOL
                        and min_rebound_dist >= 0.5 * rebound_norm
@@ -243,7 +243,7 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
         "rebound_norm": float(rebound_norm),
         "max_sticky_distance": float(max_sticky_dist),
         "max_projection_error": float(max_projection_err),
-        "event_count": len(timeline.events),
+        "event_count": timeline.times.size,
         "timeline": timeline,
         "trace": trace,
     }

@@ -201,8 +201,8 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     timeline = trace.timeline
     cone, n, two_r = timeline.cone, timeline.n, trace.two_r
     horizon = timeline.horizon
-    events = timeline.events
-    ts = _sample_times(horizon, timeline.event_times())
+    event_times = timeline.times.tolist()
+    ts = _sample_times(horizon, timeline.times)
     sampled = set(ts.tolist())
     semigroup_pairs = [(s, t) for s, t in _time_pairs(rng, horizon, 20)
                        if t - s >= SEMIGROUP_MIN_SPAN]
@@ -230,7 +230,8 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     for cur in _until_rejected(timeline.replay(queries, every_event=True), rejected):
         if cur.event is not None:
             record.add(cur)
-            if open_w2 and (cur.count == len(events) or events[cur.count].time != cur.time):
+            if open_w2 and (cur.count == len(event_times)
+                            or event_times[cur.count] != cur.time):
                 norm = velocity_l2(h, cur.u)
                 for p in open_w2.values():
                     p[1] = worst_of((p[1], norm))
@@ -278,7 +279,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             open_pairs[kind][k] = (st if kind == "semigroup" else
                                    [trace.padding.pad(st.positions, two_r),
                                     velocity_l2(h, st.velocities)])
-    monotone = CheckReport("active_set_monotone", not rejected, float(len(events)), 0.0,
+    monotone = CheckReport("active_set_monotone", not rejected, float(len(event_times)), 0.0,
                            "contact set nondecreasing along events")
     if rejected:
         return [monotone if name == monotone.name else

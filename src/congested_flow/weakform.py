@@ -228,7 +228,8 @@ class EventWeakForm:
     first window's start term, and the horizon term vanishes.  Cost O(sum
     of merged range sizes) evaluations of phi per member.
 
-    x is the event's own positions (``MergeEvent.positions``); x_pre is the
+    x is the event's own positions (``MergeEvent.positions`` of its view in
+    ``timeline.events``, read by ``EventRecord.add``); x_pre is the
     left limit of the trajectories, each pre-event block at its own left
     edge from the replay's per-start data (``EventRecord.x_pre``).  With x
     in both terms, summation by parts would cancel them for any positions,

@@ -18,7 +18,6 @@ from congested_flow.dynamics import (
     _contact_starts,
     _merge,
     _start_mask,
-    EventTimeline,
     MergeEvent,
     MicroState,
     active_set_monotone,
@@ -117,6 +116,22 @@ def test_evolve_negative_horizon():
         evolve(X2, U2, TWO, -1.0)
 
 
+def test_nan_horizon_and_query_times_are_rejected():
+    # each comparison that a NaN passes: `horizon < 0.0` let a NaN horizon
+    # through (no event, and the replay's states overlapped by 1.31), and
+    # `t < 0.0 or t > horizon` a NaN query time (an all-NaN state)
+    x0, u0, cone = random_admissible_datum(20, np.random.default_rng(0), contacts=True)
+    with pytest.raises(InputDomainError):
+        evolve(x0, u0, cone, np.nan)
+    # the timeline makes the same check, events or none
+    for tl in (evolve(x0, u0, cone, 1.0), evolve(X2, U2, TWO, 0.25)):
+        with pytest.raises(InputDomainError):
+            dataclasses.replace(tl, horizon=np.nan)
+        for times in ([np.nan], [np.nan, 0.2], [0.1, np.nan]):
+            with pytest.raises(InputDomainError):
+                tl.states_at(times)
+
+
 @pytest.mark.parametrize("contacts", [False, True])
 def test_evolve_matches_projection_formula(contacts):
     rng = np.random.default_rng(17 if contacts else 8)
@@ -161,7 +176,7 @@ def test_routes_agree_on_partitions_at_and_before_events(offset):
     x0, u0, cone = random_admissible_datum(80, rng, contacts=True)
     x0 = x0 + offset
     tl = evolve(x0, u0, cone, 3.0)
-    te = tl.event_times()
+    te = tl.times
     assert te.size > 5
     before = np.nextafter(te, -np.inf)
     times = np.sort(np.concatenate((np.linspace(0.0, 3.0, 17), te, before)))
@@ -193,7 +208,7 @@ def test_contact_decisions_are_translation_invariant(offset):
     x0, u0, cone = random_admissible_datum(80, np.random.default_rng(22), contacts=True)
     x0 = x0 + offset
     tl = evolve(x0, u0, cone, 1.0)
-    before = tl.event_times() - 1e-7
+    before = tl.times - 1e-7
     assert before.size == 39
     for t, st in zip(before, tl.states_at(before)):
         np.testing.assert_array_equal(trajectory_at(x0, u0, cone, float(t)).starts, st.starts)
@@ -250,14 +265,14 @@ def _cascade_case():
 
 def _event_times_case():
     tl, _ = _random_contacts_case()
-    te = tl.event_times()
+    te = tl.times
     assert te.size > 5
     return tl, np.sort(np.concatenate((te, np.nextafter(te, -np.inf))))
 
 
 def _edge_times_case():
     tl, _ = _random_contacts_case()
-    te = tl.event_times()
+    te = tl.times
     h = tl.horizon
     return tl, np.array([0.0, 0.0, te[0], te[0], te[3], te[3], te[3], h, h])
 
@@ -521,12 +536,12 @@ def test_multipliers_detect_corrupted_state():
 
 def test_pressure_measure_empty_without_events():
     tl = evolve(np.array([0.0, 2.0]), np.array([0.3, 0.3]), TWO, 1.0)
-    assert pressure_measure(tl) == ()
+    assert pressure_measure(tl).events == ()
 
 
 def test_pressure_measure_single_atom():
     tl = evolve(X2, U2, TWO, 1.0)
-    (atom,) = pressure_measure(tl)
+    (atom,) = pressure_measure(tl).events
     assert atom.time == pytest.approx(0.5, abs=1e-15)
     assert atom.index_range == (0, 1)
     np.testing.assert_allclose(atom.jump_values, [0.5])
@@ -577,10 +592,10 @@ def test_semigroup_across_event_and_free_window():
 
 
 def shift_post_velocity(tl, k, dv):
-    """Copy of a timeline whose event k leaves with post_velocity + dv."""
-    events = list(tl.events)
-    events[k] = dataclasses.replace(events[k], post_velocity=events[k].post_velocity + dv)
-    return dataclasses.replace(tl, events=tuple(events))
+    """Copy of a timeline whose event k leaves with post velocity + dv."""
+    post = tl.post.copy()
+    post[k] += dv
+    return dataclasses.replace(tl, post=post)
 
 
 def semigroup_control_case(name):
@@ -698,16 +713,18 @@ def test_active_set_monotone_valid_and_corrupted():
     assert active_set_monotone(tl)
     # a later event starting inside an earlier merged block splits a cluster
     lo, hi = tl.events[0].index_range
-    fake = type(tl.events[0])(tl.horizon, ((lo + 1, hi),), 0.0, 0.0,
-                              np.zeros(hi - lo - 1))
+    fake = (lo + 1, hi)
     # and one ending inside it drops the block's tail
-    short = type(tl.events[0])(tl.horizon, ((lo, hi - 1),), 0.0, 0.0,
-                               np.zeros(hi - lo - 1))
+    short = (lo, hi - 1)
     # and one whose range reaches past the last particle
-    beyond = type(tl.events[0])(tl.horizon, ((0, tl.n),), 0.0, 0.0, np.zeros(tl.n))
-    for event in (fake, short, beyond):
-        bad = EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0,
-                            tl.events + (event,), tl.initial)
+    beyond = (0, tl.n)
+    for block in (fake, short, beyond):
+        # one more event at the horizon, of one block, appended to the columns
+        bad = dataclasses.replace(
+            tl, times=np.append(tl.times, tl.horizon), blocks=np.vstack((tl.blocks, block)),
+            block_off=np.append(tl.block_off, tl.blocks.shape[0] + 1),
+            post=np.append(tl.post, 0.0), x_left=np.append(tl.x_left, 0.0),
+            jumps=np.append(tl.jumps, np.zeros(block[1] - block[0])))
         assert not active_set_monotone(bad)
         # every reader of the timeline replays the events and rejects it
         trace = build_fields(bad)
@@ -726,16 +743,17 @@ def test_timeline_rejects_what_it_can_check_alone(fault):
     # neither fault needs the running partition, so no reader gets to run
     x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12))
     tl = evolve(x0, u0, cone, 3.0)
-    events = list(tl.events)
+    events = tl.events
     widest = max(range(len(events)), key=lambda k: events[k].jump_values.size)
     assert events[widest].index_range == (4, 22)
     with pytest.raises(InvariantViolationError):
         if fault == "cut_jump":
-            e = events[widest]
-            events[widest] = dataclasses.replace(e, jump_values=e.jump_values[:-1])
+            # the flat jump array one entry short: the widest event's last
+            dataclasses.replace(tl, jumps=np.delete(tl.jumps, tl.jump_off[widest + 1] - 1))
         else:
-            events[3] = dataclasses.replace(events[3], time=events[4].time + 1e-3)
-        EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
+            times = tl.times.copy()
+            times[3] = times[4] + 1e-3
+            dataclasses.replace(tl, times=times)
 
 
 def test_timeline_rejects_a_jump_below_the_floor():
@@ -743,17 +761,14 @@ def test_timeline_rejects_a_jump_below_the_floor():
     x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12))
     tl = evolve(x0, u0, cone, 3.0)
     floor = -JUMP_FLOOR_RTOL * (1.0 + float(np.max(np.abs(tl.u0))))
-    events = list(tl.events)
-    k = len(events) // 2
-    jumps = events[k].jump_values.copy()
-    jumps[-1] = floor
-    events[k] = dataclasses.replace(events[k], jump_values=jumps)
-    EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
+    last = tl.jump_off[len(tl.events) // 2 + 1] - 1  # the middle event's last jump
+    jumps = tl.jumps.copy()
+    jumps[last] = floor
+    dataclasses.replace(tl, jumps=jumps)
     jumps = jumps.copy()
-    jumps[-1] = 2.0 * floor
-    events[k] = dataclasses.replace(events[k], jump_values=jumps)
+    jumps[last] = 2.0 * floor
     with pytest.raises(InvariantViolationError, match="below the floor"):
-        EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
+        dataclasses.replace(tl, jumps=jumps)
 
 
 @pytest.mark.parametrize("entry", ["first_jump", "last_jump", "post_velocity", "x_left",
@@ -764,17 +779,14 @@ def test_timeline_rejects_a_non_finite_event_entry(entry):
     x0, u0, cone = random_admissible_datum(60, np.random.default_rng(3), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
     assert len(tl.events) == 34
-    events = list(tl.events)
     k = -1 if entry == "last_jump" else 0
-    e = events[k]
-    if entry.endswith("jump"):
-        jumps = e.jump_values.copy()
-        jumps[0] = np.nan
-        events[k] = dataclasses.replace(e, jump_values=jumps)
-    else:
-        events[k] = dataclasses.replace(e, **{entry: np.inf if entry == "x_left" else np.nan})
+    # the first jump of the first or the last event, or an entry of the first
+    column = {"post_velocity": "post", "x_left": "x_left", "time": "times"}.get(entry, "jumps")
+    values = getattr(tl, column).copy()
+    values[tl.jump_off[:-1][k] if column == "jumps" else k] = \
+        np.inf if entry == "x_left" else np.nan
     with pytest.raises(InvariantViolationError, match="non-finite"):
-        EventTimeline(tl.cone, tl.horizon, tl.x0, tl.u0, tuple(events), tl.initial)
+        dataclasses.replace(tl, **{column: values})
 
 
 def estimates_reference(tl):
@@ -876,7 +888,7 @@ def test_replay_dense_arrays_match_the_old_loops_bitwise(make):
                 assert _same_bits(getattr(cur, name), want[name]), (order, stride, k, name)
         assert count == len(tl.events)
     # query instants only: events, their left neighbours and a uniform grid
-    te = tl.event_times()
+    te = tl.times
     times = np.sort(np.concatenate((te, np.nextafter(te, -np.inf), np.linspace(0.0, 1.0, 9))))
     dense = [tl.initial.velocities] + [u for _, u, _ in ref]
     for first in ("u", "lam"):

@@ -198,7 +198,7 @@ def test_wasserstein_modulus_equals_the_snapshot_list_formula():
     x0, u0, cone = random_admissible_datum(300, rng, contacts=True)
     trace = build_fields(evolve(x0, u0, cone, 1.0))
     w = trace.w_grid
-    ev = [float(te) for te in trace.timeline.event_times()]
+    ev = [float(te) for te in trace.timeline.times]
     pairs = [(0.0, 1.0), (0.0, ev[0]), (ev[3], ev[40]), (ev[-1], 1.0)]
     pairs += [tuple(float(v) for v in np.sort(rng.uniform(0.0, 1.0, 2))) for _ in range(6)]
     for s, t in pairs:
@@ -243,14 +243,14 @@ def test_weak_residuals_detect_corrupted_dynamics():
     mass, mom = form.family_residuals(fns)
     assert mass == [0.0] * len(fns) and max(abs(r) for r in mom) <= 1e-12
 
-    def corrupted(**change):
-        bad = dataclasses.replace(tl, events=(dataclasses.replace(event, **change),))
+    def corrupted(**columns):
+        bad = dataclasses.replace(tl, **columns)
         return weak_form_of_trace(build_fields(bad)).family_residuals(fns)
 
-    _, mom = corrupted(post_velocity=event.post_velocity * 1.1)
+    _, mom = corrupted(post=tl.post * 1.1)
     assert max(abs(r) for r in mom) > 1e-3
     # dropping the pressure atom breaks only the momentum balance
-    mass, mom = corrupted(jump_values=np.zeros_like(event.jump_values))
+    mass, mom = corrupted(jumps=np.zeros_like(tl.jumps))
     assert mass == [0.0] * len(fns)
     assert max(abs(r) for r in mom) > 1e-3
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from congested_flow import fields, piecewise
+from congested_flow import dynamics, fields, piecewise
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import EventTimeline, evolve, max_slope_ratio, pressure_measure
@@ -23,7 +23,8 @@ from congested_flow.fields import (
     pressure_mass_bound,
     verify_discrete_pde,
 )
-from congested_flow.initdata import MacroscopicDatum, rearrangement_from_density
+from congested_flow.initdata import MacroscopicDatum, quantile_sample, \
+    rearrangement_from_density
 from congested_flow.piecewise import PiecewiseField, merge_breaks
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
@@ -282,6 +283,35 @@ def test_convergence_study_two_block_monotone():
     masses = [study["sup"][n]["pressure_mass"] for n in (16, 32, 64, 128)]
     assert max(masses) / min(masses) <= 2.0
     assert study["rate_fit"]["empirical_order_X"] > 0.5
+
+
+def test_convergence_study_rejects_nan_times_and_horizon():
+    # a NaN sample time gave rows at t = nan; with a NaN horizon the two
+    # blocks did not collide and passed through each other after t* = 0.25
+    datum = two_block_datum(0.5)
+    for horizon, times in ((1.0, [0.5, np.nan]), (1.0, [np.nan]), (np.nan, [0.5])):
+        with pytest.raises(InputDomainError):
+            convergence_study(datum, [16, 32], horizon, times)
+
+
+def test_convergence_study_builds_no_event_object(monkeypatch):
+    # the sweep reads the timeline's columns; MergeEvent views are built only
+    # for a reader that asks for ``timeline.events``
+    built = []
+    view = dynamics.MergeEvent
+
+    def counting(*args):
+        built.append(args[0])
+        return view(*args)
+
+    monkeypatch.setattr(dynamics, "MergeEvent", counting)
+    datum = two_block_datum(0.5)
+    study = convergence_study(datum, [16, 32], 1.0, [0.2, 0.6, 1.0])
+    assert len(study["rows"]) == 6 and study["sup"][16]["pressure_mass"] > 0.0
+    assert built == []
+    # the patch does see the views that are built
+    tl = evolve(*quantile_sample(datum, 16), 1.0)
+    assert len(tl.events) == len(built) == 1
 
 
 def test_convergence_study_rigid_translation_zero_distance():

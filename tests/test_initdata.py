@@ -67,6 +67,13 @@ def test_density_validation_errors():
         rearrangement_from_density([])
 
 
+def test_density_rejects_a_nan_piece():
+    # a NaN value fails both `value < 0` and `value > 1`, and `value > 0` then
+    # dropped the piece without a word: the first piece alone has mass 1
+    with pytest.raises(InputDomainError):
+        rearrangement_from_density([(0.0, 1.0, 1.0), (1.0, 2.0, np.nan)])
+
+
 def test_datum_rejects_shear_on_saturated_piece():
     x0_map = rearrangement_from_density([(0.0, 1.0, 1.0)])
     shear = PiecewiseField(np.array([0.0, 1.0]), np.array([0.0]), np.array([1.0]))

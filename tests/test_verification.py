@@ -55,7 +55,7 @@ def record_replays(monkeypatch):
 def test_battery_queries_each_sampled_instant_once(monkeypatch):
     trace = random_contacts_trace(100, 1)
     tl = trace.timeline
-    ts = verification._sample_times(tl.horizon, tl.event_times())
+    ts = verification._sample_times(tl.horizon, tl.times)
     replays, _ = record_replays(monkeypatch)
     assert not failed_checks(run_battery(trace))
     queried = [t for times, _ in replays if times is not None for t in times]
@@ -187,7 +187,7 @@ def test_momentum_fault_fails_its_checks_instead_of_raising():
     trace = random_contacts_trace(200, 3)
     tl = trace.timeline
     assert len(tl.events) == 121
-    last_sample = verification._sample_times(tl.horizon, tl.event_times())[-1]
+    last_sample = verification._sample_times(tl.horizon, tl.times)[-1]
 
     def covered_later(k):
         lo, hi = tl.events[k].index_range
@@ -198,9 +198,9 @@ def test_momentum_fault_fails_its_checks_instead_of_raising():
              if e.time < last_sample and not covered_later(k)),
             key=lambda k: tl.events[k].index_range[1] - tl.events[k].index_range[0])
     lo, hi = tl.events[k].index_range
-    events = list(tl.events)
-    events[k] = dataclasses.replace(events[k], post_velocity=events[k].post_velocity + 1e-3)
-    reports = run_battery(build_fields(dataclasses.replace(tl, events=tuple(events))))
+    post = tl.post.copy()
+    post[k] += 1e-3
+    reports = run_battery(build_fields(dataclasses.replace(tl, post=post)))
     assert [r.name for r in reports] == list(CHECK_NAMES)
     assert failed_checks(reports) == ["complementarity", "momentum_conservation", "semigroup",
                                       "discrete_pde", "weak_residuals"]
@@ -249,9 +249,9 @@ def test_raised_post_velocity_fails_energy_dissipation():
     k = max(range(len(tl.events)), key=lambda k: tl.events[k].jump_values.size)
     e = tl.events[k]
     assert (k, e.index_range, len(e.merged_blocks)) == (116, (68, 137), 2)
-    events = list(tl.events)
-    events[k] = dataclasses.replace(e, post_velocity=e.post_velocity + 1.0)
-    bad = dataclasses.replace(tl, events=tuple(events))
+    post = tl.post.copy()
+    post[k] += 1.0
+    bad = dataclasses.replace(tl, post=post)
     energy = verify_estimates(bad)["energy_sequence"]
     assert energy[k + 1] > energy[k]
     reports = run_battery(build_fields(bad))
@@ -267,11 +267,9 @@ def test_rejected_replay_is_reported_not_raised():
     tl = evolve(x0, u0, cone, 3.0)
     k = next(k for k, e in enumerate(tl.events)
              if e.merged_blocks[0][1] > e.merged_blocks[0][0])
-    (lo, hi), *rest = tl.events[k].merged_blocks
-    events = list(tl.events)
-    events[k] = dataclasses.replace(events[k], merged_blocks=((lo + 1, hi), *rest),
-                                    jump_values=events[k].jump_values[1:])
-    broken = dataclasses.replace(tl, events=tuple(events))
+    blocks = tl.blocks.copy()
+    blocks[tl.block_off[k], 0] += 1
+    broken = dataclasses.replace(tl, blocks=blocks, jumps=np.delete(tl.jumps, tl.jump_off[k]))
     assert not active_set_monotone(broken)
     reports = run_battery(build_fields(broken))
     assert [r.name for r in reports] == list(CHECK_NAMES)
@@ -290,12 +288,10 @@ def test_nan_jump_below_the_constructor_fails_its_checks(k):
     # every residual fold then lets it through to a failing NaN value
     x0, u0, cone = random_admissible_datum(60, np.random.default_rng(3), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
-    events = list(tl.events)
-    jumps = events[k].jump_values.copy()
-    events[k] = dataclasses.replace(events[k], jump_values=jumps)
-    trace = build_fields(dataclasses.replace(tl, events=tuple(events)))
+    jumps = tl.jumps.copy()
+    trace = build_fields(dataclasses.replace(tl, jumps=jumps))
     assert not failed_checks(run_battery(trace))
-    jumps[0] = np.nan
+    jumps[tl.jump_off[:-1][k]] = np.nan  # the event's first jump
     reports = run_battery(trace)
     assert failed_checks(reports) == ["energy_dissipation", "discrete_pde", "weak_residuals"]
     for name in ("discrete_pde", "weak_residuals"):
@@ -337,7 +333,7 @@ def test_oleinik_stream_equals_the_brute_force_reference(seed):
     assert reports["eulerian_oleinik"].value == plain
     assert reports["oleinik_field"].value == padded
     # the sampled instants never see more than the exact sup
-    ts = verification._sample_times(horizon, trace.timeline.event_times())
+    ts = verification._sample_times(horizon, trace.timeline.times)
     sampled = max(max_slope_ratio(st.time, st.positions, st.velocities)
                   for st in trace.timeline.iter_states(ts))
     assert sampled <= plain < 1.0

@@ -117,7 +117,7 @@ def discrete_reference(tl):
     """Windows and atom term of a discrete run: one window per gap between
     distinct event instants, starting from the replay's state there, and
     one atom per event on its own positions."""
-    cuts = sorted({0.0, tl.horizon} | set(tl.event_times().tolist()))
+    cuts = sorted({0.0, tl.horizon} | set(tl.times.tolist()))
     weights = np.full(tl.n, 1.0 / tl.n)
 
     def nodes(st):
@@ -209,7 +209,7 @@ def full_scan_extent(form):
 def state_scan_extent(tl):
     """Smallest and largest position of the replay's states at t = 0, at
     every event instant and at the horizon."""
-    times = [0.0] + tl.event_times().tolist() + [tl.horizon]
+    times = [0.0] + tl.times.tolist() + [tl.horizon]
     xs = [st.positions for st in tl.states_at(times)]
     return min(float(np.min(x)) for x in xs), max(float(np.max(x)) for x in xs)
 
@@ -250,9 +250,9 @@ def test_shifted_event_position_fails_momentum():
     x0, u0, cone = random_admissible_datum(200, np.random.default_rng(5), contacts=True)
     tl = evolve(x0, u0, cone, 1.0)
     k = max(range(len(tl.events)), key=lambda k: np.ptp(tl.events[k].index_range))
-    events = list(tl.events)
-    events[k] = dataclasses.replace(events[k], x_left=events[k].x_left + 1e-3)
-    trace = build_fields(dataclasses.replace(tl, events=tuple(events)))
+    x_left = tl.x_left.copy()
+    x_left[k] += 1e-3
+    trace = build_fields(dataclasses.replace(tl, x_left=x_left))
     form = weak_form_of_trace(trace)
     _, mom = form.family_residuals(_family(form))
     assert max(abs(r) for r in mom) > TOL_WEAK_RESIDUAL
@@ -266,10 +266,9 @@ def test_perturbed_post_velocity_fails_momentum():
     # the widest merge well inside the test functions' time support
     early = [j for j, e in enumerate(tl.events) if e.time < 0.5 * tl.horizon]
     k = max(early, key=lambda j: np.ptp(tl.events[j].index_range))
-    e = tl.events[k]
-    events = list(tl.events)
-    events[k] = dataclasses.replace(e, post_velocity=e.post_velocity + 1e-3)
-    form = weak_form_of_trace(build_fields(dataclasses.replace(tl, events=tuple(events))))
+    post = tl.post.copy()
+    post[k] += 1e-3
+    form = weak_form_of_trace(build_fields(dataclasses.replace(tl, post=post)))
     mass, mom = form.family_residuals(_family(form))
     assert mass == [0.0] * 12
     assert max(abs(r) for r in mom) > TOL_WEAK_RESIDUAL
