@@ -16,20 +16,22 @@ States are right-continuous at event times.
 
 A cluster partition is always one ascending int array of block starts
 (first entry 0): block k is starts[k] .. starts[k+1] - 1, the last one runs
-to n - 1.  ``EventTimeline.replay`` is the one pass that applies events to
-running state; it keeps the partition as a block-start mask of length n + 1
-whose sentinel entry n is set, coarsened only by ``_merge``.  States,
-snapshots, the estimates, the contact-set, discrete-system and weak-form
-checks all read its cursor.  ``evolve`` keys its clusters by the same
-starts: each cluster's data sits at its first particle.
+to n - 1.  ``EventTimeline.replay`` applies the events to running state and
+stops at query instants; it keeps the partition as a block-start mask of
+length n + 1 whose sentinel entry n is set, coarsened only by ``_merge``.
+States and snapshots read its cursor.  ``evolve`` keys its clusters by the
+same starts: each cluster's data sits at its first particle.
 
 A timeline holds its events once, as columns that ``evolve`` writes from its
 own flat lists: the times, merged blocks, post velocities, left edges and
-one flat read-only array of multiplier jumps.  The replay, the record of the
-checks, the pressure measure and the export read the columns;
-``EventTimeline.events`` views the rows as ``MergeEvent`` objects, built on
-first read, and the checks read event positions through those views
-(``MergeEvent.positions``).
+one flat read-only array of multiplier jumps.  The congested region only
+grows, so the events form a merge forest: each block an event merges is an
+initial cluster or the range of exactly one earlier event, its maker.
+``EventRecord`` reads what the checks need straight off the columns through
+that forest, with no replay; the checks read event positions through
+``EventTimeline.event_positions``.  The pressure measure and the export
+read the columns too, and ``EventTimeline.events`` views the rows as
+``MergeEvent`` objects, built on first read.
 """
 
 from __future__ import annotations
@@ -118,10 +120,6 @@ class MergeEvent:
     @property
     def index_range(self) -> tuple[int, int]:
         return self.merged_blocks[0][0], self.merged_blocks[-1][1]
-
-    def positions(self, two_r: float) -> np.ndarray:
-        """Positions of the merged range lo..hi at the event instant."""
-        return self.x_left + two_r * np.arange(self.jump_values.size + 1)
 
 
 @dataclass(frozen=True)
@@ -458,9 +456,9 @@ class EventTimeline:
     nondecreasing inside [0, horizon] and no jump lies below the floor
     -JUMP_FLOOR_RTOL * (1 + max|u0|); all of it takes one vectorised pass
     over the columns (a NaN passes every comparison with the floor, so
-    finiteness is checked on its own).  Whether each event covers whole
-    current blocks depends on the running partition, so ``replay`` checks
-    that.
+    finiteness is checked on its own).  Whether each event merges whole
+    current blocks depends on the events before it, so ``replay`` checks
+    that, and ``EventRecord`` checks that the events form a merge forest.
     """
 
     cone: SpacingCone
@@ -515,6 +513,11 @@ class EventTimeline:
         return tuple(MergeEvent(t, tuple(blocks[b0:b1]), v, x, self.jumps[j0:j1])
                      for t, b0, b1, v, x, j0, j1 in rows)
 
+    def event_positions(self, event: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Positions x_left + two_r * j of particles lo + j of the events
+        ``event`` at their instants: the one place the checks read them."""
+        return self.x_left[event] + self.cone.two_r * j
+
     def state_at(self, t: float) -> MicroState:
         (state,) = self.states_at([t])
         return state
@@ -528,36 +531,29 @@ class EventTimeline:
         for cur in self.replay(times):
             yield cur.state()
 
-    def replay(self, times=None, every_event: bool | None = None):
-        """The one pass that applies the events to running state.
+    def replay(self, times):
+        """Apply the events to running state, stopping at query instants.
 
-        Yields one ``ReplayCursor``, updated in place: at each query instant of
-        ``times`` (ascending, inside [0, horizon]) once the events at or before
-        it are applied, and after every event if ``every_event`` (the default
-        without ``times``), with ``event`` its view from ``events``.  A cursor
-        at a query instant has ``event`` None; with both, the events up to a
-        query instant come before it, and events after the last one are not
-        applied.  The event step reads the columns, one ``tolist`` each per
-        replay, and sets the block-start mask and the left edge, reference
-        time and velocity at the merged block's start: O(1) plus ``_merge``'s
-        O(merged range).  Raises InvariantViolationError if an event does not
-        cover whole current blocks.
+        Yields one ``ReplayCursor``, updated in place, at each instant of
+        ``times`` (ascending, inside [0, horizon]) once the events at or
+        before it are applied; events after the last one are not applied.
+        The event step reads the columns, one ``tolist`` each per replay, and
+        sets the block-start mask and the left edge, reference time and
+        velocity at the merged block's start: O(1) plus ``_merge``'s O(merged
+        range).  Raises InvariantViolationError if an event does not cover
+        whole current blocks.
         """
-        if every_event is None:
-            every_event = times is None
-        if times is not None:
-            times = [float(t) for t in times]
-            if not all(0.0 <= t <= self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
-                raise InputDomainError("query times must lie in [0, horizon]")
-            if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
-                raise InputDomainError("query times must be ascending")
+        times = [float(t) for t in times]
+        if not all(0.0 <= t <= self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
+            raise InputDomainError("query times must lie in [0, horizon]")
+        if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
+            raise InputDomainError("query times must be ascending")
         cur = ReplayCursor(self)
         is_start, x_left, t_ref, v = cur.is_start, cur.x_left, cur.t_ref, cur.v
-        lo, hi, post, _ = cur.rows
-        ev_times, left = self.times.tolist(), self.x_left.tolist()
-        events = self.events if every_event else None
+        lo, hi, _ = cur.rows
+        ev_times, left, post = self.times.tolist(), self.x_left.tolist(), self.post.tolist()
         ev = 0
-        for t in times if times is not None else [np.inf]:
+        for t in times:
             while ev < len(ev_times) and ev_times[ev] <= t:
                 a, b, t_e = lo[ev], hi[ev], ev_times[ev]
                 if not _merge(is_start, a, b):
@@ -566,40 +562,32 @@ class EventTimeline:
                         "of current blocks")
                 x_left[a], t_ref[a], v[a] = left[ev], t_e, post[ev]
                 ev += 1
-                if every_event:
-                    cur.time, cur.event, cur.count = t_e, events[ev - 1], ev
-                    yield cur
-            if times is not None:
-                cur.time, cur.event, cur.count = t, None, ev
-                yield cur
+            cur.time, cur.count = t, ev
+            yield cur
 
 
 class ReplayCursor:
     """Running state of one ``EventTimeline.replay``, after ``count`` events.
 
-    ``event`` is the event just applied, or None at a query instant.  The
-    replay keeps the block-start mask ``is_start`` and, at each block start,
-    the left edge ``x_left`` at time ``t_ref`` and the velocity ``v``.  The
-    dense velocities ``u`` and multipliers ``lam[0..n]`` are brought up to
-    date only when read, each on its own, by applying the events since its
-    last read; ``u_pre`` is u on the current event's range lo..hi just before
-    that event.  They are the live arrays: copy what you keep.  ``rows``
-    holds the timeline's lo, hi, post and jump_off columns as lists.
+    The replay keeps the block-start mask ``is_start`` and, at each block
+    start, the left edge ``x_left`` at time ``t_ref`` and the velocity ``v``.
+    The multipliers ``lam[0..n]`` are brought up to date only when read, by
+    applying the events since the last read; it is the live array: copy
+    what you keep.  ``rows`` holds the timeline's lo, hi and jump_off
+    columns as lists.
     """
 
     def __init__(self, timeline: EventTimeline):
         self.timeline = timeline
-        self.time, self.event, self.count = 0.0, None, 0
+        self.time, self.count = 0.0, 0
         self.is_start = _start_mask(timeline.initial.starts, timeline.n)
         # per-start data: entries off the current block starts are never read
         self.x_left = timeline.x0.copy()
         self.t_ref = np.zeros(timeline.n)
         self.v = timeline.initial.velocities.copy()
-        self._u = timeline.initial.velocities.copy()
         self._lam = np.zeros(timeline.n + 1)
-        self._u_count = self._lam_count = 0
-        self.rows = tuple(c.tolist() for c in (timeline.lo, timeline.hi, timeline.post,
-                                               timeline.jump_off))
+        self._lam_count = 0
+        self.rows = tuple(c.tolist() for c in (timeline.lo, timeline.hi, timeline.jump_off))
 
     def state(self) -> MicroState:
         """The state at the cursor's time, from the mask and the per-start data.
@@ -615,159 +603,153 @@ class ReplayCursor:
                           self.timeline.cone)
 
     @property
-    def u(self) -> np.ndarray:
-        self._apply_u()
-        return self._u
-
-    @property
-    def u_pre(self) -> np.ndarray:
-        self._apply_u()
-        return self._u_pre
-
-    def _apply_u(self) -> None:
-        """Apply the events since the last read to u, keeping the last one's pre-image."""
-        u, (lo, hi, post, _) = self._u, self.rows
-        for k in range(self._u_count, self.count):
-            if k == self.count - 1:
-                self._u_pre = u[lo[k]:hi[k] + 1].copy()
-            u[lo[k]:hi[k] + 1] = post[k]
-        self._u_count = self.count
-
-    @property
     def lam(self) -> np.ndarray:
-        (lo, hi, _, off), jumps = self.rows, self.timeline.jumps
+        (lo, hi, off), jumps = self.rows, self.timeline.jumps
         for k in range(self._lam_count, self.count):
             self._lam[lo[k] + 1:hi[k] + 1] += jumps[off[k]:off[k + 1]]
         self._lam_count = self.count
         return self._lam
 
 
-def _flat(arrays: list) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.zeros(0)
+def _merge_forest(timeline: EventTimeline) -> tuple[np.ndarray, ...]:
+    """The merge forest of a timeline: the maker of each merged block.
+
+    The made blocks are the initial clusters, made at -1, then the events'
+    ranges, event k's made at k.  Each event must merge two or more blocks,
+    contiguous, each made by an earlier event or the initial partition and
+    merged by no other event.  Then every event merges whole current blocks
+    (the replay's ``_merge`` rule).  And no two made blocks share a range:
+    those that hold a particle form one chain, each merged by the next,
+    whose ranges grow strictly; so a maker looked up by its range is the
+    only one.  Raises InvariantViolationError, naming the first event that
+    breaks the rule.  One sort of the made ranges and one ``searchsorted``
+    find the makers, and one sort of the makers finds a block merged twice.
+
+    Returns the maker and the event of each row of ``blocks``, and the
+    first particle, last particle and made-at of each made block.
+    """
+    tl, n = timeline, timeline.n
+    count, starts = tl.times.size, tl.initial.starts
+    first = np.concatenate((starts, tl.lo))
+    last = np.concatenate((np.append(starts[1:], n) - 1, tl.hi))
+    made_at = np.concatenate((np.full(starts.size, -1), np.arange(count)))
+    a, b = tl.blocks[:, 0], tl.blocks[:, 1]
+    event = np.repeat(np.arange(count), np.diff(tl.block_off))
+    bad = (a < 0) | (b < a) | (b >= n)
+    bad[1:] |= (event[1:] == event[:-1]) & (a[1:] != b[:-1] + 1)
+    # a block out of range may share its key with another: its event is rejected anyway
+    key = first * n + last
+    order = np.argsort(key)
+    sorted_key = key[order]
+    found = np.minimum(np.searchsorted(sorted_key, a * n + b), key.size - 1)
+    maker = order[found]
+    bad |= (sorted_key[found] != a * n + b) | (made_at[maker] >= event)
+    by_maker = np.argsort(maker, kind="stable")
+    bad[by_maker[1:][maker[by_maker[1:]] == maker[by_maker[:-1]]]] = True
+    rejected = np.concatenate((event[bad], np.flatnonzero(np.diff(tl.block_off) < 2)))
+    if rejected.size:
+        k = int(rejected.min())
+        raise InvariantViolationError(
+            f"event at t={tl.times[k]} merges {tl.lo[k]}..{tl.hi[k]}, which is not a union "
+            "of current blocks, two or more, each made before it and merged once")
+    return maker, event, first, last, made_at
 
 
 class EventRecord:
-    """What one replay reads of each event, laid out flat for vectorised checks.
-
-    ``add`` takes the cursor just after an event and ``close`` lays the
-    slices out; ``of`` runs a replay of its own.  Per event that costs the
-    cursor's u and lam updates, one copy of a lam slice,
-    ``MergeEvent.positions``, np.dot(u_pre, u_pre) (the one reduction kept
-    per event, because the energy recursion reads its bits), and O(1) per
-    merged block.  ``lo``, ``hi``, ``times``, ``post`` and ``jumps`` are
-    the timeline's columns over the recorded events.  Every other statistic
-    of the checks is one vectorised pass over the flat arrays.
+    """What the checks read of each event, laid out flat, read off the
+    timeline's columns through its merge forest (``_merge_forest``).
 
     Event k covers entries ``off[k]:off[k + 1]`` of the per-particle arrays,
     ``sizes[k]`` = hi - lo + 1 of them, one per particle ``index`` of its
     range lo..hi: ``u_pre`` (u just before the event), ``x`` (the event's
-    positions) and ``x_pre`` (their left limit: each block of
-    ``merged_blocks`` rigid from its own left edge).  ``inner`` marks the
-    entries whose right neighbour is in the same range, one per contact
-    lo+1..hi, so ``jumps`` aligns with its true entries.  ``lam`` holds lam
-    on max(lo - 1, 0) .. min(hi + 2, n) just after each event, slice k from
-    ``lam_off[k]``, and ``lam_base`` is the flat index in it of lam[index]
-    after the entry's event.
+    positions, ``EventTimeline.event_positions``) and ``x_pre`` (their left
+    limit: each merged block rigid from its own left edge).  ``inner`` marks
+    the entries whose right neighbour is in the same range, one per contact
+    lo+1..hi, so ``jumps`` aligns with its true entries.  ``lo``, ``hi``,
+    ``times``, ``post`` and ``jumps`` are the timeline's columns.
 
-    Positions off the event's own come from the replay's per-start data
-    with ``ReplayCursor.state``'s expression, so they carry its bits:
-    ``sides`` has one row (x, u of particle lo - 1, x, u of particle
-    hi + 1) per event, NaN past an end of the line, and ``ends`` the first
-    and the last particle at t = 0, after each event and at the horizon.
-    An event rewrites the data of its first block's start only, with its
-    own x_left and time, and leaves those of the starts it absorbs; so each
-    left edge of ``x_pre`` is read just after the event.  ``head`` maps
-    each current block's last particle to its first.  O(n + sum of merged
-    range sizes) memory.
+    A block moves with the data of its maker until it is merged: the
+    initial cluster's x0, velocity and time 0, or the event's left edge,
+    post velocity and time.  So u_pre is the maker's velocity, and a
+    position at t is x_left + v * (t - t_made) + two_r * (i - first),
+    ``ReplayCursor.state``'s expression, with its bits.  ``sides`` has one
+    row (x, u of particle lo - 1, x, u of particle hi + 1) per event, NaN
+    past an end of the line, and ``ends`` the first and the last particle
+    at t = 0, after each event and at the horizon.  Each reads the latest
+    block made by then with the given first or last particle, found by one
+    sort of the made blocks by (first, made at) and one by (last, made at).
+
+    ``lam`` holds lam on max(lo - 1, 0) .. min(hi + 2, n) just after each
+    event, slice k from ``lam_off[k]``, and ``lam_base`` is the flat index
+    in it of lam[index] after the entry's event; ``dots`` is
+    np.dot(u_pre, u_pre) per event, whose bits the energy recursion reads.
+    Those two keep one step per event, in event order: lam[lo + 1:hi + 1]
+    += the event's jumps and a copy of the slice, and the dot.  Every
+    statistic of the checks is one vectorised pass over the flat arrays.
+    O(n + sum of merged range sizes) time and memory.  Raises
+    InvariantViolationError unless the events form a merge forest.
     """
 
     def __init__(self, timeline: EventTimeline):
-        self.timeline = timeline
-        self.two_r = timeline.cone.two_r
-        n = timeline.n
-        starts = timeline.initial.starts
-        head = np.zeros(n, dtype=np.intp)
-        head[np.append(starts[1:], n) - 1] = starts
-        self.head = head.tolist()
-        self.dots: list[float] = []
-        self._u_pre: list[np.ndarray] = []
-        self._x: list[np.ndarray] = []
-        self._lam: list[np.ndarray] = []
-        self._blocks: list[tuple[int, int]] = []
-        self._edges: list[float] = []
-        self._sides: list[tuple[float, ...]] = []
-        # per-start data (x_left, t_ref, v): the initial one, then the cursor's
-        self._per_start = (timeline.x0, np.zeros(n), timeline.initial.velocities)
-        self._ends = [self._ends_at(0.0)]
+        self.timeline = tl = timeline
+        n, two_r, count = tl.n, tl.cone.two_r, tl.times.size
+        maker, event, first, last, made_at = _merge_forest(tl)
+        starts = tl.initial.starts
+        made_x = np.concatenate((tl.x0[starts], tl.x_left))
+        made_v = np.concatenate((tl.initial.velocities[starts], tl.post))
+        made_t = np.concatenate((np.zeros(starts.size), tl.times))
 
-    @classmethod
-    def of(cls, timeline: EventTimeline) -> "EventRecord":
-        rec = cls(timeline)
-        for cur in timeline.replay():
-            rec.add(cur)
-        return rec.close()
+        def at(blk, i, t):
+            return made_x[blk] + made_v[blk] * (t - made_t[blk]) + two_r * (i - first[blk])
 
-    def _at(self, a: int, i: int, t: float) -> float:
-        """Position at t of particle i of the block that starts at a."""
-        x_left, t_ref, v = self._per_start
-        return x_left[a] + v[a] * (t - t_ref[a]) + self.two_r * (i - a)
+        def latest(made_edge, edge, when):
+            """The latest block made by event ``when`` with made_edge == edge."""
+            combined = made_edge * (count + 1) + made_at + 1
+            order = np.argsort(combined)
+            return order[np.searchsorted(combined[order], edge * (count + 1) + when + 1,
+                                         side="right") - 1]
 
-    def _ends_at(self, t: float) -> tuple[float, float]:
-        last = self.timeline.n - 1
-        return self._at(0, 0, t), self._at(self.head[last], last, t)
-
-    def add(self, cur: "ReplayCursor") -> None:
-        e = cur.event
-        lo, hi = e.index_range
-        n, t, v = self.timeline.n, cur.time, cur.v
-        self._per_start = (cur.x_left, cur.t_ref, v)
-        seg = cur.u_pre  # a fresh copy per event, which the cursor never writes again
-        self._u_pre.append(seg)
-        self.dots.append(float(np.dot(seg, seg)))
-        self._lam.append(cur.lam[max(lo - 1, 0):min(hi + 2, n) + 1].copy())
-        self._x.append(e.positions(self.two_r))
-        self._blocks.extend(e.merged_blocks)
-        self._edges.extend(self._at(a, a, t) for a, _ in e.merged_blocks)
-        xl = ul = xr = ur = np.nan
-        if lo > 0:
-            a = self.head[lo - 1]
-            xl, ul = self._at(a, lo - 1, t), v[a]
-        if hi + 1 < n:
-            xr, ur = self._at(hi + 1, hi + 1, t), v[hi + 1]
-        self._sides.append((xl, ul, xr, ur))
-        self.head[hi] = lo
-        self._ends.append(self._ends_at(t))
-
-    def close(self) -> "EventRecord":
-        """Lay the slices out once the replay has applied every event it will;
-        the horizon's ``ends`` read the per-start data it left."""
-        tl, count = self.timeline, len(self.dots)  # the events the replay applied
-        columns = (tl.lo, tl.hi, tl.times, tl.post)
-        self.lo, self.hi, self.times, self.post = (c[:count] for c in columns)
-        self.jumps = tl.jumps[:tl.jump_off[count]]
+        self.lo, self.hi, self.times, self.post, self.jumps = \
+            tl.lo, tl.hi, tl.times, tl.post, tl.jumps
         self.sizes = m = self.hi - self.lo + 1
         self.off = np.concatenate(([0], np.cumsum(m)))
-        first = np.repeat(self.off[:-1], m)
-        local = np.arange(self.off[-1]) - first
+        local = np.arange(self.off[-1]) - np.repeat(self.off[:-1], m)
         self.index = np.repeat(self.lo, m) + local
         self.inner = local < np.repeat(m - 1, m)
-        self.u_pre = _flat(self._u_pre)
-        self.x = _flat(self._x)
-        blocks = np.array(self._blocks, dtype=np.intp).reshape(-1, 2)
-        width = blocks[:, 1] - blocks[:, 0] + 1
-        self.x_pre = (np.repeat(np.array(self._edges, dtype=float), width)
-                      + self.two_r * (self.index - np.repeat(blocks[:, 0], width)))
-        self.sides = np.array(self._sides, dtype=float).reshape(-1, 4)
-        self._ends.append(self._ends_at(self.timeline.horizon))
-        self.ends = np.array(self._ends, dtype=float)
-        self.lam = _flat(self._lam)
-        self.lam_off = np.concatenate(([0], np.cumsum([a.size for a in self._lam],
-                                                       dtype=np.intp)))
-        lam_first = self.lam_off[:-1] + self.lo - np.maximum(self.lo - 1, 0)
-        self.lam_base = np.repeat(lam_first, m) + local
-        del self._u_pre, self._x, self._lam, self._blocks, self._edges, self._sides
-        del self._ends, self._per_start
-        return self
+        self.x = tl.event_positions(np.repeat(np.arange(count), m), local)
+        a, width = tl.blocks[:, 0], tl.blocks[:, 1] - tl.blocks[:, 0] + 1
+        self.u_pre = np.repeat(made_v[maker], width)
+        self.x_pre = (np.repeat(at(maker, a, tl.times[event]), width)
+                      + two_r * (self.index - np.repeat(a, width)))
+
+        # the ends at t = 0, after each event and at the horizon, then the sides
+        k = np.arange(count)
+        when = np.concatenate(([-1], k, [count - 1], k))
+        by_first = latest(first, np.concatenate((np.zeros(count + 2, np.intp), self.hi + 1)), when)
+        by_last = latest(last, np.concatenate((np.full(count + 2, n - 1), self.lo - 1)), when)
+        t_end = np.concatenate(([0.0], tl.times, [tl.horizon]))
+        self.ends = np.column_stack((at(by_first[:count + 2], 0, t_end),
+                                     at(by_last[:count + 2], n - 1, t_end)))
+        left, right = by_last[count + 2:], by_first[count + 2:]
+        has_l, has_r = self.lo > 0, self.hi + 1 < n
+        self.sides = np.column_stack((
+            np.where(has_l, at(left, self.lo - 1, self.times), np.nan),
+            np.where(has_l, made_v[left], np.nan),
+            np.where(has_r, at(right, self.hi + 1, self.times), np.nan),
+            np.where(has_r, made_v[right], np.nan)))
+
+        lam_lo, lam_hi = np.maximum(self.lo - 1, 0), np.minimum(self.hi + 2, n) + 1
+        self.lam_off = np.concatenate(([0], np.cumsum(lam_hi - lam_lo)))
+        self.lam_base = np.repeat(self.lam_off[:-1] + self.lo - lam_lo, m) + local
+        self.lam, lam = np.empty(self.lam_off[-1]), np.zeros(n + 1)
+        jump_off, out = tl.jump_off.tolist(), self.lam_off.tolist()
+        for lo, hi, j0, j1, l0, l1, o in zip(self.lo.tolist(), self.hi.tolist(), jump_off,
+                                             jump_off[1:], lam_lo.tolist(), lam_hi.tolist(), out):
+            lam[lo + 1:hi + 1] += self.jumps[j0:j1]
+            self.lam[o:o + l1 - l0] = lam[l0:l1]
+        off = self.off.tolist()
+        self.dots = [float(np.dot(seg, seg))
+                     for seg in (self.u_pre[o0:o1] for o0, o1 in zip(off, off[1:]))]
 
 
 def worst_of(values, default: float = 0.0) -> float:
@@ -869,10 +851,10 @@ def verify_estimates(timeline: EventTimeline, record: EventRecord | None = None)
     all multiplier statistics are finite.  Sup statistics track every value
     the multipliers ever take (they change only at events): lam on lo..hi+1
     and its increments on max(lo - 1, 0)..min(hi + 2, n) after each event,
-    in one vectorised pass over ``record`` (a replay's ``EventRecord``, made
-    here if not given).  A NaN anywhere fails the check.
+    in one vectorised pass over ``record`` (the timeline's ``EventRecord``,
+    made here if not given).  A NaN anywhere fails the check.
     """
-    rec = record if record is not None else EventRecord.of(timeline)
+    rec = record if record is not None else EventRecord(timeline)
     n = timeline.n
     u = timeline.initial.velocities
     energy = [float(np.dot(u, u) / n)]
@@ -908,15 +890,15 @@ def verify_estimates(timeline: EventTimeline, record: EventRecord | None = None)
 
 
 def active_set_monotone(timeline: EventTimeline) -> bool:
-    """Contacts never disappear: every event coarsens the current partition.
+    """Contacts never disappear: the events form a merge forest.
 
-    Replays the events: each merged range must be a union of whole current
-    blocks (the replay's ``_merge`` rule).  The timeline's constructor has
-    already checked that the event times are nondecreasing.
+    Each event merges two or more contiguous blocks, each made before it
+    and merged once (``_merge_forest``), so it coarsens the current
+    partition (the replay's ``_merge`` rule).  The timeline's constructor
+    has already checked that the event times are nondecreasing.
     """
     try:
-        for _ in timeline.replay():
-            pass
+        _merge_forest(timeline)
     except InvariantViolationError:
         return False
     return True

@@ -103,9 +103,10 @@ def pressure_pushforward(measure: EventTimeline,
     is the value making the Dirac pressure term balance the velocity jump in
     the weak momentum equation; supports land in saturated cells only.
     ``measure`` is the pressure measure, the timeline's event columns
-    (``dynamics.pressure_measure``).  Each atom is read off its event's
-    merged range: the jumps, and the positions x_left + two_r * j with
-    ``MergeEvent.positions``' expression; all events in one vectorised pass
+    (``dynamics.pressure_measure``), and ``trace`` its run's lift, which
+    the columns already describe.  Each atom is read off its event's
+    merged range: the jumps, and the positions from
+    ``EventTimeline.event_positions``; all events in one vectorised pass
     over the columns, O(sum of merged sizes).  Events without a nonzero jump
     give no atom.
     """
@@ -113,8 +114,7 @@ def pressure_pushforward(measure: EventTimeline,
     k = np.flatnonzero(measure.jumps != 0.0)
     event = np.repeat(np.arange(count), np.diff(off))[k]
     j = k - off[event]  # jump j of an event sits between its positions j and j + 1
-    x_left = measure.x_left[event]
-    left, right = x_left + trace.two_r * j, x_left + trace.two_r * (j + 1)
+    left, right = measure.event_positions(event, j), measure.event_positions(event, j + 1)
     contacts = measure.lo[event] + 1 + j
     bounds = np.concatenate(([0], np.cumsum(np.bincount(event, minlength=count)))).tolist()
     return tuple(

@@ -168,14 +168,13 @@ def verify_discrete_pde(trace: FieldTrace, record: EventRecord | None = None) ->
     inside a cluster the position slope is n * two_r at every instant up to
     rounding; so the multiplier exclusion is checked on the contacts
     lo+1..hi of each event against the slopes of the event's positions
-    (``MergeEvent.positions``, which ``EventRecord.add`` reads off each
-    event's view in ``timeline.events``).  All of it is one vectorised pass
-    over ``record``, a replay's ``EventRecord`` (made here if not given):
-    O(n + sum of merged range sizes), with no state or snapshot built.  A
-    NaN residual fails the check.
+    (``EventTimeline.event_positions``, read by ``EventRecord``).  All of it
+    is one vectorised pass over ``record``, the timeline's ``EventRecord``
+    (made here if not given): O(n + sum of merged range sizes), with no
+    replay, state or snapshot.  A NaN residual fails the check.
     """
     timeline = trace.timeline
-    rec = record if record is not None else EventRecord.of(timeline)
+    rec = record if record is not None else EventRecord(timeline)
     n = trace.n
     order1 = worst_of(np.abs(timeline.initial.velocities - timeline.u0))
     post = np.repeat(rec.post, rec.sizes)

@@ -18,6 +18,7 @@ from .cone import SpacingCone, project_onto_cone, qp_oracle_project, qp_oracle_p
 from .dynamics import (
     CheckReport,
     EventRecord,
+    active_set_monotone,
     max_slope_ratio,
     multipliers_at,
     restart_check,
@@ -63,15 +64,6 @@ def _time_pairs(rng: np.random.Generator, horizon: float, count: int):
         yield float(s), float(t)
 
 
-def _until_rejected(replay, rejected: list):
-    """The replay's cursors, until it rejects an event: then it appends the
-    error to ``rejected`` and stops.  Errors of the consumer pass through."""
-    try:
-        yield from replay
-    except InvariantViolationError as exc:
-        rejected.append(exc)
-
-
 def _worst(name: str, runs: list, tolerance: float, detail: str) -> CheckReport:
     """One report from the (passed, value) runs of a check: all must pass.
 
@@ -84,7 +76,7 @@ def _worst(name: str, runs: list, tolerance: float, detail: str) -> CheckReport:
 
 def _event_local(trace: FieldTrace, rec: EventRecord) -> dict:
     """The event-local values of the Oleinik and Eulerian checks, in one
-    vectorised pass over a closed ``EventRecord`` of the battery's replay.
+    vectorised pass over the timeline's ``EventRecord``.
 
     Oleinik: at each event at t > 0, the pairs with a particle in its
     merged range lo..hi, at the left limit (u just before the event) and
@@ -156,10 +148,12 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
                 inject: str | None = None) -> list[CheckReport]:
     """Run every check on a simulated trace; returns one report per check, in order.
 
-    One replay feeds every check: it stops after each event and at the
-    query instants, the SAMPLE_COUNT sampled instants, the horizon and the
-    instants of the random pairs.  A full state is built at the query
-    instants only, one per distinct instant.
+    ``active_set_monotone`` (the merge forest rule) comes first.  Then one
+    replay stops only at the query instants: the SAMPLE_COUNT sampled
+    instants, the horizon, the instants of the random pairs and the
+    distinct event instants inside a Wasserstein pair.  It builds one full
+    state per distinct query instant.  The timeline's ``EventRecord``,
+    read off the columns with no replay, comes last.
 
     * At the sampled instants: momentum, then complementarity, the L1
       gradient bound of ``oleinik_field`` and the full Eulerian
@@ -183,16 +177,19 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
       ``rng`` up front.  A pair keeps the state it needs from s (x, u and
       the partition; the padded x) and releases it at t.  The Wasserstein
       sup takes the velocity norm at s and at each distinct event instant
-      in (s, t], each computed once.
+      e with s < e <= t, each computed once, before the pairs at e close
+      or open.
 
-    Cost O(n + sum of merged range sizes), plus O(n) per query instant and
-    per distinct event instant inside an open Wasserstein pair.  A repeated
-    check passes if all its runs pass and reports the largest value
-    (``_worst``); a NaN value fails its check.
+    Cost O(n + sum of merged range sizes), plus O(n) per query instant.  A
+    repeated check passes if all its runs pass and reports the largest
+    value (``_worst``); a NaN value fails its check.
 
-    If the replay rejects an event (the contact set would shrink),
-    ``active_set_monotone`` fails with value len(events) and every other
-    check is reported failed with value and tolerance NaN, not evaluated.
+    If the events do not form a merge forest (the contact set would
+    shrink, or an event misstates its blocks), ``active_set_monotone``
+    fails with value len(events) and every other check is reported failed
+    with value and tolerance NaN, not evaluated.  Otherwise neither the
+    replay, whose ``_merge`` rule the forest implies, nor the record can
+    reject an event.
 
     ``inject`` corrupts the input of exactly one check (negative control):
     "negative-lambda", "energy-bump" or "stale-density".
@@ -201,7 +198,6 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     timeline = trace.timeline
     cone, n, two_r = timeline.cone, timeline.n, trace.two_r
     horizon = timeline.horizon
-    event_times = timeline.times.tolist()
     ts = _sample_times(horizon, timeline.times)
     sampled = set(ts.tolist())
     semigroup_pairs = [(s, t) for s, t in _time_pairs(rng, horizon, 20)
@@ -213,31 +209,36 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             if s < t:
                 opening[s].append((kind, k))
                 closing[t].append((kind, k))
-    queries = sorted(sampled | {horizon} | set(opening) | set(closing))
+    monotone = CheckReport("active_set_monotone", active_set_monotone(timeline),
+                           float(timeline.times.size), 0.0,
+                           "contact set nondecreasing along events")
+    if not monotone.passed:
+        return [monotone if name == monotone.name else
+                CheckReport(name, False, np.nan, np.nan,
+                            "not evaluated: the replay rejects an event")
+                for name in CHECK_NAMES]
+    instants = sorted_distinct(timeline.times)
+    norm_at = set()
+    for s, t in w2_pairs:
+        norm_at.update(instants[(s < instants) & (instants <= t)].tolist())
+    queries = sorted(sampled | {horizon} | set(opening) | set(closing) | norm_at)
     sum_u0 = float(np.sum(timeline.u0))
     tol_momentum = TOL_MOMENTUM_PER_N * n
     h = np.diff(trace.w_grid)
 
-    record = EventRecord(timeline)
     compl, momentum, field_l1, recon = [], [], [], []
     horizon_ratio = []
     # per open pair: the state at s (semigroup); the padded x(s) and the running
     # velocity sup (Wasserstein)
     open_pairs: dict = {"semigroup": {}, "w2": {}}
-    open_w2 = open_pairs["w2"]
     semigroup, w2 = [], [{"passed": True, "modulus": 0.0} for s, t in w2_pairs if s == t]
-    rejected = []
-    for cur in _until_rejected(timeline.replay(queries, every_event=True), rejected):
-        if cur.event is not None:
-            record.add(cur)
-            if open_w2 and (cur.count == len(event_times)
-                            or event_times[cur.count] != cur.time):
-                norm = velocity_l2(h, cur.u)
-                for p in open_w2.values():
-                    p[1] = worst_of((p[1], norm))
-            continue
+    for cur in timeline.replay(queries):
         st = cur.state()
         t = cur.time
+        if t in norm_at:
+            norm = velocity_l2(h, st.velocities)
+            for p in open_pairs["w2"].values():
+                p[1] = worst_of((p[1], norm))
         if t in sampled:
             err = abs(float(np.sum(st.velocities)) - sum_u0)
             momentum.append((err <= tol_momentum, err))
@@ -279,14 +280,9 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             open_pairs[kind][k] = (st if kind == "semigroup" else
                                    [trace.padding.pad(st.positions, two_r),
                                     velocity_l2(h, st.velocities)])
-    monotone = CheckReport("active_set_monotone", not rejected, float(len(event_times)), 0.0,
-                           "contact set nondecreasing along events")
-    if rejected:
-        return [monotone if name == monotone.name else
-                CheckReport(name, False, np.nan, np.nan,
-                            "not evaluated: the replay rejects an event")
-                for name in CHECK_NAMES]
-    local = _event_local(trace, record.close())
+    # built after the replay, so that its arrays and the replay's states do not coexist
+    record = EventRecord(timeline)
+    local = _event_local(trace, record)
 
     top = max((r for _, r in compl), key=lambda r: r.value)
     ratio = worst_of(np.concatenate((local["ratios"], horizon_ratio)))

@@ -209,7 +209,7 @@ class LagrangianWeakForm:
 
 
 class EventWeakForm:
-    """Weak form of a discrete run, read off its events (a closed ``EventRecord``).
+    """Weak form of a discrete run, read off its events (an ``EventRecord``).
 
     In mass coordinates particle i carries mass 1/n along x_i(t), which is
     continuous and affine between events with slope u_i.  So the mass
@@ -228,12 +228,12 @@ class EventWeakForm:
     first window's start term, and the horizon term vanishes.  Cost O(sum
     of merged range sizes) evaluations of phi per member.
 
-    x is the event's own positions (``MergeEvent.positions`` of its view in
-    ``timeline.events``, read by ``EventRecord.add``); x_pre is the
-    left limit of the trajectories, each pre-event block at its own left
-    edge from the replay's per-start data (``EventRecord.x_pre``).  With x
-    in both terms, summation by parts would cancel them for any positions,
-    so a wrong event position would pass.
+    x is the event's own positions (``EventTimeline.event_positions``, read
+    by ``EventRecord``); x_pre is the left limit of the trajectories, each
+    pre-event block at its own left edge from its maker's data
+    (``EventRecord.x_pre``).  With x in both terms, summation by parts
+    would cancel them for any positions, so a wrong event position would
+    pass.
     """
 
     def __init__(self, record: EventRecord):
@@ -264,5 +264,5 @@ class EventWeakForm:
 
 def weak_form_of_trace(trace) -> EventWeakForm:
     """Weak form of a discrete run (``trace`` a fields.FieldTrace), read off
-    the events of one replay of its timeline."""
-    return EventWeakForm(EventRecord.of(trace.timeline))
+    its timeline's ``EventRecord``."""
+    return EventWeakForm(EventRecord(trace.timeline))

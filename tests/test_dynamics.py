@@ -14,6 +14,7 @@ from congested_flow import dynamics as dynamics_module
 from congested_flow.cone import SpacingCone
 from congested_flow.dynamics import (
     EVENT_TIE_TOL,
+    EventRecord,
     _block_means,
     _contact_starts,
     _merge,
@@ -498,9 +499,8 @@ def _jump_case(name):
 def test_jump_values_are_the_replayed_velocity_jumps_and_read_only(name):
     tl = evolve(*_jump_case(name))
     assert tl.events
-    for cur in tl.replay():
-        e = cur.event
-        assert _same_bits(e.jump_values, -np.cumsum(e.post_velocity - cur.u_pre)[:-1] / tl.n)
+    for e, (u_pre, _, _) in zip(tl.events, estimates_loop(tl)):
+        assert _same_bits(e.jump_values, -np.cumsum(e.post_velocity - u_pre)[:-1] / tl.n)
         assert not e.jump_values.flags.writeable
         with pytest.raises(ValueError):
             e.jump_values[0] = 0.0
@@ -705,6 +705,47 @@ def test_estimates_random_run_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
 
 
+def with_events(tl, events):
+    """``tl`` with its events replaced by (time, merged blocks) rows, each
+    with zero jumps, post velocity 0 and left edge 0."""
+    blocks = [block for _, bl in events for block in bl]
+    contacts = sum(bl[-1][1] - bl[0][0] for _, bl in events)
+    return dataclasses.replace(
+        tl, times=np.array([t for t, _ in events], dtype=float),
+        blocks=np.array(blocks, dtype=np.intp).reshape(-1, 2),
+        block_off=np.concatenate(([0], np.cumsum([len(bl) for _, bl in events]))),
+        post=np.zeros(len(events)), x_left=np.zeros(len(events)), jumps=np.zeros(contacts))
+
+
+@pytest.mark.parametrize("events, replay_accepts", [
+    ([(0.1, [(0, 0), (1, 1)]), (0.2, [(0, 1)])], True),
+    ([(0.1, [(0, 0), (2, 2)])], True),
+    ([(0.1, [(0, 0), (1, 6)])], False),
+    ([(0.1, [(0, 0), (1, 2)])], True),
+    ([(0.1, [(0, 1), (2, 2)]), (0.2, [(0, 0), (1, 1)])], False),
+    ([(0.1, [(0, 0), (1, 1)]), (0.2, [(0, 0), (1, 1), (2, 2)])], True),
+], ids=["one_block", "gap", "past_the_end", "never_made", "made_later", "merged_twice"])
+def test_merge_forest_rejects_each_broken_rule(events, replay_accepts):
+    # four singletons; each case breaks one clause of the forest rule: two or
+    # more blocks, contiguous, inside 0..n-1, each made before the event and
+    # merged once.  The block 1..6 has the key of 2..2, and the key of 1..2
+    # sorts next to that of 2..2.  The replay reads only lo and hi, so it misses some
+    x0 = np.array([0.0, 2.0, 4.0, 6.0])
+    tl = evolve(x0, np.zeros(4), SpacingCone(4, 1.0), 1.0)
+    ok = with_events(tl, [(0.1, [(0, 0), (1, 1)]), (0.1, [(2, 2), (3, 3)]),
+                          (0.2, [(0, 1), (2, 3)])])
+    assert active_set_monotone(ok) and EventRecord(ok).u_pre.size == 8
+    bad = with_events(tl, events)
+    assert not active_set_monotone(bad)
+    with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
+        EventRecord(bad)
+    if replay_accepts:
+        bad.states_at([1.0])
+    else:
+        with pytest.raises(InvariantViolationError):
+            bad.states_at([1.0])
+
+
 def test_active_set_monotone_valid_and_corrupted():
     rng = np.random.default_rng(12)
     x0, u0, cone = random_admissible_datum(50, rng)
@@ -790,19 +831,16 @@ def test_timeline_rejects_a_non_finite_event_entry(entry):
 
 
 def estimates_reference(tl):
-    """Reference: verify_estimates' per-event loop on the replay, numpy per event."""
+    """Reference: verify_estimates' per-event loop on ``estimates_loop``, numpy per event."""
     n = tl.n
     u = tl.initial.velocities
     energy = [float(np.dot(u, u) / n)]
     sup_u = float(np.max(np.abs(u)))
     sup_nlam = sup_njump = 0.0
-    for cur in tl.replay():
-        e = cur.event
+    for e, (seg, _, lam) in zip(tl.events, estimates_loop(tl)):
         lo, hi = e.index_range
-        seg = cur.u_pre
         energy.append(energy[-1] + (seg.size * e.post_velocity ** 2
                                     - float(np.dot(seg, seg))) / n)
-        lam = cur.lam
         sup_nlam = max(sup_nlam, n * float(np.max(np.abs(lam[lo:hi + 2]))))
         dloc = np.diff(lam[max(lo - 1, 0):min(hi + 2, n) + 1])
         if dloc.size:
@@ -873,20 +911,6 @@ def test_replay_dense_arrays_match_the_old_loops_bitwise(make):
     tl = make()
     ref = estimates_loop(tl)
     assert ref
-    # read at every event, u before u_pre too, and at every 2nd or 3rd event
-    # only, so each read catches up several events
-    for order, stride in ((("u_pre", "u", "lam"), 1), (("u", "u_pre", "lam"), 1),
-                          (("lam", "u", "u_pre"), 3), (("u_pre", "lam"), 3), (("u",), 2)):
-        count = 0
-        for k, cur in enumerate(tl.replay()):
-            assert cur.event is tl.events[k] and cur.count == k + 1
-            count += 1
-            if k % stride:
-                continue
-            want = dict(zip(("u_pre", "u", "lam"), ref[k]))
-            for name in order:
-                assert _same_bits(getattr(cur, name), want[name]), (order, stride, k, name)
-        assert count == len(tl.events)
     # query instants only: events, their left neighbours and a uniform grid
     te = tl.times
     times = np.sort(np.concatenate((te, np.nextafter(te, -np.inf), np.linspace(0.0, 1.0, 9))))
@@ -895,8 +919,9 @@ def test_replay_dense_arrays_match_the_old_loops_bitwise(make):
         lams = list(snapshots_lam_loop(tl, times))
         cursors = 0
         for t, cur, lam in zip(times, tl.replay(times), lams):
-            assert cur.time == t and cur.event is None
-            got = {name: getattr(cur, name) for name in (first, "lam" if first == "u" else "u")}
+            assert cur.time == t
+            read = {"u": lambda: cur.state().velocities, "lam": lambda: cur.lam}
+            got = {name: read[name]() for name in (first, "lam" if first == "u" else "u")}
             assert _same_bits(got["u"], dense[cur.count])
             assert _same_bits(got["lam"], lam)
             cursors += 1
@@ -904,6 +929,76 @@ def test_replay_dense_arrays_match_the_old_loops_bitwise(make):
     # the snapshots carry the same multipliers
     for snap, lam in zip(build_fields(tl).iter_snapshots(times), snapshots_lam_loop(tl, times)):
         assert _same_bits(snap.lam, lam)
+
+
+def record_reference(tl):
+    """Reference: every ``EventRecord`` field from a per-event loop over
+    dense u and lam and the replay's per-start data (x_left, t_ref, v):
+    the merged blocks' left edges read just before each event, everything
+    else just after it; ``head`` maps each current block's last particle
+    to its first."""
+    n, two_r = tl.n, tl.cone.two_r
+    starts = tl.initial.starts
+    u, lam = tl.initial.velocities.copy(), np.zeros(n + 1)
+    x_left, t_ref, v = tl.x0.copy(), np.zeros(n), tl.initial.velocities.copy()
+    head = dict(zip((np.append(starts[1:], n) - 1).tolist(), starts.tolist()))
+
+    def at(a, i, t):
+        return x_left[a] + v[a] * (t - t_ref[a]) + two_r * (i - a)
+
+    out = {name: [] for name in ("u_pre", "x", "x_pre", "sides", "lam", "dots", "index")}
+    ends = [(at(0, 0, 0.0), at(head[n - 1], n - 1, 0.0))]
+    for e in tl.events:
+        (lo, hi), t = e.index_range, e.time
+        out["x_pre"] += [np.full(b + 1 - a, at(a, a, t)) + two_r * np.arange(b + 1 - a)
+                         for a, b in e.merged_blocks]
+        pre = u[lo:hi + 1].copy()
+        u[lo:hi + 1] = e.post_velocity
+        lam[lo + 1:hi + 1] += e.jump_values
+        x_left[lo], t_ref[lo], v[lo] = e.x_left, t, e.post_velocity
+        out["u_pre"].append(pre)
+        out["dots"].append(float(np.dot(pre, pre)))
+        out["lam"].append(lam[max(lo - 1, 0):min(hi + 2, n) + 1].copy())
+        out["x"].append(e.x_left + two_r * np.arange(hi + 1 - lo))
+        out["index"].append(np.arange(lo, hi + 1))
+        left = (at(head[lo - 1], lo - 1, t), v[head[lo - 1]]) if lo > 0 else (np.nan, np.nan)
+        right = (at(hi + 1, hi + 1, t), v[hi + 1]) if hi + 1 < n else (np.nan, np.nan)
+        out["sides"].append(np.array(left + right))
+        head[hi] = lo
+        ends.append((at(0, 0, t), at(head[n - 1], n - 1, t)))
+    ends.append((at(0, 0, tl.horizon), at(head[n - 1], n - 1, tl.horizon)))
+    ref = {name: parts if name == "dots" else np.concatenate(parts) if parts else np.zeros(0)
+           for name, parts in out.items()}
+    ref["sides"] = np.reshape(ref["sides"], (-1, 4))
+    ref["ends"] = np.array(ends, dtype=float)
+    ref["off"] = np.concatenate(([0], np.cumsum([p.size for p in out["u_pre"]])))
+    return ref
+
+
+def _record_cases():
+    yield from _hostile_inputs()
+    # two disjoint pairs meeting at t = 1/8
+    yield np.array([0.0, 0.5, 2.5, 3.0]), np.array([1.0, -1.0, 1.0, -1.0]), \
+        SpacingCone.canonical(4), 1.0
+    for seed in range(3):
+        yield *random_admissible_datum(400, np.random.default_rng(seed), contacts=True), 3.0
+
+
+def test_event_record_equals_the_per_event_reference_bitwise():
+    events = 0
+    for x0, u0, cone, horizon in _record_cases():
+        tl = evolve(x0, u0, cone, horizon)
+        rec, ref = EventRecord(tl), record_reference(tl)
+        for name, want in ref.items():
+            got = getattr(rec, name)
+            if name == "dots":
+                assert got == want
+            elif want.size:
+                assert _same_bits(got, want.astype(got.dtype)), name
+            else:
+                assert got.size == 0, name
+        events += tl.times.size
+    assert events > 5000
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 4), (0, 3), (2, 6), (-1, 1), (3, 2)],

@@ -28,6 +28,7 @@ from congested_flow.initdata import MacroscopicDatum, quantile_sample, \
 from congested_flow.piecewise import PiecewiseField, merge_breaks
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
+from test_dynamics import estimates_loop
 
 TWO = SpacingCone(2, 1.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -477,20 +478,18 @@ def test_resampling_preserves_norms_exactly():
 
 
 def discrete_pde_reference(trace):
-    """Reference: verify_discrete_pde's per-event loop on the replay, numpy per event."""
+    """Reference: verify_discrete_pde's per-event loop on ``estimates_loop``, numpy per event."""
     n, u0 = trace.n, trace.timeline.u0
     order1 = float(np.max(np.abs(trace.timeline.initial.velocities - u0)))
     order2 = compl = atom_compl = 0.0
-    for cur in trace.timeline.replay():
-        e = cur.event
+    for e, (u_pre, u, lam) in zip(trace.timeline.events, estimates_loop(trace.timeline)):
         lo, hi = e.index_range
         jump_grad = np.diff(e.jump_values, prepend=0.0, append=0.0)
-        order2 = max(order2, float(np.max(np.abs((e.post_velocity - cur.u_pre)
-                                                 + n * jump_grad))))
-        u, lam = cur.u, cur.lam
+        order2 = max(order2, float(np.max(np.abs((e.post_velocity - u_pre) + n * jump_grad))))
         resid = u[lo:hi + 1] - (u0[lo:hi + 1] - n * np.diff(lam[lo:hi + 2]))
         order1 = max(order1, float(np.max(np.abs(resid))))
-        slack = n * np.diff(e.positions(trace.two_r)) - trace.slope_min
+        positions = e.x_left + trace.two_r * np.arange(hi + 1 - lo)
+        slack = n * np.diff(positions) - trace.slope_min
         compl = max(compl, float(np.max(np.abs(slack * lam[lo + 1:hi + 1]))))
         atom_compl = max(atom_compl, float(np.max(np.abs(slack * e.jump_values))))
     return order1, order2, compl, atom_compl

@@ -8,7 +8,7 @@ import pytest
 from congested_flow import verification
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import MergeEvent, active_set_monotone, evolve, trajectory_at
+from congested_flow.dynamics import EventTimeline, active_set_monotone, evolve, trajectory_at
 from congested_flow.fields import build_fields, verify_discrete_pde
 from congested_flow.initdata import quantile_sample
 
@@ -148,13 +148,14 @@ def test_battery_checks_every_atom_of_a_shared_instant(monkeypatch):
     # stretch the contact of one event of the instant at a time: its atom's
     # cell falls below density 1, whichever of the two events it is
     trace = two_pairs_meeting_at_once()
-    rigid = MergeEvent.positions
-    for stretched in trace.timeline.events:
-        def positions(self, two_r, stretched=stretched):
-            x = rigid(self, two_r)
-            return x + np.array([0.0, 1e-3 * two_r]) if self is stretched else x
+    rigid = EventTimeline.event_positions
+    for stretched in range(len(trace.timeline.events)):
+        def positions(self, event, j, stretched=stretched):
+            x = rigid(self, event, j)
+            x[(event == stretched) & (j == 1)] += 1e-3 * self.cone.two_r
+            return x
 
-        monkeypatch.setattr(MergeEvent, "positions", positions)
+        monkeypatch.setattr(EventTimeline, "event_positions", positions)
         reports = {r.name: r for r in verification.run_battery(trace)}
         atoms = reports["eulerian_complementarity"]
         assert not atoms.passed

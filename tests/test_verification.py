@@ -10,7 +10,7 @@ import pytest
 
 from congested_flow import verification
 from congested_flow.cli import load_config
-from congested_flow.dynamics import CheckReport, EventTimeline, MergeEvent, ReplayCursor, \
+from congested_flow.dynamics import CheckReport, EventTimeline, ReplayCursor, \
     active_set_monotone, evolve, max_slope_ratio, verify_estimates, verify_semigroup
 from congested_flow.eulerian import wasserstein_time_modulus
 from congested_flow.fields import DeltaPadding, FieldTrace, _run_single, build_fields, \
@@ -32,19 +32,18 @@ def failed_checks(reports):
 
 
 def record_replays(monkeypatch):
-    """Patch EventTimeline.replay to record each call's query times (None
-    without) and whether it stops at every event, and the cursor's (time,
-    event or None) at each ``state()`` call."""
+    """Patch EventTimeline.replay to record each call's query times, and the
+    cursor's time at each ``state()`` call."""
     replays, states = [], []
     replay, state = EventTimeline.replay, ReplayCursor.state
 
-    def recording_replay(self, times=None, every_event=None):
-        replays.append((None if times is None else [float(t) for t in times],
-                        times is None if every_event is None else every_event))
-        return replay(self, times, every_event)
+    def recording_replay(self, times):
+        times = [float(t) for t in times]
+        replays.append(times)
+        return replay(self, times)
 
     def recording_state(self):
-        states.append((self.time, self.event))
+        states.append(self.time)
         return state(self)
 
     monkeypatch.setattr(EventTimeline, "replay", recording_replay)
@@ -58,25 +57,29 @@ def test_battery_queries_each_sampled_instant_once(monkeypatch):
     ts = verification._sample_times(tl.horizon, tl.times)
     replays, _ = record_replays(monkeypatch)
     assert not failed_checks(run_battery(trace))
-    queried = [t for times, _ in replays if times is not None for t in times]
+    queried = [t for times in replays for t in times]
     assert [queried.count(t) for t in ts.tolist()] == [1] * ts.size
 
 
-def test_battery_builds_no_state_at_an_event_instant(monkeypatch):
-    # one replay serves the sampled instants, the horizon, the 30 random
-    # pairs and every event, the contact-set check and the weak form
-    # included.  A full state is built once per distinct query instant
+def test_battery_builds_one_state_per_query_instant(monkeypatch):
+    # the record reads the events with no replay; one replay stops at the
+    # sampled instants, the horizon, the ends of the 30 random pairs and the
+    # distinct event instants e with s < e <= t of a Wasserstein pair (s, t),
+    # where the velocity norm enters that pair's sup, and nowhere else
     trace = random_contacts_trace(300, 2)
     tl = trace.timeline
+    rng = np.random.default_rng(0)  # the battery's default
+    semigroup = [(s, t) for s, t in verification._time_pairs(rng, tl.horizon, 20)
+                 if t - s >= verification.SEMIGROUP_MIN_SPAN]
+    w2 = list(verification._time_pairs(rng, tl.horizon, 10))
+    ends = {x for s, t in semigroup + w2 if s < t for x in (s, t)}
+    norm = {e for s, t in w2 for e in tl.times.tolist() if s < e <= t}
+    sampled = set(verification._sample_times(tl.horizon, tl.times).tolist())
     replays, states = record_replays(monkeypatch)
     assert not failed_checks(run_battery(trace))
-    assert len(replays) == 1
-    ((queries, every_event),) = replays
-    assert every_event
-    assert queries == sorted(set(queries)) and queries[-1] == tl.horizon
-    assert all(event is None for _, event in states)
-    assert sorted(t for t, _ in states) == queries
-    assert len(tl.events) > 150 and len(queries) <= 12 + 1 + 2 * 30
+    assert replays == [sorted(sampled | {tl.horizon} | ends | norm)]
+    assert states == replays[0]
+    assert len(tl.events) > 150 and len(norm - sampled - ends) > 30
 
 
 def test_oleinik_field_check_reads_the_state_only(monkeypatch):
@@ -134,19 +137,19 @@ def test_stretched_gap_fails_the_exclusion_relations(monkeypatch):
     # representation: one gap of the widest event, at its largest jump
     trace = random_contacts_trace(200, 5)
     tl = trace.timeline
-    widest = max(tl.events, key=lambda e: e.index_range[1] - e.index_range[0])
+    w = max(range(len(tl.events)), key=lambda k: tl.hi[k] - tl.lo[k])
+    widest = tl.events[w]
     assert widest.index_range == (68, 137)
     k = int(np.argmax(widest.jump_values))
-    rigid = MergeEvent.positions
+    rigid = EventTimeline.event_positions
 
-    def stretched(self, two_r):
-        x = rigid(self, two_r)
-        if self is widest:
-            x[k + 1:] += 1e-3 * two_r
+    def stretched(self, event, j):
+        x = rigid(self, event, j)
+        x[(event == w) & (j > k)] += 1e-3 * self.cone.two_r
         return x
 
     assert verify_discrete_pde(trace)["passed"]
-    monkeypatch.setattr(MergeEvent, "positions", stretched)
+    monkeypatch.setattr(EventTimeline, "event_positions", stretched)
     pde = verify_discrete_pde(trace)
     # slack n * 1e-3 * two_r = 1e-3 against the largest jump 4.84e-3
     expected = 1e-3 * float(widest.jump_values[k])
@@ -271,15 +274,69 @@ def test_rejected_replay_is_reported_not_raised():
     blocks[tl.block_off[k], 0] += 1
     broken = dataclasses.replace(tl, blocks=blocks, jumps=np.delete(tl.jumps, tl.jump_off[k]))
     assert not active_set_monotone(broken)
-    reports = run_battery(build_fields(broken))
+    assert_rejected(run_battery(build_fields(broken)), len(tl.events))
+
+
+def assert_rejected(reports, count):
+    """The battery's report of a rejected timeline of ``count`` events."""
     assert [r.name for r in reports] == list(CHECK_NAMES)
     assert failed_checks(reports) == list(CHECK_NAMES)
     for r in reports:
         if r.name == "active_set_monotone":
-            assert (r.value, r.tolerance) == (float(len(tl.events)), 0.0)
+            assert (r.value, r.tolerance) == (float(count), 0.0)
         else:
             assert math.isnan(r.value) and math.isnan(r.tolerance)
             assert r.detail == "not evaluated: the replay rejects an event"
+
+
+@pytest.mark.parametrize("fault", ["misstated_blocks", "phantom_event"])
+def test_misstated_or_phantom_event_is_rejected(fault):
+    # the replay reads only lo and hi, so both timelines run through it; the
+    # merge forest rejects them: a merged block that no earlier event made,
+    # and an "event" that merges one current block, a merge that never happened
+    x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12), contacts=True)
+    tl = evolve(x0, u0, cone, 3.0)
+    st = tl.state_at(tl.horizon)
+    if fault == "misstated_blocks":
+        blocks = tl.blocks.copy()
+        rows = slice(tl.block_off[1], tl.block_off[2])
+        assert blocks[rows].tolist() == [[33, 34], [35, 36]]
+        blocks[rows] = [[33, 35], [36, 36]]
+        bad = dataclasses.replace(tl, blocks=blocks)
+    else:
+        assert st.starts[-2:].tolist() == [8, 25]  # the current block 8..24
+        bad = dataclasses.replace(
+            tl, times=np.append(tl.times, tl.horizon), blocks=np.vstack((tl.blocks, [8, 24])),
+            block_off=np.append(tl.block_off, tl.blocks.shape[0] + 1),
+            post=np.append(tl.post, st.velocities[8]),
+            x_left=np.append(tl.x_left, st.positions[8]), jumps=np.append(tl.jumps, np.zeros(16)))
+    again = bad.state_at(bad.horizon)
+    assert again.starts.tolist() == st.starts.tolist()
+    assert not active_set_monotone(bad)
+    assert_rejected(run_battery(build_fields(bad)), bad.times.size)
+
+
+def test_drifting_block_fails_the_wasserstein_modulus(monkeypatch):
+    # a real-data control for wasserstein_modulus: every state moves the
+    # last block at the horizon (particles 198..199) right by 2 t, with its
+    # velocities unchanged.  Nothing lies to its right, so no gap closes;
+    # the W2 modulus of a pair outgrows (t - s) sup ||u||, and the restart
+    # identity misses the drift
+    trace = random_contacts_trace(200, 5)
+    a = int(trace.timeline.state_at(1.0).starts[-1])
+    assert a == 198
+    rigid = ReplayCursor.state
+
+    def drifted(self):
+        st = rigid(self)
+        x = st.positions.copy()
+        x[a:] += 2.0 * self.time
+        return dataclasses.replace(st, positions=x)
+
+    assert not failed_checks(run_battery(trace))
+    monkeypatch.setattr(ReplayCursor, "state", drifted)
+    reports = run_battery(trace)
+    assert failed_checks(reports) == ["semigroup", "wasserstein_modulus"]
 
 
 @pytest.mark.parametrize("k", [0, -1], ids=["first_event", "last_event"])
@@ -299,8 +356,8 @@ def test_nan_jump_below_the_constructor_fails_its_checks(k):
 
 
 def oleinik_reference(trace):
-    """Brute force: every pair at both limits of every event at t > 0 and at
-    the horizon, from full states; (plain, padded) maxima."""
+    """Brute force: every pair at both limits of every distinct event instant
+    at t > 0 and at the horizon, from full states; (plain, padded) maxima."""
     tl = trace.timeline
     pad = trace.padding.pad
     u_before = tl.initial.velocities
@@ -310,11 +367,10 @@ def oleinik_reference(trace):
         plain.append(max_slope_ratio(t, x, u))
         padded.append(max_slope_ratio(t, pad(x, tl.cone.two_r), np.concatenate(([u[0]], u))))
 
-    for cur in tl.replay():
-        st = cur.state()
-        if cur.time > 0.0:
-            add(cur.time, st.positions, u_before)
-            add(cur.time, st.positions, st.velocities)
+    for st in tl.states_at(sorted(set(tl.times.tolist()))):
+        if st.time > 0.0:
+            add(st.time, st.positions, u_before)
+            add(st.time, st.positions, st.velocities)
         u_before = st.velocities
     st = tl.state_at(tl.horizon)
     add(tl.horizon, st.positions, st.velocities)

@@ -128,8 +128,8 @@ def discrete_reference(tl):
     two_r = tl.cone.two_r
 
     def atom_term(phi):
-        return sum(float(e.jump_values @ np.diff(phi(e.time, e.positions(two_r))))
-                   for e in tl.events)
+        return sum(float(e.jump_values @ np.diff(
+            phi(e.time, e.x_left + two_r * np.arange(e.jump_values.size + 1)))) for e in tl.events)
 
     return windows, atom_term
 
