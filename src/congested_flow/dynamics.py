@@ -37,8 +37,10 @@ read the columns too, and ``EventTimeline.events`` views the rows as
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -244,6 +246,116 @@ def trajectory_at(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, t: float) -
     return _cluster_state(t, x, u0, starts, cone)
 
 
+# An instant whose tie group holds at least this many pairs goes to
+# _merge_chains, a smaller one to the item loop: the two cost the same at
+# about 48 pairs on a later instant, and at 48 to 64 on a first one
+_CHAIN_MIN = 48
+
+
+def _gather(values: list, idx: np.ndarray, dtype: type) -> np.ndarray:
+    """values[i] for each i of the nonempty int array idx, as an array of dtype."""
+    ix = idx.tolist()
+    return np.fromiter(itemgetter(*ix)(values) if len(ix) > 1 else (values[ix[0]],), dtype, len(ix))
+
+
+def _merge_chains(a, s, t_e, state, prefix_u0, two_r, reach):
+    """Run the initial items of an instant's worklist at once, with the
+    arithmetic and the decisions of ``evolve``'s item loop.
+
+    ``a`` and ``s`` hold the instant's live candidates (a, s), sorted by a
+    and without repeats, as int arrays; ``state`` is evolve's lists (end,
+    head, xl, tr, v, stamp).  The pairs form chains, maximal runs with s_i
+    = a_{i+1}, and the loop merges each chain into its first start c, step
+    j giving it the velocity (P[b_j + 1] - P[c]) / (b_j + 1 - c),
+    with P = ``prefix_u0`` and b_j the end of s_j before the instant: one
+    numpy pass over the items.  After the first step the left edge only
+    gains v * 0.0 terms, which keep its bits unless it is a zero, and a sum
+    of signed zeros is -0.0 only if every term is.  So the cascade checks
+    come to one per side and chain, in O(1) Python work each.  The left one
+    fires if the gap to the left neighbour is within ``reach`` and the
+    neighbour is faster than the chain's slowest step, unless the chain
+    before has queued c; the right one runs at the last step, against the
+    right neighbour as it was before the instant.  The chains run left to
+    right and append left before right, as the loop does; it runs every
+    appended item after the initial ones, so the step at which a check
+    fires does not matter.
+
+    Writes each chain's merged block.  Over its range head leads to c, at
+    the absorbed ends as the loop sets it and at inner particles, which no
+    walk reads, and every stamp rises to one above the range's largest, so
+    a queued candidate on any start in it goes stale.  Returns the appended
+    items, each c's (end, v) before the instant, and the start, end and
+    velocity before the instant of every block the chains merged.  Returns
+    None, writing nothing, if a velocity is not finite (a difference of
+    prefix sums overflows): then v * 0.0 is NaN, which the item loop
+    carries into the edge and the checks step by step, so it resolves such
+    an instant.
+    """
+    end, head, xl, tr, v, stamp = state
+    n = len(end)
+    b = _gather(end, s, np.intp)
+    f = np.flatnonzero(np.concatenate(([True], s[:-1] != a[1:])))
+    last = np.concatenate((f[1:], [a.size])) - 1
+    starts, ends = a[f], b[last]
+    c = np.repeat(starts, last + 1 - f)
+    vel = (prefix_u0[b + 1] - prefix_u0[c]) / (b + 1 - c)
+    if not np.isfinite(vel).all():
+        return None
+    mem = np.concatenate((a, s[last]))
+    merged = mem, np.concatenate((s - 1, ends)), _gather(v, mem, float)
+
+    appended, pre, queued = [], {}, -1
+    chains = zip(f.tolist(), last.tolist(), starts.tolist(), ends.tolist(), vel[f].tolist(),
+                 vel[last].tolist(), np.fmin.reduceat(vel, f).tolist())
+    for i, j, c, e, v_first, v_last, slowest in chains:
+        pre[c] = end[c], v[c]
+        x = xl[c] + v[c] * (t_e - tr[c])
+        if 0 < c != queued:
+            left = head[c - 1]
+            gap = (x + v_first * (t_e - t_e)) \
+                - ((xl[left] + v[left] * (t_e - tr[left])) + two_r * (end[left] - left)) - two_r
+            if gap <= reach and v[left] > slowest:
+                appended.append((left, c))
+        if x == 0.0 and i < j:  # the steps after the first add v * 0.0
+            x += -0.0 if np.signbit(vel[i:j]).all() else 0.0
+        xl[c], tr[c], v[c], end[c] = x, t_e, v_last, e
+        head[c:e + 1] = [c] * (e + 1 - c)
+        stamp[c:e + 1] = [max(stamp[c:e + 1]) + 1] * (e + 1 - c)
+        right = e + 1
+        if right < n:
+            gap = (xl[right] + v[right] * (t_e - tr[right])) \
+                - ((x + v_last * (t_e - t_e)) + two_r * (e - c)) - two_r
+            if gap <= reach and v_last > v[right]:
+                appended.append((c, right))
+                queued = right
+    return appended, pre, merged
+
+
+def _chain_rows(merged, extra, finals, v_post):
+    """The rows of an instant that ``_merge_chains`` resolved.
+
+    ``merged`` is its (start, end, velocity) of every block the chains
+    merged, as before the instant, ``extra`` the same as tuples for the
+    blocks that cascade items merged, ``finals`` the instant's final blocks
+    in order and ``v_post`` their velocities.  Each final block takes the
+    run of blocks it covers.  Returns the flat (start, end) pairs, the diffs
+    v_post - u_pre, their repeat counts (the last of each event's one short)
+    and the end of each event's run.
+    """
+    starts, ends, w = merged
+    if extra:
+        starts, ends, w = (np.concatenate((col, add)) for col, add in zip(merged, zip(*extra)))
+    order = np.argsort(starts)
+    starts, ends, w = starts[order], ends[order], w[order]
+    firsts = np.searchsorted(starts, finals)
+    runs = np.concatenate((firsts[1:], [starts.size]))
+    reps = ends - starts + 1
+    reps[runs - 1] -= 1
+    flat = np.empty(2 * starts.size, dtype=np.intp)
+    flat[0::2], flat[1::2] = starts, ends
+    return flat, np.repeat(v_post, runs - firsts) - w, reps, runs
+
+
 def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) -> "EventTimeline":
     """Event-driven sticky evolution on [0, horizon].
 
@@ -251,11 +363,11 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     EVENT_TIE_TOL of each other are treated as simultaneous and processed
     left to right with cascade re-checking (a merge may put an adjacent pair
     into closing contact at the same instant).  Every connected group that
-    coalesces yields one event, one row of the timeline's columns, which the
-    loop writes as flat lists.  The initial contacts and the cascade test
-    both use ``contact_tol(x0)`` = CONTACT_RTOL * (1 + (max x0 - min x0)) +
-    8 eps max|x0|, computed once.  Raises InputDomainError unless horizon
-    >= 0 (a NaN fails), before any work.
+    coalesces yields one event, one row of the timeline's columns.  The
+    initial contacts and the cascade test both use ``contact_tol(x0)`` =
+    CONTACT_RTOL * (1 + (max x0 - min x0)) + 8 eps max|x0|, computed once.
+    Raises InputDomainError unless horizon >= 0 (a NaN fails), before any
+    work.
 
     Each cluster is keyed by its first particle a, in lists of length n: its
     last particle end[a], its left edge xl[a] at time tr[a] and its velocity
@@ -267,21 +379,25 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     only if neither cluster has changed since it was queued.
 
     Cost: the first candidates take one vectorised pass over the initial
-    starts and one sort, O(n log n) in numpy, and each is popped off the end
-    of that sorted list in O(1); every later candidate costs O(log n) heap
-    work.  One pop site takes the lesser head of the two, if it is due: the
-    first live candidate opens an instant at its t_hit, later ones within
+    starts and one sort, O(n log n) in numpy, and are read in that order
+    off their columns; every later candidate costs O(log n) heap work.  One
+    pop site takes the lesser head of the two, if it is due: the first live
+    candidate opens an instant at its t_hit, later ones within
     EVENT_TIE_TOL of it join, and the instant is resolved once nothing more
-    is due.  An instant that touches k blocks costs O(k log k) for sorting
-    its pairs and pre-merge records.  Each contact is queued at most once per
-    instant, so its worklist holds at most k items.  Resolving a worklist
-    start walks head[end[.]] once per nesting level of the merges it went
-    through at that instant (there is no path compression); in an n-way tie,
-    hit from either end or closing everywhere at once, that is at most one
-    step per walk.  The loop itself calls no numpy routine per event: the
-    jumps of all events go to one flat read-only array after it, laid out
-    by one repeat, with one sequential cumsum per event's slice, O(merged
-    range).  The lists cost O(n) to set up.
+    is due.  An instant whose tie group holds fewer than ``_CHAIN_MIN``
+    pairs runs its worklist item by item, with no numpy routine: O(k log k)
+    for sorting its k pairs and pre-merge records, each contact queued at
+    most once, and a walk of head[end[.]] once per nesting level of the
+    merges an item went through at that instant.  Whether the first
+    candidates hold a larger tie is one O(1) probe per instant.  A larger
+    one (an n-way tie) takes its due first candidates in one slice:
+    ``_merge_chains`` merges each chain of adjacent pairs in one numpy pass
+    and O(1) Python work per chain, the item loop runs only the cascade
+    items it appended, ``_chain_rows`` lays out the rows, and the pushes
+    run once per final block; the events keep their bits.  The jumps of all
+    events go to one flat read-only array after the loop, laid out by one
+    repeat, with one sequential cumsum per event's slice, O(merged range).
+    The lists cost O(n) to set up.
     """
     if not 0.0 <= horizon:
         raise InputDomainError(f"horizon must be nonnegative, got {horizon}")
@@ -302,6 +418,7 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     tr = [0.0] * n
     v = initial.velocities.tolist()
     stamp = [0] * n  # bumped whenever the cluster keyed at a start changes
+    state = (end, head, xl, tr, v, stamp)
 
     # the first candidates, (a, s) adjacent initial starts, with the neighbour
     # push's arithmetic at t_e = 0: the `- v * 0.0` terms keep the signs of
@@ -314,44 +431,75 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     t_hit = np.where(0.0 > q, 0.0, q)
     due = np.flatnonzero(t_hit <= horizon)
     a0, s0, t_hit = a0[due], s0[due], t_hit[due]
-    # numbered in start order and sorted descending by their keys (t_hit,
-    # counter), so the least is popped off the end; later candidates go to a
-    # heap.  The keys are unique, so taking the lesser of the two heads pops
-    # every candidate in one total order
-    order = np.argsort(t_hit, kind="stable")[::-1]
-    zeros = [0] * due.size
-    first = list(zip(t_hit[order].tolist(), order.tolist(), a0[order].tolist(),
-                     s0[order].tolist(), zeros, zeros))
+    # sorted ascending by their keys (t_hit, start order) into columns read
+    # from fi on; later candidates, (t_hit, counter, a, s, stamps), go to a
+    # heap.  A first candidate wins a tie in t_hit, so taking the lesser of
+    # the two heads pops every candidate in one total order
+    order = np.argsort(t_hit, kind="stable")
+    first_a, first_s = a0[order], s0[order]
+    ft, fa, fs = t_hit[order].tolist(), first_a.tolist(), first_s.tolist()
+    fi, nf = 0, len(ft)
     heap: list[tuple[float, int, int, int, int, int]] = []
-    counter = due.size
+    counter = 0
+    chain_min = _CHAIN_MIN
 
     # the columns: per event its time, post velocity and left edge, and the
-    # offset of its merged blocks in `blocks`; the jumps go to one flat array
-    # after the loop, laid out from diffs repeated reps times, event k's at
-    # bounds[k]:bounds[k + 1]
-    times, post, left_edges, blocks, block_off = [], [], [], [], [0]
+    # offset of its merged blocks; per merged block its start and end in the
+    # flat `blocks`, and the jumps laid out after the loop from diffs
+    # repeated reps times, event k's at bounds[k]:bounds[k + 1]
+    times, post, left_edges, block_off, bounds = [], [], [], [0], [0]
+    blocks: list[int] = []
     diffs: list[float] = []
     reps: list[int] = []
-    bounds = [0]
 
-    # the live candidates (a, s) of the open instant, and the latest t_hit that is due
-    pairs, t_max = [], horizon
+    # the live candidates (a, s) of the open instant, the due first
+    # candidates it took at once, and the latest t_hit that is due
+    pairs, taken, t_max = [], None, horizon
     while True:
-        if first and (not heap or first[-1] < heap[0]):
-            cand = first.pop() if first[-1][0] <= t_max else None
+        if fi < nf and (not heap or ft[fi] <= heap[0][0]):
+            due = ft[fi] <= t_max
+            if due:
+                t_hit, a, s, sa, ss = ft[fi], fa[fi], fs[fi], 0, 0
+                fi += 1
         else:
-            cand = heapq.heappop(heap) if heap and heap[0][0] <= t_max else None
-        if cand is not None:
-            t_hit, _, a, s, sa, ss = cand
+            due = heap and heap[0][0] <= t_max
+            if due:
+                t_hit, _, a, s, sa, ss = heapq.heappop(heap)
+        if due:
             if stamp[a] == sa and stamp[s] == ss:
                 if not pairs:
                     t_e, t_max = t_hit, t_hit + EVENT_TIE_TOL
+                    if fi + chain_min <= nf and ft[fi + chain_min - 1] <= t_max:
+                        cut = bisect_right(ft, t_max, fi)
+                        taken = first_a[fi:cut], first_s[fi:cut]
+                        fi = cut
                 pairs.append((a, s))
             continue
         if not pairs:
             break
-        worklist, pairs, t_max = sorted(pairs), [], horizon
-        pre: dict[int, tuple[int, float]] = {}  # touched start -> pre-instant (end, v)
+        chained = None
+        if taken is not None or len(pairs) >= chain_min:
+            # a pair pushed by both blocks it joins comes twice
+            pa, ps = np.array(sorted(set(pairs)), dtype=np.intp).T
+            if taken is not None:
+                ta, ts = taken
+                if times:  # blocks have merged: drop the stale first candidates
+                    stamps = _gather(stamp, np.concatenate((ta, ts)), np.intp)
+                    live = (stamps == 0).reshape(2, -1).all(0)
+                    ta, ts = ta[live], ts[live]
+                pa, ps = np.concatenate((ta, pa)), np.concatenate((ts, ps))
+                order = np.argsort(pa)
+                pa, ps = pa[order], ps[order]
+            chained = _merge_chains(pa, ps, t_e, state, prefix_u0, two_r, tol_gap)
+            if chained is None:
+                pairs = list(zip(pa.tolist(), ps.tolist()))
+        if chained is None:
+            worklist, pre = sorted(pairs), {}
+        else:
+            worklist, pre, merged = chained
+            chain_starts = len(pre)
+        pairs, taken, t_max = [], None, horizon
+        # pre maps each touched start to its (end, v) before the instant.
         # An item (l, r) merges the cluster holding l with the one holding r
         # if they are adjacent.  When queued, the cluster holding l ends at
         # r - 1, and it keeps particle r - 1 as it grows; so the item merges
@@ -359,7 +507,9 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
         # A second item with the same right end r runs after the first, finds
         # r no longer a start and does nothing, so it is not queued.  Once the
         # first has run, r is no longer a live start, so no later cascade
-        # check has right end r and the entries are never removed.
+        # check has right end r and the entries are never removed.  After
+        # _merge_chains the right ends of its pairs are absorbed, so only its
+        # appended items are queued.
         queued = {s for _, s in worklist}
         i = 0
         while i < len(worklist):
@@ -393,24 +543,39 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                 if gap <= tol_gap and v[left] > v[right]:
                     worklist.append((left, right))
                     queued.add(right)
-        for a in sorted(pre):
+        if chained is not None:
+            finals = [a for a in sorted(pre) if head[end[a]] == a]
+            flat, jump_diffs, jump_reps, ends = _chain_rows(
+                merged, [(k, *pre[k]) for k in list(pre)[chain_starts:]], finals,
+                [v[a] for a in finals])
+            block_off.extend((len(reps) + ends).tolist())
+            blocks += flat.tolist()
+            diffs += jump_diffs.tolist()
+            reps += jump_reps.tolist()
+            for a in finals:
+                times.append(t_e)
+                post.append(v[a])
+                left_edges.append(xl[a])
+                bounds.append(bounds[-1] + end[a] - a)
+        for a in sorted(pre) if chained is None else finals:
             if head[end[a]] != a:
                 continue  # absorbed at this instant
             b = end[a]
-            v_post = v[a]
-            k = a
-            while k <= b:
-                e, w = pre[k]
-                blocks.append((k, e))
-                diffs.append(v_post - w)
-                reps.append(e + 1 - k)
-                k = e + 1
-            reps[-1] -= 1  # the jumps of lo..hi drop the last entry of v_post - u_pre
-            times.append(t_e)
-            post.append(v_post)
-            left_edges.append(xl[a])
-            block_off.append(len(blocks))
-            bounds.append(bounds[-1] + b - a)
+            if chained is None:
+                v_post = v[a]
+                k = a
+                while k <= b:
+                    e, w = pre[k]
+                    blocks += k, e
+                    diffs.append(v_post - w)
+                    reps.append(e + 1 - k)
+                    k = e + 1
+                reps[-1] -= 1  # the jumps of lo..hi drop the last entry of v_post - u_pre
+                times.append(t_e)
+                post.append(v_post)
+                left_edges.append(xl[a])
+                block_off.append(len(reps))
+                bounds.append(bounds[-1] + b - a)
             # queue the exact contact instant of each neighbour pair that closes
             for left, right in ((head[a - 1], a), (a, b + 1)):
                 if 0 < right < n and v[left] > v[right]:
@@ -501,6 +666,12 @@ class EventTimeline:
     @property
     def n(self) -> int:
         return self.cone.n
+
+    @cached_property
+    def _forest(self) -> tuple[np.ndarray, ...]:
+        """The merge forest (``_merge_forest``), found on first read, so that
+        ``active_set_monotone`` and ``EventRecord`` find it once between them."""
+        return _merge_forest(self)
 
     @cached_property
     def events(self) -> tuple[MergeEvent, ...]:
@@ -693,7 +864,7 @@ class EventRecord:
     def __init__(self, timeline: EventTimeline):
         self.timeline = tl = timeline
         n, two_r, count = tl.n, tl.cone.two_r, tl.times.size
-        maker, event, first, last, made_at = _merge_forest(tl)
+        maker, event, first, last, made_at = tl._forest
         starts = tl.initial.starts
         made_x = np.concatenate((tl.x0[starts], tl.x_left))
         made_v = np.concatenate((tl.initial.velocities[starts], tl.post))
@@ -898,7 +1069,7 @@ def active_set_monotone(timeline: EventTimeline) -> bool:
     has already checked that the event times are nondecreasing.
     """
     try:
-        _merge_forest(timeline)
+        timeline._forest
     except InvariantViolationError:
         return False
     return True

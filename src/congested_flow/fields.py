@@ -229,12 +229,24 @@ def oleinik_field_check(trace: FieldTrace, state: MicroState) -> dict:
 def pressure_mass_bound(trace: FieldTrace) -> float:
     """Total mass of the interpolated pressure atoms over (0,1) and time.
 
-    One ``sum`` per event's slice of the jumps, added in event order; a
-    segmented reduction adds in another order and gives other bits.
+    Each event's slice of the jumps summed as ``.sum()`` sums it, divided by
+    n, then added in event order from the int 0 (Python's ``sum``).  The
+    slices of one length are gathered as the rows of one array, and
+    ``.sum(axis=1)`` adds each row in the order ``.sum()`` adds it alone:
+    one reduction per distinct length, not one per event.  (A segmented
+    ``np.add.reduceat`` adds a slice of three or more jumps in another
+    order, to other bits.)
     """
     measure = pressure_measure(trace.timeline)
-    off = measure.jump_off.tolist()
-    return sum(float(measure.jumps[a:b].sum()) / trace.n for a, b in zip(off, off[1:]))
+    off, jumps = measure.jump_off, measure.jumps
+    counts = np.diff(off)
+    sums = np.zeros(counts.size)
+    order = np.argsort(counts, kind="stable")
+    heads = np.flatnonzero(np.diff(counts[order], prepend=-1)).tolist()
+    for lo, hi in zip(heads, heads[1:] + [order.size]):
+        events = order[lo:hi]
+        sums[events] = jumps[off[events, None] + np.arange(counts[events[0]])].sum(axis=1)
+    return sum((sums / trace.n).tolist())
 
 
 def _run_single(datum: MacroscopicDatum, n: int, horizon: float,

@@ -215,7 +215,7 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     if not monotone.passed:
         return [monotone if name == monotone.name else
                 CheckReport(name, False, np.nan, np.nan,
-                            "not evaluated: the replay rejects an event")
+                            "not evaluated: the events do not form a merge forest")
                 for name in CHECK_NAMES]
     instants = sorted_distinct(timeline.times)
     norm_at = set()
@@ -280,7 +280,8 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             open_pairs[kind][k] = (st if kind == "semigroup" else
                                    [trace.padding.pad(st.positions, two_r),
                                     velocity_l2(h, st.velocities)])
-    # built after the replay, so that its arrays and the replay's states do not coexist
+    # built after the replay, so that its arrays and the replay's states do not
+    # coexist; it reads the merge forest the monotone check found
     record = EventRecord(timeline)
     local = _event_local(trace, record)
 

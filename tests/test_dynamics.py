@@ -425,8 +425,47 @@ def _hit_chain(n, slack):
     return x0, u0, cone
 
 
-def _hostile_inputs():
-    """Seeded sweep of inputs that stress the instant resolver."""
+def _tie_at_half(u, slack):
+    """Positions at which particles i, i + 1 (two_r = 1) sit slack[i] apart at
+    t = 1/2 moving with velocities u: exact ties where the slack is 0."""
+    u = np.asarray(u, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(1.0 + np.asarray(slack) + 0.5 * (u[:-1] - u[1:])))), u
+
+
+def _large_ties():
+    """Instants of at least _CHAIN_MIN pairs, which ``_merge_chains`` resolves."""
+    m, hair = 64, 2e-11  # a pair a hair apart at t = 1/2 hits later, within contact_tol
+    core = -0.01 - 2.0 * np.arange(m)
+    # a resting pair on the left and a rigid triple on the right, each a hair
+    # away and closing at 0.01: both chain checks fire
+    yield _tie_at_half(np.concatenate(([0.0, 0.0], core, [core[-1] - 0.01] * 3)),
+                       np.concatenate(([0.0, hair], np.zeros(m - 1), [hair, 0.0, 0.0])))
+    # the right one fires on the start of the next chain
+    yield _tie_at_half(np.concatenate(([3.0, 1.0], 0.9 - 2.0 * np.arange(m))),
+                       np.concatenate(([0.0, hair], np.zeros(m - 1))))
+    # several chains at one instant, moving apart at their junctions
+    slack = np.zeros(4 * 24 - 1)
+    slack[23::24] = 100.0
+    yield _tie_at_half(np.concatenate([100.0 * k - 2.0 * np.arange(24) for k in range(4)]), slack)
+    # two blocks made at t = 1/4 meet at t = 1/2, beside a large tie: both push
+    # the pair they share
+    yield (np.concatenate(([0.0, 1.5, 2.75, 4.25], 10.0 + 2.0 * np.arange(m))),
+           np.concatenate(([2.0, 0.0, 0.5, -1.5], -2.0 * np.arange(m))))
+    # a chain whose left edge is -0.0 at the instant, and one where it is +0.0
+    x0 = 2.0 * np.arange(m)
+    x0[0] = -0.0
+    yield x0, -2.0 * np.arange(m)
+    yield 2.0 * np.arange(m) - 1.0, 2.0 - 2.0 * np.arange(m)
+    # a large tie jittered by k * EVENT_TIE_TOL: the pairs not yet due cascade
+    rng = np.random.default_rng(7)
+    for size in (400, 800):
+        yield _tie_at_half(-2.0 * np.arange(size),
+                           2.0 * EVENT_TIE_TOL * rng.integers(-3, 4, size - 1))
+
+
+def _hostile_inputs(overflow=True):
+    """Seeded sweep of inputs that stress the instant resolver; with
+    ``overflow``, also two whose timelines are rejected."""
     rng = np.random.default_rng(2024)
     for n in (2, 3, 7, 40, 300, 2000):
         for contacts in (False, True):
@@ -470,20 +509,84 @@ def _hostile_inputs():
         for horizon in (0.0, 2.0):
             yield x0 + 1e6, u0, cone, horizon
             yield -x0[::-1] + 1e6, -u0[::-1], cone, horizon
+    for x0, u0 in _large_ties():
+        cone = SpacingCone(x0.size, 1.0)
+        yield x0, u0, cone, 1.0
+        yield -x0[::-1], -u0[::-1], cone, 1.0  # the mirror image
+    if overflow:
+        # velocities near the largest float, every prefix sum of u0 finite: the
+        # pairs (1, 2) and (2, 3) tie at t = 1/2, the second step's velocity
+        # (P[4] - P[1]) / 3 overflows, and the timeline rejects the event
+        x0 = np.array([0.0, 0.1, 0.8, 1.1, 1.2]) * 1e308
+        u0 = np.array([0.5, 0.5, -0.9, -1.5, 1.0]) * 1e308
+        yield x0, u0, SpacingCone(5, 1.0), 1.0
+        yield -x0[::-1], -u0[::-1], SpacingCone(5, 1.0), 1.0
     # the shipped smooth compression datum: all 8191 pairs tie at t = 0.5
     datum = load_config(str(CONFIGS / "smooth_compression.json"))["_datum"]
     yield *quantile_sample(datum, 8192), 1.0
 
 
+def _outcome(case):
+    """The bits of evolve's events on a case, or the error it raises."""
+    try:
+        return [_event_bits(e) for e in evolve(*case).events]
+    except InvariantViolationError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the overflowing ties
 def test_evolve_matches_id_union_find_reference_bitwise():
     n_events = widest = 0
     for x0, u0, cone, horizon in _hostile_inputs():
         ref = id_union_find_events(x0, u0, cone, horizon)
+        if not all(np.isfinite([e.time, e.post_velocity, e.x_left]).all()
+                   and np.isfinite(e.jump_values).all() for e in ref):
+            with pytest.raises(InvariantViolationError, match="non-finite"):
+                evolve(x0, u0, cone, horizon)
+            continue
         got = evolve(x0, u0, cone, horizon).events
         assert [_event_bits(e) for e in got] == [_event_bits(e) for e in ref]
         n_events += len(ref)
         widest = max([widest] + [len(e.merged_blocks) for e in ref])
     assert n_events > 1000 and widest == 8192
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the overflowing ties
+def test_large_ties_take_the_chain_path(monkeypatch):
+    # instants of _CHAIN_MIN pairs or more go to _merge_chains, and on these
+    # inputs some of its cascade checks fire
+    appended = []
+    merge_chains = dynamics_module._merge_chains
+
+    def counting(*args):
+        out = merge_chains(*args)
+        appended.append(0 if out is None else len(out[0]))
+        return out
+
+    monkeypatch.setattr(dynamics_module, "_merge_chains", counting)
+    for case in _hostile_inputs():
+        _outcome(case)
+    assert len(appended) > 0 and sum(appended) > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the overflowing ties
+def test_chain_path_at_every_tie_keeps_the_bits(monkeypatch):
+    # every tie group of two or more pairs through _merge_chains: the events
+    # of the default threshold, which the reference test pins; a tie with an
+    # overflowing step velocity goes back to the item loop
+    cases = list(_hostile_inputs())
+    expected = [_outcome(case) for case in cases]
+    returned = []
+    merge_chains = dynamics_module._merge_chains
+
+    def recording(*args):
+        returned.append(merge_chains(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(dynamics_module, "_merge_chains", recording)
+    monkeypatch.setattr(dynamics_module, "_CHAIN_MIN", 2)
+    assert [_outcome(case) for case in cases] == expected
+    assert any(out is None for out in returned)
 
 
 def _jump_case(name):
@@ -976,7 +1079,7 @@ def record_reference(tl):
 
 
 def _record_cases():
-    yield from _hostile_inputs()
+    yield from _hostile_inputs(overflow=False)
     # two disjoint pairs meeting at t = 1/8
     yield np.array([0.0, 0.5, 2.5, 3.0]), np.array([1.0, -1.0, 1.0, -1.0]), \
         SpacingCone.canonical(4), 1.0

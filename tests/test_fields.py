@@ -66,6 +66,29 @@ def test_rigid_translation_zero_multipliers():
     assert pressure_mass_bound(trace) == 0.0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_pressure_mass_equals_the_per_event_sum_bitwise(seed):
+    # the slices of one length summed as the rows of one array, against one
+    # .sum() per event; zeros of both signs among the jumps, lone ones included
+    rng = np.random.default_rng(seed)
+    x0, u0, cone = random_admissible_datum(400, rng, contacts=True)
+    tl = evolve(x0, u0, cone, 3.0)
+    jumps = tl.jumps.copy()
+    jumps[rng.random(jumps.size) < 0.3] = -0.0
+    jumps[rng.random(jumps.size) < 0.1] = 0.0
+    assert (np.diff(tl.jump_off) == 1).any() and (np.diff(tl.jump_off) >= 3).any()
+    # one event of three jumps, which np.add.reduceat and .sum() add to other bits
+    four = evolve(2.0 * np.arange(4.0), -2.0 * np.arange(4.0), SpacingCone(4, 1.0), 1.0)
+    four = dataclasses.replace(four, jumps=np.array([0.1, 0.2, 0.3]))
+    for timeline in (tl, dataclasses.replace(tl, jumps=jumps), four):
+        off = timeline.jump_off.tolist()
+        expected = sum(float(timeline.jumps[a:b].sum()) / timeline.n
+                       for a, b in zip(off, off[1:]))
+        got = pressure_mass_bound(build_fields(timeline))
+        assert type(got) is type(expected)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 def test_affine_slope_bounded_below():
     rng = np.random.default_rng(2)
     x0, u0, cone = random_admissible_datum(60, rng, contacts=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from congested_flow import verification
+from congested_flow import dynamics, verification
 from congested_flow.cli import load_config
 from congested_flow.dynamics import CheckReport, EventTimeline, ReplayCursor, \
     active_set_monotone, evolve, max_slope_ratio, verify_estimates, verify_semigroup
@@ -59,6 +59,21 @@ def test_battery_queries_each_sampled_instant_once(monkeypatch):
     assert not failed_checks(run_battery(trace))
     queried = [t for times in replays for t in times]
     assert [queried.count(t) for t in ts.tolist()] == [1] * ts.size
+
+
+def test_battery_finds_the_merge_forest_once(monkeypatch):
+    # the monotone check finds the forest; the record reads it off the timeline
+    calls = []
+    merge_forest = dynamics._merge_forest
+
+    def counting(timeline):
+        calls.append(timeline)
+        return merge_forest(timeline)
+
+    monkeypatch.setattr(dynamics, "_merge_forest", counting)
+    trace = random_contacts_trace(100, 1)
+    assert not failed_checks(run_battery(trace))
+    assert calls == [trace.timeline]
 
 
 def test_battery_builds_one_state_per_query_instant(monkeypatch):
@@ -286,7 +301,7 @@ def assert_rejected(reports, count):
             assert (r.value, r.tolerance) == (float(count), 0.0)
         else:
             assert math.isnan(r.value) and math.isnan(r.tolerance)
-            assert r.detail == "not evaluated: the replay rejects an event"
+            assert r.detail == "not evaluated: the events do not form a merge forest"
 
 
 @pytest.mark.parametrize("fault", ["misstated_blocks", "phantom_event"])
