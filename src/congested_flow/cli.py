@@ -310,7 +310,7 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
                snap_blocks)
     atom_blocks = [(np.full(a.contacts.size, float(a.time)), a.x_left, a.x_right,
                     a.lineal_density)
-                   for a in pressure_pushforward(pressure_measure(timeline), trace)]
+                   for a in pressure_pushforward(pressure_measure(timeline))]
     _write_csv(out / "pressure_atoms.csv",
                ["t_event", "x_left", "x_right", "pressure_lineal_density"], atom_blocks)
     checks, failed = _write_verification(cfg, trace, out, inject)

@@ -16,22 +16,22 @@ States are right-continuous at event times.
 
 A cluster partition is always one ascending int array of block starts
 (first entry 0): block k is starts[k] .. starts[k+1] - 1, the last one runs
-to n - 1.  ``EventTimeline.replay`` applies the events to running state and
-stops at query instants; it keeps the partition as a block-start mask of
-length n + 1 whose sentinel entry n is set, coarsened only by ``_merge``.
-States and snapshots read its cursor.  ``evolve`` keys its clusters by the
-same starts: each cluster's data sits at its first particle.
+to n - 1.  ``evolve`` keys its clusters by the same starts: each cluster's
+data sits at its first particle.
 
 A timeline holds its events once, as columns that ``evolve`` writes from its
 own flat lists: the times, merged blocks, post velocities, left edges and
 one flat read-only array of multiplier jumps.  The congested region only
 grows, so the events form a merge forest: each block an event merges is an
 initial cluster or the range of exactly one earlier event, its maker.
-``EventRecord`` reads what the checks need straight off the columns through
-that forest, with no replay; the checks read event positions through
-``EventTimeline.event_positions``.  The pressure measure and the export
-read the columns too, and ``EventTimeline.events`` views the rows as
-``MergeEvent`` objects, built on first read.
+That forest is the only reading of a timeline.  ``EventRecord`` reads what
+the checks need straight off the columns through it, and the checks read
+event positions through ``EventTimeline.event_positions``.
+``EventTimeline.replay`` stops at query instants, where its cursor builds
+the state from the blocks alive then, each rigid from its maker's left
+edge.  The pressure measure and the export read the columns too, and
+``EventTimeline.events`` views the rows as ``MergeEvent`` objects, built on
+first read.
 """
 
 from __future__ import annotations
@@ -154,27 +154,6 @@ def _contact_starts(x: np.ndarray, two_r: float) -> np.ndarray:
     """First indices of the maximal runs whose adjacent gaps sit at two_r
     within ``contact_tol(x)``."""
     return np.flatnonzero(np.concatenate(([True], x[1:] - x[:-1] - two_r > contact_tol(x))))
-
-
-def _start_mask(starts: np.ndarray, n: int) -> np.ndarray:
-    """Block-start mask of length n + 1 with the sentinel entry n set."""
-    is_start = np.zeros(n + 1, dtype=bool)
-    is_start[starts] = True
-    is_start[n] = True
-    return is_start
-
-
-def _merge(is_start: np.ndarray, lo: int, hi: int) -> bool:
-    """Merge particles lo..hi into one block of the mask ``is_start``.
-
-    Returns False, leaving the mask unchanged, unless lo..hi is a union of
-    whole current blocks (lo and hi + 1 are starts, the sentinel counting);
-    otherwise clears the starts inside the range.
-    """
-    if not (0 <= lo <= hi < is_start.size - 1 and is_start[lo] and is_start[hi + 1]):
-        return False
-    is_start[lo + 1:hi + 1] = False
-    return True
 
 
 def _cluster_state(t: float, x: np.ndarray, u0: np.ndarray, starts: np.ndarray,
@@ -622,8 +601,8 @@ class EventTimeline:
     -JUMP_FLOOR_RTOL * (1 + max|u0|); all of it takes one vectorised pass
     over the columns (a NaN passes every comparison with the floor, so
     finiteness is checked on its own).  Whether each event merges whole
-    current blocks depends on the events before it, so ``replay`` checks
-    that, and ``EventRecord`` checks that the events form a merge forest.
+    current blocks depends on the events before it, so the merge forest
+    (``_forest``) checks that, once, for every reader.
     """
 
     cone: SpacingCone
@@ -668,9 +647,9 @@ class EventTimeline:
         return self.cone.n
 
     @cached_property
-    def _forest(self) -> tuple[np.ndarray, ...]:
+    def _forest(self) -> _MergeForest:
         """The merge forest (``_merge_forest``), found on first read, so that
-        ``active_set_monotone`` and ``EventRecord`` find it once between them."""
+        every reader of the timeline finds it once between them."""
         return _merge_forest(self)
 
     @cached_property
@@ -703,45 +682,30 @@ class EventTimeline:
             yield cur.state()
 
     def replay(self, times):
-        """Apply the events to running state, stopping at query instants.
-
-        Yields one ``ReplayCursor``, updated in place, at each instant of
-        ``times`` (ascending, inside [0, horizon]) once the events at or
-        before it are applied; events after the last one are not applied.
-        The event step reads the columns, one ``tolist`` each per replay, and
-        sets the block-start mask and the left edge, reference time and
-        velocity at the merged block's start: O(1) plus ``_merge``'s O(merged
-        range).  Raises InvariantViolationError if an event does not cover
-        whole current blocks.
+        """Stop at query instants: yields one ``ReplayCursor``, updated in
+        place, at each instant of ``times`` (ascending, inside [0, horizon]),
+        its ``count`` the number of events at or before it (one
+        ``searchsorted``).  Nothing is applied between instants: the cursor
+        builds a state or the multipliers when read.  Raises
+        InvariantViolationError unless the events form a merge forest,
+        whatever the query times.
         """
         times = [float(t) for t in times]
         if not all(0.0 <= t <= self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
             raise InputDomainError("query times must lie in [0, horizon]")
         if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
             raise InputDomainError("query times must be ascending")
+        self._forest
         cur = ReplayCursor(self)
-        is_start, x_left, t_ref, v = cur.is_start, cur.x_left, cur.t_ref, cur.v
-        lo, hi, _ = cur.rows
-        ev_times, left, post = self.times.tolist(), self.x_left.tolist(), self.post.tolist()
-        ev = 0
-        for t in times:
-            while ev < len(ev_times) and ev_times[ev] <= t:
-                a, b, t_e = lo[ev], hi[ev], ev_times[ev]
-                if not _merge(is_start, a, b):
-                    raise InvariantViolationError(
-                        f"event at t={t_e} merges {a}..{b}, which is not a union "
-                        "of current blocks")
-                x_left[a], t_ref[a], v[a] = left[ev], t_e, post[ev]
-                ev += 1
-            cur.time, cur.count = t, ev
+        for t, count in zip(times, np.searchsorted(self.times, times, side="right").tolist()):
+            cur.time, cur.count = t, count
             yield cur
 
 
 class ReplayCursor:
-    """Running state of one ``EventTimeline.replay``, after ``count`` events.
+    """One ``EventTimeline.replay`` at ``time``, after its first ``count`` events.
 
-    The replay keeps the block-start mask ``is_start`` and, at each block
-    start, the left edge ``x_left`` at time ``t_ref`` and the velocity ``v``.
+    ``state`` reads the blocks of the timeline's merge forest alive then.
     The multipliers ``lam[0..n]`` are brought up to date only when read, by
     applying the events since the last read; it is the live array: copy
     what you keep.  ``rows`` holds the timeline's lo, hi and jump_off
@@ -751,27 +715,24 @@ class ReplayCursor:
     def __init__(self, timeline: EventTimeline):
         self.timeline = timeline
         self.time, self.count = 0.0, 0
-        self.is_start = _start_mask(timeline.initial.starts, timeline.n)
-        # per-start data: entries off the current block starts are never read
-        self.x_left = timeline.x0.copy()
-        self.t_ref = np.zeros(timeline.n)
-        self.v = timeline.initial.velocities.copy()
         self._lam = np.zeros(timeline.n + 1)
         self._lam_count = 0
         self.rows = tuple(c.tolist() for c in (timeline.lo, timeline.hi, timeline.jump_off))
 
     def state(self) -> MicroState:
-        """The state at the cursor's time, from the mask and the per-start data.
-
-        O(n) vectorised work; the sentinel n closes the last block.
+        """The state at the cursor's time: the made blocks alive after
+        ``count`` events (made before it and merged by none of them), each
+        rigid from its maker's left edge.  The forest sorts the made blocks
+        by range, so one mask over them gives the alive ones in order; then
+        O(n) gathers and repeats.
         """
-        bounds = np.flatnonzero(self.is_start)
-        starts, sizes = bounds[:-1], np.diff(bounds)
-        left = self.x_left[starts] + self.v[starts] * (self.time - self.t_ref[starts])
-        x = (np.repeat(left, sizes)
-             + self.timeline.cone.two_r * (np.arange(sizes.sum()) - np.repeat(starts, sizes)))
-        return MicroState(self.time, x, np.repeat(self.v[starts], sizes), starts,
-                          self.timeline.cone)
+        tl, f, count = self.timeline, self.timeline._forest, self.count
+        alive = (f.made_at < count) & (f.merged_by >= count)
+        starts, v = f.first[alive], f.made_v[alive]
+        sizes = f.last[alive] - starts + 1
+        left = f.made_x[alive] + v * (self.time - f.made_t[alive])
+        x = np.repeat(left, sizes) + tl.cone.two_r * (np.arange(tl.n) - np.repeat(starts, sizes))
+        return MicroState(self.time, x, np.repeat(v, sizes), starts, tl.cone)
 
     @property
     def lam(self) -> np.ndarray:
@@ -782,48 +743,78 @@ class ReplayCursor:
         return self._lam
 
 
-def _merge_forest(timeline: EventTimeline) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True)
+class _MergeForest:
+    """The merge forest of a timeline (``_merge_forest``).
+
+    Per made block, sorted by range (first, last): its ``first`` and
+    ``last`` particle, ``made_at`` (-1 for an initial cluster, k for event
+    k's range), ``merged_by`` (the event that merged it, or the event count
+    if none did), and the data it moves with until then: the left edge
+    ``made_x`` at time ``made_t`` and the velocity ``made_v``, the initial
+    cluster's x0, time 0 and velocity or the event's left edge, time and
+    post velocity.  Per row of ``blocks``: its ``maker`` and its ``event``.
+    """
+
+    maker: np.ndarray
+    event: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    made_at: np.ndarray
+    merged_by: np.ndarray
+    made_x: np.ndarray
+    made_v: np.ndarray
+    made_t: np.ndarray
+
+
+def _merge_forest(timeline: EventTimeline) -> _MergeForest:
     """The merge forest of a timeline: the maker of each merged block.
 
     The made blocks are the initial clusters, made at -1, then the events'
     ranges, event k's made at k.  Each event must merge two or more blocks,
     contiguous, each made by an earlier event or the initial partition and
-    merged by no other event.  Then every event merges whole current blocks
-    (the replay's ``_merge`` rule).  And no two made blocks share a range:
-    those that hold a particle form one chain, each merged by the next,
-    whose ranges grow strictly; so a maker looked up by its range is the
-    only one.  Raises InvariantViolationError, naming the first event that
-    breaks the rule.  One sort of the made ranges and one ``searchsorted``
-    find the makers, and one sort of the makers finds a block merged twice.
+    merged by no other event.  Then every event merges whole current blocks,
+    and the blocks alive after any number of events partition 0..n-1.  And
+    no two made blocks share a range: those that hold a particle form one
+    chain, each merged by the next, whose ranges grow strictly; so a maker
+    looked up by its range is the only one.  Raises
+    InvariantViolationError, naming the first event that breaks the rule.
 
-    Returns the maker and the event of each row of ``blocks``, and the
-    first particle, last particle and made-at of each made block.
+    The initial clusters are sorted by range already, so one sort of the
+    events' ranges and one merge of the two sorted runs order the made
+    blocks; one ``searchsorted`` finds the makers, and the earliest event
+    that merges each block (``np.minimum.at``) finds a block merged twice.
+    Returns the ``_MergeForest``.
     """
     tl, n = timeline, timeline.n
     count, starts = tl.times.size, tl.initial.starts
-    first = np.concatenate((starts, tl.lo))
-    last = np.concatenate((np.append(starts[1:], n) - 1, tl.hi))
-    made_at = np.concatenate((np.full(starts.size, -1), np.arange(count)))
-    a, b = tl.blocks[:, 0], tl.blocks[:, 1]
+    a, b = tl.blocks.T.copy()
     event = np.repeat(np.arange(count), np.diff(tl.block_off))
     bad = (a < 0) | (b < a) | (b >= n)
     bad[1:] |= (event[1:] == event[:-1]) & (a[1:] != b[:-1] + 1)
     # a block out of range may share its key with another: its event is rejected anyway
-    key = first * n + last
-    order = np.argsort(key)
-    sorted_key = key[order]
-    found = np.minimum(np.searchsorted(sorted_key, a * n + b), key.size - 1)
-    maker = order[found]
-    bad |= (sorted_key[found] != a * n + b) | (made_at[maker] >= event)
-    by_maker = np.argsort(maker, kind="stable")
-    bad[by_maker[1:][maker[by_maker[1:]] == maker[by_maker[:-1]]]] = True
+    ev_key = tl.lo * n + tl.hi
+    ev_order = np.argsort(ev_key)
+    key = np.concatenate((starts * n + np.append(starts[1:], n) - 1, ev_key[ev_order]))
+    runs = np.argsort(key, kind="stable")  # timsort merges the two sorted runs
+    order, key = np.concatenate((np.arange(starts.size), ev_order + starts.size))[runs], key[runs]
+    made_at = np.maximum(order - starts.size, -1)
+    needle = a * n + b
+    maker = np.minimum(np.searchsorted(key, needle), key.size - 1)
+    merged_by = np.full(key.size, count)
+    np.minimum.at(merged_by, maker, event)
+    bad |= (key[maker] != needle) | (made_at[maker] >= event) | (merged_by[maker] != event)
     rejected = np.concatenate((event[bad], np.flatnonzero(np.diff(tl.block_off) < 2)))
     if rejected.size:
         k = int(rejected.min())
         raise InvariantViolationError(
             f"event at t={tl.times[k]} merges {tl.lo[k]}..{tl.hi[k]}, which is not a union "
             "of current blocks, two or more, each made before it and merged once")
-    return maker, event, first, last, made_at
+    first, last = np.divmod(key, n)
+    made_x = np.concatenate((tl.x0[starts], tl.x_left))[order]
+    made_v = np.concatenate((tl.initial.velocities[starts], tl.post))[order]
+    made_t = np.concatenate((np.zeros(starts.size), tl.times))[order]
+    return _MergeForest(maker, event, first, last, made_at, merged_by, made_x, made_v, made_t)
 
 
 class EventRecord:
@@ -843,7 +834,7 @@ class EventRecord:
     initial cluster's x0, velocity and time 0, or the event's left edge,
     post velocity and time.  So u_pre is the maker's velocity, and a
     position at t is x_left + v * (t - t_made) + two_r * (i - first),
-    ``ReplayCursor.state``'s expression, with its bits.  ``sides`` has one
+    the expression ``ReplayCursor.state`` reads.  ``sides`` has one
     row (x, u of particle lo - 1, x, u of particle hi + 1) per event, NaN
     past an end of the line, and ``ends`` the first and the last particle
     at t = 0, after each event and at the horizon.  Each reads the latest
@@ -864,18 +855,14 @@ class EventRecord:
     def __init__(self, timeline: EventTimeline):
         self.timeline = tl = timeline
         n, two_r, count = tl.n, tl.cone.two_r, tl.times.size
-        maker, event, first, last, made_at = tl._forest
-        starts = tl.initial.starts
-        made_x = np.concatenate((tl.x0[starts], tl.x_left))
-        made_v = np.concatenate((tl.initial.velocities[starts], tl.post))
-        made_t = np.concatenate((np.zeros(starts.size), tl.times))
+        f = tl._forest
 
         def at(blk, i, t):
-            return made_x[blk] + made_v[blk] * (t - made_t[blk]) + two_r * (i - first[blk])
+            return f.made_x[blk] + f.made_v[blk] * (t - f.made_t[blk]) + two_r * (i - f.first[blk])
 
         def latest(made_edge, edge, when):
             """The latest block made by event ``when`` with made_edge == edge."""
-            combined = made_edge * (count + 1) + made_at + 1
+            combined = made_edge * (count + 1) + f.made_at + 1
             order = np.argsort(combined)
             return order[np.searchsorted(combined[order], edge * (count + 1) + when + 1,
                                          side="right") - 1]
@@ -889,15 +876,16 @@ class EventRecord:
         self.inner = local < np.repeat(m - 1, m)
         self.x = tl.event_positions(np.repeat(np.arange(count), m), local)
         a, width = tl.blocks[:, 0], tl.blocks[:, 1] - tl.blocks[:, 0] + 1
-        self.u_pre = np.repeat(made_v[maker], width)
-        self.x_pre = (np.repeat(at(maker, a, tl.times[event]), width)
+        self.u_pre = np.repeat(f.made_v[f.maker], width)
+        self.x_pre = (np.repeat(at(f.maker, a, tl.times[f.event]), width)
                       + two_r * (self.index - np.repeat(a, width)))
 
         # the ends at t = 0, after each event and at the horizon, then the sides
         k = np.arange(count)
         when = np.concatenate(([-1], k, [count - 1], k))
-        by_first = latest(first, np.concatenate((np.zeros(count + 2, np.intp), self.hi + 1)), when)
-        by_last = latest(last, np.concatenate((np.full(count + 2, n - 1), self.lo - 1)), when)
+        by_first = latest(f.first, np.concatenate((np.zeros(count + 2, np.intp), self.hi + 1)),
+                          when)
+        by_last = latest(f.last, np.concatenate((np.full(count + 2, n - 1), self.lo - 1)), when)
         t_end = np.concatenate(([0.0], tl.times, [tl.horizon]))
         self.ends = np.column_stack((at(by_first[:count + 2], 0, t_end),
                                      at(by_last[:count + 2], n - 1, t_end)))
@@ -905,9 +893,9 @@ class EventRecord:
         has_l, has_r = self.lo > 0, self.hi + 1 < n
         self.sides = np.column_stack((
             np.where(has_l, at(left, self.lo - 1, self.times), np.nan),
-            np.where(has_l, made_v[left], np.nan),
+            np.where(has_l, f.made_v[left], np.nan),
             np.where(has_r, at(right, self.hi + 1, self.times), np.nan),
-            np.where(has_r, made_v[right], np.nan)))
+            np.where(has_r, f.made_v[right], np.nan)))
 
         lam_lo, lam_hi = np.maximum(self.lo - 1, 0), np.minimum(self.hi + 2, n) + 1
         self.lam_off = np.concatenate(([0], np.cumsum(lam_hi - lam_lo)))
@@ -1065,8 +1053,9 @@ def active_set_monotone(timeline: EventTimeline) -> bool:
 
     Each event merges two or more contiguous blocks, each made before it
     and merged once (``_merge_forest``), so it coarsens the current
-    partition (the replay's ``_merge`` rule).  The timeline's constructor
-    has already checked that the event times are nondecreasing.
+    partition.  Every reader of the timeline reads the same rule.  The
+    timeline's constructor has already checked that the event times are
+    nondecreasing.
     """
     try:
         timeline._forest

@@ -95,16 +95,14 @@ def snapshot(state: MicroState, cone: SpacingCone,
     )
 
 
-def pressure_pushforward(measure: EventTimeline,
-                         trace: FieldTrace) -> tuple[EulerianAtom, ...]:
+def pressure_pushforward(measure: EventTimeline) -> tuple[EulerianAtom, ...]:
     """Transport the multiplier jumps to space: contact j covers (x[j-1], x[j]).
 
     The lineal density on a contact interval equals the jump itself, which
     is the value making the Dirac pressure term balance the velocity jump in
     the weak momentum equation; supports land in saturated cells only.
     ``measure`` is the pressure measure, the timeline's event columns
-    (``dynamics.pressure_measure``), and ``trace`` its run's lift, which
-    the columns already describe.  Each atom is read off its event's
+    (``dynamics.pressure_measure``).  Each atom is read off its event's
     merged range: the jumps, and the positions from
     ``EventTimeline.event_positions``; all events in one vectorised pass
     over the columns, O(sum of merged sizes).  Events without a nonzero jump

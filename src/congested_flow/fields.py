@@ -124,7 +124,9 @@ class FieldTrace:
         return list(self.iter_snapshots(times))
 
     def iter_snapshots(self, times):
-        """Nodal snapshots at ascending times, from one replay's query instants."""
+        """Nodal snapshots at ascending times, from one replay's query
+        instants: each state built from the merge forest's blocks alive then
+        (``ReplayCursor.state``), the multipliers brought up to date there."""
         for cur in self.timeline.replay(times):
             state = cur.state()
             yield TraceSnapshot(cur.time, self.padding.pad(state.positions, self.two_r),

@@ -187,9 +187,9 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     If the events do not form a merge forest (the contact set would
     shrink, or an event misstates its blocks), ``active_set_monotone``
     fails with value len(events) and every other check is reported failed
-    with value and tolerance NaN, not evaluated.  Otherwise neither the
-    replay, whose ``_merge`` rule the forest implies, nor the record can
-    reject an event.
+    with value and tolerance NaN, not evaluated.  Otherwise no reader can
+    reject an event: the replay's states and the record read the same
+    forest, which the monotone check has found.
 
     ``inject`` corrupts the input of exactly one check (negative control):
     "negative-lambda", "energy-bump" or "stale-density".

@@ -177,7 +177,7 @@ def test_criterion_6_eulerian_reconstruction():
     worst_resid = 0.0
     for name, trace in battery_runs():
         tl = trace.timeline
-        atoms = {a.time: a for a in pressure_pushforward(pressure_measure(tl), trace)}
+        atoms = {a.time: a for a in pressure_pushforward(pressure_measure(tl))}
         times = sorted(set(np.linspace(0.0, tl.horizon, 9)) | set(atoms))
         for st in tl.iter_states(times):
             snap = snapshot(st, tl.cone, trace.padding)

@@ -503,7 +503,7 @@ def _per_row_export(cfg, out):
     _per_row_csv(out / "snapshots.csv",
                  ["t", "x_left", "x_right", "density", "velocity"], snap_rows)
     atom_rows = []
-    for atom in pressure_pushforward(pressure_measure(timeline), trace):
+    for atom in pressure_pushforward(pressure_measure(timeline)):
         for k in range(atom.contacts.size):
             atom_rows.append((float(atom.time), float(atom.x_left[k]),
                               float(atom.x_right[k]), float(atom.lineal_density[k])))

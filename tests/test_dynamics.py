@@ -3,6 +3,7 @@
 import dataclasses
 import heapq
 import itertools
+import re
 from collections import deque
 from pathlib import Path
 
@@ -17,8 +18,6 @@ from congested_flow.dynamics import (
     EventRecord,
     _block_means,
     _contact_starts,
-    _merge,
-    _start_mask,
     MergeEvent,
     MicroState,
     active_set_monotone,
@@ -820,19 +819,24 @@ def with_events(tl, events):
         post=np.zeros(len(events)), x_left=np.zeros(len(events)), jumps=np.zeros(contacts))
 
 
-@pytest.mark.parametrize("events, replay_accepts", [
-    ([(0.1, [(0, 0), (1, 1)]), (0.2, [(0, 1)])], True),
-    ([(0.1, [(0, 0), (2, 2)])], True),
-    ([(0.1, [(0, 0), (1, 6)])], False),
-    ([(0.1, [(0, 0), (1, 2)])], True),
-    ([(0.1, [(0, 1), (2, 2)]), (0.2, [(0, 0), (1, 1)])], False),
-    ([(0.1, [(0, 0), (1, 1)]), (0.2, [(0, 0), (1, 1), (2, 2)])], True),
-], ids=["one_block", "gap", "past_the_end", "never_made", "made_later", "merged_twice"])
-def test_merge_forest_rejects_each_broken_rule(events, replay_accepts):
+@pytest.mark.parametrize("events, named", [
+    ([(0.1, [(0, 0), (1, 1)]), (0.2, [(0, 1)])], "t=0.2 merges 0..1"),
+    ([(0.1, [(0, 0), (2, 2)])], "t=0.1 merges 0..2"),
+    ([(0.1, [(0, 0), (1, 6)])], "t=0.1 merges 0..6"),
+    ([(0.1, [(-1, 1), (2, 2)])], "t=0.1 merges -1..2"),
+    ([(0.1, [(3, 2), (3, 3)])], "t=0.1 merges 3..3"),
+    ([(0.1, [(0, 0), (1, 2)])], "t=0.1 merges 0..2"),
+    ([(0.1, [(0, 1), (2, 2)]), (0.2, [(0, 0), (1, 1)])], "t=0.1 merges 0..2"),
+    ([(0.1, [(0, 0), (1, 1)]), (0.2, [(0, 0), (1, 1), (2, 2)])], "t=0.2 merges 0..2"),
+], ids=["one_block", "gap", "past_the_end", "negative", "empty", "never_made", "made_later",
+        "merged_twice"])
+def test_merge_forest_rejects_each_broken_rule(events, named):
     # four singletons; each case breaks one clause of the forest rule: two or
-    # more blocks, contiguous, inside 0..n-1, each made before the event and
-    # merged once.  The block 1..6 has the key of 2..2, and the key of 1..2
-    # sorts next to that of 2..2.  The replay reads only lo and hi, so it misses some
+    # more blocks, contiguous, nonempty, inside 0..n-1, each made before the
+    # event and merged once.  The block 1..6 has the key of 2..2, and the key
+    # of 1..2 sorts next to that of 2..2.  Every reader reads the forest, so a
+    # state at any instant rejects the timeline too, naming the first event
+    # that breaks the rule
     x0 = np.array([0.0, 2.0, 4.0, 6.0])
     tl = evolve(x0, np.zeros(4), SpacingCone(4, 1.0), 1.0)
     ok = with_events(tl, [(0.1, [(0, 0), (1, 1)]), (0.1, [(2, 2), (3, 3)]),
@@ -840,13 +844,32 @@ def test_merge_forest_rejects_each_broken_rule(events, replay_accepts):
     assert active_set_monotone(ok) and EventRecord(ok).u_pre.size == 8
     bad = with_events(tl, events)
     assert not active_set_monotone(bad)
-    with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
-        EventRecord(bad)
-    if replay_accepts:
-        bad.states_at([1.0])
-    else:
-        with pytest.raises(InvariantViolationError):
-            bad.states_at([1.0])
+    for read in (lambda: EventRecord(bad), lambda: bad.states_at([0.0]),
+                 lambda: bad.states_at([1.0])):
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape(f"{named}, which is not a union of current blocks")):
+            read()
+
+
+@pytest.mark.parametrize("blocks, named", [
+    ([(1, 1), (2, 4)], "t=0.2 merges 1..4"),
+    ([(0, 1), (2, 3)], "t=0.2 merges 0..3"),
+    ([(2, 4), (5, 6)], "t=0.2 merges 2..6"),
+], ids=["starts_inside", "ends_inside", "reaches_n"])
+def test_merge_rejects_a_range_that_splits_a_block(blocks, named):
+    # blocks 0..1, 2..4, 5..5 of n = 6, made at t = 0.1; a merge at t = 0.2
+    # must cover whole current blocks and stay inside 0..n-1
+    tl = evolve(np.arange(6.0) * 2.0, np.zeros(6), SpacingCone(6, 1.0), 1.0)
+    made = [(0.1, [(0, 0), (1, 1)]), (0.1, [(2, 2), (3, 3), (4, 4)])]
+    bad = with_events(tl, made + [(0.2, blocks)])
+    assert not active_set_monotone(bad)
+    for read in (lambda: EventRecord(bad), lambda: bad.states_at([1.0])):
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape(f"{named}, which is not a union of current blocks")):
+            read()
+    ok = with_events(tl, made + [(0.2, [(0, 1), (2, 4)])])
+    assert active_set_monotone(ok)
+    assert [st.starts.tolist() for st in ok.states_at([0.15, 1.0])] == [[0, 2, 5], [0, 5]]
 
 
 def test_active_set_monotone_valid_and_corrupted():
@@ -870,7 +893,7 @@ def test_active_set_monotone_valid_and_corrupted():
             post=np.append(tl.post, 0.0), x_left=np.append(tl.x_left, 0.0),
             jumps=np.append(tl.jumps, np.zeros(block[1] - block[0])))
         assert not active_set_monotone(bad)
-        # every reader of the timeline replays the events and rejects it
+        # every reader of the timeline reads the merge forest and rejects it
         trace = build_fields(bad)
         readers = [lambda: bad.states_at([tl.horizon]),
                    lambda: verify_estimates(bad),
@@ -1104,15 +1127,63 @@ def test_event_record_equals_the_per_event_reference_bitwise():
     assert events > 5000
 
 
-@pytest.mark.parametrize("lo, hi", [(1, 4), (0, 3), (2, 6), (-1, 1), (3, 2)],
-                         ids=["starts_inside", "ends_inside", "reaches_n", "negative", "empty"])
-def test_merge_rejects_a_range_that_splits_a_block(lo, hi):
-    # blocks 0..1, 2..4, 5..5 of n = 6
-    mask = _start_mask(np.array([0, 2, 5]), 6)
-    assert not _merge(mask, lo, hi)
-    assert np.flatnonzero(mask).tolist() == [0, 2, 5, 6]
-    assert _merge(mask, 0, 4)
-    assert np.flatnonzero(mask).tolist() == [0, 5, 6]
+def mask_replay_reference(tl, times):
+    """Reference: the replay that applied each event to a block-start mask.
+
+    The mask has length n + 1 with the sentinel entry n set; an event must
+    start and end on whole blocks, clears the starts inside its range and
+    sets, at its start, the left edge x_left at time t_ref and the velocity
+    v.  Yields (x, u, starts) at each query instant.
+    """
+    n, two_r = tl.n, tl.cone.two_r
+    is_start = np.zeros(n + 1, dtype=bool)
+    is_start[tl.initial.starts] = True
+    is_start[n] = True
+    x_left, t_ref, v = tl.x0.copy(), np.zeros(n), tl.initial.velocities.copy()
+    ev_times, left, post = tl.times.tolist(), tl.x_left.tolist(), tl.post.tolist()
+    ev = 0
+    for t in times:
+        while ev < len(ev_times) and ev_times[ev] <= t:
+            lo, hi = int(tl.lo[ev]), int(tl.hi[ev])
+            assert is_start[lo] and is_start[hi + 1]
+            is_start[lo + 1:hi + 1] = False
+            x_left[lo], t_ref[lo], v[lo] = left[ev], ev_times[ev], post[ev]
+            ev += 1
+        bounds = np.flatnonzero(is_start)
+        starts, sizes = bounds[:-1], np.diff(bounds)
+        x_l = x_left[starts] + v[starts] * (t - t_ref[starts])
+        x = np.repeat(x_l, sizes) + two_r * (np.arange(sizes.sum()) - np.repeat(starts, sizes))
+        yield x, np.repeat(v[starts], sizes), starts
+
+
+def _query_instants(tl):
+    """0, the horizon (twice), a grid, and up to 48 distinct event instants
+    (every tie among them, up to 16), each also just before it."""
+    instants, count = np.unique(tl.times, return_counts=True)
+    picked = instants[np.linspace(0, instants.size - 1, min(instants.size, 32)).astype(int)]
+    events = np.concatenate((picked, instants[count > 1][:16]))
+    times = np.concatenate(([0.0, tl.horizon, tl.horizon], np.linspace(0.0, tl.horizon, 7),
+                            events, np.nextafter(events, -np.inf)))
+    return np.sort(times[times >= 0.0]).tolist()
+
+
+def test_states_and_snapshots_equal_the_mask_replay_bitwise():
+    queries = ties = 0
+    for x0, u0, cone, horizon in _record_cases():
+        tl = evolve(x0, u0, cone, horizon)
+        times, trace = _query_instants(tl), build_fields(tl)
+        states, snaps = list(tl.iter_states(times)), list(trace.iter_snapshots(times))
+        assert len(states) == len(snaps) == len(times)
+        refs = zip(mask_replay_reference(tl, times), snapshots_lam_loop(tl, times))
+        for t, ((x, u, starts), lam), st, snap in zip(times, refs, states, snaps):
+            assert st.time == snap.time == t
+            assert _same_bits(st.positions, x) and _same_bits(st.velocities, u)
+            assert _same_bits(st.starts, starts)
+            assert _same_bits(snap.x_nodes, trace.padding.pad(x, cone.two_r))
+            assert _same_bits(snap.u, u) and _same_bits(snap.lam, lam)
+        queries += len(times)
+        ties += int(np.isin(times, tl.times[1:][np.diff(tl.times) == 0.0]).sum())
+    assert queries > 5000 and ties > 100
 
 
 def test_momentum_conservation_exact():

@@ -77,8 +77,7 @@ def test_pressure_pushforward_support_in_saturated_cells():
     rng = np.random.default_rng(2)
     x0, u0, cone = random_admissible_datum(80, rng)
     tl = evolve(x0, u0, cone, 3.0)
-    trace = build_fields(tl)
-    press = pressure_pushforward(pressure_measure(tl), trace)
+    press = pressure_pushforward(pressure_measure(tl))
     states = {t: st for t, st in zip(
         [a.time for a in press],
         tl.states_at([a.time for a in press]))}
@@ -93,13 +92,13 @@ def test_pressure_pushforward_support_in_saturated_cells():
 
 def test_pressure_pushforward_empty():
     tl = evolve(np.array([0.0, 2.0]), np.array([0.1, 0.1]), TWO, 1.0)
-    press = pressure_pushforward(pressure_measure(tl), build_fields(tl))
+    press = pressure_pushforward(pressure_measure(tl))
     assert press == ()
 
 
 def test_two_particle_atom_lands_on_contact_interval():
     tl = evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 1.0)
-    press = pressure_pushforward(pressure_measure(tl), build_fields(tl))
+    press = pressure_pushforward(pressure_measure(tl))
     (atom,) = press
     np.testing.assert_allclose([atom.x_left[0], atom.x_right[0]], [0.5, 1.5])
     np.testing.assert_allclose(atom.lineal_density, [0.5])
@@ -147,7 +146,7 @@ def test_complementarity_eulerian_negative_control():
     st = trajectory_at(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 1.0)
     snap = snapshot(st, TWO)
     tl = evolve(np.array([0.0, 2.0]), np.array([1.0, -1.0]), TWO, 1.0)
-    press = pressure_pushforward(pressure_measure(tl), build_fields(tl))
+    press = pressure_pushforward(pressure_measure(tl))
     (atom,) = press
     assert complementarity_eulerian(snap, atom).passed
     assert complementarity_eulerian(snap, None).passed  # vacuous

@@ -227,7 +227,7 @@ def test_pressure_storage_is_linear_in_n_plus_merged_size():
     # storing n + 1 floats per event, or a full state per event, costs
     # n * events and overshoots the bound by an order of magnitude here
     def lift(tl):
-        pressure_pushforward(pressure_measure(tl), build_fields(tl))
+        pressure_pushforward(pressure_measure(tl))
 
     lift(random_contacts_run(50)[0])  # one-time allocations stay unmeasured
     tl, units = random_contacts_run(2000)

@@ -12,6 +12,7 @@ from congested_flow import dynamics, verification
 from congested_flow.cli import load_config
 from congested_flow.dynamics import CheckReport, EventTimeline, ReplayCursor, \
     active_set_monotone, evolve, max_slope_ratio, verify_estimates, verify_semigroup
+from congested_flow.errors import InvariantViolationError
 from congested_flow.eulerian import wasserstein_time_modulus
 from congested_flow.fields import DeltaPadding, FieldTrace, _run_single, build_fields, \
     oleinik_field_check, verify_discrete_pde
@@ -306,9 +307,10 @@ def assert_rejected(reports, count):
 
 @pytest.mark.parametrize("fault", ["misstated_blocks", "phantom_event"])
 def test_misstated_or_phantom_event_is_rejected(fault):
-    # the replay reads only lo and hi, so both timelines run through it; the
-    # merge forest rejects them: a merged block that no earlier event made,
-    # and an "event" that merges one current block, a merge that never happened
+    # the merge forest rejects both timelines: a merged block that no earlier
+    # event made, and an "event" that merges one current block, a merge that
+    # never happened.  Their lo and hi alone cover whole current blocks, but a
+    # state reads the forest too, so it rejects them as well
     x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
     st = tl.state_at(tl.horizon)
@@ -325,8 +327,8 @@ def test_misstated_or_phantom_event_is_rejected(fault):
             block_off=np.append(tl.block_off, tl.blocks.shape[0] + 1),
             post=np.append(tl.post, st.velocities[8]),
             x_left=np.append(tl.x_left, st.positions[8]), jumps=np.append(tl.jumps, np.zeros(16)))
-    again = bad.state_at(bad.horizon)
-    assert again.starts.tolist() == st.starts.tolist()
+    with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
+        bad.state_at(bad.horizon)
     assert not active_set_monotone(bad)
     assert_rejected(run_battery(build_fields(bad)), bad.times.size)
 
