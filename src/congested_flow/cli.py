@@ -3,9 +3,9 @@
 Configuration is a single JSON file validated up front with precise error
 paths.  All CSV output uses 17-significant-digit floats in fixed column
 orders, so identical configurations reproduce byte-identical artifacts.
-Each distinct value of a CSV file is formatted once, keyed by its bit
-pattern (so -0.0, 0.0 and NaN payloads stay distinct), and the rows are
-written in chunks.
+Each distinct value of a command's CSV files is formatted once with each
+separator that follows it, keyed by its bit pattern (so -0.0, 0.0 and NaN
+payloads stay distinct), and the rows are written in chunks.
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 verification
 failure.
@@ -47,76 +47,73 @@ _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 _CSV_CHUNK_ROWS = 1 << 12
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values, and the index of each value among them.
-
-    One sort plus a binary search: faster and with fewer n-long temporaries
-    than ``np.unique(values, return_inverse=True)``.
-    """
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: one sort and a neighbour mask, as ``np.unique``
+    does without its first-call import of ``numpy.ma``."""
     ordered = np.sort(values)
     first = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    keys = ordered[first]
-    return keys, np.searchsorted(keys, values)
+    return ordered[first]
 
 
-def _distinct_texts(columns: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per column, the text of each distinct value and each cell's index into it.
+def _csv_columns(name: str, header: list[str], blocks) -> list[tuple[tuple[str, str], np.ndarray]]:
+    """Each column of a file as its text table and the keys of its cells.
 
-    All float columns share one table, keyed by the bit pattern of the value
-    cast to float64 (exact for f2/f4/f8), so -0.0 and 0.0, and NaNs with
-    different payloads, stay apart.  Each integer column is keyed by value.
-    Each key is formatted once.
-    """
-    cells = [None] * len(columns)
-    floats = [k for k, c in enumerate(columns) if c.dtype.kind == "f"]
-    if floats:
-        rows = columns[floats[0]].size
-        keys, inverse = _distinct(np.concatenate(
-            [columns[k].astype(np.float64, copy=False) for k in floats]).view(np.int64))
-        texts = np.array(list(map(_CSV_FORMATS["f"].__mod__, keys.view(np.float64).tolist())),
-                         dtype=object)
-        for j, k in enumerate(floats):
-            cells[k] = (texts, inverse[j * rows:(j + 1) * rows])
-    for k, c in enumerate(columns):
-        if c.dtype.kind in "iu":
-            keys, inverse = _distinct(c)
-            cells[k] = (np.array(list(map(_CSV_FORMATS[c.dtype.kind].__mod__, keys.tolist())),
-                                 dtype=object), inverse)
-    return cells
-
-
-def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """Write row blocks as one CSV file, whole columns at a time.
-
-    Each block is a tuple of equal-length columns, one per header name;
-    blocks are stacked top to bottom.  Each column becomes one 1-d numpy
-    array, so all its values share one type: float columns are written as
-    ``%.17g`` and integer columns as ``%d``.  Each distinct value of the file
-    is formatted once, keyed by its bit pattern (so -0.0, 0.0 and NaN
-    payloads stay distinct), and rows are gathered from those texts and
-    written ``_CSV_CHUNK_ROWS`` at a time.
+    A table is a dtype kind and the separator that follows the cell: "," or,
+    in the last column, "\\n".  Float cells are keyed by the bit pattern of
+    the value cast to float64 (exact for f2/f4/f8), so -0.0 and 0.0, and NaNs
+    with different payloads, stay apart; integer cells by their int64 or
+    uint64 value, in separate tables.
     """
     columns = ([np.concatenate(col) for col in zip(*blocks)] if blocks
                else [np.empty(0)] * len(header))
     if len(columns) != len(header) or any(c.ndim != 1 or c.size != columns[0].size
                                           for c in columns):
-        raise ValueError(f"{path.name}: need {len(header)} 1-d columns of one length")
+        raise ValueError(f"{name}: need {len(header)} 1-d columns of one length")
     bad = [c.dtype for c in columns if c.dtype.kind not in _CSV_FORMATS]
     if bad:
-        raise TypeError(f"{path.name}: no CSV format for dtype {bad[0]}")
-    cells = _distinct_texts(columns)
-    rows = columns[0].size if columns else 0
-    # text of column k in slot 2k, then its separator: "," or the row's "\n"
-    grid = np.full((min(rows, _CSV_CHUNK_ROWS), 2 * len(columns)), ",", dtype=object)
-    grid[:, -1:] = "\n"
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        for lo in range(0, rows, _CSV_CHUNK_ROWS):
-            chunk = grid[:min(rows - lo, _CSV_CHUNK_ROWS)]
-            for k, (texts, inverse) in enumerate(cells):
-                chunk[:, 2 * k] = texts[inverse[lo:lo + len(chunk)]]
-            f.write("".join(chunk.ravel().tolist()))
+        raise TypeError(f"{name}: no CSV format for dtype {bad[0]}")
+    # the keys of kind k are k8 values, floats viewed as their u8 bits
+    return [((c.dtype.kind, "," if k < len(columns) - 1 else "\n"),
+             c.astype(c.dtype.kind + "8", copy=False).view("i8" if c.dtype.kind == "i" else "u8"))
+            for k, c in enumerate(columns)]
+
+
+def _write_csv(out: Path, files: dict) -> None:
+    """Write each ``name: (header, blocks)`` of ``files`` as the CSV file
+    ``out / name``, whole columns at a time.
+
+    Each block is a tuple of equal-length columns, one per header name;
+    blocks are stacked top to bottom.  Each column becomes one 1-d numpy
+    array, so all its values share one type: float columns are written as
+    ``%.17g`` and integer columns as ``%d``.  Every file is checked before
+    any is written.  Each distinct value of a table (``_csv_columns``) is
+    formatted once for all the files, its separator included, and each
+    file's rows are gathered from those texts, one item per cell, and
+    written ``_CSV_CHUNK_ROWS`` at a time.  One file's columns are held at
+    a time.
+    """
+    parts = {}
+    for name, (header, blocks) in files.items():
+        for table, keys in _csv_columns(name, header, blocks):
+            parts.setdefault(table, []).append(_distinct(keys))
+    tables = {}
+    while parts:  # popped, so that no column's keys outlive its table
+        (kind, sep), keys = parts.popitem()
+        keys = _distinct(np.concatenate(keys))
+        tables[kind, sep] = keys, np.array(list(map((_CSV_FORMATS[kind] + sep).__mod__,
+                                                    keys.view(kind + "8").tolist())), dtype=object)
+    for name, (header, blocks) in files.items():
+        cells = [(tables[table][1], np.searchsorted(tables[table][0], keys))
+                 for table, keys in _csv_columns(name, header, blocks)]
+        rows = cells[0][1].size if cells else 0
+        with (out / name).open("w") as f:
+            f.write(",".join(header) + "\n")
+            for lo in range(0, rows, _CSV_CHUNK_ROWS):
+                chunk = np.empty((min(rows - lo, _CSV_CHUNK_ROWS), len(cells)), dtype=object)
+                for k, (texts, index) in enumerate(cells):
+                    chunk[:, k] = texts[index[lo:lo + len(chunk)]]
+                f.write("".join(chunk.ravel().tolist()))
 
 
 def _cfg_get(cfg: dict, path: str, typ, default=None, required=False):
@@ -229,6 +226,8 @@ def load_config(path: str) -> dict:
     if cfg["_delta"] <= 0.0:
         raise ConfigError("delta: must be positive")
     cfg["_seed"] = _cfg_get(cfg, "seed", int, 0)
+    if cfg["_seed"] < 0:
+        raise ConfigError(f"seed: need a nonnegative integer, got {cfg['_seed']}")
     n = cfg.get("n")
     n_list = cfg.get("n_list")
     if n is None and n_list is None:
@@ -289,14 +288,9 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
     trace = _run_single(cfg["_datum"], n, cfg["_horizon"], DeltaPadding(cfg["_delta"]))
     timeline = trace.timeline
     u0, cone = timeline.u0, timeline.cone
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "events.csv",
-               ["t_event", "merged_lo", "merged_hi", "post_velocity"],
-               [(timeline.times, timeline.lo + 1, timeline.hi + 1, timeline.post)])
-    ts = cfg["_sample_times"]
     particles = np.arange(1, n + 1)
     state_blocks, mult_blocks, snap_blocks = [], [], []
-    for st in timeline.iter_states(ts):
+    for st in timeline.iter_states(cfg["_sample_times"]):
         lam = multipliers_at(st, u0)
         esnap = snapshot(st, cone, trace.padding)
         t = float(st.time)
@@ -304,15 +298,18 @@ def cmd_simulate(cfg: dict, out: Path, inject: str | None) -> int:
         mult_blocks.append((np.full(lam.size, t), np.arange(lam.size), lam))
         snap_blocks.append((np.full(esnap.density.size, t), esnap.edges[:-1],
                             esnap.edges[1:], esnap.density, esnap.velocity))
-    _write_csv(out / "states.csv", ["t", "particle", "x", "u"], state_blocks)
-    _write_csv(out / "multipliers.csv", ["t", "contact", "lambda"], mult_blocks)
-    _write_csv(out / "snapshots.csv", ["t", "x_left", "x_right", "density", "velocity"],
-               snap_blocks)
     atom_blocks = [(np.full(a.contacts.size, float(a.time)), a.x_left, a.x_right,
                     a.lineal_density)
                    for a in pressure_pushforward(pressure_measure(timeline))]
-    _write_csv(out / "pressure_atoms.csv",
-               ["t_event", "x_left", "x_right", "pressure_lineal_density"], atom_blocks)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out, {
+        "events.csv": (["t_event", "merged_lo", "merged_hi", "post_velocity"],
+                       [(timeline.times, timeline.lo + 1, timeline.hi + 1, timeline.post)]),
+        "states.csv": (["t", "particle", "x", "u"], state_blocks),
+        "multipliers.csv": (["t", "contact", "lambda"], mult_blocks),
+        "snapshots.csv": (["t", "x_left", "x_right", "density", "velocity"], snap_blocks),
+        "pressure_atoms.csv": (["t_event", "x_left", "x_right", "pressure_lineal_density"],
+                               atom_blocks)})
     checks, failed = _write_verification(cfg, trace, out, inject)
     if failed:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -333,8 +330,8 @@ def cmd_converge(cfg: dict, out: Path, strict: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = ["n", "t", "dist_X_L2", "dist_U_L2", "dist_Lambda_L2",
               "pressure_mass", "bv_X", "oleinik_max"]
-    _write_csv(out / "convergence.csv", header,
-               [tuple([row[k] for row in study["rows"]] for k in header)])
+    _write_csv(out, {"convergence.csv": (
+        header, [tuple([row[k] for row in study["rows"]] for k in header)])})
     (out / "convergence_summary.json").write_text(json.dumps(
         {"sup": {str(k): v for k, v in study["sup"].items()},
          "reference_n": study["reference_n"], "rate_fit": study["rate_fit"]},
@@ -405,8 +402,8 @@ def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | Non
             profile_blocks.append((np.full(w.size, n), w,
                                    trace.jump_profile(trace.timeline.events[-1]),
                                    sticky.atom_profile(w)))
-    _write_csv(out / "selection_profiles.csv",
-               ["n", "w", "simulated_jump", "analytic_profile"], profile_blocks)
+    _write_csv(out, {"selection_profiles.csv": (
+        ["n", "w", "simulated_jump", "analytic_profile"], profile_blocks)})
     report = {
         "eta": eta, "tstar": tstar, "branches": branch_rows, "selection": reports,
     }
@@ -457,8 +454,8 @@ def cmd_bench(sizes: list[int], out: Path | None) -> int:
                           f"n={n1}: {growth_ev:.2f}x n log n", file=sys.stderr)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "bench.csv", ["n", "project_seconds", "evolve_seconds"],
-                   [tuple([row[k] for row in rows] for k in range(3))])
+        _write_csv(out, {"bench.csv": (["n", "project_seconds", "evolve_seconds"],
+                                       [tuple([row[k] for row in rows] for k in range(3))])})
     return 0 if ok else 2
 
 

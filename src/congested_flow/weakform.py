@@ -190,8 +190,9 @@ class LagrangianWeakForm:
         the segments ending and starting at t_k (no R at T); the initial
         datum is the first segment at t = 0, so the initial term cancels its
         start term.  The momentum residual weights the same terms by V and
-        adds the pressure atoms.  Each member's residuals are computed from
-        its own evaluations alone.
+        adds the pressure atoms.  The quadrature nodes of each knot pair are
+        built once and shared; each member is evaluated on them by itself,
+        so its residuals do not depend on the rest of the family.
         """
         fns = _supported(fns, self.horizon)
         sides = {}
@@ -226,7 +227,7 @@ class EventWeakForm:
     the contacts between x_j and x_{j+1}.  Nothing else contributes: X and V
     are continuous off the merged ranges, the initial term cancels the
     first window's start term, and the horizon term vanishes.  Cost O(sum
-    of merged range sizes) evaluations of phi per member.
+    of merged range sizes) per member.
 
     x is the event's own positions (``EventTimeline.event_positions``, read
     by ``EventRecord``); x_pre is the left limit of the trajectories, each
@@ -249,16 +250,27 @@ class EventWeakForm:
         return float(np.min(ends[:, 0])), float(np.max(ends[:, 1]))
 
     def family_residuals(self, fns) -> tuple[list[float], list[float]]:
-        """Mass residuals (exactly 0.0) and momentum residuals of each phi,
-        each member's from its own evaluations alone."""
+        """Mass residuals (exactly 0.0) and momentum residuals of each phi.
+
+        Each distinct time window is evaluated once on the event times and
+        each distinct spatial bump once on x and once on x_pre; a member's
+        values are then window(t) * bump(x), the expression of
+        ``TestFunction.__call__``, so they do not depend on the rest of the
+        family.
+        """
         fns = _supported(fns, self.horizon)
         rec, t = self.record, self._t
         pairs = rec.inner[:-1]
-        mom = []
-        for phi in fns:
-            f = phi(t, rec.x)
-            pressure = float(rec.jumps @ (f[1:] - f[:-1])[pairs])
-            mom.append(float(self._du @ phi(t, rec.x_pre)) + pressure)
+        windows = {w: w(t) for w in {phi.window for phi in fns}}
+        mom = [0.0] * len(fns)
+        # bump by bump: only one bump's two evaluations, each Σ merged long, live at once
+        for bump in {phi.bump for phi in fns}:
+            at_x, at_pre = bump(rec.x), bump(rec.x_pre)
+            for k, phi in enumerate(fns):
+                if phi.bump == bump:
+                    f = windows[phi.window] * at_x
+                    pressure = float(rec.jumps @ (f[1:] - f[:-1])[pairs])
+                    mom[k] = float(self._du @ (windows[phi.window] * at_pre)) + pressure
         return [0.0] * len(fns), mom
 
 

@@ -155,6 +155,17 @@ def test_non_finite_numbers_exit_one_before_any_output(tmp_path, capsys, name, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_seed_exits_one_before_any_output(tmp_path, capsys, command):
+    # numpy's generator refuses it, so the config check must come before any CSV
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(shipped_with("two_block", lambda c: c.update(seed=-1))))
+    out = tmp_path / "x"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "error: seed: need a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_n_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": {"name": "two_block", "eta": 0.5}}))
@@ -378,6 +389,10 @@ def test_simulate_passes_with_disjoint_merges_at_one_instant(tmp_path):
     assert len({line.split(",")[0] for line in events}) < len(events)
 
 
+def _write_one(path, header, blocks):
+    cli._write_csv(path.parent, {path.name: (header, blocks)})
+
+
 def test_csv_writer_matches_format_and_str_on_hostile_values(tmp_path):
     bits = np.random.default_rng(0).integers(0, 2**63, 2000, dtype=np.uint64)
     floats = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -386,21 +401,21 @@ def test_csv_writer_matches_format_and_str_on_hostile_values(tmp_path):
     ints = [(-1) ** k * (2**63 - 1 - k * 7919) for k in range(len(floats))]
     uints = [2**64 - 1 - k for k in range(len(floats))]
     path = tmp_path / "h.csv"
-    cli._write_csv(path, ["f", "i", "u"],
-                   [(floats[:9], ints[:9], np.array(uints[:9], dtype=np.uint64)),
-                    (floats[9:], ints[9:], np.array(uints[9:], dtype=np.uint64))])
+    _write_one(path, ["f", "i", "u"],
+               [(floats[:9], ints[:9], np.array(uints[:9], dtype=np.uint64)),
+                (floats[9:], ints[9:], np.array(uints[9:], dtype=np.uint64))])
     expected = ["f,i,u"] + [f"{format(f, '.17g')},{i},{u}"
                             for f, i, u in zip(floats, ints, uints)]
     assert path.read_text() == "\n".join(expected) + "\n"
     for empty in ([], [([], [])]):
-        cli._write_csv(path, ["f", "i"], empty)
+        _write_one(path, ["f", "i"], empty)
         assert path.read_text() == "f,i\n"
     for bad in ([True, False], [None, 1.0], ["a", "b"], [2**64, 1]):
         with pytest.raises(TypeError):
-            cli._write_csv(path, ["f", "x"], [([1.0, 2.0], bad)])
+            _write_one(path, ["f", "x"], [([1.0, 2.0], bad)])
     for ragged in ([([1.0, 2.0], [1])], [([1.0],)], [([[1.0]], [1])]):
         with pytest.raises(ValueError):
-            cli._write_csv(path, ["f", "x"], ragged)
+            _write_one(path, ["f", "x"], ragged)
 
 
 def _per_row_csv(path, header, rows):
@@ -447,7 +462,7 @@ def test_csv_writer_matches_per_row_export_on_repeated_hostile_values(tmp_path, 
     got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
     for blocks, rows in ((whole, ref_rows), (single, ref_rows[:1]),
                          (one_row_blocks, ref_rows)):
-        cli._write_csv(got, header, blocks)
+        _write_one(got, header, blocks)
         _per_row_csv(ref, header, rows)
         assert got.read_bytes() == ref.read_bytes()
 
@@ -465,14 +480,89 @@ def test_csv_writer_memory_is_bounded_by_the_text_it_writes(tmp_path):
                        rng.choice(np.linspace(-1.0, 1.0, 8), 5000)))
     path = tmp_path / "snapshots.csv"
     header = ["t", "x_left", "x_right", "density", "velocity"]
-    cli._write_csv(path, header, blocks[:1])  # one-time allocations stay unmeasured
+    _write_one(path, header, blocks[:1])  # one-time allocations stay unmeasured
     tracemalloc.start()
     try:
-        cli._write_csv(path, header, blocks)
+        _write_one(path, header, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * path.stat().st_size
+
+
+def _shared_table_files():
+    """Five files whose values recur across files, columns, dtypes and kinds."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                    dtype=np.uint64).view(np.float64)
+    x = np.concatenate(([0.75, 0.0, -0.0, 0.1], nans,
+                        np.random.default_rng(9).uniform(-1.0, 1.0, 40)))
+    one_bits = int(np.array(1.0).view(np.uint64))  # a float's bits as a uint64 value
+    return {
+        # x ends each row of a.csv and starts each row of b.csv
+        "a.csv": (["t", "x"], [(np.full(x.size, 0.5), x)]),
+        "b.csv": (["x", "i", "u"], [(x[::-1], np.full(x.size, -1),
+                                      np.full(x.size, 2**64 - 1, dtype=np.uint64))]),
+        "empty.csv": (["p", "q"], []),
+        "c.csv": (["f32", "f64", "u"],
+                  [(np.float32([0.75, 0.1, -0.0, np.nan, 1.0]),
+                    np.array([0.75, 0.1, 0.0, nans[2], 1.0]),
+                    np.array([one_bits, 1, 2**64 - 1, 0, one_bits], dtype=np.uint64))]),
+        "d.csv": (["i", "x"], [(np.array([-1, 0, 2**63 - 1]), np.array([-0.0, nans[1], 1.0]))]),
+    }
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, cli._CSV_CHUNK_ROWS])
+def test_csv_writer_shares_its_tables_across_files_bytewise(tmp_path, monkeypatch,
+                                                            chunk_rows):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    files = _shared_table_files()
+    together, alone, ref = tmp_path / "together", tmp_path / "alone", tmp_path / "ref"
+    for d in (together, alone, ref):
+        d.mkdir()
+    cli._write_csv(together, files)
+    assert sorted(p.name for p in together.iterdir()) == sorted(files)
+    for name, (header, blocks) in files.items():
+        cli._write_csv(alone, {name: (header, blocks)})
+        columns = [np.concatenate(col).tolist() for col in zip(*blocks)]
+        _per_row_csv(ref / name, header, list(zip(*columns)))
+        text = (together / name).read_bytes()
+        assert text == (alone / name).read_bytes() == (ref / name).read_bytes(), name
+    assert (together / "b.csv").read_text().splitlines()[1].endswith(",-1,18446744073709551615")
+    assert (together / "c.csv").read_text().splitlines()[1:3] == [
+        f"0.75,0.75,{2**62 - 2**52}", "0.10000000149011612,0.10000000000000001,1"]
+
+
+def test_csv_writer_checks_every_file_before_writing_any(tmp_path):
+    files = _shared_table_files()
+    for bad, error in (([1.0, 2.0], [True, False]), TypeError), (([1.0, 2.0], [1]), ValueError):
+        with pytest.raises(error, match="z.csv"):
+            cli._write_csv(tmp_path, dict(files, **{"z.csv": (["f", "x"], [bad])}))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_writer_memory_over_files_is_bounded_by_the_text_it_writes(tmp_path):
+    # simulate-shaped: the positions of states.csv are the cell edges of
+    # snapshots.csv, so the two files share most of their float texts
+    rng = np.random.default_rng(0)
+    velocities = np.linspace(-1.0, 1.0, 8)
+    states, snaps = [], []
+    for t in (0.1, 0.2, 0.4, 0.6, 0.8, 1.0):
+        x = t + np.cumsum(rng.uniform(0.5, 1.5, 5001))
+        states.append((np.full(5001, t), np.arange(1, 5002), x, rng.choice(velocities, 5001)))
+        snaps.append((np.full(5000, t), x[:-1], x[1:], rng.choice([0.25, 0.5, 1.0], 5000),
+                      rng.choice(velocities, 5000)))
+    files = {"states.csv": (["t", "particle", "x", "u"], states),
+             "empty.csv": (["t", "x"], []),
+             "snapshots.csv": (["t", "x_left", "x_right", "density", "velocity"], snaps)}
+    # one-time allocations stay unmeasured
+    cli._write_csv(tmp_path, {k: (header, blocks[:1]) for k, (header, blocks) in files.items()})
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path, files)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * sum((tmp_path / name).stat().st_size for name in files)
 
 
 def _per_row_export(cfg, out):

@@ -14,7 +14,7 @@ from congested_flow.fields import build_fields
 from congested_flow.initdata import quantile_sample
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import rebound_solution, sticky_solution
-from congested_flow.testfunctions import build_test_family
+from congested_flow.testfunctions import TestFunction, build_test_family
 from congested_flow.verification import CHECK_NAMES, TOL_WEAK_RESIDUAL, run_battery
 from congested_flow.weakform import LagrangianWeakForm, ProfileAtom, weak_form_of_trace
 
@@ -276,35 +276,19 @@ def test_perturbed_post_velocity_fails_momentum():
 
 # -- work: phi is evaluated only where an event changed the data ---------------
 
-@dataclasses.dataclass
-class CountingFunction:
-    """Test function wrapper counting the points it is evaluated at."""
+@dataclasses.dataclass(eq=False)
+class CountingFactor:
+    """Time window or spatial bump wrapper counting the points it is evaluated at."""
 
-    phi: object
+    factor: object
     points: list
 
-    def _count(self, t, x):
-        self.points[0] += np.broadcast(t, x).size
+    def __call__(self, z):
+        self.points[0] += np.size(z)
+        return self.factor(z)
 
-    def __call__(self, t, x):
-        self._count(t, x)
-        return self.phi(t, x)
-
-    def dt(self, t, x):
-        self._count(t, x)
-        return self.phi.dt(t, x)
-
-    def dx(self, t, x):
-        self._count(t, x)
-        return self.phi.dx(t, x)
-
-    @property
-    def x_knots(self):
-        return self.phi.x_knots
-
-    @property
-    def support_end(self):
-        return self.phi.support_end
+    def __getattr__(self, name):  # the window's tau, the bump's knots
+        return getattr(self.factor, name)
 
 
 def test_evaluations_linear_in_particles_plus_merged_ranges():
@@ -315,7 +299,14 @@ def test_evaluations_linear_in_particles_plus_merged_ranges():
     form = weak_form_of_trace(build_fields(tl))
     fns = _family(form)
     points = [0]
-    counted = form.family_residuals([CountingFunction(phi, points) for phi in fns])
+    windows, bumps = {phi.window for phi in fns}, {phi.bump for phi in fns}
+    counting = {f: CountingFactor(f, points) for f in windows | bumps}
+    counted = form.family_residuals([TestFunction(counting[phi.window], counting[phi.bump])
+                                     for phi in fns])
     assert counted == form.family_residuals(fns)
     assert len(tl.events) > n // 2
     assert points[0] <= 12 * 4 * (n + merged)
+    # each window once on the event times, each bump once on x and once on x_pre
+    rec = form.record
+    assert (len(windows), len(bumps)) == (2, 6)
+    assert points[0] == 2 * rec.sizes.sum() + 6 * (rec.x.size + rec.x_pre.size)
