@@ -29,7 +29,7 @@ from .errors import CongestedFlowError, ConfigError
 from .eulerian import pressure_pushforward, snapshot
 from .fields import DeltaPadding, _run_single, convergence_study
 from .initdata import MacroscopicDatum, datum_from_eulerian, rearrangement_from_density
-from .piecewise import PiecewiseField
+from .piecewise import PiecewiseField, sorted_distinct
 from .random_data import random_admissible_datum, random_projection_input
 from .scenarios import selection_test, sticky_solution, rebound_solution, two_block_datum
 from .testfunctions import build_test_family
@@ -45,15 +45,6 @@ FAULTS = ("negative-lambda", "energy-bump", "stale-density")
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 # rows per "".join of a CSV body: bounds the text held in memory at once
 _CSV_CHUNK_ROWS = 1 << 12
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values: one sort and a neighbour mask, as ``np.unique``
-    does without its first-call import of ``numpy.ma``."""
-    ordered = np.sort(values)
-    first = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
 
 
 def _csv_columns(name: str, header: list[str], blocks) -> list[tuple[tuple[str, str], np.ndarray]]:
@@ -96,11 +87,11 @@ def _write_csv(out: Path, files: dict) -> None:
     parts = {}
     for name, (header, blocks) in files.items():
         for table, keys in _csv_columns(name, header, blocks):
-            parts.setdefault(table, []).append(_distinct(keys))
+            parts.setdefault(table, []).append(sorted_distinct(keys))
     tables = {}
     while parts:  # popped, so that no column's keys outlive its table
         (kind, sep), keys = parts.popitem()
-        keys = _distinct(np.concatenate(keys))
+        keys = sorted_distinct(np.concatenate(keys))
         tables[kind, sep] = keys, np.array(list(map((_CSV_FORMATS[kind] + sep).__mod__,
                                                     keys.view(kind + "8").tolist())), dtype=object)
     for name, (header, blocks) in files.items():
@@ -397,10 +388,10 @@ def cmd_selection(eta: float, n_list: list[int], out: Path, horizon: float | Non
         trace = rep.pop("trace")
         rep.pop("timeline")
         reports[str(n)] = rep
-        if trace.timeline.events:
+        count = trace.timeline.times.size
+        if count:
             w = trace.w_grid
-            profile_blocks.append((np.full(w.size, n), w,
-                                   trace.jump_profile(trace.timeline.events[-1]),
+            profile_blocks.append((np.full(w.size, n), w, trace.jump_profile(count - 1),
                                    sticky.atom_profile(w)))
     _write_csv(out, {"selection_profiles.csv": (
         ["n", "w", "simulated_jump", "analytic_profile"], profile_blocks)})

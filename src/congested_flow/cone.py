@@ -267,17 +267,22 @@ def qp_oracle_project(cone: SpacingCone, y: np.ndarray):
     if y.shape != (cone.n,):
         raise InputDomainError(f"expected shape ({cone.n},), got {y.shape}")
     xs, lams = _kkt_enumerate(cone, y[None, :])
-    x, lam = xs[0], lams[0]
+    return xs[0], _certificate(cone, y, xs[0], lams[0])
+
+
+def _certificate(cone: SpacingCone, y: np.ndarray, x: np.ndarray,
+                 lam: np.ndarray) -> ConeCertificate:
+    """The oracle's certificate of x, the projection of y, and its
+    multipliers lam (one row of ``_kkt_enumerate``)."""
     gaps = cone.gaps(x)
     active = np.flatnonzero(np.abs(gaps - cone.two_r) <= ORACLE_KKT_TOL * (1.0 + np.abs(y).max()))
     compl = float(np.max(np.abs(lam) * np.abs(gaps - cone.two_r)))
-    cert = ConeCertificate(
+    return ConeCertificate(
         lambdas=lam,
         active_set=active,
         max_complementarity_violation=compl,
         min_lambda=float(lam.min()),
     )
-    return x, cert
 
 
 def qp_oracle_project_many(cone: SpacingCone, ys: np.ndarray) -> np.ndarray:

@@ -264,11 +264,10 @@ def _merge_chains(a, s, t_e, state, prefix_u0, two_r, reach):
     walk reads, and every stamp rises to one above the range's largest, so
     a queued candidate on any start in it goes stale.  Returns the appended
     items, each c's (end, v) before the instant, and the start, end and
-    velocity before the instant of every block the chains merged.  Returns
-    None, writing nothing, if a velocity is not finite (a difference of
-    prefix sums overflows): then v * 0.0 is NaN, which the item loop
-    carries into the edge and the checks step by step, so it resolves such
-    an instant.
+    velocity before the instant of every block the chains merged.  A
+    velocity that is not finite (a difference of prefix sums overflows)
+    becomes a post velocity, which the timeline's constructor rejects, as
+    it does the item loop's.
     """
     end, head, xl, tr, v, stamp = state
     n = len(end)
@@ -278,8 +277,6 @@ def _merge_chains(a, s, t_e, state, prefix_u0, two_r, reach):
     starts, ends = a[f], b[last]
     c = np.repeat(starts, last + 1 - f)
     vel = (prefix_u0[b + 1] - prefix_u0[c]) / (b + 1 - c)
-    if not np.isfinite(vel).all():
-        return None
     mem = np.concatenate((a, s[last]))
     merged = mem, np.concatenate((s - 1, ends)), _gather(v, mem, float)
 
@@ -372,8 +369,9 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     one (an n-way tie) takes its due first candidates in one slice:
     ``_merge_chains`` merges each chain of adjacent pairs in one numpy pass
     and O(1) Python work per chain, the item loop runs only the cascade
-    items it appended, ``_chain_rows`` lays out the rows, and the pushes
-    run once per final block; the events keep their bits.  The jumps of all
+    items it appended and ``_chain_rows`` lays out the rows; the events
+    keep their bits.  Both kinds of instant end in one tail: each final
+    block appends its event and queues its neighbour pairs.  The jumps of all
     events go to one flat read-only array after the loop, laid out by one
     repeat, with one sequential cumsum per event's slice, O(merged range).
     The lists cost O(n) to set up.
@@ -456,7 +454,6 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             continue
         if not pairs:
             break
-        chained = None
         if taken is not None or len(pairs) >= chain_min:
             # a pair pushed by both blocks it joins comes twice
             pa, ps = np.array(sorted(set(pairs)), dtype=np.intp).T
@@ -469,14 +466,10 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                 pa, ps = np.concatenate((ta, pa)), np.concatenate((ts, ps))
                 order = np.argsort(pa)
                 pa, ps = pa[order], ps[order]
-            chained = _merge_chains(pa, ps, t_e, state, prefix_u0, two_r, tol_gap)
-            if chained is None:
-                pairs = list(zip(pa.tolist(), ps.tolist()))
-        if chained is None:
-            worklist, pre = sorted(pairs), {}
-        else:
-            worklist, pre, merged = chained
+            worklist, pre, merged = _merge_chains(pa, ps, t_e, state, prefix_u0, two_r, tol_gap)
             chain_starts = len(pre)
+        else:
+            worklist, pre, merged = sorted(pairs), {}, None
         pairs, taken, t_max = [], None, horizon
         # pre maps each touched start to its (end, v) before the instant.
         # An item (l, r) merges the cluster holding l with the one holding r
@@ -522,8 +515,20 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                 if gap <= tol_gap and v[left] > v[right]:
                     worklist.append((left, right))
                     queued.add(right)
-        if chained is not None:
-            finals = [a for a in sorted(pre) if head[end[a]] == a]
+        # the final blocks, one event each; a start absorbed at this instant is none
+        finals = [a for a in sorted(pre) if head[end[a]] == a]
+        if merged is None:
+            for a in finals:
+                v_post, k = v[a], a
+                while k <= end[a]:
+                    e, w = pre[k]
+                    blocks += k, e
+                    diffs.append(v_post - w)
+                    reps.append(e + 1 - k)
+                    k = e + 1
+                reps[-1] -= 1  # the jumps of lo..hi drop the last entry of v_post - u_pre
+                block_off.append(len(reps))
+        else:
             flat, jump_diffs, jump_reps, ends = _chain_rows(
                 merged, [(k, *pre[k]) for k in list(pre)[chain_starts:]], finals,
                 [v[a] for a in finals])
@@ -531,30 +536,12 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
             blocks += flat.tolist()
             diffs += jump_diffs.tolist()
             reps += jump_reps.tolist()
-            for a in finals:
-                times.append(t_e)
-                post.append(v[a])
-                left_edges.append(xl[a])
-                bounds.append(bounds[-1] + end[a] - a)
-        for a in sorted(pre) if chained is None else finals:
-            if head[end[a]] != a:
-                continue  # absorbed at this instant
+        for a in finals:
             b = end[a]
-            if chained is None:
-                v_post = v[a]
-                k = a
-                while k <= b:
-                    e, w = pre[k]
-                    blocks += k, e
-                    diffs.append(v_post - w)
-                    reps.append(e + 1 - k)
-                    k = e + 1
-                reps[-1] -= 1  # the jumps of lo..hi drop the last entry of v_post - u_pre
-                times.append(t_e)
-                post.append(v_post)
-                left_edges.append(xl[a])
-                block_off.append(len(reps))
-                bounds.append(bounds[-1] + b - a)
+            times.append(t_e)
+            post.append(v[a])
+            left_edges.append(xl[a])
+            bounds.append(bounds[-1] + b - a)
             # queue the exact contact instant of each neighbour pair that closes
             for left, right in ((head[a - 1], a), (a, b + 1)):
                 if 0 < right < n and v[left] > v[right]:
@@ -668,10 +655,6 @@ class EventTimeline:
         ``event`` at their instants: the one place the checks read them."""
         return self.x_left[event] + self.cone.two_r * j
 
-    def state_at(self, t: float) -> MicroState:
-        (state,) = self.states_at([t])
-        return state
-
     def states_at(self, times) -> list[MicroState]:
         """Right-continuous states at the given ascending times."""
         return list(self.iter_states(times))
@@ -730,7 +713,7 @@ class ReplayCursor:
         alive = (f.made_at < count) & (f.merged_by >= count)
         starts, v = f.first[alive], f.made_v[alive]
         sizes = f.last[alive] - starts + 1
-        left = f.made_x[alive] + v * (self.time - f.made_t[alive])
+        left = f.left_edge(alive, self.time)
         x = np.repeat(left, sizes) + tl.cone.two_r * (np.arange(tl.n) - np.repeat(starts, sizes))
         return MicroState(self.time, x, np.repeat(v, sizes), starts, tl.cone)
 
@@ -765,6 +748,11 @@ class _MergeForest:
     made_x: np.ndarray
     made_v: np.ndarray
     made_t: np.ndarray
+
+    def left_edge(self, blk, t):
+        """The left edge at time t of each made block ``blk``: every reader's
+        block position."""
+        return self.made_x[blk] + self.made_v[blk] * (t - self.made_t[blk])
 
 
 def _merge_forest(timeline: EventTimeline) -> _MergeForest:
@@ -834,7 +822,8 @@ class EventRecord:
     initial cluster's x0, velocity and time 0, or the event's left edge,
     post velocity and time.  So u_pre is the maker's velocity, and a
     position at t is x_left + v * (t - t_made) + two_r * (i - first),
-    the expression ``ReplayCursor.state`` reads.  ``sides`` has one
+    the left edge ``ReplayCursor.state`` reads too
+    (``_MergeForest.left_edge``).  ``sides`` has one
     row (x, u of particle lo - 1, x, u of particle hi + 1) per event, NaN
     past an end of the line, and ``ends`` the first and the last particle
     at t = 0, after each event and at the horizon.  Each reads the latest
@@ -858,7 +847,7 @@ class EventRecord:
         f = tl._forest
 
         def at(blk, i, t):
-            return f.made_x[blk] + f.made_v[blk] * (t - f.made_t[blk]) + two_r * (i - f.first[blk])
+            return f.left_edge(blk, t) + two_r * (i - f.first[blk])
 
         def latest(made_edge, edge, when):
             """The latest block made by event ``when`` with made_edge == edge."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EventRecord, EventTimeline, MergeEvent, MicroState, evolve, \
-    max_slope_ratio, pressure_measure, worst_of
+from .dynamics import EventRecord, EventTimeline, MicroState, evolve, max_slope_ratio, \
+    pressure_measure, worst_of
 from .errors import InputDomainError
 from .initdata import MacroscopicDatum, quantile_sample
 from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks
@@ -101,19 +101,23 @@ class FieldTrace:
         self.two_r = timeline.cone.two_r
         self.w_grid = np.arange(self.n + 1) / self.n
 
-    def jump_profile(self, e: MergeEvent) -> np.ndarray:
-        """Dense multiplier jump lam[0..n] of one event on the mass grid: O(n)."""
-        lo, hi = e.index_range
-        return np.concatenate((np.zeros(lo + 1), e.jump_values, np.zeros(self.n - hi)))
+    def jump_profile(self, k: int) -> np.ndarray:
+        """Dense multiplier jump lam[0..n] of event k on the mass grid, read
+        off the timeline's lo, hi, jump_off and jumps columns: O(n)."""
+        tl = self.timeline
+        lo, hi = int(tl.lo[k]), int(tl.hi[k])
+        jumps = tl.jumps[tl.jump_off[k]:tl.jump_off[k + 1]]
+        return np.concatenate((np.zeros(lo + 1), jumps, np.zeros(self.n - hi)))
 
     @property
     def atoms(self) -> list[tuple[float, np.ndarray]]:
-        """(t_e, dense jump profile) of every event, built on each read.
+        """(t_e, dense jump profile) of every event, by index, built on each
+        read.
 
         O(n) per event; the benchmark counts its floats.  Checks read the
-        sparse events.
+        sparse columns.
         """
-        return [(e.time, self.jump_profile(e)) for e in self.timeline.events]
+        return [(t, self.jump_profile(k)) for k, t in enumerate(self.timeline.times.tolist())]
 
     @property
     def slope_min(self) -> float:

@@ -66,20 +66,18 @@ def _check_density(pieces) -> list[DensityPiece]:
 
 
 def cdf_from_density(pieces) -> PiecewiseField:
-    """Cumulative distribution as a continuous piecewise-affine field in x."""
-    ps = _check_density(pieces)
-    xs = [ps[0].a]
-    vals = [0.0]
-    acc = 0.0
-    for p in ps:
-        if p.a > xs[-1]:
-            xs.append(p.a)
-            vals.append(acc)
-        acc += p.value * (p.b - p.a)
-        xs.append(p.b)
-        vals.append(acc)
-    vals[-1] = 1.0
-    return PiecewiseField.from_nodes(np.array(xs), np.array(vals))
+    """Cumulative distribution as a continuous piecewise-affine field in x.
+
+    The inverse of the rearrangement: its nodes left[j] and right[j] at the
+    masses breaks[j] and breaks[j + 1], the left one dropped where it meets
+    the node before, so that each vacuum gap is one flat piece.
+    """
+    inv = rearrangement_from_density(pieces)
+    xs = np.column_stack((inv.left, inv.right)).ravel()
+    masses = np.column_stack((inv.breaks[:-1], inv.breaks[1:])).ravel()
+    keep = np.ones(xs.size, dtype=bool)
+    keep[2::2] = inv.left[1:] > inv.right[:-1]
+    return PiecewiseField.from_nodes(xs[keep], masses[keep])
 
 
 def rearrangement_from_density(pieces) -> PiecewiseField:

@@ -144,14 +144,15 @@ class PiecewiseField:
 
 
 def sorted_distinct(values) -> np.ndarray:
-    """The distinct values, ascending: ``np.unique`` of finite float input.
+    """The distinct values, ascending: ``np.unique`` of finite float or of
+    integer input, in the input's dtype.
 
     One sort and a mask of the entries that differ from their left
-    neighbour, which is the sort path ``np.unique`` takes for floats, so
-    signed zeros come out alike.  ``np.unique`` itself first asks
-    ``np.ma.is_masked``, whose first call imports ``numpy.ma``.
+    neighbour, which is the sort path ``np.unique`` takes, so signed zeros
+    come out alike.  ``np.unique`` itself first asks ``np.ma.is_masked``,
+    whose first call imports ``numpy.ma``.
     """
-    ordered = np.sort(np.asarray(values, dtype=float), axis=None)
+    ordered = np.sort(np.asarray(values), axis=None)
     keep = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]

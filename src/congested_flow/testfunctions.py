@@ -28,11 +28,14 @@ class TimeWindow:
     tau: float
     vanish_at_zero: bool = False
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        s = t / self.tau
+    def _s(self, t):
+        """s = t / tau, zero outside [0, 1], and the mask of the support."""
+        s = np.asarray(t, dtype=float) / self.tau
         inside = (s >= 0.0) & (s <= 1.0)
-        s = np.where(inside, s, 0.0)
+        return np.where(inside, s, 0.0), inside
+
+    def __call__(self, t):
+        s, inside = self._s(t)
         if self.vanish_at_zero:
             val = 64.0 * (s * (1.0 - s)) ** 3
         else:
@@ -40,10 +43,7 @@ class TimeWindow:
         return np.where(inside, val, 0.0)
 
     def d(self, t):
-        t = np.asarray(t, dtype=float)
-        s = t / self.tau
-        inside = (s >= 0.0) & (s <= 1.0)
-        s = np.where(inside, s, 0.0)
+        s, inside = self._s(t)
         if self.vanish_at_zero:
             val = 192.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / self.tau
         else:
@@ -60,19 +60,19 @@ class SpaceBump:
     power: int = 0
 
     def _xi(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.halfwidth
+        """xi = (x - center) / halfwidth, zero outside [-1, 1], and the mask
+        of the support."""
+        xi = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
+        inside = np.abs(xi) <= 1.0
+        return np.where(inside, xi, 0.0), inside
 
     def __call__(self, x):
-        xi = self._xi(x)
-        inside = np.abs(xi) <= 1.0
-        xi = np.where(inside, xi, 0.0)
+        xi, inside = self._xi(x)
         val = xi ** self.power * (1.0 - xi * xi) ** 3
         return np.where(inside, val, 0.0)
 
     def d(self, x):
-        xi = self._xi(x)
-        inside = np.abs(xi) <= 1.0
-        xi = np.where(inside, xi, 0.0)
+        xi, inside = self._xi(x)
         one = 1.0 - xi * xi
         if self.power == 0:
             val = -6.0 * xi * one ** 2

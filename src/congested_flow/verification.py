@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .cone import SpacingCone, project_onto_cone, qp_oracle_project, qp_oracle_project_many
+from .cone import SpacingCone, _certificate, _kkt_enumerate, project_onto_cone
 from .dynamics import (
     CheckReport,
     EventRecord,
@@ -359,11 +359,11 @@ def cone_oracle_sweep(n_values, instances: int, rng: np.random.Generator) -> dic
         cone = SpacingCone.canonical(int(n))
         ys = rng.normal(0.0, 1.0, (instances, int(n))) * (2.0 / n) \
             + np.arange(int(n)) * (0.5 / n)
-        ref = qp_oracle_project_many(cone, ys)
+        ref, lams = _kkt_enumerate(cone, ys)
         for row in range(instances):
             x = project_onto_cone(cone, ys[row])
             worst = max(worst, float(np.max(np.abs(x - ref[row]))))
-        _, cert = qp_oracle_project(cone, ys[0])
+        cert = _certificate(cone, ys[0], ref[0], lams[0])
         worst_cert = max(worst_cert, cert.max_complementarity_violation,
                          -min(0.0, cert.min_lambda))
         total += instances

@@ -166,11 +166,8 @@ class LagrangianWeakForm:
         total = 0.0
         pos = atom.position
         for w_lo, w_hi, coeffs in atom.profile:
-            grid = sorted_distinct(np.clip(pos.breaks, w_lo, w_hi))
-            grid = sorted_distinct(np.concatenate((grid, [w_lo, w_hi])))
+            grid = sorted_distinct(np.concatenate((np.clip(pos.breaks, w_lo, w_hi), [w_lo, w_hi])))
             for w0, w1 in zip(grid, grid[1:]):
-                if w1 <= w0:
-                    continue
                 # affine restriction of the position map on (w0, w1)
                 x0 = float(pos(np.array([w0]), side="right")[0])
                 x1 = float(pos(np.array([w1]), side="left")[0])

@@ -59,3 +59,20 @@ def test_no_tolerance_knobs():
     assert sorted(knobs) == [("cone.py", "passes", "tol"),
                              ("scenarios.py", "first_order_contraction_test", "tol"),
                              ("verification.py", "_worst", "tolerance")]
+
+
+def test_no_module_reads_a_merge_event_view():
+    # the pipeline reads the timeline's columns; the MergeEvent views are
+    # for the tests and the benchmark's tracer.  An attribute read of a view
+    # is allowed only inside the MergeEvent class itself
+    views = {"events", "jump_values", "merged_blocks", "index_range"}
+    reads = []
+    for p in SOURCES:
+        tree = ast.parse(p.read_text())
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "MergeEvent"
+                  for node in ast.walk(cls)}
+        reads += [(p.name, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in views
+                  and id(node) not in inside]
+    assert reads == []

@@ -267,9 +267,9 @@ def test_wasserstein_modulus_memory_is_linear_in_n_plus_merged_size():
 
 def test_oleinik_field_post_merge_and_l1_bound():
     trace = two_particle_trace()
-    rep = oleinik_field_check(trace, trace.timeline.state_at(1.0))
+    rep = oleinik_field_check(trace, next(trace.timeline.iter_states([1.0])))
     assert rep["passed"] and rep["max_ratio"] == 0.0
-    rep = oleinik_field_check(trace, trace.timeline.state_at(0.25))
+    rep = oleinik_field_check(trace, next(trace.timeline.iter_states([0.25])))
     # the interior slope is negative; the padding cell contributes zero
     assert rep["passed"] and rep["max_ratio"] == 0.0
     assert rep["gradient_l1"] == pytest.approx(2.0)

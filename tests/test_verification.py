@@ -10,7 +10,7 @@ import pytest
 
 from congested_flow import dynamics, verification
 from congested_flow.cli import load_config
-from congested_flow.dynamics import CheckReport, EventTimeline, ReplayCursor, \
+from congested_flow.dynamics import CheckReport, EventRecord, EventTimeline, ReplayCursor, \
     active_set_monotone, evolve, max_slope_ratio, verify_estimates, verify_semigroup
 from congested_flow.errors import InvariantViolationError
 from congested_flow.eulerian import wasserstein_time_modulus
@@ -100,7 +100,7 @@ def test_battery_builds_one_state_per_query_instant(monkeypatch):
 
 def test_oleinik_field_check_reads_the_state_only(monkeypatch):
     trace = random_contacts_trace(100, 1)
-    state = trace.timeline.state_at(0.5)
+    state = next(trace.timeline.iter_states([0.5]))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("oleinik_field_check reads the state it is given")
@@ -279,6 +279,34 @@ def test_raised_post_velocity_fails_energy_dissipation():
         "semigroup", "discrete_pde", "oleinik_field", "eulerian_oleinik", "weak_residuals"]
 
 
+@pytest.mark.parametrize("factor, failed", [
+    (1.01, ["complementarity", "oleinik", "momentum_conservation", "energy_dissipation",
+            "semigroup", "discrete_pde", "oleinik_field", "eulerian_oleinik",
+            "weak_residuals"]),
+    (0.99, ["complementarity", "momentum_conservation", "energy_dissipation", "semigroup",
+            "discrete_pde", "weak_residuals"]),
+])
+def test_splitting_post_velocity_fails_the_oleinik_stream(factor, failed):
+    # a real-data control for the Oleinik stream: the last event with a left
+    # neighbour leaves particle lo - 1 behind at factor * gap / t, so the pair
+    # (lo - 1, lo) has t du / dx = factor at that instant.  Above 1 the three
+    # stream checks fail with it; below 1 they pass and only the checks
+    # that the broken momentum reaches fail
+    x0, u0, cone = random_admissible_datum(300, np.random.default_rng(4), contacts=True)
+    tl = evolve(x0, u0, cone, 1.0)
+    k = max(k for k in range(tl.times.size) if tl.lo[k] > 0 and tl.times[k] > 0)
+    assert (k, tl.lo[k], tl.hi[k]) == (181, 102, 167)
+    x_l, u_l = EventRecord(tl).sides[k, :2]
+    post = tl.post.copy()
+    post[k] = u_l + factor * (tl.x_left[k] - x_l) / tl.times[k]
+    reports = run_battery(build_fields(dataclasses.replace(tl, post=post)))
+    assert failed_checks(reports) == failed
+    stream = [r.value for r in reports
+              if r.name in ("oleinik", "oleinik_field", "eulerian_oleinik")]
+    if factor > 1.0:
+        assert stream == [pytest.approx(factor, rel=1e-9)] * 3
+
+
 def test_rejected_replay_is_reported_not_raised():
     # start the first event's first multi-particle block one particle later:
     # the merged range no longer covers whole blocks, so the replay rejects it
@@ -313,7 +341,7 @@ def test_misstated_or_phantom_event_is_rejected(fault):
     # state reads the forest too, so it rejects them as well
     x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
-    st = tl.state_at(tl.horizon)
+    st = next(tl.iter_states([tl.horizon]))
     if fault == "misstated_blocks":
         blocks = tl.blocks.copy()
         rows = slice(tl.block_off[1], tl.block_off[2])
@@ -328,7 +356,7 @@ def test_misstated_or_phantom_event_is_rejected(fault):
             post=np.append(tl.post, st.velocities[8]),
             x_left=np.append(tl.x_left, st.positions[8]), jumps=np.append(tl.jumps, np.zeros(16)))
     with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
-        bad.state_at(bad.horizon)
+        next(bad.iter_states([bad.horizon]))
     assert not active_set_monotone(bad)
     assert_rejected(run_battery(build_fields(bad)), bad.times.size)
 
@@ -340,7 +368,7 @@ def test_drifting_block_fails_the_wasserstein_modulus(monkeypatch):
     # the W2 modulus of a pair outgrows (t - s) sup ||u||, and the restart
     # identity misses the drift
     trace = random_contacts_trace(200, 5)
-    a = int(trace.timeline.state_at(1.0).starts[-1])
+    a = int(next(trace.timeline.iter_states([1.0])).starts[-1])
     assert a == 198
     rigid = ReplayCursor.state
 
@@ -389,7 +417,7 @@ def oleinik_reference(trace):
             add(st.time, st.positions, u_before)
             add(st.time, st.positions, st.velocities)
         u_before = st.velocities
-    st = tl.state_at(tl.horizon)
+    st = next(tl.iter_states([tl.horizon]))
     add(tl.horizon, st.positions, st.velocities)
     return max(plain), max(padded)
 
