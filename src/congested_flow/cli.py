@@ -233,7 +233,7 @@ def load_config(path: str) -> dict:
     if st is None:
         horizon = cfg["_horizon"]
         st = [horizon * k / 8.0 for k in range(1, 9)]
-    elif (not isinstance(st, list)
+    elif (not isinstance(st, list) or not st
           or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in st)
           or any(not 0.0 <= t <= cfg["_horizon"] for t in st)):
         raise ConfigError("sample_times: need numbers inside [0, horizon]")

@@ -830,14 +830,17 @@ class EventRecord:
     block made by then with the given first or last particle, found by one
     sort of the made blocks by (first, made at) and one by (last, made at).
 
-    ``lam`` holds lam on max(lo - 1, 0) .. min(hi + 2, n) just after each
-    event, slice k from ``lam_off[k]``, and ``lam_base`` is the flat index
-    in it of lam[index] after the entry's event; ``dots`` is
-    np.dot(u_pre, u_pre) per event, whose bits the energy recursion reads.
-    Those two keep one step per event, in event order: lam[lo + 1:hi + 1]
-    += the event's jumps and a copy of the slice, and the dot.  Every
-    statistic of the checks is one vectorised pass over the flat arrays.
-    O(n + sum of merged range sizes) time and memory.  Raises
+    So the record has two layouts: per particle of each range (``off``)
+    and per contact lo+1..hi (``jump_off``), where ``jumps`` and ``lam``,
+    the multipliers just after each event, sit.  ``diff`` and ``steps``
+    map one layout to the other.  The contacts lo and hi + 1 of an event
+    are block boundaries after it, which no event writes: lam is exactly 0
+    there, and ``steps`` reads it so.  ``dots`` is np.dot(u_pre, u_pre)
+    per event, whose bits the energy recursion reads.  lam and the dots
+    keep one step per event, in event order: lam[lo + 1:hi + 1] += the
+    event's jumps, then a copy of the slice, and the dot.  Every statistic
+    of the checks is one vectorised pass over the flat arrays.  O(n + sum
+    of merged range sizes) time and memory.  Raises
     InvariantViolationError unless the events form a merge forest.
     """
 
@@ -886,18 +889,28 @@ class EventRecord:
             np.where(has_r, at(right, self.hi + 1, self.times), np.nan),
             np.where(has_r, f.made_v[right], np.nan)))
 
-        lam_lo, lam_hi = np.maximum(self.lo - 1, 0), np.minimum(self.hi + 2, n) + 1
-        self.lam_off = np.concatenate(([0], np.cumsum(lam_hi - lam_lo)))
-        self.lam_base = np.repeat(self.lam_off[:-1] + self.lo - lam_lo, m) + local
-        self.lam, lam = np.empty(self.lam_off[-1]), np.zeros(n + 1)
-        jump_off, out = tl.jump_off.tolist(), self.lam_off.tolist()
-        for lo, hi, j0, j1, l0, l1, o in zip(self.lo.tolist(), self.hi.tolist(), jump_off,
-                                             jump_off[1:], lam_lo.tolist(), lam_hi.tolist(), out):
+        self.lam, lam = np.empty(self.jumps.size), np.zeros(n + 1)
+        jump_off = tl.jump_off.tolist()
+        for lo, hi, j0, j1 in zip(self.lo.tolist(), self.hi.tolist(), jump_off, jump_off[1:]):
             lam[lo + 1:hi + 1] += self.jumps[j0:j1]
-            self.lam[o:o + l1 - l0] = lam[l0:l1]
+            self.lam[j0:j1] = lam[lo + 1:hi + 1]
         off = self.off.tolist()
         self.dots = [float(np.dot(seg, seg))
                      for seg in (self.u_pre[o0:o1] for o0, o1 in zip(off, off[1:]))]
+
+    def diff(self, v: np.ndarray) -> np.ndarray:
+        """Per contact j of each event, v[j] - v[j - 1] of the per-particle
+        values ``v``."""
+        return (v[1:] - v[:-1])[self.inner[:-1]]
+
+    def steps(self, c: np.ndarray) -> np.ndarray:
+        """Per particle i of each range lo..hi, c[i + 1] - c[i] of the
+        per-contact values ``c``, which are 0 at the contacts lo and hi + 1:
+        minus the adjoint of ``diff``."""
+        after = np.zeros(self.inner.size)
+        after[self.inner] = c
+        # each range's last entry holds 0, so the shift carries none across events
+        return after - np.concatenate(([0.0], after[:-1]))
 
 
 def worst_of(values, default: float = 0.0) -> float:
@@ -991,42 +1004,38 @@ def restart_check(st_s: MicroState, st_t: MicroState) -> CheckReport:
                        f"pos={pos_err:.3e}, vel={vel_err:.3e} at (s={s}, t={t})")
 
 
-def verify_estimates(timeline: EventTimeline, record: EventRecord | None = None) -> dict:
-    """Energy dissipation and sup bounds along the whole timeline.
+def verify_estimates(record: EventRecord) -> dict:
+    """Energy dissipation and sup bounds along the whole timeline of an
+    ``EventRecord``.
 
-    Passes iff the rescaled kinetic energy is nonincreasing across events,
-    never exceeds its initial value (both within ``energy_tolerance``), and
-    all multiplier statistics are finite.  Sup statistics track every value
-    the multipliers ever take (they change only at events): lam on lo..hi+1
-    and its increments on max(lo - 1, 0)..min(hi + 2, n) after each event,
-    in one vectorised pass over ``record`` (the timeline's ``EventRecord``,
-    made here if not given).  A NaN anywhere fails the check.
+    Passes iff the rescaled kinetic energy rises at no event and ends at
+    most at its initial value (both within ``energy_tolerance``), and all
+    multiplier statistics are finite.  ``max_rise`` is the largest rise
+    over one event (0 if none rises) and ``max_rise_event`` that event's
+    index.  The sup statistics track every value the multipliers ever
+    take: they change only at events, and only on the contacts of the
+    merged range, where the record holds them.  So ``sup_n_lambda`` is n
+    max|lam| and ``sup_n_lambda_jump`` n max|steps(lam)| over the record,
+    in one vectorised pass.  A NaN anywhere fails the check.
     """
-    rec = record if record is not None else EventRecord(timeline)
-    n = timeline.n
-    u = timeline.initial.velocities
+    rec, n = record, record.timeline.n
+    u = rec.timeline.initial.velocities
     energy = [float(np.dot(u, u) / n)]
     tol = ENERGY_RTOL * (1.0 + energy[0])
-    monotone = True
     for post, size, dot in zip(rec.post.tolist(), rec.sizes.tolist(), rec.dots):
-        e_pre = energy[-1]
-        e_post = e_pre + (size * post ** 2 - dot) / n
-        if not e_post <= e_pre + tol:
-            monotone = False
-        energy.append(e_post)
-    lam = rec.lam
-    last = rec.lam_base[rec.off[1:] - 1] + 1  # lam[hi + 1] after each event
-    sup_nlam = n * worst_of(np.abs(lam[np.concatenate((rec.lam_base, last))]))
-    step = np.abs(lam[1:] - lam[:-1])
-    inside = np.ones(step.size, dtype=bool)
-    inside[rec.lam_off[1:-1] - 1] = False  # no increment across two events' slices
-    sup_njump = n * worst_of(step[inside])
+        energy.append(energy[-1] + (size * post ** 2 - dot) / n)
+    rises = np.diff(energy)
+    rise = worst_of(rises)
+    sup_nlam = n * worst_of(np.abs(rec.lam))
+    sup_njump = n * worst_of(np.abs(rec.steps(rec.lam)))
     sup_u = worst_of(np.abs(np.concatenate((u, rec.post))))
     bounded = np.isfinite(sup_u) and np.isfinite(sup_nlam) and np.isfinite(sup_njump)
-    passed = monotone and bounded and energy[-1] <= energy[0] + tol
+    passed = rise <= tol and bounded and energy[-1] <= energy[0] + tol
     return {
         "passed": bool(passed),
         "energy_sequence": energy,
+        "max_rise": rise,
+        "max_rise_event": int(np.argmax(rises)) if rises.size else -1,
         "sup_velocity": sup_u,
         "sup_velocity_l2": float(np.sqrt(worst_of(energy))),
         "sup_n_lambda": sup_nlam,

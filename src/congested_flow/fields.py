@@ -157,9 +157,9 @@ def build_fields(timeline: EventTimeline, padding: DeltaPadding = DeltaPadding()
     return FieldTrace(timeline, padding)
 
 
-def verify_discrete_pde(trace: FieldTrace, record: EventRecord | None = None) -> dict:
-    """Residuals of the interpolated evolution system, event by event, within
-    DISCRETE_PDE_TOL.
+def verify_discrete_pde(record: EventRecord) -> dict:
+    """Residuals of the interpolated evolution system of an ``EventRecord``'s
+    timeline, event by event, within DISCRETE_PDE_TOL.
 
     Between events the velocity must equal the initial one corrected by the
     multiplier gradient, cell by cell (order 1); at each event the velocity
@@ -170,32 +170,24 @@ def verify_discrete_pde(trace: FieldTrace, record: EventRecord | None = None) ->
     Between events u and lam are constant in time, and an event changes them
     only on its merged range lo..hi, where u becomes its post velocity.  So
     the order-1 residual is checked once over all n entries with lam = 0,
-    then on lo..hi after each event.  lam is zero off the contacts, and
+    then on lo..hi after each event, against ``steps(lam)``; the order-2
+    residual reads ``steps(jumps)``.  lam is zero off the contacts, and
     inside a cluster the position slope is n * two_r at every instant up to
     rounding; so the multiplier exclusion is checked on the contacts
-    lo+1..hi of each event against the slopes of the event's positions
-    (``EventTimeline.event_positions``, read by ``EventRecord``).  All of it
-    is one vectorised pass over ``record``, the timeline's ``EventRecord``
-    (made here if not given): O(n + sum of merged range sizes), with no
-    replay, state or snapshot.  A NaN residual fails the check.
+    lo+1..hi of each event against ``diff`` of the event's positions
+    (``EventTimeline.event_positions``).  All of it is one vectorised pass
+    over the record: O(n + sum of merged range sizes), with no replay,
+    state or snapshot.  A NaN residual fails the check.
     """
-    timeline = trace.timeline
-    rec = record if record is not None else EventRecord(timeline)
-    n = trace.n
+    rec, timeline = record, record.timeline
+    n = timeline.n
     order1 = worst_of(np.abs(timeline.initial.velocities - timeline.u0))
     post = np.repeat(rec.post, rec.sizes)
-    # the jumps of each range padded with a 0 on either side, differenced
-    padded = np.zeros(rec.inner.size)
-    padded[rec.inner] = rec.jumps
-    before = np.zeros_like(padded)
-    before[1:] = padded[:-1]
-    before[rec.off[:-1]] = 0.0
-    order2 = worst_of(np.abs((post - rec.u_pre) + n * (padded - before)))
-    lam, base = rec.lam, rec.lam_base
-    resid = post - (timeline.u0[rec.index] - n * (lam[base + 1] - lam[base]))
+    order2 = worst_of(np.abs((post - rec.u_pre) + n * rec.steps(rec.jumps)))
+    resid = post - (timeline.u0[rec.index] - n * rec.steps(rec.lam))
     order1 = worst_of((order1, worst_of(np.abs(resid))))
-    slack = n * (rec.x[1:] - rec.x[:-1])[rec.inner[:-1]] - trace.slope_min
-    compl = worst_of(np.abs(slack * lam[base[rec.inner] + 1]))
+    slack = n * rec.diff(rec.x) - timeline.cone.two_r * n
+    compl = worst_of(np.abs(slack * rec.lam))
     atom_compl = worst_of(np.abs(slack * rec.jumps))
     passed = worst_of((order1, compl, order2, atom_compl)) <= DISCRETE_PDE_TOL
     return {

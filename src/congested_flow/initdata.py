@@ -171,9 +171,16 @@ def datum_from_eulerian(density_pieces, velocity_x: PiecewiseField) -> Macroscop
 
     The Lagrangian velocity is the exact composition u0(X0(w)): breakpoints
     of u0 are pulled back through the CDF, so the result is again piecewise
-    affine with no sampling error.
+    affine with no sampling error.  Raises InputDomainError unless u0 is
+    given on the whole support of the density.
     """
     x0_map = rearrangement_from_density(density_pieces)
+    lo, hi = float(x0_map.left[0]), float(x0_map.right[-1])
+    v_lo, v_hi = float(velocity_x.breaks[0]), float(velocity_x.breaks[-1])
+    if lo < v_lo or hi > v_hi:
+        gap = (lo, min(v_lo, hi)) if lo < v_lo else (max(v_hi, lo), hi)
+        raise InputDomainError(f"the velocity is given on [{v_lo}, {v_hi}], so not on "
+                               f"[{gap[0]}, {gap[1]}] of the density's support [{lo}, {hi}]")
     cdf = cdf_from_density(density_pieces)
     pulled = np.array([cdf(b) for b in velocity_x.breaks])
     wb = sorted_distinct(np.concatenate((x0_map.breaks, np.clip(pulled, 0.0, 1.0))))

@@ -257,7 +257,6 @@ class EventWeakForm:
         """
         fns = _supported(fns, self.horizon)
         rec, t = self.record, self._t
-        pairs = rec.inner[:-1]
         windows = {w: w(t) for w in {phi.window for phi in fns}}
         mom = [0.0] * len(fns)
         # bump by bump: only one bump's two evaluations, each Σ merged long, live at once
@@ -266,7 +265,7 @@ class EventWeakForm:
             for k, phi in enumerate(fns):
                 if phi.bump == bump:
                     f = windows[phi.window] * at_x
-                    pressure = float(rec.jumps @ (f[1:] - f[:-1])[pairs])
+                    pressure = float(rec.jumps @ rec.diff(f))
                     mom[k] = float(self._du @ (windows[phi.window] * at_pre)) + pressure
         return [0.0] * len(fns), mom
 

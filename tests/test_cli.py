@@ -143,8 +143,10 @@ def shipped_with(name, edit):
      "scenario.velocity.pieces[0]: expected a finite number, got nan"),
     ("two_block", lambda c: c["sample_times"].append(math.nan),
      "sample_times: need numbers inside [0, horizon]"),
+    ("two_block", lambda c: c.update(sample_times=[]),
+     "sample_times: need numbers inside [0, horizon]"),
 ], ids=["horizon_nan", "horizon_inf", "delta_inf", "density_nan", "velocity_nan",
-        "sample_time_nan"])
+        "sample_time_nan", "sample_times_empty"])
 def test_non_finite_numbers_exit_one_before_any_output(tmp_path, capsys, name, edit, message):
     # Python's json reads NaN, Infinity and -Infinity as floats
     path = tmp_path / "cfg.json"
@@ -152,6 +154,16 @@ def test_non_finite_numbers_exit_one_before_any_output(tmp_path, capsys, name, e
     out = tmp_path / "x"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "converge"])
+def test_empty_sample_times_exit_one_before_any_output(tmp_path, capsys, command):
+    # simulate would write header-only CSVs and converge a study of 0 rows
+    path = write_config(tmp_path, n_list=[16, 32], sample_times=[])
+    out = tmp_path / "x"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "error: sample_times: need numbers inside [0, horizon]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -304,6 +316,21 @@ def test_eulerian_velocity_config_roundtrip(tmp_path):
     lines = (out / "events.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # the uniform compression collapses in one cascade
     assert float(lines[1].split(",")[0]) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("pieces, uncovered", [
+    ([[-10.0, 0.5, 11.0, -9.0]], "[0.5, 2.0]"),
+    ([[1.0, 10.0, 0.0, -9.0]], "[0.0, 1.0]"),
+], ids=["right", "left"])
+def test_eulerian_velocity_must_cover_the_density(tmp_path, capsys, pieces, uncovered):
+    # u0 read past its last piece would be extrapolated, not given
+    scenario = dict(CUSTOM, velocity={"kind": "eulerian", "pieces": pieces})
+    cfg = write_config(tmp_path, scenario=scenario)
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert (f"so not on {uncovered} of the density's support [0.0, 2.0]"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_check_toggles_disable_one_check(tmp_path):

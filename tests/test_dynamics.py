@@ -784,14 +784,14 @@ def test_projection_route_goes_through_projection_blocks(monkeypatch):
 
 def test_estimates_energy_drop_two_particles():
     tl = evolve(X2, U2, TWO, 1.0)
-    est = verify_estimates(tl)
+    est = verify_estimates(EventRecord(tl))
     assert est["passed"]
     np.testing.assert_allclose(est["energy_sequence"], [1.0, 0.0], atol=1e-15)
 
 
 def test_estimates_rigid_translation_constant():
     tl = evolve(np.array([0.0, 2.0]), np.array([0.5, 0.5]), TWO, 1.0)
-    est = verify_estimates(tl)
+    est = verify_estimates(EventRecord(tl))
     assert est["passed"]
     assert est["sup_n_lambda"] == 0.0
     assert est["final_energy"] == est["initial_energy"]
@@ -800,7 +800,7 @@ def test_estimates_rigid_translation_constant():
 def test_estimates_random_run_monotone():
     rng = np.random.default_rng(21)
     x0, u0, cone = random_admissible_datum(100, rng)
-    est = verify_estimates(evolve(x0, u0, cone, 4.0))
+    est = verify_estimates(EventRecord(evolve(x0, u0, cone, 4.0)))
     assert est["passed"]
     seq = est["energy_sequence"]
     assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
@@ -895,8 +895,8 @@ def test_active_set_monotone_valid_and_corrupted():
         # every reader of the timeline reads the merge forest and rejects it
         trace = build_fields(bad)
         readers = [lambda: bad.states_at([tl.horizon]),
-                   lambda: verify_estimates(bad),
-                   lambda: verify_discrete_pde(trace),
+                   lambda: verify_estimates(EventRecord(bad)),
+                   lambda: verify_discrete_pde(EventRecord(bad)),
                    lambda: trace.snapshots([tl.horizon]),
                    lambda: weak_form_of_trace(trace)]
         for read in readers:
@@ -978,7 +978,7 @@ def estimates_reference(tl):
 def test_flat_estimates_equal_the_per_event_loop(seed):
     x0, u0, cone = random_admissible_datum(150, np.random.default_rng(seed), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
-    est = verify_estimates(tl)
+    est = verify_estimates(EventRecord(tl))
     energy, sup_u, sup_nlam, sup_njump = estimates_reference(tl)
     assert est["passed"] and len(energy) > 50
     assert est["energy_sequence"] == energy
@@ -1083,7 +1083,7 @@ def record_reference(tl):
         x_left[lo], t_ref[lo], v[lo] = e.x_left, t, e.post_velocity
         out["u_pre"].append(pre)
         out["dots"].append(float(np.dot(pre, pre)))
-        out["lam"].append(lam[max(lo - 1, 0):min(hi + 2, n) + 1].copy())
+        out["lam"].append(lam[lo + 1:hi + 1].copy())
         out["x"].append(e.x_left + two_r * np.arange(hi + 1 - lo))
         out["index"].append(np.arange(lo, hi + 1))
         left = (at(head[lo - 1], lo - 1, t), v[head[lo - 1]]) if lo > 0 else (np.nan, np.nan)
@@ -1123,6 +1123,34 @@ def test_event_record_equals_the_per_event_reference_bitwise():
             else:
                 assert got.size == 0, name
         events += tl.times.size
+    assert events > 5000
+
+
+def test_record_diff_and_steps_are_adjoint_on_every_event():
+    # per event, sum over contacts c * diff(v) = -sum over particles steps(c) * v:
+    # exactly on small integers, and on the record's own values within the
+    # rounding of sums of size + 1 products of |c| * |v|
+    rng = np.random.default_rng(0)
+    events = 0
+    for x0, u0, cone, horizon in _record_cases():
+        rec = EventRecord(evolve(x0, u0, cone, horizon))
+        k = np.arange(rec.times.size)
+        if not k.size:
+            continue
+        per_particle, per_contact = np.repeat(k, rec.sizes), np.repeat(k, rec.sizes - 1)
+
+        def gap(v, c):
+            return (np.bincount(per_contact, c * rec.diff(v), k.size)
+                    + np.bincount(per_particle, rec.steps(c) * v, k.size))
+
+        v = rng.integers(-1000, 1000, rec.u_pre.size).astype(float)
+        c = rng.integers(-1000, 1000, rec.jumps.size).astype(float)
+        assert np.array_equal(gap(v, c), np.zeros(k.size))
+        for v, c in ((rec.x, rec.lam), (rec.u_pre, rec.jumps)):
+            bound = (2.0 * np.bincount(per_contact, np.abs(c), k.size)
+                     * np.maximum.reduceat(np.abs(v), rec.off[:-1]))
+            assert np.all(np.abs(gap(v, c)) <= 4 * (rec.sizes + 2) * np.finfo(float).eps * bound)
+        events += k.size
     assert events > 5000
 
 
@@ -1255,7 +1283,7 @@ def test_energy_strictly_decreases_at_heterogeneous_merges():
     rng = np.random.default_rng(20)
     x0, u0, cone = random_admissible_datum(120, rng)
     tl = evolve(x0, u0, cone, 4.0)
-    est = verify_estimates(tl)
+    est = verify_estimates(EventRecord(tl))
     seq = est["energy_sequence"]
     assert len(seq) == len(tl.events) + 1
     u = tl.initial.velocities.copy()

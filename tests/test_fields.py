@@ -11,7 +11,8 @@ import pytest
 from congested_flow import dynamics, fields, piecewise
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import EventTimeline, evolve, max_slope_ratio, pressure_measure
+from congested_flow.dynamics import EventRecord, EventTimeline, evolve, max_slope_ratio, \
+    pressure_measure
 from congested_flow.errors import InputDomainError
 from congested_flow.eulerian import pressure_pushforward, wasserstein_time_modulus, \
     weak_residual_suite
@@ -154,13 +155,13 @@ def test_pc_vs_affine_multiplier_sup_bound():
 
 def test_discrete_pde_free_flight_trivial():
     tl = evolve(np.array([0.0, 3.0]), np.array([0.2, 0.4]), TWO, 1.0)
-    rep = verify_discrete_pde(build_fields(tl))
+    rep = verify_discrete_pde(EventRecord(tl))
     assert rep["passed"]
     assert rep["order1_max_residual"] == 0.0
 
 
 def test_discrete_pde_two_particle_balance():
-    rep = verify_discrete_pde(two_particle_trace())
+    rep = verify_discrete_pde(EventRecord(two_particle_trace().timeline))
     assert rep["passed"]
     assert rep["order2_max_residual"] <= 1e-12
 
@@ -168,7 +169,7 @@ def test_discrete_pde_two_particle_balance():
 def test_discrete_pde_random_run():
     rng = np.random.default_rng(5)
     x0, u0, cone = random_admissible_datum(200, rng, contacts=True)
-    rep = verify_discrete_pde(build_fields(evolve(x0, u0, cone, 2.0)))
+    rep = verify_discrete_pde(EventRecord(evolve(x0, u0, cone, 2.0)))
     assert rep["passed"]
     assert max(rep["order1_max_residual"], rep["order2_max_residual"]) <= 1e-10
 
@@ -182,11 +183,11 @@ def test_discrete_pde_order1_negative_control():
     for e in tl.events:
         lo, hi = e.index_range
         merged[lo:hi + 1] = True
-    assert verify_discrete_pde(build_fields(tl))["passed"]
+    assert verify_discrete_pde(EventRecord(tl))["passed"]
     for i in (np.flatnonzero(~merged)[0], np.flatnonzero(merged)[0]):
         bad_u0 = tl.u0.copy()
         bad_u0[i] += 1e-6
-        rep = verify_discrete_pde(build_fields(dataclasses.replace(tl, u0=bad_u0)))
+        rep = verify_discrete_pde(EventRecord(dataclasses.replace(tl, u0=bad_u0)))
         assert not rep["passed"] and rep["order1_max_residual"] > 0.9e-6
         assert rep["order2_max_residual"] <= 1e-12
 
@@ -200,7 +201,7 @@ def test_discrete_pde_builds_no_state_or_snapshot(monkeypatch):
 
     monkeypatch.setattr(EventTimeline, "iter_states", forbidden)
     monkeypatch.setattr(fields.FieldTrace, "iter_snapshots", forbidden)
-    assert verify_discrete_pde(trace)["passed"]
+    assert verify_discrete_pde(EventRecord(trace.timeline))["passed"]
 
 
 # bytes per particle and per merged-range entry that the pressure stages may hold
@@ -235,7 +236,7 @@ def test_pressure_storage_is_linear_in_n_plus_merged_size():
     assert traced_peak(lambda: lift(tl)) <= BYTES_PER_UNIT * units
     tl, units = random_contacts_run(500)
     trace = build_fields(tl)
-    assert traced_peak(lambda: verify_discrete_pde(trace)) <= BYTES_PER_UNIT * units
+    assert traced_peak(lambda: verify_discrete_pde(EventRecord(trace.timeline))) <= BYTES_PER_UNIT * units
 
 
 def test_weak_residual_memory_is_linear_in_n_plus_merged_size():
@@ -522,7 +523,7 @@ def discrete_pde_reference(trace):
 def test_flat_discrete_pde_equals_the_per_event_loop(seed):
     x0, u0, cone = random_admissible_datum(150, np.random.default_rng(seed), contacts=True)
     trace = build_fields(evolve(x0, u0, cone, 3.0))
-    rep = verify_discrete_pde(trace)
+    rep = verify_discrete_pde(EventRecord(trace.timeline))
     assert rep["passed"] and len(trace.timeline.events) > 50
     assert (rep["order1_max_residual"], rep["order2_max_residual"],
             rep["multiplier_exclusion_max"], rep["atom_exclusion_max"]) == \

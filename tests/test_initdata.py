@@ -256,3 +256,15 @@ def test_datum_from_eulerian_composition():
     # a sheared velocity over a saturated block violates the hypothesis
     with pytest.raises(AdmissibilityError):
         datum_from_eulerian([(0.0, 0.5, 1.0), (1.0, 2.0, 0.5)], vel)
+
+
+def test_datum_from_eulerian_needs_the_velocity_on_the_whole_support():
+    # the support [0, 1] u [1.5, 2.5] ends past u0's last break; a vacuum gap
+    # left uncovered would do no harm, and a gap at an end is no support
+    vel = PiecewiseField(np.array([-10.0, 2.0]), np.array([11.0]), np.array([-1.0]))
+    with pytest.raises(InputDomainError, match=r"not on \[2.0, 2.5\] of the density's "
+                                               r"support \[0.0, 2.5\]"):
+        datum_from_eulerian([(0.0, 1.0, 0.5), (1.5, 2.5, 0.5)], vel)
+    inner = PiecewiseField(np.array([1.0, 4.0]), np.array([0.0]), np.array([-3.0]))
+    datum = datum_from_eulerian([(0.0, 1.0, 0.0), (1.0, 3.0, 0.5), (3.0, 4.0, 0.0)], inner)
+    np.testing.assert_allclose(datum.u0_map(np.array([0.0, 1.0])), [-0.0, -2.0], atol=1e-12)

@@ -8,7 +8,8 @@ import pytest
 from congested_flow import verification
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import EventTimeline, active_set_monotone, evolve, trajectory_at
+from congested_flow.dynamics import EventRecord, EventTimeline, active_set_monotone, evolve, \
+    trajectory_at
 from congested_flow.fields import build_fields, verify_discrete_pde
 from congested_flow.initdata import quantile_sample
 
@@ -138,7 +139,7 @@ def two_pairs_meeting_at_once():
 
 def test_disjoint_simultaneous_merges_balance_each_own_jump():
     trace = two_pairs_meeting_at_once()
-    pde = verify_discrete_pde(trace)
+    pde = verify_discrete_pde(EventRecord(trace.timeline))
     assert pde["passed"]
     assert pde["order2_max_residual"] <= 1e-15
     assert all(r.passed for r in verification.run_battery(trace))

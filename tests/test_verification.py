@@ -77,6 +77,27 @@ def test_battery_finds_the_merge_forest_once(monkeypatch):
     assert calls == [trace.timeline]
 
 
+def test_battery_builds_one_record_that_every_event_check_reads(monkeypatch):
+    # the event-local values, the estimates, the discrete system and the weak
+    # form all take the one EventRecord the battery builds
+    made, read = [], []
+    init = EventRecord.__init__
+
+    def counting(self, timeline):
+        made.append(self)
+        init(self, timeline)
+
+    monkeypatch.setattr(EventRecord, "__init__", counting)
+    for name in ("_event_local", "verify_estimates", "verify_discrete_pde", "EventWeakForm"):
+        check = getattr(verification, name)
+        monkeypatch.setattr(verification, name,
+                            lambda *args, check=check: (read.append(args[-1]), check(*args))[1])
+    trace = random_contacts_trace(100, 1)
+    assert not failed_checks(run_battery(trace))
+    assert len(made) == 1 and made[0].timeline is trace.timeline
+    assert len(read) == 4 and all(rec is made[0] for rec in read)
+
+
 def test_battery_builds_one_state_per_query_instant(monkeypatch):
     # the record reads the events with no replay; one replay stops at the
     # sampled instants, the horizon, the ends of the 30 random pairs and the
@@ -164,9 +185,9 @@ def test_stretched_gap_fails_the_exclusion_relations(monkeypatch):
         x[(event == w) & (j > k)] += 1e-3 * self.cone.two_r
         return x
 
-    assert verify_discrete_pde(trace)["passed"]
+    assert verify_discrete_pde(EventRecord(trace.timeline))["passed"]
     monkeypatch.setattr(EventTimeline, "event_positions", stretched)
-    pde = verify_discrete_pde(trace)
+    pde = verify_discrete_pde(EventRecord(trace.timeline))
     # slack n * 1e-3 * two_r = 1e-3 against the largest jump 4.84e-3
     expected = 1e-3 * float(widest.jump_values[k])
     assert pde["multiplier_exclusion_max"] == pytest.approx(expected, rel=1e-6)
@@ -271,7 +292,7 @@ def test_raised_post_velocity_fails_energy_dissipation():
     post = tl.post.copy()
     post[k] += 1.0
     bad = dataclasses.replace(tl, post=post)
-    energy = verify_estimates(bad)["energy_sequence"]
+    energy = verify_estimates(EventRecord(bad))["energy_sequence"]
     assert energy[k + 1] > energy[k]
     reports = run_battery(build_fields(bad))
     assert failed_checks(reports) == [
@@ -299,12 +320,24 @@ def test_splitting_post_velocity_fails_the_oleinik_stream(factor, failed):
     x_l, u_l = EventRecord(tl).sides[k, :2]
     post = tl.post.copy()
     post[k] = u_l + factor * (tl.x_left[k] - x_l) / tl.times[k]
-    reports = run_battery(build_fields(dataclasses.replace(tl, post=post)))
+    bad = dataclasses.replace(tl, post=post)
+    reports = run_battery(build_fields(bad))
     assert failed_checks(reports) == failed
     stream = [r.value for r in reports
               if r.name in ("oleinik", "oleinik_field", "eulerian_oleinik")]
     if factor > 1.0:
         assert stream == [pytest.approx(factor, rel=1e-9)] * 3
+    # the energy report names the rise at event k, not the net change from
+    # the initial energy, which falls
+    est = verify_estimates(EventRecord(bad))
+    energy = est["energy_sequence"]
+    rise = energy[k + 1] - energy[k]
+    assert rise == pytest.approx({1.01: 8.917e-3, 0.99: 7.798e-3}[factor], rel=1e-3)
+    assert energy[-1] - energy[0] < -0.8
+    (report,) = [r for r in reports if r.name == "energy_dissipation"]
+    assert (report.value, report.tolerance) == (rise, est["energy_tolerance"])
+    assert est["energy_tolerance"] == pytest.approx(1.94e-12, rel=1e-2)
+    assert report.detail == f"energy rises by {rise:.3e} at event 181 (t=0.74632)"
 
 
 def test_rejected_replay_is_reported_not_raised():
