@@ -496,9 +496,6 @@ def main(argv=None) -> int:
             return cmd_selection(args.eta, args.n, Path(args.out), args.horizon)
         if args.command == "bench":
             return cmd_bench(args.sizes, Path(args.out) if args.out else None)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CongestedFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

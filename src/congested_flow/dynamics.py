@@ -27,11 +27,12 @@ initial cluster or the range of exactly one earlier event, its maker.
 That forest is the only reading of a timeline.  ``EventRecord`` reads what
 the checks need straight off the columns through it, and the checks read
 event positions through ``EventTimeline.event_positions``.
-``EventTimeline.replay`` stops at query instants, where its cursor builds
+``EventTimeline.iter_states`` is the one reader of an instant: it builds
 the state from the blocks alive then, each rigid from its maker's left
-edge.  The pressure measure and the export read the columns too, and
-``EventTimeline.events`` views the rows as ``MergeEvent`` objects, built on
-first read.
+edge, and ``multipliers_at`` is the one formula for a state's
+multipliers.  The pressure measure and the export read the columns too,
+and ``EventTimeline.events`` views the rows as ``MergeEvent`` objects,
+built on first read.
 """
 
 from __future__ import annotations
@@ -171,12 +172,17 @@ def validate_initial(x0, u0, cone: SpacingCone) -> CheckReport:
     by more; the pair a contact joins must move with velocities equal within
     CONTACT_RTOL * (1 + max|u0|).  The position rule depends on the span, not
     the offset, so a translated datum gets the same contacts.  Raises
-    InputDomainError unless x0 and u0 have the cone dimension.
+    InputDomainError unless x0 and u0 have the cone dimension and finite
+    entries, naming the first entry that is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     if x0.shape != (cone.n,) or u0.shape != (cone.n,):
         raise InputDomainError("x0 and u0 must have the cone dimension")
+    for name, a in (("x0", x0), ("u0", u0)):
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise InputDomainError(f"{name}[{bad[0]}] = {a[bad[0]]} is not finite")
     postol = contact_tol(x0)
     slack = x0[1:] - x0[:-1] - cone.two_r
     worst_gap = float(np.min(slack))
@@ -342,8 +348,8 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     coalesces yields one event, one row of the timeline's columns.  The
     initial contacts and the cascade test both use ``contact_tol(x0)`` =
     CONTACT_RTOL * (1 + (max x0 - min x0)) + 8 eps max|x0|, computed once.
-    Raises InputDomainError unless horizon >= 0 (a NaN fails), before any
-    work.
+    Raises InputDomainError unless horizon >= 0 (a NaN fails) and every
+    entry of x0 and u0 is finite (``validate_initial``), before any work.
 
     Each cluster is keyed by its first particle a, in lists of length n: its
     last particle end[a], its left edge xl[a] at time tr[a] and its velocity
@@ -655,75 +661,31 @@ class EventTimeline:
         ``event`` at their instants: the one place the checks read them."""
         return self.x_left[event] + self.cone.two_r * j
 
-    def states_at(self, times) -> list[MicroState]:
-        """Right-continuous states at the given ascending times."""
-        return list(self.iter_states(times))
-
     def iter_states(self, times):
-        """Generator form of states_at: the replay's states at the query instants."""
-        for cur in self.replay(times):
-            yield cur.state()
-
-    def replay(self, times):
-        """Stop at query instants: yields one ``ReplayCursor``, updated in
-        place, at each instant of ``times`` (ascending, inside [0, horizon]),
-        its ``count`` the number of events at or before it (one
-        ``searchsorted``).  Nothing is applied between instants: the cursor
-        builds a state or the multipliers when read.  Raises
-        InvariantViolationError unless the events form a merge forest,
-        whatever the query times.
+        """The right-continuous states at the instants of ``times``
+        (ascending, inside [0, horizon]): the one reader of the timeline at
+        an instant.  The state at t reads the made blocks of the merge
+        forest alive after the events at or before t (one ``searchsorted``):
+        made before them and merged by none, each rigid from its maker's
+        left edge (``_MergeForest.left_edge``).  The forest sorts the made
+        blocks by range, so one mask over them gives the alive ones in
+        order; then O(n) gathers and repeats, with no per-event step.
+        Raises InvariantViolationError unless the events form a merge
+        forest, whatever the query times.
         """
         times = [float(t) for t in times]
         if not all(0.0 <= t <= self.horizon * (1.0 + QUERY_HORIZON_RTOL) for t in times):
             raise InputDomainError("query times must lie in [0, horizon]")
         if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
             raise InputDomainError("query times must be ascending")
-        self._forest
-        cur = ReplayCursor(self)
+        f, n, two_r = self._forest, self.n, self.cone.two_r
         for t, count in zip(times, np.searchsorted(self.times, times, side="right").tolist()):
-            cur.time, cur.count = t, count
-            yield cur
-
-
-class ReplayCursor:
-    """One ``EventTimeline.replay`` at ``time``, after its first ``count`` events.
-
-    ``state`` reads the blocks of the timeline's merge forest alive then.
-    The multipliers ``lam[0..n]`` are brought up to date only when read, by
-    applying the events since the last read; it is the live array: copy
-    what you keep.  ``rows`` holds the timeline's lo, hi and jump_off
-    columns as lists.
-    """
-
-    def __init__(self, timeline: EventTimeline):
-        self.timeline = timeline
-        self.time, self.count = 0.0, 0
-        self._lam = np.zeros(timeline.n + 1)
-        self._lam_count = 0
-        self.rows = tuple(c.tolist() for c in (timeline.lo, timeline.hi, timeline.jump_off))
-
-    def state(self) -> MicroState:
-        """The state at the cursor's time: the made blocks alive after
-        ``count`` events (made before it and merged by none of them), each
-        rigid from its maker's left edge.  The forest sorts the made blocks
-        by range, so one mask over them gives the alive ones in order; then
-        O(n) gathers and repeats.
-        """
-        tl, f, count = self.timeline, self.timeline._forest, self.count
-        alive = (f.made_at < count) & (f.merged_by >= count)
-        starts, v = f.first[alive], f.made_v[alive]
-        sizes = f.last[alive] - starts + 1
-        left = f.left_edge(alive, self.time)
-        x = np.repeat(left, sizes) + tl.cone.two_r * (np.arange(tl.n) - np.repeat(starts, sizes))
-        return MicroState(self.time, x, np.repeat(v, sizes), starts, tl.cone)
-
-    @property
-    def lam(self) -> np.ndarray:
-        (lo, hi, off), jumps = self.rows, self.timeline.jumps
-        for k in range(self._lam_count, self.count):
-            self._lam[lo[k] + 1:hi[k] + 1] += jumps[off[k]:off[k + 1]]
-        self._lam_count = self.count
-        return self._lam
+            alive = (f.made_at < count) & (f.merged_by >= count)
+            starts = f.first[alive]
+            sizes = f.last[alive] - starts + 1
+            x = (np.repeat(f.left_edge(alive, t), sizes)
+                 + two_r * (np.arange(n) - np.repeat(starts, sizes)))
+            yield MicroState(t, x, np.repeat(f.made_v[alive], sizes), starts, self.cone)
 
 
 @dataclass(frozen=True)
@@ -822,11 +784,11 @@ class EventRecord:
     initial cluster's x0, velocity and time 0, or the event's left edge,
     post velocity and time.  So u_pre is the maker's velocity, and a
     position at t is x_left + v * (t - t_made) + two_r * (i - first),
-    the left edge ``ReplayCursor.state`` reads too
-    (``_MergeForest.left_edge``).  ``sides`` has one
-    row (x, u of particle lo - 1, x, u of particle hi + 1) per event, NaN
-    past an end of the line, and ``ends`` the first and the last particle
-    at t = 0, after each event and at the horizon.  Each reads the latest
+    the left edge ``EventTimeline.iter_states`` reads too
+    (``_MergeForest.left_edge``).  ``sides`` has one row (x, u of particle
+    lo - 1, x, u of particle hi + 1) per event, NaN past an end of the
+    line, and ``ends`` the first and the last particle at t = 0, after
+    each event and at the horizon.  Each reads the latest
     block made by then with the given first or last particle, found by one
     sort of the made blocks by (first, made at) and one by (last, made at).
 
@@ -838,7 +800,12 @@ class EventRecord:
     there, and ``steps`` reads it so.  ``dots`` is np.dot(u_pre, u_pre)
     per event, whose bits the energy recursion reads.  lam and the dots
     keep one step per event, in event order: lam[lo + 1:hi + 1] += the
-    event's jumps, then a copy of the slice, and the dot.  Every statistic
+    event's jumps, then a copy of the slice, and the dot.  lam accumulates
+    the jumps on purpose, and is not ``multipliers_at`` of the states
+    after each event: the order-1 residual of ``verify_discrete_pde``
+    checks these accumulated jumps against the velocities, which the
+    velocity recursion of ``multipliers_at`` would satisfy by
+    construction.  The two agree within rounding.  Every statistic
     of the checks is one vectorised pass over the flat arrays.  O(n + sum
     of merged range sizes) time and memory.  Raises
     InvariantViolationError unless the events form a merge forest.
@@ -979,20 +946,21 @@ def verify_oleinik(state: MicroState) -> CheckReport:
 
 def verify_semigroup(timeline: EventTimeline, s: float, t: float) -> CheckReport:
     """Restarting from x(s), u(s) must reproduce x(t) and the cluster means,
-    within TOL_SEMIGROUP: ``restart_check`` on the replay's states at s and t.
+    within TOL_SEMIGROUP: ``restart_check`` on the timeline's states at s
+    and t (``EventTimeline.iter_states``).
     """
     if not (0.0 <= s < t <= timeline.horizon):
         raise InputDomainError("need 0 <= s < t <= horizon")
-    return restart_check(*timeline.states_at([s, t]))
+    return restart_check(*timeline.iter_states([s, t]))
 
 
 def restart_check(st_s: MicroState, st_t: MicroState) -> CheckReport:
     """The restart identity between two states of one timeline, s < t.
 
     The restart projects x(s) + (t - s) u(s) over the clusters of x(s),
-    which the replay builds rigid, so their spread after translation is
-    rounding only; it must reproduce x(t), and its cluster means of u(s)
-    over the clusters of x(t) must reproduce u(t).
+    which ``EventTimeline.iter_states`` builds rigid, so their spread
+    after translation is rounding only; it must reproduce x(t), and its
+    cluster means of u(s) over the clusters of x(t) must reproduce u(t).
     """
     s, t, cone = st_s.time, st_t.time, st_s.cone
     z, _ = projection_blocks(cone, st_s.positions + (t - s) * st_s.velocities, st_s.starts)

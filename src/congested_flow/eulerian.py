@@ -194,7 +194,7 @@ def wasserstein_time_modulus(trace: FieldTrace, s: float, t: float) -> dict:
     exceed (t - s) times the sup of the interpolated velocity L2 norm.
     The velocity is constant between events, so the sup runs over s and the
     events in (s, t]; the snapshots stream, O(n) memory however many events.
-    ``run_battery`` serves its pairs from its one replay instead.
+    ``run_battery`` serves its pairs from its one pass of states instead.
     """
     if not 0.0 <= s <= t <= trace.timeline.horizon:
         raise InputDomainError("need 0 <= s <= t <= horizon")

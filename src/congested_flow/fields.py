@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import EventRecord, EventTimeline, MicroState, evolve, max_slope_ratio, \
-    pressure_measure, worst_of
+    multipliers_at, pressure_measure, worst_of
 from .errors import InputDomainError
 from .initdata import MacroscopicDatum, quantile_sample
 from .piecewise import PiecewiseField, Resampling, l2_norm_of_pieces, merge_breaks
@@ -124,32 +124,14 @@ class FieldTrace:
         """Lower bound two_r * n for the affine position slope (1 canonically)."""
         return self.two_r * self.n
 
-    def snapshots(self, times) -> list[TraceSnapshot]:
-        return list(self.iter_snapshots(times))
-
     def iter_snapshots(self, times):
-        """Nodal snapshots at ascending times, from one replay's query
-        instants: each state built from the merge forest's blocks alive then
-        (``ReplayCursor.state``), the multipliers brought up to date there."""
-        for cur in self.timeline.replay(times):
-            state = cur.state()
-            yield TraceSnapshot(cur.time, self.padding.pad(state.positions, self.two_r),
-                                state.velocities, cur.lam.copy())
-
-    def snapshot(self, t: float) -> TraceSnapshot:
-        (snap,) = self.snapshots([t])
-        return snap
-
-    # -- interpolated fields at a time instant ------------------------------
-
-    def position_field(self, t: float, kind: str = "affine") -> PiecewiseField:
-        return self.snapshot(t).position_field(self.w_grid, kind)
-
-    def velocity_field(self, t: float, kind: str = "affine") -> PiecewiseField:
-        return self.snapshot(t).velocity_field(self.w_grid, kind)
-
-    def multiplier_field(self, t: float, kind: str = "affine") -> PiecewiseField:
-        return self.snapshot(t).multiplier_field(self.w_grid, kind)
+        """Nodal snapshots at ascending times, one per state of
+        ``EventTimeline.iter_states``, each with the multipliers of its state
+        (``multipliers_at``)."""
+        u0 = self.timeline.u0
+        for state in self.timeline.iter_states(times):
+            yield TraceSnapshot(state.time, self.padding.pad(state.positions, self.two_r),
+                                state.velocities, multipliers_at(state, u0))
 
 
 def build_fields(timeline: EventTimeline, padding: DeltaPadding = DeltaPadding()) -> FieldTrace:
@@ -176,7 +158,7 @@ def verify_discrete_pde(record: EventRecord) -> dict:
     rounding; so the multiplier exclusion is checked on the contacts
     lo+1..hi of each event against ``diff`` of the event's positions
     (``EventTimeline.event_positions``).  All of it is one vectorised pass
-    over the record: O(n + sum of merged range sizes), with no replay,
+    over the record: O(n + sum of merged range sizes), with no
     state or snapshot.  A NaN residual fails the check.
     """
     rec, timeline = record, record.timeline
@@ -225,26 +207,9 @@ def oleinik_field_check(trace: FieldTrace, state: MicroState) -> dict:
 
 
 def pressure_mass_bound(trace: FieldTrace) -> float:
-    """Total mass of the interpolated pressure atoms over (0,1) and time.
-
-    Each event's slice of the jumps summed as ``.sum()`` sums it, divided by
-    n, then added in event order from the int 0 (Python's ``sum``).  The
-    slices of one length are gathered as the rows of one array, and
-    ``.sum(axis=1)`` adds each row in the order ``.sum()`` adds it alone:
-    one reduction per distinct length, not one per event.  (A segmented
-    ``np.add.reduceat`` adds a slice of three or more jumps in another
-    order, to other bits.)
-    """
-    measure = pressure_measure(trace.timeline)
-    off, jumps = measure.jump_off, measure.jumps
-    counts = np.diff(off)
-    sums = np.zeros(counts.size)
-    order = np.argsort(counts, kind="stable")
-    heads = np.flatnonzero(np.diff(counts[order], prepend=-1)).tolist()
-    for lo, hi in zip(heads, heads[1:] + [order.size]):
-        events = order[lo:hi]
-        sums[events] = jumps[off[events, None] + np.arange(counts[events[0]])].sum(axis=1)
-    return sum((sums / trace.n).tolist())
+    """Total mass of the interpolated pressure atoms over (0,1) and time:
+    the sum of every jump of ``pressure_measure``, divided by n."""
+    return float(np.sum(pressure_measure(trace.timeline).jumps)) / trace.n
 
 
 def _run_single(datum: MacroscopicDatum, n: int, horizon: float,
@@ -286,7 +251,7 @@ def convergence_study(datum: MacroscopicDatum, n_list, horizon: float,
 
     n_ref = n_list[-1]
     ref = _run_single(datum, n_ref, horizon, padding)
-    ref_snaps = ref.snapshots(sample_times)
+    ref_snaps = list(ref.iter_snapshots(sample_times))
     ref_nodes = [(s.x_nodes, s.u_nodes, s.lam) for s in ref_snaps]
     rows = []
     sup_dist = {}

@@ -218,7 +218,7 @@ def selection_test(eta: float, n: int, horizon: float | None = None,
     max_projection_err = 0.0
     w_grid = trace.w_grid
     u0_pc = PiecewiseField.constant(w_grid, timeline.u0)
-    for snap in trace.snapshots(times):
+    for snap in trace.iter_snapshots(times):
         max_speed = max(max_speed, float(np.max(np.abs(snap.u))))
         u_pc = snap.velocity_field(w_grid, "pc")
         min_rebound_dist = min(min_rebound_dist,

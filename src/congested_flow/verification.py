@@ -147,11 +147,11 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     """Run every check on a simulated trace; returns one report per check, in order.
 
     ``active_set_monotone`` (the merge forest rule) comes first.  Then one
-    replay stops only at the query instants: the SAMPLE_COUNT sampled
-    instants, the horizon, the instants of the random pairs and the
-    distinct event instants inside a Wasserstein pair.  It builds one full
-    state per distinct query instant.  The timeline's ``EventRecord``,
-    read off the columns with no replay, comes last.
+    pass of ``EventTimeline.iter_states`` builds one full state per
+    distinct query instant: the SAMPLE_COUNT sampled instants, the
+    horizon, the instants of the random pairs and the distinct event
+    instants inside a Wasserstein pair.  The timeline's ``EventRecord``,
+    read off the columns with no state, comes last.
 
     * At the sampled instants: momentum, then complementarity, the L1
       gradient bound of ``oleinik_field`` and the full Eulerian
@@ -178,16 +178,19 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
       e with s < e <= t, each computed once, before the pairs at e close
       or open.
 
-    Cost O(n + sum of merged range sizes), plus O(n) per query instant.  A
-    repeated check passes if all its runs pass and reports the largest
-    value (``_worst``); a NaN value fails its check.
+    Cost O(n + sum of merged range sizes), plus O(n) per query instant.
+    The query instants include every distinct event instant inside a
+    Wasserstein pair, and ten random pairs cover a fixed share of
+    (0, horizon]; so on data whose events spread over time the battery
+    costs O(n x events).  A repeated check passes if all its runs pass and
+    reports the largest value (``_worst``); a NaN value fails its check.
 
     If the events do not form a merge forest (the contact set would
     shrink, or an event misstates its blocks), ``active_set_monotone``
     fails with value len(events) and every other check is reported failed
     with value and tolerance NaN, not evaluated.  Otherwise no reader can
-    reject an event: the replay's states and the record read the same
-    forest, which the monotone check has found.
+    reject an event: the states and the record read the same forest,
+    which the monotone check has found.
 
     ``inject`` corrupts the input of exactly one check (negative control):
     "negative-lambda", "energy-bump" or "stale-density".
@@ -230,9 +233,8 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     # velocity sup (Wasserstein)
     open_pairs: dict = {"semigroup": {}, "w2": {}}
     semigroup, w2 = [], [{"passed": True, "modulus": 0.0} for s, t in w2_pairs if s == t]
-    for cur in timeline.replay(queries):
-        st = cur.state()
-        t = cur.time
+    for st in timeline.iter_states(queries):
+        t = st.time
         if t in norm_at:
             norm = velocity_l2(h, st.velocities)
             for p in open_pairs["w2"].values():
@@ -278,8 +280,8 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
             open_pairs[kind][k] = (st if kind == "semigroup" else
                                    [trace.padding.pad(st.positions, two_r),
                                     velocity_l2(h, st.velocities)])
-    # built after the replay, so that its arrays and the replay's states do not
-    # coexist; it reads the merge forest the monotone check found
+    # built after the states, so that its arrays and theirs do not coexist;
+    # it reads the merge forest the monotone check found
     record = EventRecord(timeline)
     local = _event_local(trace, record)
 

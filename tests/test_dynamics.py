@@ -118,7 +118,7 @@ def test_evolve_negative_horizon():
 
 def test_nan_horizon_and_query_times_are_rejected():
     # each comparison that a NaN passes: `horizon < 0.0` let a NaN horizon
-    # through (no event, and the replay's states overlapped by 1.31), and
+    # through (no event, and the states overlapped by 1.31), and
     # `t < 0.0 or t > horizon` a NaN query time (an all-NaN state)
     x0, u0, cone = random_admissible_datum(20, np.random.default_rng(0), contacts=True)
     with pytest.raises(InputDomainError):
@@ -129,7 +129,7 @@ def test_nan_horizon_and_query_times_are_rejected():
             dataclasses.replace(tl, horizon=np.nan)
         for times in ([np.nan], [np.nan, 0.2], [0.1, np.nan]):
             with pytest.raises(InputDomainError):
-                tl.states_at(times)
+                list(tl.iter_states(times))
 
 
 @pytest.mark.parametrize("contacts", [False, True])
@@ -180,7 +180,7 @@ def test_routes_agree_on_partitions_at_and_before_events(offset):
     assert te.size > 5
     before = np.nextafter(te, -np.inf)
     times = np.sort(np.concatenate((np.linspace(0.0, 3.0, 17), te, before)))
-    post = dict(zip(te.tolist(), tl.states_at(te)))
+    post = dict(zip(te.tolist(), tl.iter_states(te)))
     for t, st in zip(times, tl.iter_states(times)):
         ref = trajectory_at(x0, u0, cone, float(t))
         scale = 1.0 + np.max(np.abs(ref.positions))
@@ -210,7 +210,7 @@ def test_contact_decisions_are_translation_invariant(offset):
     tl = evolve(x0, u0, cone, 1.0)
     before = tl.times - 1e-7
     assert before.size == 39
-    for t, st in zip(before, tl.states_at(before)):
+    for t, st in zip(before, tl.iter_states(before)):
         np.testing.assert_array_equal(trajectory_at(x0, u0, cone, float(t)).starts, st.starts)
 
 
@@ -281,7 +281,7 @@ def _edge_times_case():
                                   _event_times_case, _edge_times_case])
 def test_iter_states_matches_dict_registry(case):
     tl, times = case()
-    states = tl.states_at(times)
+    states = list(tl.iter_states(times))
     refs = list(dict_registry_states(tl, times))
     assert len(states) == len(refs) == len(times)
     for st, (x, u, starts) in zip(states, refs):
@@ -843,8 +843,8 @@ def test_merge_forest_rejects_each_broken_rule(events, named):
     assert active_set_monotone(ok) and EventRecord(ok).u_pre.size == 8
     bad = with_events(tl, events)
     assert not active_set_monotone(bad)
-    for read in (lambda: EventRecord(bad), lambda: bad.states_at([0.0]),
-                 lambda: bad.states_at([1.0])):
+    for read in (lambda: EventRecord(bad), lambda: list(bad.iter_states([0.0])),
+                 lambda: list(bad.iter_states([1.0]))):
         with pytest.raises(InvariantViolationError,
                            match=re.escape(f"{named}, which is not a union of current blocks")):
             read()
@@ -862,13 +862,13 @@ def test_merge_rejects_a_range_that_splits_a_block(blocks, named):
     made = [(0.1, [(0, 0), (1, 1)]), (0.1, [(2, 2), (3, 3), (4, 4)])]
     bad = with_events(tl, made + [(0.2, blocks)])
     assert not active_set_monotone(bad)
-    for read in (lambda: EventRecord(bad), lambda: bad.states_at([1.0])):
+    for read in (lambda: EventRecord(bad), lambda: list(bad.iter_states([1.0]))):
         with pytest.raises(InvariantViolationError,
                            match=re.escape(f"{named}, which is not a union of current blocks")):
             read()
     ok = with_events(tl, made + [(0.2, [(0, 1), (2, 4)])])
     assert active_set_monotone(ok)
-    assert [st.starts.tolist() for st in ok.states_at([0.15, 1.0])] == [[0, 2, 5], [0, 5]]
+    assert [st.starts.tolist() for st in ok.iter_states([0.15, 1.0])] == [[0, 2, 5], [0, 5]]
 
 
 def test_active_set_monotone_valid_and_corrupted():
@@ -894,10 +894,10 @@ def test_active_set_monotone_valid_and_corrupted():
         assert not active_set_monotone(bad)
         # every reader of the timeline reads the merge forest and rejects it
         trace = build_fields(bad)
-        readers = [lambda: bad.states_at([tl.horizon]),
+        readers = [lambda: list(bad.iter_states([tl.horizon])),
                    lambda: verify_estimates(EventRecord(bad)),
                    lambda: verify_discrete_pde(EventRecord(bad)),
-                   lambda: trace.snapshots([tl.horizon]),
+                   lambda: list(trace.iter_snapshots([tl.horizon])),
                    lambda: weak_form_of_trace(trace)]
         for read in readers:
             with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
@@ -1003,19 +1003,6 @@ def estimates_loop(tl):
     return out
 
 
-def snapshots_lam_loop(tl, times):
-    """Reference: the lam loop FieldTrace.iter_snapshots ran on top of iter_states."""
-    lam = np.zeros(tl.n + 1)
-    ev = 0
-    for t in times:
-        while ev < len(tl.events) and tl.events[ev].time <= t:
-            e = tl.events[ev]
-            lo, _ = e.index_range
-            lam[lo + 1:lo + 1 + e.jump_values.size] += e.jump_values
-            ev += 1
-        yield lam.copy()
-
-
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -1040,20 +1027,14 @@ def test_replay_dense_arrays_match_the_old_loops_bitwise(make):
     te = tl.times
     times = np.sort(np.concatenate((te, np.nextafter(te, -np.inf), np.linspace(0.0, 1.0, 9))))
     dense = [tl.initial.velocities] + [u for _, u, _ in ref]
-    for first in ("u", "lam"):
-        lams = list(snapshots_lam_loop(tl, times))
-        cursors = 0
-        for t, cur, lam in zip(times, tl.replay(times), lams):
-            assert cur.time == t
-            read = {"u": lambda: cur.state().velocities, "lam": lambda: cur.lam}
-            got = {name: read[name]() for name in (first, "lam" if first == "u" else "u")}
-            assert _same_bits(got["u"], dense[cur.count])
-            assert _same_bits(got["lam"], lam)
-            cursors += 1
-        assert cursors == times.size
-    # the snapshots carry the same multipliers
-    for snap, lam in zip(build_fields(tl).iter_snapshots(times), snapshots_lam_loop(tl, times)):
-        assert _same_bits(snap.lam, lam)
+    counts = np.searchsorted(te, times, side="right")
+    snaps = list(build_fields(tl).iter_snapshots(times))
+    assert len(snaps) == times.size
+    for t, count, st, snap in zip(times, counts, tl.iter_states(times), snaps):
+        assert st.time == snap.time == t
+        assert _same_bits(st.velocities, dense[count]) and _same_bits(snap.u, dense[count])
+        # the snapshots carry the multipliers of their states
+        assert _same_bits(snap.lam, multipliers_at(st, tl.u0))
 
 
 def record_reference(tl):
@@ -1154,6 +1135,31 @@ def test_record_diff_and_steps_are_adjoint_on_every_event():
     assert events > 5000
 
 
+def test_state_multipliers_equal_the_record_multipliers_at_every_event():
+    # the exported lam, multipliers_at of the state after each distinct event
+    # instant (the velocity recursion), and the checked one, EventRecord.lam
+    # on each event's contacts lo+1..hi (the accumulated jumps), agree within
+    # rounding.  multipliers_at is a running sum of n terms whose partial
+    # sums are multipliers, so its rounding is of order n eps max|lam|.  The
+    # difference measured at most 1.75 n eps max|lam|, held to 4; a shift of
+    # the contacts by one breaks it at every instant
+    eps = np.finfo(float).eps
+    compared = shifted = 0
+    for x0, u0, cone, horizon in _record_cases():
+        tl = evolve(x0, u0, cone, horizon)
+        rec = EventRecord(tl)
+        contact = rec.index[rec.inner] + 1  # aligned with rec.lam
+        instants, first = np.unique(tl.times, return_index=True)
+        bounds = tl.jump_off[np.append(first, tl.times.size)]
+        for st, j0, j1 in zip(tl.iter_states(instants), bounds[:-1], bounds[1:]):
+            lam = multipliers_at(st, tl.u0)
+            bound = 4 * tl.n * eps * np.max(np.abs(lam))
+            assert np.all(np.abs(lam[contact[j0:j1]] - rec.lam[j0:j1]) <= bound)
+            shifted += bool(np.any(np.abs(lam[contact[j0:j1] - 1] - rec.lam[j0:j1]) > bound))
+            compared += j1 - j0
+    assert compared > 100000 and shifted > 9000
+
+
 def mask_replay_reference(tl, times):
     """Reference: the replay that applied each event to a block-start mask.
 
@@ -1201,13 +1207,13 @@ def test_states_and_snapshots_equal_the_mask_replay_bitwise():
         times, trace = _query_instants(tl), build_fields(tl)
         states, snaps = list(tl.iter_states(times)), list(trace.iter_snapshots(times))
         assert len(states) == len(snaps) == len(times)
-        refs = zip(mask_replay_reference(tl, times), snapshots_lam_loop(tl, times))
-        for t, ((x, u, starts), lam), st, snap in zip(times, refs, states, snaps):
+        refs = mask_replay_reference(tl, times)
+        for t, (x, u, starts), st, snap in zip(times, refs, states, snaps):
             assert st.time == snap.time == t
             assert _same_bits(st.positions, x) and _same_bits(st.velocities, u)
             assert _same_bits(st.starts, starts)
             assert _same_bits(snap.x_nodes, trace.padding.pad(x, cone.two_r))
-            assert _same_bits(snap.u, u) and _same_bits(snap.lam, lam)
+            assert _same_bits(snap.u, u) and _same_bits(snap.lam, multipliers_at(st, tl.u0))
         queries += len(times)
         ties += int(np.isin(times, tl.times[1:][np.diff(tl.times) == 0.0]).sum())
     assert queries > 5000 and ties > 100

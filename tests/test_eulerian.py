@@ -80,7 +80,7 @@ def test_pressure_pushforward_support_in_saturated_cells():
     press = pressure_pushforward(pressure_measure(tl))
     states = {t: st for t, st in zip(
         [a.time for a in press],
-        tl.states_at([a.time for a in press]))}
+        tl.iter_states([a.time for a in press]))}
     assert press
     for atom in press:
         snap = snapshot(states[atom.time], cone)
@@ -201,7 +201,7 @@ def test_wasserstein_modulus_equals_the_snapshot_list_formula():
     pairs = [(0.0, 1.0), (0.0, ev[0]), (ev[3], ev[40]), (ev[-1], 1.0)]
     pairs += [tuple(float(v) for v in np.sort(rng.uniform(0.0, 1.0, 2))) for _ in range(6)]
     for s, t in pairs:
-        snaps = trace.snapshots([s] + [te for te in ev if s < te <= t] + [t])
+        snaps = list(trace.iter_snapshots([s] + [te for te in ev if s < te <= t] + [t]))
         modulus = PiecewiseField.from_nodes(w, snaps[-1].x_nodes - snaps[0].x_nodes).l2_norm()
         sup_u = max(sn.velocity_field(w).l2_norm() for sn in snaps[:-1])
         rep = wasserstein_time_modulus(trace, s, t)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from congested_flow.cli import load_config
 from congested_flow.cone import SpacingCone
-from congested_flow.dynamics import validate_initial
+from congested_flow.dynamics import evolve, trajectory_at, validate_initial
 from congested_flow.errors import AdmissibilityError, InputDomainError
 from congested_flow.initdata import (
     MacroscopicDatum,
@@ -212,6 +213,23 @@ def test_validate_initial_reports():
         validate_initial(np.array([0.0, 0.5]), np.zeros(2), cone)
     with pytest.raises(InputDomainError):
         validate_initial(np.array([0.0, 0.5, 1.0]), np.zeros(4), cone)
+
+
+@pytest.mark.parametrize("where", ["x0", "u0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_initial_data_are_rejected_before_any_work(where, value):
+    # an infinite velocity used to pass validate_initial (evolve then moved a
+    # particle to -inf) or to fail inside evolve, and a NaN to fail as an
+    # inadmissible datum; each entry point names the first bad entry
+    cone = SpacingCone(3, 1.0)
+    data = {"x0": np.array([0.0, 2.0, 4.0]), "u0": np.array([1.0, 0.0, -1.0])}
+    data[where][1:] = value
+    message = re.escape(f"{where}[1] = {value} is not finite")
+    for call in (lambda: validate_initial(data["x0"], data["u0"], cone),
+                 lambda: evolve(data["x0"], data["u0"], cone, 1.0),
+                 lambda: trajectory_at(data["x0"], data["u0"], cone, 0.5)):
+        with pytest.raises(InputDomainError, match=message):
+            call()
 
 
 def test_discretization_convergence_identity_exact_on_grid():

@@ -195,7 +195,7 @@ def test_simulated_positions_converge_to_sticky_branch_only():
         trace = build_fields(evolve(x0, u0, cone, horizon))
         sup_d = 0.0
         min_r = np.inf
-        for snap in trace.snapshots(times):
+        for snap in trace.iter_snapshots(times):
             x_aff = PiecewiseField.from_nodes(trace.w_grid, snap.x_nodes)
             sup_d = max(sup_d, x_aff.distance(sticky.position_field(snap.time), "L2"))
             if snap.time > eta / 2.0:

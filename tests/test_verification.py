@@ -10,7 +10,7 @@ import pytest
 
 from congested_flow import dynamics, verification
 from congested_flow.cli import load_config
-from congested_flow.dynamics import CheckReport, EventRecord, EventTimeline, ReplayCursor, \
+from congested_flow.dynamics import CheckReport, EventRecord, EventTimeline, \
     active_set_monotone, evolve, max_slope_ratio, verify_estimates, verify_semigroup
 from congested_flow.errors import InvariantViolationError
 from congested_flow.eulerian import wasserstein_time_modulus
@@ -33,22 +33,19 @@ def failed_checks(reports):
 
 
 def record_replays(monkeypatch):
-    """Patch EventTimeline.replay to record each call's query times, and the
-    cursor's time at each ``state()`` call."""
+    """Patch EventTimeline.iter_states to record each call's query times,
+    and the time of each state it builds."""
     replays, states = [], []
-    replay, state = EventTimeline.replay, ReplayCursor.state
+    iter_states = EventTimeline.iter_states
 
-    def recording_replay(self, times):
+    def recording(self, times):
         times = [float(t) for t in times]
         replays.append(times)
-        return replay(self, times)
+        for st in iter_states(self, times):
+            states.append(st.time)
+            yield st
 
-    def recording_state(self):
-        states.append(self.time)
-        return state(self)
-
-    monkeypatch.setattr(EventTimeline, "replay", recording_replay)
-    monkeypatch.setattr(ReplayCursor, "state", recording_state)
+    monkeypatch.setattr(EventTimeline, "iter_states", recording)
     return replays, states
 
 
@@ -99,8 +96,8 @@ def test_battery_builds_one_record_that_every_event_check_reads(monkeypatch):
 
 
 def test_battery_builds_one_state_per_query_instant(monkeypatch):
-    # the record reads the events with no replay; one replay stops at the
-    # sampled instants, the horizon, the ends of the 30 random pairs and the
+    # the record reads the events with no state; one pass of states stops at
+    # the sampled instants, the horizon, the ends of the 30 random pairs and the
     # distinct event instants e with s < e <= t of a Wasserstein pair (s, t),
     # where the velocity norm enters that pair's sup, and nowhere else
     trace = random_contacts_trace(300, 2)
@@ -261,18 +258,19 @@ def test_opened_cluster_gap_fails_the_contact_cells(monkeypatch):
     cfg = load_config(str(CONFIGS / "two_block.json"))
     trace = _run_single(cfg["_datum"], 64, cfg["_horizon"], DeltaPadding(cfg["_delta"]))
     assert [e.index_range for e in trace.timeline.events] == [(0, 63)]
-    rigid = ReplayCursor.state
+    rigid = EventTimeline.iter_states
 
-    def opened(self):
-        st = rigid(self)
-        if self.count == 0:
-            return st
-        x = st.positions.copy()
-        x[40:] += 5e-10
-        return dataclasses.replace(st, positions=x)
+    def opened(self, times):
+        for st in rigid(self, times):
+            if st.time < self.times[0]:
+                yield st
+                continue
+            x = st.positions.copy()
+            x[40:] += 5e-10
+            yield dataclasses.replace(st, positions=x)
 
     assert not failed_checks(run_battery(trace, np.random.default_rng(cfg["_seed"])))
-    monkeypatch.setattr(ReplayCursor, "state", opened)
+    monkeypatch.setattr(EventTimeline, "iter_states", opened)
     reports = run_battery(trace, np.random.default_rng(cfg["_seed"]))
     assert failed_checks(reports) == ["complementarity", "eulerian_reconstruction"]
     # density two_r / (two_r + 5e-10) with two_r = 1/64
@@ -342,7 +340,7 @@ def test_splitting_post_velocity_fails_the_oleinik_stream(factor, failed):
 
 def test_rejected_replay_is_reported_not_raised():
     # start the first event's first multi-particle block one particle later:
-    # the merged range no longer covers whole blocks, so the replay rejects it
+    # the merged range no longer covers whole blocks, so the merge forest rejects it
     x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
     k = next(k for k, e in enumerate(tl.events)
@@ -403,16 +401,16 @@ def test_drifting_block_fails_the_wasserstein_modulus(monkeypatch):
     trace = random_contacts_trace(200, 5)
     a = int(next(trace.timeline.iter_states([1.0])).starts[-1])
     assert a == 198
-    rigid = ReplayCursor.state
+    rigid = EventTimeline.iter_states
 
-    def drifted(self):
-        st = rigid(self)
-        x = st.positions.copy()
-        x[a:] += 2.0 * self.time
-        return dataclasses.replace(st, positions=x)
+    def drifted(self, times):
+        for st in rigid(self, times):
+            x = st.positions.copy()
+            x[a:] += 2.0 * st.time
+            yield dataclasses.replace(st, positions=x)
 
     assert not failed_checks(run_battery(trace))
-    monkeypatch.setattr(ReplayCursor, "state", drifted)
+    monkeypatch.setattr(EventTimeline, "iter_states", drifted)
     reports = run_battery(trace)
     assert failed_checks(reports) == ["semigroup", "wasserstein_modulus"]
 
@@ -445,7 +443,7 @@ def oleinik_reference(trace):
         plain.append(max_slope_ratio(t, x, u))
         padded.append(max_slope_ratio(t, pad(x, tl.cone.two_r), np.concatenate(([u[0]], u))))
 
-    for st in tl.states_at(sorted(set(tl.times.tolist()))):
+    for st in tl.iter_states(sorted(set(tl.times.tolist()))):
         if st.time > 0.0:
             add(st.time, st.positions, u_before)
             add(st.time, st.positions, st.velocities)
@@ -476,7 +474,8 @@ def test_oleinik_stream_equals_the_brute_force_reference(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_stream_pairs_equal_the_per_pair_checks(monkeypatch, seed):
     # the 20 semigroup and 10 Wasserstein pairs, served by the battery's one
-    # replay, give the bits of the per-pair functions that replay on their own
+    # pass of states, give the bits of the per-pair functions that read their
+    # own states
     x0, u0, cone = random_admissible_datum(200, np.random.default_rng(seed), contacts=True)
     trace = build_fields(evolve(x0, u0, cone, 1.0 + seed % 3))
     tl = trace.timeline

@@ -115,7 +115,7 @@ def closed_form_reference(form):
 
 def discrete_reference(tl):
     """Windows and atom term of a discrete run: one window per gap between
-    distinct event instants, starting from the replay's state there, and
+    distinct event instants, starting from the timeline's state there, and
     one atom per event on its own positions."""
     cuts = sorted({0.0, tl.horizon} | set(tl.times.tolist()))
     weights = np.full(tl.n, 1.0 / tl.n)
@@ -124,7 +124,7 @@ def discrete_reference(tl):
         return lambda a, b, xknots: (st.positions + (a - st.time) * st.velocities,
                                      st.velocities, weights)
 
-    windows = [(a, b, nodes(st)) for a, b, st in zip(cuts, cuts[1:], tl.states_at(cuts))]
+    windows = [(a, b, nodes(st)) for a, b, st in zip(cuts, cuts[1:], tl.iter_states(cuts))]
     two_r = tl.cone.two_r
 
     def atom_term(phi):
@@ -207,10 +207,10 @@ def full_scan_extent(form):
 
 
 def state_scan_extent(tl):
-    """Smallest and largest position of the replay's states at t = 0, at
+    """Smallest and largest position of the timeline's states at t = 0, at
     every event instant and at the horizon."""
     times = [0.0] + tl.times.tolist() + [tl.horizon]
-    xs = [st.positions for st in tl.states_at(times)]
+    xs = [st.positions for st in tl.iter_states(times)]
     return min(float(np.min(x)) for x in xs), max(float(np.max(x)) for x in xs)
 
 
