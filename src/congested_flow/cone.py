@@ -75,9 +75,9 @@ class SpacingCone:
         return x[1:] - x[:-1]
 
     def feasibility_violation(self, x: np.ndarray) -> float:
-        """Largest constraint violation max(two_r - gap, 0); 0 means feasible."""
-        g = self.gaps(x)
-        return float(max(0.0, np.max(self.two_r - g))) if g.size else 0.0
+        """Largest constraint violation max(two_r - gap, 0); 0 means feasible,
+        NaN if any gap is NaN."""
+        return float(np.max(self.two_r - self.gaps(x), initial=0.0))
 
 
 @dataclass
@@ -298,13 +298,16 @@ def normal_cone_check(cone: SpacingCone, x: np.ndarray, xi: np.ndarray) -> ConeC
     with lambda_0 = lambda_n = 0) and reports the smallest multiplier, the
     largest complementarity product lambda_j * (gap_j - two_r), and the
     closure error |lambda_n| that a genuine normal vector must bring to zero.
-    x must be feasible, and the active set holds the gaps at two_r, both
-    within NORMAL_CONE_RTOL * (1 + max|x|).
+    x and xi must be finite (else InputDomainError), x must be feasible,
+    and the active set holds the gaps at two_r, both within
+    NORMAL_CONE_RTOL * (1 + max|x|).
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if x.shape != (cone.n,) or xi.shape != (cone.n,):
         raise InputDomainError("x and xi must both have the cone dimension")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
+        raise InputDomainError("x and xi must be finite")
     scale = 1.0 + float(np.abs(x).max())
     if cone.feasibility_violation(x) > NORMAL_CONE_RTOL * scale:
         raise PreconditionError("x is not feasible within tolerance")

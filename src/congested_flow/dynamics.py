@@ -893,12 +893,13 @@ def multipliers_at(state: MicroState, u0: np.ndarray) -> np.ndarray:
     """Multipliers lam[0..n] of a state: lam[i] = lam[i-1] - (u_i - u0_i)/n.
 
     lam[0] = 0 by construction; lam[n] vanishes because cluster means preserve
-    the velocity sum, and a violation signals a corrupted state.
+    the velocity sum, and a violation signals a corrupted state.  A NaN
+    closure is a violation too: the test is written so that it fails.
     """
     u0 = np.asarray(u0, dtype=float)
     n = state.n
     lam = np.concatenate(([0.0], -np.cumsum(state.velocities - u0) / n))
-    if abs(lam[-1]) > LAMBDA_CLOSURE_RTOL * _scale(u0):
+    if not abs(lam[-1]) <= LAMBDA_CLOSURE_RTOL * _scale(u0):
         raise InvariantViolationError(
             f"lambda_n = {lam[-1]:.3e} does not vanish; state inconsistent with u0"
         )

@@ -19,7 +19,7 @@ from .dynamics import CheckReport, EventTimeline, MicroState, max_slope_ratio, w
 from .cone import SpacingCone
 from .errors import InputDomainError
 from .fields import DeltaPadding, FieldTrace
-from .piecewise import l2_norm_of_pieces
+from .piecewise import l2_norm_of_pieces, squares_of_pieces
 from .testfunctions import build_test_family
 from .tolerances import TOL_COMPLEMENTARITY, TOL_WEAK_RESIDUAL, W2_ATOL, W2_RTOL
 from .weakform import weak_form_of_trace
@@ -34,6 +34,7 @@ __all__ = [
     "complementarity_eulerian",
     "oleinik_eulerian",
     "wasserstein_time_modulus",
+    "velocity_sq",
     "velocity_l2",
     "w2_report",
 ]
@@ -165,11 +166,15 @@ def oleinik_eulerian(snap: EulerianSnapshot) -> CheckReport:
                        f"max t*du/dx = {ratio:.6f}")
 
 
+def velocity_sq(h: np.ndarray, u: np.ndarray) -> float:
+    """Squared L2 norm of the affine velocity interpolant of u on cells of
+    widths h: the fictitious node moves with the first particle."""
+    return float(np.sum(squares_of_pieces(h, np.concatenate(([u[0]], u[:-1])), u)))
+
+
 def velocity_l2(h: np.ndarray, u: np.ndarray) -> float:
-    """L2 norm of the affine velocity interpolant of u on cells of widths h:
-    the fictitious node moves with the first particle."""
-    nodes = np.concatenate(([u[0]], u))
-    return l2_norm_of_pieces(h, nodes[:-1], nodes[1:])
+    """L2 norm of the affine velocity interpolant (``velocity_sq``)."""
+    return float(np.sqrt(velocity_sq(h, u)))
 
 
 def w2_report(h: np.ndarray, x_s: np.ndarray, x_t: np.ndarray, s: float, t: float,
@@ -194,12 +199,12 @@ def wasserstein_time_modulus(trace: FieldTrace, s: float, t: float) -> dict:
     exceed (t - s) times the sup of the interpolated velocity L2 norm.
     The velocity is constant between events, so the sup runs over s and the
     events in (s, t]; the snapshots stream, O(n) memory however many events.
-    ``run_battery`` serves its pairs from its one pass of states instead.
+    ``run_battery`` takes the sup off the record instead: the norm at s
+    plus each event's step (``verification._event_local``).  For s = t
+    the modulus and the bound are 0.
     """
     if not 0.0 <= s <= t <= trace.timeline.horizon:
         raise InputDomainError("need 0 <= s <= t <= horizon")
-    if s == t:
-        return {"passed": True, "modulus": 0.0, "bound": 0.0}
     h = np.diff(trace.w_grid)
     times = [s] + [te for te in trace.timeline.times.tolist() if s < te <= t] + [t]
     for k, snap in enumerate(trace.iter_snapshots(times)):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputDomainError
 
 __all__ = ["NodeResampling", "PiecewiseField", "Resampling", "l2_norm_of_pieces",
-           "merge_breaks", "sorted_distinct"]
+           "merge_breaks", "sorted_distinct", "squares_of_pieces"]
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,15 @@ def merge_breaks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sorted_distinct(np.concatenate((a, b)))
 
 
+def squares_of_pieces(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per piece, the exact squared L2 norm h (a^2 + ab + b^2) / 3 of the
+    affine field with width h and endpoint values a, b."""
+    return h * (a * a + a * b + b * b) / 3.0
+
+
 def l2_norm_of_pieces(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Exact L2 norm of the field with piece widths h and endpoint values a, b."""
-    return float(np.sqrt(np.sum(h * (a * a + a * b + b * b) / 3.0)))
+    return float(np.sqrt(np.sum(squares_of_pieces(h, a, b))))
 
 
 @dataclass(frozen=True)

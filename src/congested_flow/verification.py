@@ -10,8 +10,6 @@ battery backs the command-line verifier and the acceptance suite.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from .cone import SpacingCone, _certificate, _kkt_enumerate, project_onto_cone
@@ -26,10 +24,10 @@ from .dynamics import (
     verify_estimates,
     worst_of,
 )
-from .eulerian import snapshot, velocity_l2, w2_report, weak_residual_report
+from .eulerian import snapshot, velocity_sq, w2_report, weak_residual_report
 from .errors import InvariantViolationError
 from .fields import FieldTrace, oleinik_field_check, verify_discrete_pde
-from .piecewise import sorted_distinct
+from .piecewise import sorted_distinct, squares_of_pieces
 from .tolerances import EULERIAN_MASS_TOL, ORACLE_CERTIFICATE_TOL, ORACLE_DEVIATION_TOL, \
     SAMPLE_EVENT_CLEARANCE, SAMPLE_SHIFT, SEMIGROUP_MIN_SPAN, TOL_COMPLEMENTARITY, \
     TOL_MIN_LAMBDA, TOL_MOMENTUM_PER_N, TOL_SEMIGROUP, TOL_WEAK_RESIDUAL, contact_tol
@@ -97,8 +95,15 @@ def _event_local(trace: FieldTrace, rec: EventRecord) -> dict:
     the cell masses two_r / width * width: the initial ones, each
     replaced by its value at the last event that touched its cell.
     ``contact_tol`` at an event reads the end particles only.
+
+    Wasserstein: the cells lo..hi+1 are the pieces of the velocity
+    interpolant that the event changes, so its step of ``velocity_sq`` is
+    the sum of ``squares_of_pieces`` after it minus before it over those
+    pieces, with end values (u[lo-1], u[lo]), the fictitious (u[0], u[0])
+    when lo = 0, the inner pairs of u_pre, which become (post, post), and
+    (u[hi], u[hi+1]).
     """
-    two_r, n = trace.two_r, trace.n
+    two_r, n, h = trace.two_r, trace.n, np.diff(trace.w_grid)
     xl, ul, xr, ur = rec.sides.T
     first, last = rec.off[:-1], rec.off[1:] - 1
     x0, xm, u0, um = rec.x[first], rec.x[last], rec.u_pre[first], rec.u_pre[last]
@@ -122,6 +127,13 @@ def _event_local(trace: FieldTrace, rec: EventRecord) -> dict:
     cell = np.concatenate((rec.lo, rec.index[rec.inner] + 1, rec.hi[right] + 1))
     width = np.concatenate((lw, dx, rw[right]))
     density = two_r / width
+    # the end values (a, b) of the same cells as velocity pieces, before and after
+    pre = (np.concatenate((np.where(left, ul, u0), rec.u_pre[:-1][rec.inner[:-1]], um[right])),
+           np.concatenate((u0, rec.u_pre[1:][rec.inner[:-1]], ur[right])))
+    after = (np.concatenate((np.where(left, ul, post), p_in, post[right])),
+             np.concatenate((post, p_in, ur[right])))
+    change = squares_of_pieces(h[cell], *after) - squares_of_pieces(h[cell], *pre)
+    sq_step = np.bincount(owner, weights=change, minlength=t.size)
     order = np.lexsort((owner, cell))
     owner, cell, mass = owner[order], cell[order], (density * width)[order]
     snap0 = snapshot(trace.timeline.initial, trace.timeline.cone, trace.padding)
@@ -139,6 +151,7 @@ def _event_local(trace: FieldTrace, rec: EventRecord) -> dict:
         "contact": np.abs(inner_density - 1.0),
         "atom": np.abs(1.0 - inner_density[rec.jumps != 0.0]),
         "tol": contact_tol(rec.ends[1:-1].T, axis=0) / two_r,
+        "velocity_sq_step": sq_step,
     }
 
 
@@ -146,12 +159,11 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
                 inject: str | None = None) -> list[CheckReport]:
     """Run every check on a simulated trace; returns one report per check, in order.
 
-    ``active_set_monotone`` (the merge forest rule) comes first.  Then one
-    pass of ``EventTimeline.iter_states`` builds one full state per
-    distinct query instant: the SAMPLE_COUNT sampled instants, the
-    horizon, the instants of the random pairs and the distinct event
-    instants inside a Wasserstein pair.  The timeline's ``EventRecord``,
-    read off the columns with no state, comes last.
+    ``active_set_monotone`` (the merge forest rule) comes first, then the
+    timeline's ``EventRecord``, read off the columns with no state.  Then
+    each check builds only the states it names, with
+    ``EventTimeline.iter_states``: one pass at the SAMPLE_COUNT sampled
+    instants and the horizon, then the two states of each random pair.
 
     * At the sampled instants: momentum, then complementarity, the L1
       gradient bound of ``oleinik_field`` and the full Eulerian
@@ -162,28 +174,28 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
       complementarity run fails with the closure |lam_n| as value.
     * At each event, on its merged range only: the ``EventRecord`` slices.
       They give the exact Oleinik sup's values at both limits, the
-      reconstruction of the event's cells and the pressure atoms in
-      saturated cells (``_event_local`` says why the window ends give the
-      exact sups), and ``verify_estimates``, ``verify_discrete_pde`` and
-      the weak residuals (``EventWeakForm``: each event's velocity jump
-      against its pressure atom) read them.
+      reconstruction of the event's cells, the pressure atoms in saturated
+      cells and the event's step of the squared velocity norm
+      (``_event_local`` says why the window ends give the exact sups), and
+      ``verify_estimates``, ``verify_discrete_pde`` and the weak residuals
+      (``EventWeakForm``: each event's velocity jump against its pressure
+      atom) read them.
     * At the horizon: every pair of the Oleinik sup and the full Eulerian
       reconstruction.  ``oleinik``, ``oleinik_field`` and
       ``eulerian_oleinik`` report that one sup of t * du / dx over (0,
       horizon], which must stay below 1.
     * The 20 semigroup pairs, then the 10 Wasserstein pairs, are drawn from
-      ``rng`` up front.  A pair keeps the state it needs from s (x, u and
-      the partition; the padded x) and releases it at t.  The Wasserstein
-      sup takes the velocity norm at s and at each distinct event instant
-      e with s < e <= t, each computed once, before the pairs at e close
-      or open.
+      ``rng`` up front.  A semigroup pair is ``restart_check`` of its two
+      states.  A Wasserstein pair takes the modulus of its two states and
+      the velocity sup off the record: the squared norm at s plus the
+      running sum of the steps of the events in (s, t], at the last event
+      of each distinct instant (the states between two events of one
+      instant never exist).
 
-    Cost O(n + sum of merged range sizes), plus O(n) per query instant.
-    The query instants include every distinct event instant inside a
-    Wasserstein pair, and ten random pairs cover a fixed share of
-    (0, horizon]; so on data whose events spread over time the battery
-    costs O(n x events).  A repeated check passes if all its runs pass and
-    reports the largest value (``_worst``); a NaN value fails its check.
+    Cost O(n + sum of merged range sizes), plus O(n) for each of at most
+    12 + 1 + 60 = 73 states, whatever the number of events.  A repeated
+    check passes if all its runs pass and reports the largest value
+    (``_worst``); a NaN value fails its check.
 
     If the events do not form a merge forest (the contact set would
     shrink, or an event misstates its blocks), ``active_set_monotone``
@@ -198,47 +210,31 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
     rng = rng if rng is not None else np.random.default_rng(0)
     timeline = trace.timeline
     cone, n, two_r = timeline.cone, timeline.n, trace.two_r
-    horizon = timeline.horizon
-    ts = _sample_times(horizon, timeline.times)
+    horizon, events, pad = timeline.horizon, timeline.times, trace.padding.pad
+    ts = _sample_times(horizon, events)
     sampled = set(ts.tolist())
     semigroup_pairs = [(s, t) for s, t in _time_pairs(rng, horizon, 20)
                        if t - s >= SEMIGROUP_MIN_SPAN]
     w2_pairs = list(_time_pairs(rng, horizon, 10))
-    opening, closing = defaultdict(list), defaultdict(list)
-    for kind, pairs in (("semigroup", semigroup_pairs), ("w2", w2_pairs)):
-        for k, (s, t) in enumerate(pairs):
-            if s < t:
-                opening[s].append((kind, k))
-                closing[t].append((kind, k))
     monotone = CheckReport("active_set_monotone", active_set_monotone(timeline),
-                           float(timeline.times.size), 0.0,
+                           float(events.size), 0.0,
                            "contact set nondecreasing along events")
     if not monotone.passed:
         return [monotone if name == monotone.name else
                 CheckReport(name, False, np.nan, np.nan,
                             "not evaluated: the events do not form a merge forest")
                 for name in CHECK_NAMES]
-    instants = sorted_distinct(timeline.times)
-    norm_at = set()
-    for s, t in w2_pairs:
-        norm_at.update(instants[(s < instants) & (instants <= t)].tolist())
-    queries = sorted(sampled | {horizon} | set(opening) | set(closing) | norm_at)
+    # it reads the merge forest the monotone check found
+    record = EventRecord(timeline)
+    local = _event_local(trace, record)
     sum_u0 = float(np.sum(timeline.u0))
     tol_momentum = TOL_MOMENTUM_PER_N * n
     h = np.diff(trace.w_grid)
 
     compl, momentum, field_l1, recon = [], [], [], []
     horizon_ratio = []
-    # per open pair: the state at s (semigroup); the padded x(s) and the running
-    # velocity sup (Wasserstein)
-    open_pairs: dict = {"semigroup": {}, "w2": {}}
-    semigroup, w2 = [], [{"passed": True, "modulus": 0.0} for s, t in w2_pairs if s == t]
-    for st in timeline.iter_states(queries):
+    for st in timeline.iter_states(sorted(sampled | {horizon})):
         t = st.time
-        if t in norm_at:
-            norm = velocity_l2(h, st.velocities)
-            for p in open_pairs["w2"].values():
-                p[1] = worst_of((p[1], norm))
         if t in sampled:
             err = abs(float(np.sum(st.velocities)) - sum_u0)
             momentum.append((err <= tol_momentum, err))
@@ -255,35 +251,31 @@ def run_battery(trace: FieldTrace, rng: np.random.Generator | None = None,
                 compl.append((rep.passed and float(lam.min()) >= -TOL_MIN_LAMBDA, rep))
             if t > 0.0:
                 field_l1.append(oleinik_field_check(trace, st)["passed"])
-        if t in sampled or t == horizon:
-            snap = snapshot(st, cone, trace.padding)
-            if inject == "stale-density" and t == ts[0]:
-                snap = type(snap)(snap.time, snap.edges, snap.density * 1.5,
-                                  snap.velocity, snap.two_r)
-            # the pair (j, j + 1) is a contact iff j + 1 starts no block
-            on_contact = np.ones(n - 1, dtype=bool)
-            on_contact[st.starts[1:] - 1] = False
-            contact_err = worst_of(np.abs(snap.density[1:][on_contact] - 1.0))
-            recon.append((abs(snap.total_mass() - 1.0), float(np.max(snap.density)) - 1.0,
-                          contact_err, contact_tol(st.positions) / two_r))
+        snap = snapshot(st, cone, trace.padding)
+        if inject == "stale-density" and t == ts[0]:
+            snap = type(snap)(snap.time, snap.edges, snap.density * 1.5,
+                              snap.velocity, snap.two_r)
+        # the pair (j, j + 1) is a contact iff j + 1 starts no block
+        on_contact = np.ones(n - 1, dtype=bool)
+        on_contact[st.starts[1:] - 1] = False
+        contact_err = worst_of(np.abs(snap.density[1:][on_contact] - 1.0))
+        recon.append((abs(snap.total_mass() - 1.0), float(np.max(snap.density)) - 1.0,
+                      contact_err, contact_tol(st.positions) / two_r))
         if t == horizon and t > 0.0:
             horizon_ratio.append(max_slope_ratio(t, st.positions, st.velocities))
-        for kind, k in closing.get(t, ()):
-            kept = open_pairs[kind].pop(k)
-            if kind == "semigroup":
-                semigroup.append(restart_check(kept, st))
-            else:
-                s = w2_pairs[k][0]
-                w2.append(w2_report(h, kept[0], trace.padding.pad(st.positions, two_r),
-                                    s, t, kept[1]))
-        for kind, k in opening.get(t, ()):
-            open_pairs[kind][k] = (st if kind == "semigroup" else
-                                   [trace.padding.pad(st.positions, two_r),
-                                    velocity_l2(h, st.velocities)])
-    # built after the states, so that its arrays and theirs do not coexist;
-    # it reads the merge forest the monotone check found
-    record = EventRecord(timeline)
-    local = _event_local(trace, record)
+    semigroup = [restart_check(*timeline.iter_states(pair)) for pair in semigroup_pairs]
+    # the velocity changes only at events, all of one instant at one float time:
+    # the sup over [s, t] is at s or after the last event of an instant in (s, t]
+    closes_instant = np.append(events[1:] != events[:-1], True)
+    w2 = []
+    for s, t in w2_pairs:
+        st_s, st_t = timeline.iter_states([s, t])
+        a, b = np.searchsorted(events, (s, t), side="right")
+        sq = velocity_sq(h, st_s.velocities)
+        running = sq + np.cumsum(local["velocity_sq_step"][a:b])
+        sup = float(np.sqrt(worst_of(np.append(running[closes_instant[a:b]], sq))))
+        w2.append(w2_report(h, pad(st_s.positions, two_r), pad(st_t.positions, two_r),
+                            s, t, sup))
 
     top = max((r for _, r in compl), key=lambda r: r.value)
     ratio = worst_of(np.concatenate((local["ratios"], horizon_ratio)))

@@ -282,6 +282,24 @@ def test_normal_cone_requires_feasible_point():
         normal_cone_check(cone, np.array([0.0, 0.1]), np.zeros(2))
 
 
+def test_nan_configuration_is_not_feasible():
+    # max(0.0, nan) is 0.0: the violation must keep the NaN instead
+    cone = SpacingCone(3, 1.0)
+    assert np.isnan(cone.feasibility_violation(np.array([0.0, np.nan, 2.0])))
+    assert cone.feasibility_violation(np.array([0.0, 1.0, 2.0])) == 0.0
+    assert cone.feasibility_violation(np.array([0.0, 0.5, 2.0])) == 0.5
+
+
+@pytest.mark.parametrize("bad", ["x", "xi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_normal_cone_rejects_non_finite_input(bad, value):
+    cone = SpacingCone(3, 1.0)
+    x, xi = np.array([0.0, 1.0, 2.0]), np.zeros(3)
+    (x if bad == "x" else xi)[1] = value
+    with pytest.raises(InputDomainError, match="finite"):
+        normal_cone_check(cone, x, xi)
+
+
 def test_variational_characterization():
     # the residual y - P(y) must be a valid normal-cone element at P(y)
     rng = np.random.default_rng(4)

@@ -635,6 +635,16 @@ def test_multipliers_detect_corrupted_state():
         multipliers_at(bad, U2)
 
 
+def test_multipliers_reject_a_nan_closure():
+    # a NaN velocity makes lam_n NaN, which passes every comparison with the
+    # closure tolerance; it must raise, not come back as lam = [0, nan, nan, 0]
+    u0 = np.array([1.0, 0.0, -1.0])
+    st = trajectory_at(np.array([0.0, 2.0, 4.0]), u0, SpacingCone(3, 1.0), 2.0)
+    bad = MicroState(st.time, st.positions, np.array([np.nan, 0.0, 0.0]), st.starts, st.cone)
+    with pytest.raises(InvariantViolationError, match="does not vanish"):
+        multipliers_at(bad, u0)
+
+
 def test_pressure_measure_empty_without_events():
     tl = evolve(np.array([0.0, 2.0]), np.array([0.3, 0.3]), TWO, 1.0)
     assert pressure_measure(tl).events == ()

@@ -13,7 +13,8 @@ from congested_flow.cli import load_config
 from congested_flow.dynamics import CheckReport, EventRecord, EventTimeline, \
     active_set_monotone, evolve, max_slope_ratio, verify_estimates, verify_semigroup
 from congested_flow.errors import InvariantViolationError
-from congested_flow.eulerian import wasserstein_time_modulus
+from congested_flow.cone import SpacingCone
+from congested_flow.eulerian import velocity_l2, velocity_sq, wasserstein_time_modulus
 from congested_flow.fields import DeltaPadding, FieldTrace, _run_single, build_fields, \
     oleinik_field_check, verify_discrete_pde
 from congested_flow.random_data import random_admissible_datum
@@ -25,6 +26,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def random_contacts_trace(n, seed):
     x0, u0, cone = random_admissible_datum(n, np.random.default_rng(seed), contacts=True)
+    return build_fields(evolve(x0, u0, cone, 1.0))
+
+
+def dilute_trace(n, seed):
+    """Few merges, spread over time."""
+    x0, u0, cone = random_admissible_datum(n, np.random.default_rng(seed), contacts=False,
+                                           gap_scale=0.5)
     return build_fields(evolve(x0, u0, cone, 1.0))
 
 
@@ -97,23 +105,33 @@ def test_battery_builds_one_record_that_every_event_check_reads(monkeypatch):
 
 def test_battery_builds_one_state_per_query_instant(monkeypatch):
     # the record reads the events with no state; one pass of states stops at
-    # the sampled instants, the horizon, the ends of the 30 random pairs and the
-    # distinct event instants e with s < e <= t of a Wasserstein pair (s, t),
-    # where the velocity norm enters that pair's sup, and nowhere else
+    # the sampled instants and the horizon, then each of the 20 semigroup and
+    # 10 Wasserstein pairs (s, t) reads its own two states, and nothing else:
+    # the Wasserstein sup comes off the record, not from a state per event
     trace = random_contacts_trace(300, 2)
     tl = trace.timeline
     rng = np.random.default_rng(0)  # the battery's default
-    semigroup = [(s, t) for s, t in verification._time_pairs(rng, tl.horizon, 20)
+    semigroup = [[s, t] for s, t in verification._time_pairs(rng, tl.horizon, 20)
                  if t - s >= verification.SEMIGROUP_MIN_SPAN]
-    w2 = list(verification._time_pairs(rng, tl.horizon, 10))
-    ends = {x for s, t in semigroup + w2 if s < t for x in (s, t)}
-    norm = {e for s, t in w2 for e in tl.times.tolist() if s < e <= t}
+    w2 = [[s, t] for s, t in verification._time_pairs(rng, tl.horizon, 10)]
     sampled = set(verification._sample_times(tl.horizon, tl.times).tolist())
     replays, states = record_replays(monkeypatch)
     assert not failed_checks(run_battery(trace))
-    assert replays == [sorted(sampled | {tl.horizon} | ends | norm)]
-    assert states == replays[0]
-    assert len(tl.events) > 150 and len(norm - sampled - ends) > 30
+    assert replays == [sorted(sampled | {tl.horizon})] + semigroup + w2
+    assert states == [t for times in replays for t in times]
+    assert len(semigroup) == 20 and len(states) == 13 + 2 * 30
+    assert tl.times.size > 150
+
+
+@pytest.mark.parametrize("n", [4000, 16000])
+def test_battery_state_count_does_not_grow_with_the_events(monkeypatch, n):
+    # at most 12 sampled instants, the horizon and the two ends of 30 pairs,
+    # however many events
+    trace = dilute_trace(n, 0)
+    _, states = record_replays(monkeypatch)
+    reports = run_battery(trace)
+    assert len(states) <= 73 and trace.timeline.times.size > n // 3
+    assert reports[CHECK_NAMES.index("wasserstein_modulus")].passed
 
 
 def test_oleinik_field_check_reads_the_state_only(monkeypatch):
@@ -473,9 +491,9 @@ def test_oleinik_stream_equals_the_brute_force_reference(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_stream_pairs_equal_the_per_pair_checks(monkeypatch, seed):
-    # the 20 semigroup and 10 Wasserstein pairs, served by the battery's one
-    # pass of states, give the bits of the per-pair functions that read their
-    # own states
+    # the 20 semigroup and 10 Wasserstein pairs of the battery, each reading
+    # its own two states, give the bits of the per-pair functions; on these
+    # runs the Wasserstein sup off the record lands on the reference's bits
     x0, u0, cone = random_admissible_datum(200, np.random.default_rng(seed), contacts=True)
     trace = build_fields(evolve(x0, u0, cone, 1.0 + seed % 3))
     tl = trace.timeline
@@ -505,6 +523,67 @@ def test_stream_pairs_equal_the_per_pair_checks(monkeypatch, seed):
         rep = wasserstein_time_modulus(trace, s, t)
         want.append(((s, t), (rep["modulus"], rep["bound"], rep["sup_velocity_l2"])))
     assert sorted(seen["w2"]) == sorted(want) and len(want) == 10
+
+
+def battery_w2_sups(monkeypatch, trace, rng=None):
+    """Run the battery with every check passing; return the (s, t, sup_u)
+    of each Wasserstein pair."""
+    seen, w2 = [], verification.w2_report
+
+    def recorder(h, x_s, x_t, s, t, sup_u):
+        seen.append((s, t, sup_u))
+        return w2(h, x_s, x_t, s, t, sup_u)
+
+    monkeypatch.setattr(verification, "w2_report", recorder)
+    assert not failed_checks(run_battery(trace, rng))
+    assert len(seen) == 10
+    return seen
+
+
+@pytest.mark.parametrize("contacts", [True, False], ids=["contacts", "dilute"])
+@pytest.mark.parametrize("seed", range(3))
+def test_record_sup_equals_the_per_pair_reference(monkeypatch, contacts, seed):
+    # the battery's sup: the norm at s plus the record's steps up to each
+    # event instant in (s, t]; the reference builds a state at each of them.
+    # A sum of a pair's events rounds within a few eps (1.7e-16 measured)
+    trace = (random_contacts_trace if contacts else dilute_trace)(300, seed)
+    assert trace.timeline.times.size > 100
+    for s, t, sup_u in battery_w2_sups(monkeypatch, trace, np.random.default_rng(seed)):
+        ref = wasserstein_time_modulus(trace, s, t)["sup_velocity_l2"]
+        assert abs(sup_u - ref) <= 4 * np.finfo(float).eps * ref
+
+
+@pytest.mark.parametrize("contacts", [True, False], ids=["contacts", "dilute"])
+@pytest.mark.parametrize("seed", range(3))
+def test_velocity_sq_steps_sum_to_the_change_over_the_run(contacts, seed):
+    # each event's step changes only its pieces lo..hi+1; all of them together
+    # take the squared norm at t = 0 to the one at the horizon
+    trace = (random_contacts_trace if contacts else dilute_trace)(300, seed)
+    tl, h = trace.timeline, np.diff(trace.w_grid)
+    steps = verification._event_local(trace, EventRecord(tl))["velocity_sq_step"]
+    start, end = (velocity_sq(h, st.velocities) for st in tl.iter_states([0.0, tl.horizon]))
+    assert steps.size == tl.times.size and np.any(steps > 0.0) and np.any(steps < 0.0)
+    assert abs(start + float(np.sum(steps)) - end) <= 8 * np.finfo(float).eps * start
+
+
+def test_simultaneous_merges_enter_the_sup_at_the_end_of_their_instant(monkeypatch):
+    # two disjoint merges at t = 0.5: the first raises the squared norm (its
+    # left neighbour runs left fast), the second lowers it by far more.  The
+    # state after the first alone never exists, so its partial sum must not
+    # enter the sup: every pair over the instant reads the norm at s
+    x0 = np.array([0.0, 10.0, 12.0, 20.0, 30.0, 51.0]) / 6.0
+    u0 = np.array([-10.0, 2.0, 0.0, 0.0, 20.0, -20.0]) / 6.0
+    trace = build_fields(evolve(x0, u0, SpacingCone.canonical(6), 1.0))
+    tl, h = trace.timeline, np.diff(trace.w_grid)
+    te = tl.times[0]
+    assert tl.times.tolist() == [te, te] and te == pytest.approx(0.5) and tl.lo.tolist() == [1, 4]
+    steps = verification._event_local(trace, EventRecord(tl))["velocity_sq_step"]
+    start = velocity_sq(h, u0)
+    assert steps[0] > 0.0 and start + steps[0] + steps[1] < start
+    over = [(s, t, sup_u) for s, t, sup_u in battery_w2_sups(monkeypatch, trace)
+            if s < te <= t]
+    assert len(over) == 8
+    assert all(sup_u == velocity_l2(h, u0) for *_, sup_u in over)
 
 
 def load_workloads():
