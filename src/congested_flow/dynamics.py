@@ -21,12 +21,13 @@ data sits at its first particle.
 
 A timeline holds its events once, as columns that ``evolve`` writes from its
 own flat lists: the times, merged blocks, post velocities, left edges and
-one flat read-only array of multiplier jumps.  The congested region only
-grows, so the events form a merge forest: each block an event merges is an
-initial cluster or the range of exactly one earlier event, its maker.
-That forest is the only reading of a timeline.  ``EventRecord`` reads what
-the checks need straight off the columns through it, and the checks read
-event positions through ``EventTimeline.event_positions``.
+one velocity step per merged block, from which the timeline builds its
+flat read-only array of multiplier jumps on first read.  The congested
+region only grows, so the events form a merge forest: each block an event
+merges is an initial cluster or the range of exactly one earlier event, its
+maker.  That forest is the only reading of a timeline.  ``EventRecord``
+reads what the checks need straight off the columns through it, and the
+checks read event positions through ``EventTimeline.event_positions``.
 ``EventTimeline.iter_states`` is the one reader of an instant: it builds
 the state from the blocks alive then, each rigid from its maker's left
 edge, and ``multipliers_at`` is the one formula for a state's
@@ -111,7 +112,7 @@ class MergeEvent:
 
     It is also the event's pressure atom: ``jump_values`` are the multiplier
     jumps on contacts lo+1..hi of ``index_range``, zero elsewhere, a view
-    into the timeline's flat ``jumps``.
+    into the timeline's flat ``jumps``, which reading the views builds.
     """
 
     time: float
@@ -320,9 +321,8 @@ def _chain_rows(merged, extra, finals, v_post):
     merged, as before the instant, ``extra`` the same as tuples for the
     blocks that cascade items merged, ``finals`` the instant's final blocks
     in order and ``v_post`` their velocities.  Each final block takes the
-    run of blocks it covers.  Returns the flat (start, end) pairs, the diffs
-    v_post - u_pre, their repeat counts (the last of each event's one short)
-    and the end of each event's run.
+    run of blocks it covers.  Returns the flat (start, end) pairs, the
+    velocity steps v_post - u_pre and the end of each event's run.
     """
     starts, ends, w = merged
     if extra:
@@ -331,11 +331,9 @@ def _chain_rows(merged, extra, finals, v_post):
     starts, ends, w = starts[order], ends[order], w[order]
     firsts = np.searchsorted(starts, finals)
     runs = np.concatenate((firsts[1:], [starts.size]))
-    reps = ends - starts + 1
-    reps[runs - 1] -= 1
     flat = np.empty(2 * starts.size, dtype=np.intp)
     flat[0::2], flat[1::2] = starts, ends
-    return flat, np.repeat(v_post, runs - firsts) - w, reps, runs
+    return flat, np.repeat(v_post, runs - firsts) - w, runs
 
 
 def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) -> "EventTimeline":
@@ -377,10 +375,11 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
     and O(1) Python work per chain, the item loop runs only the cascade
     items it appended and ``_chain_rows`` lays out the rows; the events
     keep their bits.  Both kinds of instant end in one tail: each final
-    block appends its event and queues its neighbour pairs.  The jumps of all
-    events go to one flat read-only array after the loop, laid out by one
-    repeat, with one sequential cumsum per event's slice, O(merged range).
-    The lists cost O(n) to set up.
+    block appends its event and queues its neighbour pairs.  Each merged
+    block adds one velocity step, post velocity minus its own, so an event
+    costs O(blocks it merges) to store, whatever its range; the multiplier
+    jumps are built only when read (``EventTimeline.jumps``).  The lists
+    cost O(n) to set up.
     """
     if not 0.0 <= horizon:
         raise InputDomainError(f"horizon must be nonnegative, got {horizon}")
@@ -428,12 +427,10 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
 
     # the columns: per event its time, post velocity and left edge, and the
     # offset of its merged blocks; per merged block its start and end in the
-    # flat `blocks`, and the jumps laid out after the loop from diffs
-    # repeated reps times, event k's at bounds[k]:bounds[k + 1]
-    times, post, left_edges, block_off, bounds = [], [], [], [0], [0]
+    # flat `blocks`, and its velocity step in `diffs`
+    times, post, left_edges, block_off = [], [], [], [0]
     blocks: list[int] = []
     diffs: list[float] = []
-    reps: list[int] = []
 
     # the live candidates (a, s) of the open instant, the due first
     # candidates it took at once, and the latest t_hit that is due
@@ -530,24 +527,20 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                     e, w = pre[k]
                     blocks += k, e
                     diffs.append(v_post - w)
-                    reps.append(e + 1 - k)
                     k = e + 1
-                reps[-1] -= 1  # the jumps of lo..hi drop the last entry of v_post - u_pre
-                block_off.append(len(reps))
+                block_off.append(len(diffs))
         else:
-            flat, jump_diffs, jump_reps, ends = _chain_rows(
+            flat, steps, ends = _chain_rows(
                 merged, [(k, *pre[k]) for k in list(pre)[chain_starts:]], finals,
                 [v[a] for a in finals])
-            block_off.extend((len(reps) + ends).tolist())
+            block_off.extend((len(diffs) + ends).tolist())
             blocks += flat.tolist()
-            diffs += jump_diffs.tolist()
-            reps += jump_reps.tolist()
+            diffs += steps.tolist()
         for a in finals:
             b = end[a]
             times.append(t_e)
             post.append(v[a])
             left_edges.append(xl[a])
-            bounds.append(bounds[-1] + b - a)
             # queue the exact contact instant of each neighbour pair that closes
             for left, right in ((head[a - 1], a), (a, b + 1)):
                 if 0 < right < n and v[left] > v[right]:
@@ -559,19 +552,39 @@ def evolve(x0: np.ndarray, u0: np.ndarray, cone: SpacingCone, horizon: float) ->
                                               stamp[right]))
                         counter += 1
 
-    # jump_values = -cumsum(v_post - u_pre)[:-1] / n, bit for bit: a sequential
-    # cumsum over each event's own slice (one over the whole array would carry
-    # sums from one event into the next), then one negation and one division
-    jumps = np.repeat(np.array(diffs, dtype=float), reps)
-    for lo, hi in zip(bounds, bounds[1:]):
-        seg = jumps[lo:hi]
-        np.add.accumulate(seg, out=seg)
-    np.negative(jumps, out=jumps)
-    jumps /= n
-    jumps.flags.writeable = False
     return EventTimeline(cone, float(horizon), x0.copy(), u0.copy(), initial, np.array(times),
                          np.array(blocks, dtype=np.intp).reshape(-1, 2), np.array(block_off),
-                         np.array(post), np.array(left_edges), jumps)
+                         np.array(post), np.array(left_edges), np.array(diffs, dtype=float))
+
+
+def _running_sums(values: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Running sums of ``values`` within each run off[k]:off[k + 1], each
+    added in sequence from the run's first entry: the runs of one length are
+    the rows of one array, summed by one np.add.accumulate along the rows.
+    O(entries + runs log runs), with one numpy pass per distinct length."""
+    out = np.empty_like(values)
+    length = np.diff(off)
+    order = np.argsort(length, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(length[order])) + 1):
+        if group.size:
+            rows = off[group, None] + np.arange(length[group[0]])
+            out[rows] = np.add.accumulate(values[rows], axis=1)
+    return out
+
+
+def _check_jumps(jumps: np.ndarray, u0: np.ndarray) -> None:
+    """Raises InvariantViolationError unless every multiplier jump is finite
+    and none lies below the floor -JUMP_FLOOR_RTOL * (1 + max|u0|); a NaN
+    passes every comparison with the floor, so finiteness is checked on its
+    own."""
+    if not np.all(np.isfinite(jumps)):
+        raise InvariantViolationError(
+            "an event carries a non-finite time, post velocity, left edge or jump")
+    lowest = float(jumps.min(initial=np.inf))
+    floor = -JUMP_FLOOR_RTOL * _scale(u0)
+    if lowest < floor:
+        raise InvariantViolationError(
+            f"negative multiplier jump {lowest:.3e} below the floor {floor:.3e}")
 
 
 @dataclass(frozen=True)
@@ -581,21 +594,32 @@ class EventTimeline:
     The events are columns, one row per event in time order: ``times``,
     ``post`` (the post velocity) and ``x_left`` (the left edge of the merged
     range at the event instant), and the merged blocks, event k's being rows
-    block_off[k]:block_off[k + 1] of the (start, end) pairs ``blocks``.  Its
-    merged range lo..hi (``lo``, ``hi``) and the offsets ``jump_off`` of its
-    hi - lo multiplier jumps in the flat array ``jumps`` are derived once,
-    here.  ``events`` views the rows as ``MergeEvent`` objects, built on
-    first read.
+    block_off[k]:block_off[k + 1] of the (start, end) pairs ``blocks``, each
+    with its velocity step ``dv``: the post velocity minus the block's
+    velocity just before the event.  Its merged range lo..hi (``lo``,
+    ``hi``), the ``kept`` entries of each block (its width, one fewer on the
+    event's last block) and the offsets ``jump_off`` of its hi - lo
+    multiplier jumps in the flat array ``jumps`` are derived once, here.
+    ``jumps`` is built on first read, and ``events`` views the rows as
+    ``MergeEvent`` objects, built on first read.
 
     Raises InputDomainError unless 0 <= horizon, and InvariantViolationError
-    unless the offsets end at jumps.size, every event time, post velocity,
-    left edge and multiplier jump is finite, the event times are
-    nondecreasing inside [0, horizon] and no jump lies below the floor
-    -JUMP_FLOOR_RTOL * (1 + max|u0|); all of it takes one vectorised pass
-    over the columns (a NaN passes every comparison with the floor, so
-    finiteness is checked on its own).  Whether each event merges whole
-    current blocks depends on the events before it, so the merge forest
-    (``_forest``) checks that, once, for every reader.
+    unless ``dv`` has one entry per block, every event time, post velocity,
+    left edge and velocity step is finite, the event times are
+    nondecreasing inside [0, horizon] and the jump at each block's last
+    kept entry is finite and not below the floor
+    -JUMP_FLOOR_RTOL * (1 + max|u0|) (``_check_jumps``).  Along one block
+    the running sum of the steps moves by the same step at every entry, so
+    its jumps are monotone there.  They fall towards the last entry if the
+    step is positive; otherwise they rise from a first entry at or above
+    the last one of the block before (or above 0 on an event's first
+    block), and adding a step rounds monotonically too.  So the last ends
+    hold every lowest jump, and every overflow: they are the running sums
+    of kept * dv per event (``_running_sums``), and all of it takes
+    O(blocks) vectorised work, whatever the ranges' size.  Building
+    ``jumps`` checks every jump the same way.  Whether each event merges
+    whole current blocks depends on the events before it, so the merge
+    forest (``_forest``) checks that, once, for every reader.
     """
 
     cone: SpacingCone
@@ -608,32 +632,31 @@ class EventTimeline:
     block_off: np.ndarray
     post: np.ndarray
     x_left: np.ndarray
-    jumps: np.ndarray
+    dv: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.horizon:
             raise InputDomainError(f"horizon must be nonnegative, got {self.horizon}")
         lo, hi = self.blocks[self.block_off[:-1], 0], self.blocks[self.block_off[1:] - 1, 1]
+        kept = self.blocks[:, 1] - self.blocks[:, 0] + 1
+        kept[self.block_off[1:] - 1] -= 1
         # derived columns: the dataclass is frozen, so they go straight into the
         # instance dict, as cached_property's values do
-        vars(self).update(lo=lo, hi=hi, jump_off=np.concatenate(([0], np.cumsum(hi - lo))))
-        if self.jump_off[-1] != self.jumps.size:
+        vars(self).update(lo=lo, hi=hi, kept=kept,
+                          jump_off=np.concatenate(([0], np.cumsum(hi - lo))))
+        dv, times = self.dv, self.times
+        if dv.shape != kept.shape:
             raise InvariantViolationError(
-                f"the merged ranges hold {self.jump_off[-1]} contacts, but the events carry "
-                f"{self.jumps.size} jumps")
-        times = self.times
-        if not all(np.all(np.isfinite(a)) for a in (times, self.post, self.x_left, self.jumps)):
+                f"the events merge {kept.size} blocks, but carry {dv.size} velocity steps")
+        if not all(np.all(np.isfinite(a)) for a in (times, self.post, self.x_left, dv)):
             raise InvariantViolationError(
-                "an event carries a non-finite time, post velocity, left edge or jump")
+                "an event carries a non-finite time, post velocity, left edge or velocity step")
         if times.size and not (times[0] >= 0.0 and times[-1] <= self.horizon
                                and np.all(times[1:] >= times[:-1])):
             raise InvariantViolationError(
                 "event times must be nondecreasing inside [0, horizon]")
-        lowest = float(self.jumps.min(initial=np.inf))
-        floor = -JUMP_FLOOR_RTOL * _scale(self.u0)
-        if lowest < floor:
-            raise InvariantViolationError(
-                f"negative multiplier jump {lowest:.3e} below the floor {floor:.3e}")
+        last = _running_sums(kept * dv, self.block_off)
+        _check_jumps(-last[kept > 0] / self.n, self.u0)
 
     @property
     def n(self) -> int:
@@ -644,6 +667,26 @@ class EventTimeline:
         """The merge forest (``_merge_forest``), found on first read, so that
         every reader of the timeline finds it once between them."""
         return _merge_forest(self)
+
+    @cached_property
+    def jumps(self) -> np.ndarray:
+        """The multiplier jumps of every event, flat and read-only, event
+        k's on contacts lo+1..hi at jump_off[k]:jump_off[k + 1], built on
+        first read as -cumsum(post - u_pre)[:-1] / n, bit for bit: each
+        block's step repeated over its kept entries, the running sums of
+        each event's own slice (``_running_sums``; one cumsum over the whole
+        array would carry sums from one event into the next), then one
+        negation and one division.  O(sum of merged range sizes).  Raises
+        InvariantViolationError unless the events form a merge forest, whose
+        contiguous blocks fill each event's slice, and every jump passes
+        ``_check_jumps``."""
+        self._forest  # raises unless the events form a merge forest
+        jumps = _running_sums(np.repeat(self.dv, self.kept), self.jump_off)
+        np.negative(jumps, out=jumps)
+        jumps /= self.n
+        _check_jumps(jumps, self.u0)
+        jumps.flags.writeable = False
+        return jumps
 
     @cached_property
     def events(self) -> tuple[MergeEvent, ...]:
@@ -911,7 +954,9 @@ def pressure_measure(timeline: EventTimeline) -> EventTimeline:
     """Atomic pressure: one atom per event, read off the timeline's columns
     (the time, the merged range lo..hi and the jumps on contacts lo+1..hi).
 
-    The timeline's constructor has checked every jump against the floor.
+    The timeline's constructor has checked the jump at every block's last
+    kept entry against the floor, and building ``EventTimeline.jumps``
+    checks every jump.
     """
     return timeline
 

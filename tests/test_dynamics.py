@@ -818,14 +818,13 @@ def test_estimates_random_run_monotone():
 
 def with_events(tl, events):
     """``tl`` with its events replaced by (time, merged blocks) rows, each
-    with zero jumps, post velocity 0 and left edge 0."""
+    with zero velocity steps, post velocity 0 and left edge 0."""
     blocks = [block for _, bl in events for block in bl]
-    contacts = sum(bl[-1][1] - bl[0][0] for _, bl in events)
     return dataclasses.replace(
         tl, times=np.array([t for t, _ in events], dtype=float),
         blocks=np.array(blocks, dtype=np.intp).reshape(-1, 2),
         block_off=np.concatenate(([0], np.cumsum([len(bl) for _, bl in events]))),
-        post=np.zeros(len(events)), x_left=np.zeros(len(events)), jumps=np.zeros(contacts))
+        post=np.zeros(len(events)), x_left=np.zeros(len(events)), dv=np.zeros(len(blocks)))
 
 
 @pytest.mark.parametrize("events, named", [
@@ -844,8 +843,8 @@ def test_merge_forest_rejects_each_broken_rule(events, named):
     # more blocks, contiguous, nonempty, inside 0..n-1, each made before the
     # event and merged once.  The block 1..6 has the key of 2..2, and the key
     # of 1..2 sorts next to that of 2..2.  Every reader reads the forest, so a
-    # state at any instant rejects the timeline too, naming the first event
-    # that breaks the rule
+    # state at any instant and the jumps reject the timeline too, naming the
+    # first event that breaks the rule
     x0 = np.array([0.0, 2.0, 4.0, 6.0])
     tl = evolve(x0, np.zeros(4), SpacingCone(4, 1.0), 1.0)
     ok = with_events(tl, [(0.1, [(0, 0), (1, 1)]), (0.1, [(2, 2), (3, 3)]),
@@ -854,7 +853,7 @@ def test_merge_forest_rejects_each_broken_rule(events, named):
     bad = with_events(tl, events)
     assert not active_set_monotone(bad)
     for read in (lambda: EventRecord(bad), lambda: list(bad.iter_states([0.0])),
-                 lambda: list(bad.iter_states([1.0]))):
+                 lambda: list(bad.iter_states([1.0])), lambda: bad.jumps):
         with pytest.raises(InvariantViolationError,
                            match=re.escape(f"{named}, which is not a union of current blocks")):
             read()
@@ -872,7 +871,8 @@ def test_merge_rejects_a_range_that_splits_a_block(blocks, named):
     made = [(0.1, [(0, 0), (1, 1)]), (0.1, [(2, 2), (3, 3), (4, 4)])]
     bad = with_events(tl, made + [(0.2, blocks)])
     assert not active_set_monotone(bad)
-    for read in (lambda: EventRecord(bad), lambda: list(bad.iter_states([1.0]))):
+    for read in (lambda: EventRecord(bad), lambda: list(bad.iter_states([1.0])),
+                 lambda: bad.jumps):
         with pytest.raises(InvariantViolationError,
                            match=re.escape(f"{named}, which is not a union of current blocks")):
             read()
@@ -900,7 +900,7 @@ def test_active_set_monotone_valid_and_corrupted():
             tl, times=np.append(tl.times, tl.horizon), blocks=np.vstack((tl.blocks, block)),
             block_off=np.append(tl.block_off, tl.blocks.shape[0] + 1),
             post=np.append(tl.post, 0.0), x_left=np.append(tl.x_left, 0.0),
-            jumps=np.append(tl.jumps, np.zeros(block[1] - block[0])))
+            dv=np.append(tl.dv, 0.0))
         assert not active_set_monotone(bad)
         # every reader of the timeline reads the merge forest and rejects it
         trace = build_fields(bad)
@@ -924,8 +924,8 @@ def test_timeline_rejects_what_it_can_check_alone(fault):
     assert events[widest].index_range == (4, 22)
     with pytest.raises(InvariantViolationError):
         if fault == "cut_jump":
-            # the flat jump array one entry short: the widest event's last
-            dataclasses.replace(tl, jumps=np.delete(tl.jumps, tl.jump_off[widest + 1] - 1))
+            # the velocity steps one entry short: the widest event's last block's
+            dataclasses.replace(tl, dv=np.delete(tl.dv, tl.block_off[widest + 1] - 1))
         else:
             times = tl.times.copy()
             times[3] = times[4] + 1e-3
@@ -933,18 +933,29 @@ def test_timeline_rejects_what_it_can_check_alone(fault):
 
 
 def test_timeline_rejects_a_jump_below_the_floor():
-    # the constructor is the one place the floor is checked, evolve included
-    x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12))
+    # the constructor checks the floor at the last kept entry of every block,
+    # evolve included.  A pair of singletons has one jump, -dv / n of its
+    # first block; n = 64 makes that exactly the floor
+    x0, u0, cone = random_admissible_datum(64, np.random.default_rng(12))
     tl = evolve(x0, u0, cone, 3.0)
     floor = -JUMP_FLOOR_RTOL * (1.0 + float(np.max(np.abs(tl.u0))))
-    last = tl.jump_off[len(tl.events) // 2 + 1] - 1  # the middle event's last jump
-    jumps = tl.jumps.copy()
-    jumps[last] = floor
-    dataclasses.replace(tl, jumps=jumps)
-    jumps = jumps.copy()
-    jumps[last] = 2.0 * floor
+    k = next(j for j in range(len(tl.events)) if tl.hi[j] - tl.lo[j] == 1)
+    first = tl.block_off[k]
+    dv = tl.dv.copy()
+    dv[first] = -floor * tl.n
+    assert dataclasses.replace(tl, dv=dv).jumps[tl.jump_off[k]] == floor
+    dv[first] *= 2.0
     with pytest.raises(InvariantViolationError, match="below the floor"):
-        dataclasses.replace(tl, jumps=jumps)
+        dataclasses.replace(tl, dv=dv)
+    # a block of r >= 3 kept entries whose last one sits at twice the floor
+    # and whose first one, at 2 / r of it, above: the last end is checked
+    first = next(tl.block_off[j] for j in range(len(tl.events))
+                 if tl.kept[tl.block_off[j]] >= 3)
+    dv = tl.dv.copy()
+    dv[first] = -2.0 * floor * tl.n / tl.kept[first]
+    assert -dv[first] / tl.n > floor
+    with pytest.raises(InvariantViolationError, match="below the floor"):
+        dataclasses.replace(tl, dv=dv)
 
 
 @pytest.mark.parametrize("entry", ["first_jump", "last_jump", "post_velocity", "x_left",
@@ -956,10 +967,11 @@ def test_timeline_rejects_a_non_finite_event_entry(entry):
     tl = evolve(x0, u0, cone, 3.0)
     assert len(tl.events) == 34
     k = -1 if entry == "last_jump" else 0
-    # the first jump of the first or the last event, or an entry of the first
-    column = {"post_velocity": "post", "x_left": "x_left", "time": "times"}.get(entry, "jumps")
+    # the velocity step of the first block of the first or the last event,
+    # which its first jump reads, or an entry of the first event
+    column = {"post_velocity": "post", "x_left": "x_left", "time": "times"}.get(entry, "dv")
     values = getattr(tl, column).copy()
-    values[tl.jump_off[:-1][k] if column == "jumps" else k] = \
+    values[tl.block_off[:-1][k] if column == "dv" else k] = \
         np.inf if entry == "x_left" else np.nan
     with pytest.raises(InvariantViolationError, match="non-finite"):
         dataclasses.replace(tl, **{column: values})

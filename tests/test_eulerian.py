@@ -249,7 +249,7 @@ def test_weak_residuals_detect_corrupted_dynamics():
     _, mom = corrupted(post=tl.post * 1.1)
     assert max(abs(r) for r in mom) > 1e-3
     # dropping the pressure atom breaks only the momentum balance
-    mass, mom = corrupted(jumps=np.zeros_like(tl.jumps))
+    mass, mom = corrupted(dv=np.zeros_like(tl.dv))
     assert mass == [0.0] * len(fns)
     assert max(abs(r) for r in mom) > 1e-3
 

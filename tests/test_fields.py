@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from congested_flow.piecewise import PiecewiseField, merge_breaks
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.scenarios import two_block_datum
 from test_dynamics import estimates_loop
+from test_initdata import random_contacts_datum
 
 TWO = SpacingCone(2, 1.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -67,32 +69,86 @@ def test_rigid_translation_zero_multipliers():
     assert pressure_mass_bound(trace) == 0.0
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_pressure_mass_equals_the_per_event_sum_bitwise(seed):
-    # the mass is one sum of every jump, divided by n; the per-event sum (one
-    # .sum() per event, divided by n, added in event order) adds the same
-    # jumps in another order, so they agree within rounding: at most 3 ulps
-    # on these timelines, held to 8.  Zeros of both signs among the jumps,
-    # lone ones included
-    rng = np.random.default_rng(seed)
-    x0, u0, cone = random_admissible_datum(400, rng, contacts=True)
-    tl = evolve(x0, u0, cone, 3.0)
-    jumps = tl.jumps.copy()
-    jumps[rng.random(jumps.size) < 0.3] = -0.0
-    jumps[rng.random(jumps.size) < 0.1] = 0.0
-    assert (np.diff(tl.jump_off) == 1).any() and (np.diff(tl.jump_off) >= 3).any()
-    # one event of three jumps, which np.add.reduceat and .sum() add to other bits
-    four = evolve(2.0 * np.arange(4.0), -2.0 * np.arange(4.0), SpacingCone(4, 1.0), 1.0)
-    four = dataclasses.replace(four, jumps=np.array([0.1, 0.2, 0.3]))
-    for timeline in (tl, dataclasses.replace(tl, jumps=jumps), four):
-        off = timeline.jump_off.tolist()
-        expected = sum(float(timeline.jumps[a:b].sum()) / timeline.n
-                       for a, b in zip(off, off[1:]))
-        got = pressure_mass_bound(build_fields(timeline))
-        assert type(got) is type(expected)
-        total = float(np.sum(timeline.jumps)) / timeline.n
-        assert np.float64(got).tobytes() == np.float64(total).tobytes()
-        assert abs(got - expected) <= 8 * np.spacing(expected)
+def piston_run(n):
+    """The piston, or snowplow: particle 0 at speed n sweeps the other n - 1,
+    at rest one two_r of slack apart, one at a time by t = 1/2, so the
+    merged ranges hold about n^2 / 2 entries."""
+    cone = SpacingCone.canonical(n)
+    u0 = np.zeros(n)
+    u0[0] = n
+    return evolve(2.0 * cone.two_r * np.arange(n), u0, cone, 2.0)
+
+
+def pressure_mass_case(name):
+    """Timelines of the closed-form mass test, by name."""
+    kind, _, arg = name.rpartition("_")
+    if kind == "piston":
+        return [piston_run(int(arg))]
+    if kind == "smooth_slab":
+        datum = load_config(str(CONFIGS / "smooth_compression.json"))["_datum"]
+        return [evolve(*quantile_sample(datum, int(arg)), 1.0)]
+    contacts = kind == "random_contacts"
+    return [evolve(*random_admissible_datum(n, np.random.default_rng(int(arg)),
+                                            contacts=contacts,
+                                            gap_scale=None if contacts else 0.5),
+                   3.0 if contacts else 1.0)
+            for n in (400, 2000, 8000)]
+
+
+def exact_pressure_mass(tl):
+    """The pressure mass of a timeline's velocity steps in rational
+    arithmetic: per event, the running sum s of the steps over the kept
+    entries, block by block; a block of r kept entries and step d adds
+    r s + d r (r + 1) / 2 to the sum of the event's running sums."""
+    total = Fraction(0)
+    blocks, off, dv = tl.blocks.tolist(), tl.block_off.tolist(), tl.dv.tolist()
+    for b0, b1 in zip(off, off[1:]):
+        s = Fraction(0)
+        for b in range(b0, b1):
+            r, d = blocks[b][1] - blocks[b][0] + (b < b1 - 1), Fraction(dv[b])
+            total += r * s + d * (r * (r + 1) // 2)
+            s += r * d
+    return float(-total / tl.n ** 2)
+
+
+@pytest.mark.parametrize("name", ["random_contacts_0", "random_contacts_1", "random_contacts_2",
+                                  "dilute_0", "piston_500", "piston_2000", "smooth_slab_8192"])
+def test_pressure_mass_closed_form_equals_the_sum_of_the_jumps(name):
+    # the mass sums each block's velocity step once per entry from its own to
+    # its event's last, with no jump built; one sum of the built jumps adds
+    # the same terms in another order, so they agree within rounding: at
+    # most 24 ulps on these timelines (random contacts, seed 1, n = 8000),
+    # held to 32.  The closed form lies within 2 ulps of the exact mass of
+    # the steps, held to 4; the jump sum, whose running sums round at every
+    # entry, lies up to 24 ulps from it here
+    for tl in pressure_mass_case(name):
+        got = pressure_mass_bound(build_fields(tl))
+        total = float(np.sum(tl.jumps)) / tl.n
+        exact = exact_pressure_mass(tl)
+        assert type(got) is float and total > 0.0
+        assert abs(got - total) <= 32 * np.spacing(total)
+        assert abs(got - exact) <= 4 * np.spacing(exact)
+
+
+def test_pressure_mass_is_plus_zero_without_events():
+    rigid = evolve(np.array([0.0, 2.0]), np.array([0.4, 0.4]), TWO, 2.0)
+    assert rigid.times.size == 0
+    assert np.float64(pressure_mass_bound(build_fields(rigid))).tobytes() == \
+        np.float64(0.0).tobytes()
+
+
+def test_convergence_study_never_builds_the_jumps(monkeypatch, tmp_path):
+    # the sweep's pressure mass reads the velocity steps; the Θ(merged size)
+    # jump array is built only for a reader that asks for it
+    def forbidden(self):
+        raise AssertionError("convergence_study built EventTimeline.jumps")
+
+    datum = random_contacts_datum(1, tmp_path)
+    monkeypatch.setattr(EventTimeline, "jumps", property(forbidden))
+    study = convergence_study(datum, [500, 1000, 2000], 1.0, [0.1, 0.4, 1.0])
+    assert len(study["rows"]) == 9 and study["sup"][500]["pressure_mass"] > 0.0
+    with pytest.raises(AssertionError, match="built EventTimeline.jumps"):
+        build_fields(fields._run_single(datum, 500, 1.0, DeltaPadding()).timeline).atoms
 
 
 def test_affine_slope_bounded_below():
@@ -259,6 +315,16 @@ def test_evolve_memory_is_linear_in_n_plus_merged_size():
     assert traced_peak(lambda: evolve(tl.x0, tl.u0, tl.cone, 1.0)) <= BYTES_PER_UNIT * units
 
 
+def test_evolve_memory_is_linear_in_n_plus_events():
+    # a timeline stores one velocity step per merged block, never a jump per
+    # merged entry: on the piston, whose merged ranges hold n^2 / 2 entries,
+    # a stored jump array costs about 4800 B per (n + events) at n = 2000
+    random_contacts_run(50)  # one-time allocations stay unmeasured
+    for tl in (piston_run(2000), random_contacts_run(2000)[0]):
+        units = tl.n + tl.times.size
+        assert traced_peak(lambda: evolve(tl.x0, tl.u0, tl.cone, tl.horizon)) <= 512 * units
+
+
 def test_wasserstein_modulus_memory_is_linear_in_n_plus_merged_size():
     # a list of full snapshots, one per event in (s, t], costs n * events; the
     # window holds the last 300 events, whose list alone would be 3x the bound
@@ -283,7 +349,8 @@ def test_oleinik_field_post_merge_and_l1_bound():
 
 
 def test_pressure_mass_two_particle():
-    assert pressure_mass_bound(two_particle_trace()) == pytest.approx(0.25, abs=1e-15)
+    # one jump of 1/2 at n = 2: the weights and the steps are exact
+    assert pressure_mass_bound(two_particle_trace()) == 0.25
 
 
 def test_fictitious_particle_gap_constant():

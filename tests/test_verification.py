@@ -19,6 +19,7 @@ from congested_flow.fields import DeltaPadding, FieldTrace, _run_single, build_f
     oleinik_field_check, verify_discrete_pde
 from congested_flow.random_data import random_admissible_datum
 from congested_flow.verification import CHECK_NAMES, run_battery
+from test_fields import BYTES_PER_UNIT, piston_run, traced_peak
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -132,6 +133,17 @@ def test_battery_state_count_does_not_grow_with_the_events(monkeypatch, n):
     reports = run_battery(trace)
     assert len(states) <= 73 and trace.timeline.times.size > n // 3
     assert reports[CHECK_NAMES.index("wasserstein_modulus")].passed
+
+
+def test_battery_memory_is_linear_in_n_plus_merged_size():
+    # the battery's tracemalloc peak per particle and merged entry, building
+    # the timeline's jumps (8 B per entry) included; the piston's merged
+    # ranges hold about n^2 / 2 entries
+    run_battery(random_contacts_trace(50, 0))  # one-time allocations stay unmeasured
+    for trace in (random_contacts_trace(2000, 0), build_fields(piston_run(1000))):
+        tl = trace.timeline
+        units = tl.n + int(np.sum(tl.hi - tl.lo + 1))
+        assert traced_peak(lambda: run_battery(trace)) <= BYTES_PER_UNIT * units
 
 
 def test_oleinik_field_check_reads_the_state_only(monkeypatch):
@@ -357,15 +369,16 @@ def test_splitting_post_velocity_fails_the_oleinik_stream(factor, failed):
 
 
 def test_rejected_replay_is_reported_not_raised():
-    # start the first event's first multi-particle block one particle later:
-    # the merged range no longer covers whole blocks, so the merge forest rejects it
+    # start the first event's first multi-particle block one particle later,
+    # with its velocity step kept: the merged range no longer covers whole
+    # blocks, so the merge forest rejects it
     x0, u0, cone = random_admissible_datum(50, np.random.default_rng(12), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
     k = next(k for k, e in enumerate(tl.events)
              if e.merged_blocks[0][1] > e.merged_blocks[0][0])
     blocks = tl.blocks.copy()
     blocks[tl.block_off[k], 0] += 1
-    broken = dataclasses.replace(tl, blocks=blocks, jumps=np.delete(tl.jumps, tl.jump_off[k]))
+    broken = dataclasses.replace(tl, blocks=blocks)
     assert not active_set_monotone(broken)
     assert_rejected(run_battery(build_fields(broken)), len(tl.events))
 
@@ -403,7 +416,7 @@ def test_misstated_or_phantom_event_is_rejected(fault):
             tl, times=np.append(tl.times, tl.horizon), blocks=np.vstack((tl.blocks, [8, 24])),
             block_off=np.append(tl.block_off, tl.blocks.shape[0] + 1),
             post=np.append(tl.post, st.velocities[8]),
-            x_left=np.append(tl.x_left, st.positions[8]), jumps=np.append(tl.jumps, np.zeros(16)))
+            x_left=np.append(tl.x_left, st.positions[8]), dv=np.append(tl.dv, 0.0))
     with pytest.raises(InvariantViolationError, match="not a union of current blocks"):
         next(bad.iter_states([bad.horizon]))
     assert not active_set_monotone(bad)
@@ -435,12 +448,14 @@ def test_drifting_block_fails_the_wasserstein_modulus(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, -1], ids=["first_event", "last_event"])
 def test_nan_jump_below_the_constructor_fails_its_checks(k):
-    # the constructor rejects a NaN jump, so it goes in after construction;
-    # every residual fold then lets it through to a failing NaN value
+    # building the jumps rejects a NaN, so it goes into the built jumps, a
+    # writable copy in the timeline's cache; every residual fold then lets
+    # it through to a failing NaN value
     x0, u0, cone = random_admissible_datum(60, np.random.default_rng(3), contacts=True)
     tl = evolve(x0, u0, cone, 3.0)
     jumps = tl.jumps.copy()
-    trace = build_fields(dataclasses.replace(tl, jumps=jumps))
+    vars(tl)["jumps"] = jumps
+    trace = build_fields(tl)
     assert not failed_checks(run_battery(trace))
     jumps[tl.jump_off[:-1][k]] = np.nan  # the event's first jump
     reports = run_battery(trace)
